@@ -127,6 +127,17 @@ def h1m_seminorm(phi, quad: ConfigQuadrature, grads=None):
     return float(np.sqrt(quad.integrate_weighted(dens)))
 
 
+def _jacobi_values(n_modal, alpha, m, t):
+    """P_j^{(alpha, m)}(2t - 1) for j < n_modal and their t-derivatives."""
+    P = np.stack([eval_jacobi(j, alpha, m, 2.0 * t - 1.0)
+                  for j in range(n_modal)])
+    dP = np.zeros_like(P)
+    for j in range(1, n_modal):
+        dP[j] = (j + alpha + m + 1.0) * eval_jacobi(
+            j - 1, alpha + 1.0, m + 1.0, 2.0 * t - 1.0)
+    return P, dP
+
+
 class OperatorBlocks:
     """Weak forms of the relaxation operator, one block per angular mode.
 
@@ -152,12 +163,7 @@ class OperatorBlocks:
             rhoa = np.sqrt(ta)
             m_weight = (1.0 - ta) ** alpha / maxwellian_normalizer(b)
             meas = (b / 2.0) * wta * m_weight
-            P = np.stack([eval_jacobi(j, alpha, m, 2.0 * ta - 1.0)
-                          for j in range(n_modal)])
-            dP = np.zeros_like(P)
-            for j in range(1, n_modal):
-                dP[j] = (j + alpha + m + 1.0) * eval_jacobi(
-                    j - 1, alpha + 1.0, m + 1.0, 2.0 * ta - 1.0)
+            P, dP = _jacobi_values(n_modal, alpha, m, ta)
             F = rhoa ** m * P
             dF = (m * np.where(m > 0, rhoa ** max(m - 1, 0), 0.0) * P
                   + 2.0 * rhoa ** (m + 1) * dP) / np.sqrt(b)
@@ -172,13 +178,8 @@ class OperatorBlocks:
         """Node values (f, df/dr) on the stored radial nodes for mode m."""
         quad = self.quad
         alpha = quad.b / 2.0
-        t, rho = quad.t, quad.rho
-        P = np.stack([eval_jacobi(j, alpha, m, 2.0 * t - 1.0)
-                      for j in range(self.n_modal)])
-        dP = np.zeros_like(P)
-        for j in range(1, self.n_modal):
-            dP[j] = (j + alpha + m + 1.0) * eval_jacobi(
-                j - 1, alpha + 1.0, m + 1.0, 2.0 * t - 1.0)
+        rho = quad.rho
+        P, dP = _jacobi_values(self.n_modal, alpha, m, quad.t)
         base = coeffs @ P
         dbase = coeffs @ dP
         f = rho ** m * base
@@ -205,7 +206,12 @@ class ConfigBasis:
     q-gradient there; labels[i] = (m, kind, k) records the angular mode,
     cos/sin branch and radial index.  residuals[i] is the relative
     generalized eigenresidual of the underlying radial solve.
+    mass_vector[i] = int_B M phi_i dq and the per-mode Kramers stress
+    stress_vectors[:, i] = (T11, T12, T22)(M phi_i) are formed once here.
     """
+
+    __slots__ = ("quad", "n_basis", "eigenvalues", "values", "grads",
+                 "labels", "residuals", "mass_vector", "stress_vectors")
 
     def __init__(self, quad, n_basis, eigenvalues, values, grads, labels,
                  residuals):
@@ -216,6 +222,14 @@ class ConfigBasis:
         self.grads = grads
         self.labels = labels
         self.residuals = residuals
+        w = quad.weights * quad.maxwellian
+        self.mass_vector = np.einsum("kl,ikl->i", w, values)
+        core = quad.weights \
+            * (quad.maxwellian_radial / quad.one_minus_t)[:, None]
+        self.stress_vectors = np.stack([
+            np.einsum("kl,ikl->i", core * qa * qb, values)
+            for qa, qb in ((quad.q1, quad.q1), (quad.q1, quad.q2),
+                           (quad.q2, quad.q2))])
 
     def gram_matrix(self):
         w = self.quad.weights * self.quad.maxwellian
@@ -332,18 +346,6 @@ def kramers_stress(phi, quad: ConfigQuadrature):
     t12 = float(np.sum(core * quad.q1 * quad.q2))
     t22 = float(np.sum(core * quad.q2 * quad.q2))
     return np.array([[t11, t12], [t12, t22]])
-
-
-def basis_stress_vectors(basis: ConfigBasis):
-    """Per-mode stress integrals S[i] = T(M phi_i), stacked (n_basis, 2, 2)."""
-    quad = basis.quad
-    core = quad.weights * (quad.maxwellian_radial / quad.one_minus_t)[:, None]
-    out = np.zeros((basis.n_basis, 2, 2))
-    out[:, 0, 0] = np.einsum("kl,ikl->i", core * quad.q1 * quad.q1, basis.values)
-    out[:, 0, 1] = np.einsum("kl,ikl->i", core * quad.q1 * quad.q2, basis.values)
-    out[:, 1, 0] = out[:, 0, 1]
-    out[:, 1, 1] = np.einsum("kl,ikl->i", core * quad.q2 * quad.q2, basis.values)
-    return out
 
 
 def chi_mass_matrix(basis: ConfigBasis, chi_index=None):

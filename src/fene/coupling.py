@@ -10,8 +10,12 @@ other by the verification suite:
   on short horizons; the contraction is measured in the weaker X^{s'}
   norm with s' <= s - 1.
 
-* coupled_step: the monolithic route.  One shared SSP-RK3 stage structure
-  advances (r, u, psi) together, re-evaluating the stress at every stage.
+* coupled_step: the monolithic route.  One fluid.ssprk3 step advances
+  (r, u, psi) together, re-evaluating the stress at every stage.
+
+Both routes integrate with the same fluid.ssprk3 step and take the
+Fokker-Planck operator (FokkerPlanckSolver) as an argument; the scenario
+drivers in runner build it once per run and share it between the routes.
 
 The X^s trajectory norm is sup-in-time of the W^{s,2}_x L^2_M norm plus
 the time integral (trapezoid rule on the stored samples) of the
@@ -23,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid as fluid_mod
-from .errors import StabilityViolation
-from .fluid import FluidState, FluidStepConfig, fluid_rhs
+from .fluid import FluidState, FluidStepConfig, fluid_rhs, ssprk3, \
+    state_from_coeffs, stress_divergence
 from .fokker_planck import FokkerPlanckSolver, FPStepConfig, PolymerField, \
-    fp_step
-from .model import ModelParams
+    fp_energy, fp_step
 from .torus import SpectralField, sup_norm_w2inf
 
 
@@ -66,25 +69,19 @@ class FixedPointConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-def _stress_vectors(basis):
-    cache = getattr(basis, "_stress_vec_cache", None)
-    if cache is None:
-        from .configspace import basis_stress_vectors
-        full = basis_stress_vectors(basis)
-        cache = np.stack([full[:, 0, 0], full[:, 0, 1], full[:, 1, 1]])
-        basis._stress_vec_cache = cache
-    return cache
-
-
 def stress_field(psi: PolymerField) -> SpectralField:
     """Kramers stress of psi as a symmetric tensor field (T11, T12, T22).
 
     The stress integral is linear in the basis coefficients, so it reduces
     to a contraction with the precomputed per-mode stress integrals and is
     exact in the torus modes."""
-    sv = _stress_vectors(psi.basis)
-    coeffs = np.tensordot(sv, psi.coeffs, axes=([1], [0]))
-    return SpectralField(psi.grid, coeffs, enforce_symmetry=False)
+    return _stress_of(psi.grid, psi.basis, psi.coeffs)
+
+
+def _stress_of(grid, basis, coeffs):
+    return SpectralField(
+        grid, np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0])),
+        enforce_symmetry=False)
 
 
 def _times(traj):
@@ -95,7 +92,6 @@ def xs_norm(traj, s):
     """Trajectory norm of X^s from dense-in-time samples."""
     if not traj:
         raise ValueError("empty trajectory")
-    from .fokker_planck import fp_energy
     l2 = np.empty(len(traj))
     h1 = np.empty(len(traj))
     for i, psi in enumerate(traj):
@@ -138,8 +134,9 @@ def _linear_interpolant(samples, t0, dt):
     return at
 
 
-def fixed_point_map(psi_traj, state0: CoupledState, p: ModelParams, forcing,
-                    fluid_cfg: FluidStepConfig, fp_cfg: FPStepConfig):
+def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
+                    forcing, fluid_cfg: FluidStepConfig,
+                    fp_cfg: FPStepConfig):
     """One application of the stress -> fluid -> Fokker-Planck map.
 
     psi_traj must span the horizon with the uniform step fluid_cfg.dt.
@@ -157,19 +154,19 @@ def fixed_point_map(psi_traj, state0: CoupledState, p: ModelParams, forcing,
     fl = state0.fluid
     velocities = [fl.u]
     for k in range(n_steps):
-        fl = fluid_mod.step(fl, stress_at, forcing, p, fluid_cfg)
+        fl = fluid_mod.step(fl, stress_at, forcing, op.params, fluid_cfg)
         velocities.append(fl.u)
     u_at = _linear_interpolant(velocities, t0, dt)
 
     psi = state0.psi
     out = [psi]
     for k in range(n_steps):
-        psi = fp_step(psi, u_at, p, fp_cfg)
+        psi = fp_step(psi, u_at, op, fp_cfg)
         out.append(psi)
     return out
 
 
-def run_fixed_point(state0: CoupledState, p: ModelParams, forcing,
+def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
                     fluid_cfg: FluidStepConfig, fp_cfg: FPStepConfig,
                     cfg: FixedPointConfig):
     """Iterate the map from the constant-in-time seed; returns the iterates
@@ -177,7 +174,7 @@ def run_fixed_point(state0: CoupledState, p: ModelParams, forcing,
     n_steps = int(round(cfg.horizon_T / fluid_cfg.dt))
     iterates = [constant_trajectory(state0.psi, n_steps, fluid_cfg.dt)]
     for _ in range(cfg.max_iters):
-        new = fixed_point_map(iterates[-1], state0, p, forcing, fluid_cfg,
+        new = fixed_point_map(iterates[-1], state0, op, forcing, fluid_cfg,
                               fp_cfg)
         dist = xs_distance(new, iterates[-1], cfg.s_prime)
         iterates.append(new)
@@ -209,76 +206,34 @@ def contraction_factor(iterates, s_prime):
     return ratios, converged
 
 
-def coupled_step(state: CoupledState, p: ModelParams, forcing,
-                 fluid_cfg: FluidStepConfig,
-                 fp_cfg: FPStepConfig) -> CoupledState:
+def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
+                 fluid_cfg: FluidStepConfig) -> CoupledState:
     """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress."""
-    if abs(fluid_cfg.dt - fp_cfg.dt) > 1e-15:
-        raise ValueError("fluid and FP steps must share dt")
-    dt = fluid_cfg.dt
-    grid = state.fluid.r.grid
-    solver = _coupled_fp_solver(state.psi, p, fp_cfg)
-    diag = solver._diag(grid)
-    zmax = dt * float(diag.max())
-    if zmax > 2.5:
-        raise StabilityViolation(
-            f"dt * max diagonal rate = {zmax:.2f} outside the SSP-RK3 "
-            "stability interval")
-    if fluid_cfg.cfl_safety is not None:
-        bound = fluid_cfg.cfl_safety * fluid_mod.cfl_bound(state.fluid, p,
-                                                           fluid_cfg)
-        if dt > bound:
-            from .errors import CFLViolation
-            raise CFLViolation(
-                f"dt = {dt:.3e} exceeds CFL bound {bound:.3e}")
+    p = op.params
+    grid, basis = state.psi.grid, state.psi.basis
+    diag = op.ssprk3_diag(state.psi, fluid_cfg.dt)
+    fluid_mod.check_cfl(state.fluid, p, fluid_cfg)
 
-    basis = state.psi.basis
-    sv = _stress_vectors(basis)
-
-    def rhs(r, u, c, t):
-        stress = SpectralField(
-            grid, np.tensordot(sv, c, axes=([1], [0])),
-            enforce_symmetry=False)
-        st = FluidState(r, u, t, check_positivity=False)
-        dr, du = fluid_rhs(st, stress,
+    def rhs(y, t):
+        r, u, c = y
+        st = state_from_coeffs(grid, r, u, t, check_positivity=False)
+        dr, du = fluid_rhs(st, _stress_of(grid, basis, c),
                            fluid_mod._forcing_field(forcing, grid, t),
                            p, fluid_cfg)
-        dc = solver.explicit_tendency(c, grid, u) - diag * c
-        return dr, du, dc
+        dc = op.explicit_tendency(c, grid, st.u) - diag * c
+        return dr.coeffs, du.coeffs, dc
 
-    t0 = state.time
-    r0, u0, c0 = state.fluid.r, state.fluid.u, state.psi.coeffs
-    dr, du, dc = rhs(r0, u0, c0, t0)
-    r1, u1, c1 = r0 + dt * dr, u0 + dt * du, c0 + dt * dc
-    dr, du, dc = rhs(r1, u1, c1, t0 + dt)
-    r2 = 0.75 * r0 + 0.25 * (r1 + dt * dr)
-    u2 = 0.75 * u0 + 0.25 * (u1 + dt * du)
-    c2 = 0.75 * c0 + 0.25 * (c1 + dt * dc)
-    dr, du, dc = rhs(r2, u2, c2, t0 + 0.5 * dt)
-    r3 = (r0 + 2.0 * (r2 + dt * dr)) * (1.0 / 3.0)
-    u3 = (u0 + 2.0 * (u2 + dt * du)) * (1.0 / 3.0)
-    c3 = (c0 + 2.0 * (c2 + dt * dc)) / 3.0
-    new_fluid = FluidState(r3, u3, t0 + dt)
-    new_psi = PolymerField(grid, basis, c3, t0 + dt, state.psi.mass_ref,
-                           enforce_symmetry=False)
-    return CoupledState(new_fluid, new_psi)
-
-
-def _coupled_fp_solver(psi, p, fp_cfg):
-    cache = getattr(psi.basis, "_fp_cache", None)
-    if cache is None:
-        cache = {}
-        psi.basis._fp_cache = cache
-    eps = p.epsilon if fp_cfg.epsilon is None else fp_cfg.epsilon
-    key = (fp_cfg.chi_index, eps, p.a11, p.lam, "coupled")
-    if key not in cache:
-        cache[key] = FokkerPlanckSolver(psi.basis, p, fp_cfg)
-    return cache[key]
+    t1 = state.time + fluid_cfg.dt
+    r, u, c = ssprk3((state.fluid.r.coeffs, state.fluid.u.coeffs,
+                      state.psi.coeffs), rhs, state.time, fluid_cfg.dt)
+    return CoupledState(
+        state_from_coeffs(grid, r, u, t1),
+        PolymerField(grid, basis, c, t1, state.psi.mass_ref,
+                     enforce_symmetry=False))
 
 
 def blowup_indicator(state: CoupledState):
     """Grid-sampled |u|_{W^{2,inf}} + sup_x |div_x T(psi)|."""
-    from .fluid import stress_divergence
     w2 = sup_norm_w2inf(state.fluid.u)
     div_t = stress_divergence(stress_field(state.psi)).values()
     return float(w2 + np.sqrt(np.sum(div_t ** 2, axis=0)).max())

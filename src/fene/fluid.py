@@ -9,8 +9,10 @@ Advances
 with dealiased pseudo-spectral products, Galerkin projection P_n, and an
 optional velocity cut-off phi_R(|u|_{2,inf}) that switches the nonlinear
 terms off for large velocities.  Time stepping is explicit SSP-RK3 under a
-conservative CFL bound; positivity of r is monitored and its loss is an
-error, never silently repaired.
+conservative CFL bound on the speeds |u| + c_s; positivity of r is monitored
+and its loss is an error, never silently repaired.  ssprk3, over tuples of
+coefficient arrays, is the package's one SSP-RK3 step: fluid.step, the
+explicit Fokker-Planck scheme and coupling.coupled_step all take it.
 """
 
 from dataclasses import dataclass
@@ -41,9 +43,6 @@ class FluidState:
         self.u = u
         self.time = time
 
-    def min_r(self):
-        return float(self.r.values().min())
-
 
 @dataclass(frozen=True)
 class FluidStepConfig:
@@ -58,7 +57,6 @@ class FluidStepConfig:
     dt: float
     cutoff_R: float = None
     n_modes: int = None
-    scheme: str = "ssprk3"
     cfl_safety: float = 0.8
     include_advection: bool = True
     freeze_r: bool = False
@@ -68,8 +66,6 @@ class FluidStepConfig:
             raise ValueError("dt must be positive")
         if self.n_modes is not None and self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if self.scheme != "ssprk3":
-            raise ValueError(f"unknown fluid scheme {self.scheme!r}")
 
 
 def phi_r(y, R):
@@ -97,12 +93,6 @@ def _dot_grad(u: SpectralField, f: SpectralField) -> SpectralField:
     out = dealiased_product(u.component(0), fx) \
         + dealiased_product(u.component(1), fy)
     return out
-
-
-def _div_velocity(u: SpectralField) -> SpectralField:
-    g = u.grid
-    c = 1j * g.k1 * u.coeffs[0] + 1j * g.k2 * u.coeffs[1]
-    return SpectralField(g, c[None], enforce_symmetry=False)
 
 
 def viscous_divergence(u: SpectralField, p: ModelParams) -> SpectralField:
@@ -141,7 +131,7 @@ def continuity_rhs(state: FluidState, p: ModelParams,
         return SpectralField.zero(state.r.grid, 1)
     out = _dot_grad(state.u, state.r) \
         + 0.5 * (p.gamma - 1.0) * dealiased_product(state.r,
-                                                    _div_velocity(state.u))
+                                                    torus.divergence(state.u))
     out = (-cut) * out
     n_modes = cfg.n_modes or state.r.grid.dealias_cutoff
     return project_pn(out, n_modes)
@@ -176,14 +166,46 @@ def fluid_rhs(state, stress, forcing, p, cfg):
 
 
 def cfl_bound(state: FluidState, p: ModelParams, cfg: FluidStepConfig):
-    """Conservative explicit bound min(h/max|u|, h^2/(4 max D (mu_s+mu_b)))."""
+    """Conservative explicit bound min(h / max(|u| + c_s),
+    h^2 / (4 max D (mu_s + mu_b))); the characteristic speeds of the (r, u)
+    system are u.n +- c_s with sound speed c_s = sqrt((gamma-1)/2) r."""
     h = state.r.grid.spacing
     uvals = state.u.values()
-    umax = float(np.sqrt(np.sum(uvals ** 2, axis=0)).max())
-    dmax = float((1.0 / r_to_density(state.r.values()[0], p)).max())
-    advective = h / umax if umax > 0 else np.inf
+    rvals = state.r.values()[0]
+    speed = float((np.sqrt(np.sum(uvals ** 2, axis=0))
+                   + np.sqrt(0.5 * (p.gamma - 1.0)) * np.abs(rvals)).max())
+    dmax = float((1.0 / r_to_density(rvals, p)).max())
+    advective = h / speed if speed > 0 else np.inf
     viscous = h * h / (4.0 * dmax * (p.mu_s + p.mu_b))
     return min(advective, viscous)
+
+
+def check_cfl(state: FluidState, p: ModelParams, cfg: FluidStepConfig):
+    """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound."""
+    if cfg.cfl_safety is not None:
+        bound = cfg.cfl_safety * cfl_bound(state, p, cfg)
+        if cfg.dt > bound:
+            raise CFLViolation(
+                f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
+
+
+def ssprk3(y, rhs, t, dt):
+    """One Shu-Osher SSP-RK3 step of dy/dt = rhs(y, t) for a tuple y of
+    arrays; stages at t, t + dt, t + dt/2, the last written
+    (y0 + 2 (y2 + dt k3)) / 3."""
+    k = rhs(y, t)
+    y1 = tuple(a + dt * b for a, b in zip(y, k))
+    k = rhs(y1, t + dt)
+    y2 = tuple(0.75 * a + 0.25 * (b + dt * c) for a, b, c in zip(y, y1, k))
+    k = rhs(y2, t + 0.5 * dt)
+    return tuple((a + 2.0 * (b + dt * c)) / 3.0 for a, b, c in zip(y, y2, k))
+
+
+def state_from_coeffs(grid, r, u, time, check_positivity=True):
+    """FluidState around coefficient arrays, taken as they are."""
+    return FluidState(SpectralField(grid, r, enforce_symmetry=False),
+                      SpectralField(grid, u, enforce_symmetry=False), time,
+                      check_positivity)
 
 
 def _resolve(value, t):
@@ -208,30 +230,17 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
     Raises CFLViolation when dt exceeds the configured bound and
     PositivityLoss when the updated r is not positive on the grid.
     """
-    if cfg.cfl_safety is not None:
-        bound = cfg.cfl_safety * cfl_bound(state, p, cfg)
-        if cfg.dt > bound:
-            raise CFLViolation(
-                f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
-    dt = cfg.dt
+    check_cfl(state, p, cfg)
     grid = state.r.grid
 
-    def rhs_at(r, u, t):
-        st = FluidState(r, u, t, check_positivity=False)
-        return fluid_rhs(st, _resolve(stress, t),
-                         _forcing_field(forcing, grid, t), p, cfg)
+    def rhs(y, t):
+        st = state_from_coeffs(grid, *y, t, check_positivity=False)
+        dr, du = fluid_rhs(st, _resolve(stress, t),
+                           _forcing_field(forcing, grid, t), p, cfg)
+        return dr.coeffs, du.coeffs
 
-    t0 = state.time
-    r0, u0 = state.r, state.u
-    dr1, du1 = rhs_at(r0, u0, t0)
-    r1, u1 = r0 + dt * dr1, u0 + dt * du1
-    dr2, du2 = rhs_at(r1, u1, t0 + dt)
-    r2 = 0.75 * r0 + 0.25 * (r1 + dt * dr2)
-    u2 = 0.75 * u0 + 0.25 * (u1 + dt * du2)
-    dr3, du3 = rhs_at(r2, u2, t0 + 0.5 * dt)
-    r3 = (1.0 / 3.0) * r0 + (2.0 / 3.0) * (r2 + dt * dr3)
-    u3 = (1.0 / 3.0) * u0 + (2.0 / 3.0) * (u2 + dt * du3)
-    return FluidState(r3, u3, t0 + dt)
+    r, u = ssprk3((state.r.coeffs, state.u.coeffs), rhs, state.time, cfg.dt)
+    return state_from_coeffs(grid, r, u, state.time + cfg.dt)
 
 
 def max_principle_envelope(r0, gradu_integral, p: ModelParams):

@@ -12,20 +12,23 @@ per coefficient field c_i(x, t),
 
 where C and G carry the boundary-layer cutoff chi_n inside their
 integrands (both reduce to the plain Gram data when the cutoff is
-disabled).  Relaxation and diffusion are diagonal, so the default IMEX
-Euler step treats them implicitly at no cost; a fully explicit SSP-RK3
-variant exists for high-order coupled runs.  Positivity of psi is only
-monitored - the Galerkin truncation does not preserve it and clipping
-would corrupt the energy monitors.
+disabled).  FokkerPlanckSolver holds this operator for one (basis, model,
+cutoff); the scenario drivers build it once per run (a few milliseconds)
+and pass it to fp_step, fp_rhs and coupling.coupled_step.  Relaxation and
+diffusion are diagonal, so the default IMEX Euler step treats them
+implicitly at no cost; the fully explicit variant is the shared
+fluid.ssprk3 step.  Positivity of psi is only monitored - the Galerkin
+truncation does not preserve it and clipping would corrupt the energy
+monitors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import ConfigBasis, basis_stress_vectors, chi_mass_matrix, \
-    drift_matrices
+from .configspace import ConfigBasis, chi_mass_matrix, drift_matrices
 from .errors import StabilityViolation
+from .fluid import ssprk3
 from .model import ModelParams
 from .torus import SIDE, SpectralField, TorusGrid, _hermitianize
 
@@ -86,9 +89,7 @@ class PolymerField:
 def polymer_mass_of(coeffs, basis: ConfigBasis):
     """int int psi dq dx from coefficients: only the q-constant mode carries
     mass, and the torus mean sits in the k = 0 coefficient."""
-    w = basis.quad.weights * basis.quad.maxwellian
-    mass_vec = np.einsum("kl,ikl->i", w, basis.values)
-    return float(SIDE ** 2 * np.real(coeffs[:, 0, 0] @ mass_vec))
+    return float(SIDE ** 2 * np.real(coeffs[:, 0, 0] @ basis.mass_vector))
 
 
 def polymer_mass(psi: PolymerField):
@@ -97,45 +98,51 @@ def polymer_mass(psi: PolymerField):
 
 @dataclass(frozen=True)
 class FPStepConfig:
-    """Fokker-Planck stepping parameters.
-
-    epsilon=None defers to ModelParams.epsilon.  chi_index=None disables the
-    boundary-layer cutoff (chi = 1); an integer ties the cutoff plateau to
-    sqrt(b) - 2/chi_index as in the regularized scheme.
-    """
+    """Fokker-Planck stepping parameters: the step and the scheme."""
 
     dt: float
-    epsilon: float = None
-    chi_index: int = None
     scheme: str = "imex_euler"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
         if self.scheme not in ("imex_euler", "ssprk3_explicit"):
             raise ValueError(f"unknown FP scheme {self.scheme!r}")
 
 
 class FokkerPlanckSolver:
-    """Precomputed operator data for one (basis, cutoff, model) combination."""
+    """The explicit Fokker-Planck operator for one (basis, model, cutoff).
 
-    def __init__(self, basis: ConfigBasis, p: ModelParams,
-                 cfg: FPStepConfig):
+    chi_index=None disables the boundary-layer cutoff (chi = 1); an integer
+    ties the cutoff plateau to sqrt(b) - 2/chi_index as in the regularized
+    scheme.  params also serves the fluid half of coupled_step.
+    """
+
+    def __init__(self, basis: ConfigBasis, params: ModelParams,
+                 chi_index=None):
         self.basis = basis
-        self.params = p
-        self.cfg = cfg
-        self.epsilon = p.epsilon if cfg.epsilon is None else cfg.epsilon
-        self.chi_mass = chi_mass_matrix(basis, cfg.chi_index)
-        self.drift = drift_matrices(basis, cfg.chi_index)
-        self.relax = p.relaxation_rate * basis.eigenvalues
-        self.stress_vectors = basis_stress_vectors(basis)
-        w = basis.quad.weights * basis.quad.maxwellian
-        self.mass_vec = np.einsum("kl,ikl->i", w, basis.values)
+        self.params = params
+        self.chi_mass = chi_mass_matrix(basis, chi_index)
+        self.drift = drift_matrices(basis, chi_index)
+        self.relax = params.relaxation_rate * basis.eigenvalues
 
-    def _diag(self, grid: TorusGrid):
-        return self.relax[:, None, None] + self.epsilon * grid.ksq[None]
+    def diag(self, psi: PolymerField):
+        """Relaxation plus diffusion rate of every coefficient of psi."""
+        if psi.basis is not self.basis:
+            raise ValueError("operator and polymer field use different bases")
+        return self.relax[:, None, None] \
+            + self.params.epsilon * psi.grid.ksq[None]
+
+    def ssprk3_diag(self, psi: PolymerField, dt):
+        """diag(psi), refused when dt * max rate leaves the SSP-RK3
+        stability interval."""
+        diag = self.diag(psi)
+        zmax = dt * float(diag.max())
+        if zmax > 2.5:
+            raise StabilityViolation(
+                f"dt * max relaxation/diffusion rate = {zmax:.2f} "
+                "outside the SSP-RK3 stability interval")
+        return diag
 
     def explicit_tendency(self, coeffs, grid: TorusGrid, u: SpectralField):
         """Transport plus drift in coefficient space (dealiased)."""
@@ -163,63 +170,35 @@ class FokkerPlanckSolver:
         tend = drift_hat - 1j * grid.k1 * w1_hat - 1j * grid.k2 * w2_hat
         return _hermitianize(tend * mask)
 
-    def rhs(self, psi: PolymerField, u: SpectralField):
-        tend = self.explicit_tendency(psi.coeffs, psi.grid, u)
-        tend -= self._diag(psi.grid) * psi.coeffs
-        return PolymerField(psi.grid, psi.basis, tend, psi.time, 0.0,
-                            enforce_symmetry=False)
 
-    def step(self, psi: PolymerField, u, dt=None) -> PolymerField:
-        dt = self.cfg.dt if dt is None else dt
-        grid = psi.grid
-        diag = self._diag(grid)
-        if self.cfg.scheme == "imex_euler":
-            u0 = u(psi.time) if callable(u) else u
-            expl = self.explicit_tendency(psi.coeffs, grid, u0)
-            new = (psi.coeffs + dt * expl) / (1.0 + dt * diag)
-        else:
-            zmax = dt * float(diag.max())
-            if zmax > 2.5:
-                raise StabilityViolation(
-                    f"dt * max relaxation/diffusion rate = {zmax:.2f} "
-                    "outside the SSP-RK3 stability interval")
-
-            def full(c, t):
-                uu = u(t) if callable(u) else u
-                return self.explicit_tendency(c, grid, uu) - diag * c
-
-            t0 = psi.time
-            c0 = psi.coeffs
-            c1 = c0 + dt * full(c0, t0)
-            c2 = 0.75 * c0 + 0.25 * (c1 + dt * full(c1, t0 + dt))
-            new = (c0 + 2.0 * (c2 + dt * full(c2, t0 + 0.5 * dt))) / 3.0
-        return PolymerField(grid, psi.basis, new, psi.time + dt,
-                            psi.mass_ref, enforce_symmetry=False)
-
-
-def _solver_for(psi: PolymerField, p: ModelParams, cfg: FPStepConfig):
-    cache = getattr(psi.basis, "_fp_cache", None)
-    if cache is None:
-        cache = {}
-        psi.basis._fp_cache = cache
-    eps = p.epsilon if cfg.epsilon is None else cfg.epsilon
-    key = (cfg.chi_index, eps, p.a11, p.lam, cfg.scheme, cfg.dt)
-    if key not in cache:
-        cache[key] = FokkerPlanckSolver(psi.basis, p, cfg)
-    return cache[key]
-
-
-def fp_rhs(psi: PolymerField, u: SpectralField, p: ModelParams,
-           cfg: FPStepConfig) -> PolymerField:
+def fp_rhs(psi: PolymerField, u: SpectralField,
+           op: FokkerPlanckSolver) -> PolymerField:
     """Weak-form tendency of psi for the given velocity field."""
-    return _solver_for(psi, p, cfg).rhs(psi, u)
+    tend = op.explicit_tendency(psi.coeffs, psi.grid, u)
+    tend -= op.diag(psi) * psi.coeffs
+    return PolymerField(psi.grid, psi.basis, tend, psi.time, 0.0,
+                        enforce_symmetry=False)
 
 
-def fp_step(psi: PolymerField, u, p: ModelParams,
+def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
             cfg: FPStepConfig) -> PolymerField:
     """Advance one step of the configured scheme; u may be a field or a
     callable of time (used for the RK stage values)."""
-    return _solver_for(psi, p, cfg).step(psi, u)
+    dt, grid = cfg.dt, psi.grid
+    if cfg.scheme == "imex_euler":
+        u0 = u(psi.time) if callable(u) else u
+        expl = op.explicit_tendency(psi.coeffs, grid, u0)
+        new = (psi.coeffs + dt * expl) / (1.0 + dt * op.diag(psi))
+    else:
+        diag = op.ssprk3_diag(psi, dt)
+
+        def rhs(y, t):
+            uu = u(t) if callable(u) else u
+            return (op.explicit_tendency(y[0], grid, uu) - diag * y[0],)
+
+        new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
+    return PolymerField(grid, psi.basis, new, psi.time + dt,
+                        psi.mass_ref, enforce_symmetry=False)
 
 
 def fp_energy(psi: PolymerField, s: int):

@@ -31,8 +31,8 @@ from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
 from .errors import CFLViolation, ConfigError, FeneError, PositivityLoss, \
     StabilityViolation, VersionError
 from .fluid import FluidState, FluidStepConfig, fluid_energy, phi_r
-from .fokker_planck import FPStepConfig, PolymerField, fp_energy, fp_step, \
-    nonnegativity_report, polymer_mass
+from .fokker_planck import FokkerPlanckSolver, FPStepConfig, PolymerField, \
+    fp_energy, fp_step, nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from .torus import SpectralField, TorusGrid, grad_u_sup_norm, sobolev_norm, \
     sup_norm_w2inf
@@ -56,15 +56,6 @@ def _parse_int(text):
 
 def _parse_float(text):
     return float(text)
-
-
-def _parse_bool(text):
-    low = text.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_opt_float(text):
@@ -230,9 +221,7 @@ class RunContext:
         self.fluid_cfg = FluidStepConfig(
             dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
             n_modes=cfg["fluid.n_modes"], cfl_safety=cfg["fluid.cfl_safety"])
-        self.fp_cfg = FPStepConfig(
-            dt=cfg["fp.dt"], chi_index=self.chi_index,
-            scheme=cfg["fp.scheme"])
+        self.fp_cfg = FPStepConfig(dt=cfg["fp.dt"], scheme=cfg["fp.scheme"])
         self.forcing = ForcingSpec(kind=cfg["forcing.kind"],
                                    amplitude=cfg["forcing.amplitude"],
                                    mode=cfg["forcing.mode"])
@@ -359,7 +348,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
 
 
 def _fmt(x):
-    return f"{x:.17g}"
+    return x if isinstance(x, str) else f"{x:.17g}"
 
 
 def write_csv(path, header, rows):
@@ -476,9 +465,9 @@ def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
     records = [record_state(state, ctx)]
     if records[-1].blowup_indicator > ceiling:
         raise _BlowupCeiling("blow-up indicator above ceiling at start")
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
     for k in range(first_step + 1, max_steps + 1):
-        state = coupling.coupled_step(state, ctx.params, ctx.forcing,
-                                      ctx.fluid_cfg, ctx.fp_cfg)
+        state = coupling.coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
         if k % every == 0 or k == max_steps:
             rec = record_state(state, ctx)
             records.append(rec)
@@ -545,12 +534,13 @@ def _run_stress_difference(ctx: RunContext, outdir):
     u_base = state0.fluid.u
     u_pert = SpectralField.from_values(grid, np.stack(
         [np.sin(x2), np.sin(x1)]))
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
 
     def fp_solve(u):
         psi = state0.psi
         out = [psi]
         for _ in range(n_steps):
-            psi = fp_step(psi, u, ctx.params, ctx.fp_cfg)
+            psi = fp_step(psi, u, op, ctx.fp_cfg)
             out.append(psi)
         return out
 
@@ -562,13 +552,8 @@ def _run_stress_difference(ctx: RunContext, outdir):
         fp_d.append(dist)
         rows.append(("fp", delta, dist))
 
-    path = os.path.join(outdir, "difference.csv")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("kind,delta,distance\n")
-        for kind, delta, dist in rows:
-            fh.write(f"{kind},{_fmt(delta)},{_fmt(dist)}\n")
-    os.replace(tmp, path)
+    write_csv(os.path.join(outdir, "difference.csv"),
+              ("kind", "delta", "distance"), rows)
     return {
         "fluid_slope": _loglog_slope(deltas, fluid_d),
         "fp_slope": _loglog_slope(deltas, fp_d),
@@ -578,16 +563,16 @@ def _run_stress_difference(ctx: RunContext, outdir):
 
 def _run_contraction(ctx: RunContext, outdir):
     cfg = ctx.cfg
-    fp_cfg = FPStepConfig(dt=ctx.fp_cfg.dt, chi_index=ctx.chi_index,
-                          scheme="ssprk3_explicit")
+    fp_cfg = FPStepConfig(dt=ctx.fp_cfg.dt, scheme="ssprk3_explicit")
     fpc = FixedPointConfig(
         horizon_T=cfg["experiment.horizon"], s=cfg["fixed_point.s"],
         s_prime=cfg["fixed_point.s_prime"],
         max_iters=cfg["fixed_point.max_iters"],
         stop_tol=cfg["fixed_point.stop_tol"])
     state0 = ctx.initial_state()
-    iterates = run_fixed_point(state0, ctx.params, ctx.forcing, ctx.fluid_cfg,
-                               fp_cfg, fpc)
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
+    iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg, fp_cfg,
+                               fpc)
     ratios, converged = contraction_factor(iterates, fpc.s_prime)
     dists = [xs_distance(iterates[k + 1], iterates[k], fpc.s_prime)
              for k in range(len(iterates) - 1)]
@@ -596,19 +581,14 @@ def _run_contraction(ctx: RunContext, outdir):
     mono = state0
     mono_traj = [state0.psi]
     for _ in range(n_steps):
-        mono = coupling.coupled_step(mono, ctx.params, ctx.forcing,
-                                     ctx.fluid_cfg, fp_cfg)
+        mono = coupling.coupled_step(mono, op, ctx.forcing, ctx.fluid_cfg)
         mono_traj.append(mono.psi)
     terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)
 
-    path = os.path.join(outdir, "contraction.csv")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("iteration,distance,ratio\n")
-        for k, dist in enumerate(dists):
-            ratio = ratios[k - 1] if 0 < k <= len(ratios) else np.nan
-            fh.write(f"{k},{_fmt(dist)},{_fmt(ratio)}\n")
-    os.replace(tmp, path)
+    write_csv(os.path.join(outdir, "contraction.csv"),
+              ("iteration", "distance", "ratio"),
+              [(k, dist, ratios[k - 1] if 0 < k <= len(ratios) else np.nan)
+               for k, dist in enumerate(dists)])
     return {
         "distances": dists,
         "ratios": ratios,
@@ -636,13 +616,8 @@ def _run_lemma_a1(ctx: RunContext, outdir):
         for lhs, h1_unit, l2 in parts:
             best = max(best, (lhs - delta * h1_unit) / l2)
         results[delta] = best
-    path = os.path.join(outdir, "lemma_a1.csv")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("delta,c_delta\n")
-        for delta in deltas:
-            fh.write(f"{_fmt(delta)},{_fmt(results[delta])}\n")
-    os.replace(tmp, path)
+    write_csv(os.path.join(outdir, "lemma_a1.csv"), ("delta", "c_delta"),
+              [(delta, results[delta]) for delta in deltas])
     ordered = [results[d] for d in sorted(deltas, reverse=True)]
     return {
         "c_delta": {str(d): results[d] for d in deltas},

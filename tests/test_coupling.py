@@ -6,8 +6,8 @@ from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, fixed_point_map, \
     run_fixed_point, stress_field, xs_distance, xs_norm
 from fene.fluid import FluidState, FluidStepConfig, fluid_energy
-from fene.fokker_planck import FPStepConfig, PolymerField, fp_energy, \
-    polymer_mass
+from fene.fokker_planck import FokkerPlanckSolver, FPStepConfig, \
+    PolymerField, fp_energy, polymer_mass
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SpectralField, forward, sobolev_norm, sup_norm_w2inf
 
@@ -34,8 +34,13 @@ def perturbed_state(grid, basis, params, amp=1e-3):
 
 @pytest.fixture(scope="module")
 def cfgs():
-    return FluidStepConfig(dt=1e-3), FPStepConfig(dt=1e-3, chi_index=32,
+    return FluidStepConfig(dt=1e-3), FPStepConfig(dt=1e-3,
                                                   scheme="ssprk3_explicit")
+
+
+@pytest.fixture(scope="module")
+def op32(basis32, params):
+    return FokkerPlanckSolver(basis32, params, 32)
 
 
 def test_coupled_state_validates_time(grid32, basis32, params):
@@ -93,11 +98,12 @@ def test_xs_norm_monotone_in_horizon(grid16, basis16, params):
     assert vals[0] <= vals[1] <= vals[2]
 
 
-def test_fixed_point_equilibrium_invariant(grid32, basis32, params, cfgs):
+def test_fixed_point_equilibrium_invariant(grid32, basis32, params, cfgs,
+                                           op32):
     fluid_cfg, fp_cfg = cfgs
     st = equilibrium_state(grid32, basis32, params)
     traj = constant_trajectory(st.psi, 20, fluid_cfg.dt)
-    out = fixed_point_map(traj, st, params, None, fluid_cfg, fp_cfg)
+    out = fixed_point_map(traj, st, op32, None, fluid_cfg, fp_cfg)
     assert xs_distance(out, traj, 1) < 1e-10
 
 
@@ -119,11 +125,11 @@ def test_contraction_factor_constructed_sequence(grid32, basis32):
     assert converged2 and ratios2 == []
 
 
-def test_contraction_on_perturbed_seed(grid32, basis32, params, cfgs):
+def test_contraction_on_perturbed_seed(grid32, basis32, params, cfgs, op32):
     fluid_cfg, fp_cfg = cfgs
     st = perturbed_state(grid32, basis32, params)
     fpc = FixedPointConfig(horizon_T=0.05, s=2, s_prime=1, max_iters=5)
-    iterates = run_fixed_point(st, params, None, fluid_cfg, fp_cfg, fpc)
+    iterates = run_fixed_point(st, op32, None, fluid_cfg, fp_cfg, fpc)
     ratios, _ = contraction_factor(iterates, 1)
     assert len(ratios) >= 3
     assert all(r < 1.0 for r in ratios)
@@ -131,31 +137,33 @@ def test_contraction_on_perturbed_seed(grid32, basis32, params, cfgs):
 
 def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     fluid_cfg = FluidStepConfig(dt=1e-3)
-    fp_cfg = FPStepConfig(dt=1e-3, chi_index=16, scheme="ssprk3_explicit")
+    fp_cfg = FPStepConfig(dt=1e-3, scheme="ssprk3_explicit")
+    op = FokkerPlanckSolver(basis16, params, 16)
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     firsts = []
     for horizon in (0.1, 0.05, 0.025):
         fpc = FixedPointConfig(horizon_T=horizon, s=2, s_prime=1,
                                max_iters=2)
-        iterates = run_fixed_point(st, params, None, fluid_cfg, fp_cfg, fpc)
+        iterates = run_fixed_point(st, op, None, fluid_cfg, fp_cfg, fpc)
         ratios, _ = contraction_factor(iterates, 1)
         firsts.append(ratios[0])
     assert firsts[0] > firsts[1] > firsts[2]
 
 
-def test_coupled_step_equilibrium(grid32, basis32, params, cfgs):
-    fluid_cfg, fp_cfg = cfgs
+def test_coupled_step_equilibrium(grid32, basis32, params, cfgs, op32):
+    fluid_cfg, _ = cfgs
     st = equilibrium_state(grid32, basis32, params)
     cur = st
     for _ in range(10):
-        cur = coupled_step(cur, params, None, fluid_cfg, fp_cfg)
+        cur = coupled_step(cur, op32, None, fluid_cfg)
         assert np.max(np.abs(cur.fluid.r.coeffs - st.fluid.r.coeffs)) < 1e-12
         assert np.max(np.abs(cur.fluid.u.coeffs)) < 1e-12
         assert np.max(np.abs(cur.psi.coeffs - st.psi.coeffs)) < 1e-12
 
 
-def test_coupled_step_conserves_everything(grid32, basis32, params, cfgs):
-    fluid_cfg, fp_cfg = cfgs
+def test_coupled_step_conserves_everything(grid32, basis32, params, cfgs,
+                                           op32):
+    fluid_cfg, _ = cfgs
     st = perturbed_state(grid32, basis32, params, amp=5e-3)
     area = grid32.cell_area()
 
@@ -168,12 +176,13 @@ def test_coupled_step_conserves_everything(grid32, basis32, params, cfgs):
     start = invariants(st)
     cur = st
     for _ in range(100):
-        cur = coupled_step(cur, params, None, fluid_cfg, fp_cfg)
+        cur = coupled_step(cur, op32, None, fluid_cfg)
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
 
-def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params):
+def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
+                                              op32):
     # one application of the map to the monolithic trajectory reproduces it
     # to O(dt^2); halving dt shrinks the gap by at least ~3x
     st = perturbed_state(grid32, basis32, params, amp=1e-2)
@@ -181,15 +190,15 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params):
     gaps = []
     for dt in (2e-3, 1e-3):
         fluid_cfg = FluidStepConfig(dt=dt)
-        fp_cfg = FPStepConfig(dt=dt, chi_index=32, scheme="ssprk3_explicit")
+        fp_cfg = FPStepConfig(dt=dt, scheme="ssprk3_explicit")
         n_steps = int(round(horizon / dt))
         mono = [st]
         cur = st
         for _ in range(n_steps):
-            cur = coupled_step(cur, params, None, fluid_cfg, fp_cfg)
+            cur = coupled_step(cur, op32, None, fluid_cfg)
             mono.append(cur)
         mono_psi = [s.psi for s in mono]
-        once = fixed_point_map(mono_psi, st, params, None, fluid_cfg, fp_cfg)
+        once = fixed_point_map(mono_psi, st, op32, None, fluid_cfg, fp_cfg)
         gaps.append(xs_distance(once, mono_psi, 1))
     assert gaps[1] < gaps[0] / 3.0
 

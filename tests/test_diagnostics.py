@@ -192,6 +192,24 @@ def test_blowup_ceiling_aborts(tmp_path):
     assert manifest["status"] == "error"
 
 
+def test_cfl_guard_holds_sound_speed(tmp_path):
+    # with almost no viscosity the acoustic speed sets the CFL bound (about
+    # 0.12 here); dt = 0.15 must be refused before the first step
+    outdir = str(tmp_path / "acoustic_out")
+    cfg_path = tmp_path / "acoustic.cfg"
+    cfg_path.write_text("\n".join([
+        "scenario = shear_perturbation", "max_steps = 30",
+        f"output = {outdir}", "model.mu_s = 1e-3", "model.mu_b = 0",
+        "scenario.amplitude = 1e-2", "fluid.dt = 0.15", "fp.dt = 0.15"]))
+    stderr_path = tmp_path / "acoustic.json"
+    with open(stderr_path, "w") as fh:
+        code = run(str(cfg_path), stderr=fh)
+    assert code == 4
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "StabilityViolation"
+    assert "CFL" in payload["message"]
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     cfg_path, outdir = write_cfg(tmp_path, steps=10)
     assert cli_main(["run", cfg_path]) == 0

@@ -5,7 +5,7 @@ from conftest import random_band_limited
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     continuity_rhs, fluid_energy, max_principle_envelope, momentum_rhs, \
-    phi_r, step, stress_divergence, viscous_divergence
+    phi_r, ssprk3, step, stress_divergence, viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, SpectralField, forward, sobolev_norm
 
@@ -210,6 +210,64 @@ def test_step_raises_cfl(grid32, params):
     assert cfg.dt > cfl_bound(st, params, cfg)
     with pytest.raises(CFLViolation):
         step(st, None, None, params, cfg)
+
+
+def test_cfl_bound_holds_sound_speed(grid32):
+    # at rest with almost no viscosity only the acoustic waves limit dt:
+    # the characteristic speeds of the (r, u) system are u.n +- c_s
+    p = ModelParams(mu_s=1e-6, mu_b=0.0)
+    st = constant_state(grid32, 1.0, p)
+    c_s = np.sqrt(0.5 * (p.gamma - 1.0)) * density_to_r(1.0, p)
+    bound = cfl_bound(st, p, FluidStepConfig(dt=1e-3))
+    assert bound == pytest.approx(grid32.spacing / c_s, rel=1e-12)
+
+
+# a real and a complex array of different shapes, advanced together
+SSPRK3_Y0 = (np.array([1.0, -2.0, 0.5]),
+             np.array([[1.0 + 1.0j, -0.5j], [2.0, 0.25 - 3.0j]]))
+
+
+def test_ssprk3_stage_times_integrate_cubics_exactly():
+    # for y' = p(t) the stage weights 1/6, 1/6, 2/3 at t0, t0 + dt and
+    # t0 + dt/2 are Simpson's rule, exact for cubic p
+    coef = (np.array([0.3, -1.0, 2.0]), np.array([[1.0j, 2.0], [-1.0, 0.5j]]))
+
+    def poly(t):
+        return 1.0 - 2.0 * t + 3.0 * t ** 2 - 4.0 * t ** 3
+
+    def antiderivative(t):
+        return t - t ** 2 + t ** 3 - t ** 4
+
+    t0, dt = 0.7, 0.4
+    out = ssprk3(SSPRK3_Y0, lambda y, t: tuple(c * poly(t) for c in coef),
+                 t0, dt)
+    gain = antiderivative(t0 + dt) - antiderivative(t0)
+    for got, y0, c in zip(out, SSPRK3_Y0, coef):
+        assert got.shape == y0.shape and got.dtype == y0.dtype
+        np.testing.assert_allclose(got, y0 + c * gain, rtol=1e-14,
+                                   atol=1e-14)
+
+
+def test_ssprk3_third_order():
+    # y' = -y + sin t has y(t) = (y0 - s(t0)) e^{t0 - t} + s(t),
+    # s(t) = (sin t - cos t) / 2
+    def s(t):
+        return 0.5 * (np.sin(t) - np.cos(t))
+
+    t0, horizon = 0.3, 1.0
+
+    def error(dt):
+        y, t = SSPRK3_Y0, t0
+        for _ in range(int(round(horizon / dt))):
+            y = ssprk3(y, lambda y, t: tuple(-a + np.sin(t) for a in y),
+                       t, dt)
+            t += dt
+        exact = [(a - s(t0)) * np.exp(-horizon) + s(t0 + horizon)
+                 for a in SSPRK3_Y0]
+        return max(np.max(np.abs(a - b)) for a, b in zip(y, exact))
+
+    order = np.log2(error(0.1) / error(0.05))
+    assert order > 2.7
 
 
 def test_step_raises_positivity_loss(grid32):
