@@ -1,20 +1,24 @@
 """Binary snapshot format for bit-exact restarts (.fkp files).
 
-Layout, all little-endian:
+Layout (format version 2), all little-endian:
 
     bytes 0..3    magic "FKPD"
-    u32           format version (1)
+    u32           format version (2)
     u32 x 4       n_points, n_radial, n_angular, n_basis
     f64           extensibility b
     f64           time stamp
-    complex128    r coefficients,   n_points^2 values (k1-major)
-    complex128    u coefficients,   2 * n_points^2 values (component-major)
-    complex128    psi coefficients, n_basis * n_points^2 values (basis-major)
+    complex128    r coefficients,   m values
+    complex128    u coefficients,   2 * m values (component-major)
+    complex128    psi coefficients, n_basis * m values (basis-major)
 
-complex128 is stored as (real, imaginary) binary64 pairs.  Loading without
-an explicit basis rebuilds grid, quadrature and eigenbasis from the stored
-dimensions, which is deterministic, so save -> load -> save reproduces the
-file byte for byte.
+with m = n_points * (n_points // 2 + 1) values per field in the
+half-spectrum layout of torus (k1-major, k2 = 0 .. n_points/2 in a row),
+each complex128 as a (real, imaginary) binary64 pair: 40 + 16 (3 + n_basis) m
+bytes, 374,312 at n_points = 32 with 40 basis functions.  Version 1 files
+(full n_points^2 spectra) are refused with a VersionError naming the
+version.  Loading without an explicit basis rebuilds grid, quadrature and
+eigenbasis from the stored dimensions, which is deterministic, so save ->
+load -> save reproduces the file byte for byte.
 """
 
 import os
@@ -30,7 +34,7 @@ from .fokker_planck import PolymerField
 from .torus import SpectralField, TorusGrid
 
 MAGIC = b"FKPD"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sIIIIIdd")
 
 
@@ -41,12 +45,9 @@ def checkpoint_save(state: CoupledState, path):
     header = _HEADER.pack(MAGIC, VERSION, grid.n_points, quad.n_radial,
                           quad.n_angular, state.psi.basis.n_basis, quad.b,
                           state.time)
-    blob = b"".join([
-        header,
-        np.ascontiguousarray(state.fluid.r.coeffs[0]).astype("<c16").tobytes(),
-        np.ascontiguousarray(state.fluid.u.coeffs).astype("<c16").tobytes(),
-        np.ascontiguousarray(state.psi.coeffs).astype("<c16").tobytes(),
-    ])
+    blob = header + b"".join(
+        c.astype("<c16").tobytes() for c in
+        (state.fluid.r.coeffs[0], state.fluid.u.coeffs, state.psi.coeffs))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
@@ -62,9 +63,10 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
     magic, version, n_points, n_radial, n_angular, n_basis, b, time = \
         _HEADER.unpack_from(raw)
     if version != VERSION:
-        raise VersionError(f"{path}: unsupported format version {version}")
-    n_r = n_points * n_points
-    expected = _HEADER.size + 16 * (n_r + 2 * n_r + n_basis * n_r)
+        raise VersionError(f"{path}: unsupported format version {version} "
+                           f"(this build reads version {VERSION})")
+    shape = (n_points, n_points // 2 + 1)
+    expected = _HEADER.size + 16 * (3 + n_basis) * shape[0] * shape[1]
     if len(raw) != expected:
         raise VersionError(f"{path}: truncated or padded checkpoint "
                            f"({len(raw)} bytes, expected {expected})")
@@ -83,18 +85,9 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
             raise VersionError(f"{path}: configuration-space dimensions do "
                                "not match the configured basis")
 
-    off = _HEADER.size
-    def block(count):
-        nonlocal off
-        out = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
-        off += 16 * count
-        return out.astype(complex)
-
-    r = SpectralField(grid, block(n_r).reshape(n_points, n_points),
-                      enforce_symmetry=False)
-    u = SpectralField(grid, block(2 * n_r).reshape(2, n_points, n_points),
-                      enforce_symmetry=False)
-    psi_coeffs = block(n_basis * n_r).reshape(n_basis, n_points, n_points)
-    fluid = FluidState(r, u, time)
-    psi = PolymerField(grid, basis, psi_coeffs, time, enforce_symmetry=False)
-    return CoupledState(fluid, psi)
+    # r, u1, u2 and the psi coefficients, one field after the other
+    coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size) \
+        .astype(complex).reshape(3 + n_basis, *shape)
+    fluid = FluidState(SpectralField(grid, coeffs[0]),
+                       SpectralField(grid, coeffs[1:3]), time)
+    return CoupledState(fluid, PolymerField(grid, basis, coeffs[3:], time))

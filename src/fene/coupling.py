@@ -80,8 +80,7 @@ def stress_field(psi: PolymerField) -> SpectralField:
 
 def _stress_of(grid, basis, coeffs):
     return SpectralField(
-        grid, np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0])),
-        enforce_symmetry=False)
+        grid, np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0])))
 
 
 def _times(traj):
@@ -186,24 +185,20 @@ def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
 def contraction_factor(iterates, s_prime):
     """Ratios d_{k+1}/d_k of successive X^{s'} iterate distances.
 
-    Returns (ratios, converged): a zero (or numerically degenerate)
-    distance terminates the list and reports convergence instead of a
-    division by zero."""
+    Returns (ratios, converged): a distance at the round-off floor
+    1e3 eps d_0 ends the list and reports convergence, since a ratio of
+    round-off says nothing about the map."""
     if len(iterates) < 3:
         raise ValueError("need at least three iterates")
     dists = [xs_distance(iterates[k + 1], iterates[k], s_prime)
              for k in range(len(iterates) - 1)]
-    floor = 1e-300
+    floor = 1e3 * np.finfo(float).eps * dists[0]
     ratios = []
-    converged = False
-    for k in range(len(dists) - 1):
-        if dists[k] <= floor:
-            converged = True
-            break
-        ratios.append(dists[k + 1] / dists[k])
-    if dists and dists[-1] <= floor:
-        converged = True
-    return ratios, converged
+    for prev, cur in zip(dists, dists[1:]):
+        if cur <= floor:
+            return ratios, True
+        ratios.append(cur / prev)
+    return ratios, False
 
 
 def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
@@ -228,8 +223,7 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
                       state.psi.coeffs), rhs, state.time, fluid_cfg.dt)
     return CoupledState(
         state_from_coeffs(grid, r, u, t1),
-        PolymerField(grid, basis, c, t1, state.psi.mass_ref,
-                     enforce_symmetry=False))
+        PolymerField(grid, basis, c, t1, state.psi.mass_ref))
 
 
 def blowup_indicator(state: CoupledState):

@@ -97,11 +97,8 @@ def _dot_grad(u: SpectralField, f: SpectralField) -> SpectralField:
 
 def viscous_divergence(u: SpectralField, p: ModelParams) -> SpectralField:
     """div S(grad u) = mu_s Lap(u) + mu_b grad(div u) in two dimensions."""
-    g = u.grid
-    div_c = 1j * g.k1 * u.coeffs[0] + 1j * g.k2 * u.coeffs[1]
-    lap = -g.ksq * u.coeffs
-    grad_div = np.stack([1j * g.k1 * div_c, 1j * g.k2 * div_c])
-    return SpectralField(g, p.mu_s * lap + p.mu_b * grad_div)
+    lap = SpectralField(u.grid, -u.grid.ksq * u.coeffs)
+    return p.mu_s * lap + p.mu_b * torus.gradient(torus.divergence(u))
 
 
 def stress_divergence(stress: SpectralField) -> SpectralField:
@@ -110,9 +107,9 @@ def stress_divergence(stress: SpectralField) -> SpectralField:
         raise ValueError("stress field must carry (T11, T12, T22)")
     g = stress.grid
     t11, t12, t22 = stress.coeffs
-    out = np.stack([1j * g.k1 * t11 + 1j * g.k2 * t12,
-                    1j * g.k1 * t12 + 1j * g.k2 * t22])
-    return SpectralField(g, out, enforce_symmetry=False)
+    out = np.stack([g.ik1 * t11 + g.ik2 * t12,
+                    g.ik1 * t12 + g.ik2 * t22])
+    return SpectralField(g, out)
 
 
 def _d_field(state: FluidState, p: ModelParams) -> SpectralField:
@@ -203,8 +200,7 @@ def ssprk3(y, rhs, t, dt):
 
 def state_from_coeffs(grid, r, u, time, check_positivity=True):
     """FluidState around coefficient arrays, taken as they are."""
-    return FluidState(SpectralField(grid, r, enforce_symmetry=False),
-                      SpectralField(grid, u, enforce_symmetry=False), time,
+    return FluidState(SpectralField(grid, r), SpectralField(grid, u), time,
                       check_positivity)
 
 

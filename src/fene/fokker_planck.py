@@ -20,6 +20,9 @@ implicitly at no cost; the fully explicit variant is the shared
 fluid.ssprk3 step.  Positivity of psi is only monitored - the Galerkin
 truncation does not preserve it and clipping would corrupt the energy
 monitors.
+The coefficients of psi form an (n_basis, n, n//2 + 1) tensor, one torus
+field per basis function in the half-spectrum layout of torus; fp_energy
+weights its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from .configspace import ConfigBasis, chi_mass_matrix, drift_matrices
 from .errors import StabilityViolation
 from .fluid import ssprk3
 from .model import ModelParams
-from .torus import SIDE, SpectralField, TorusGrid, _hermitianize
+from .torus import SIDE, SpectralField, TorusGrid, to_modes, to_values
 
 
 class PolymerField:
@@ -39,13 +42,11 @@ class PolymerField:
     __slots__ = ("grid", "basis", "coeffs", "time", "mass_ref")
 
     def __init__(self, grid: TorusGrid, basis: ConfigBasis, coeffs, time=0.0,
-                 mass_ref=None, enforce_symmetry=True):
+                 mass_ref=None):
         coeffs = np.asarray(coeffs, dtype=complex)
-        n = grid.n_points
-        if coeffs.shape != (basis.n_basis, n, n):
-            raise ValueError("coefficient tensor must be (n_basis, n, n)")
-        if enforce_symmetry:
-            coeffs = _hermitianize(coeffs)
+        if coeffs.shape != (basis.n_basis, *grid.spectral_shape):
+            raise ValueError(
+                "coefficient tensor must be (n_basis, n, n//2 + 1)")
         self.grid = grid
         self.basis = basis
         self.coeffs = coeffs
@@ -56,34 +57,32 @@ class PolymerField:
     @classmethod
     def equilibrium(cls, grid: TorusGrid, basis: ConfigBasis, time=0.0):
         """psi = M uniformly in x."""
-        n = grid.n_points
-        coeffs = np.zeros((basis.n_basis, n, n), dtype=complex)
+        coeffs = np.zeros((basis.n_basis, *grid.spectral_shape), dtype=complex)
         coeffs[0, 0, 0] = 1.0
-        return cls(grid, basis, coeffs, time, enforce_symmetry=False)
+        return cls(grid, basis, coeffs, time)
 
     @classmethod
     def from_coefficient_fields(cls, grid: TorusGrid, basis: ConfigBasis,
                                 fields, time=0.0):
         """Build from {basis index: real grid values of c_i(x)}."""
-        n = grid.n_points
-        coeffs = np.zeros((basis.n_basis, n, n), dtype=complex)
+        coeffs = np.zeros((basis.n_basis, *grid.spectral_shape), dtype=complex)
         for i, vals in fields.items():
-            coeffs[i] = np.fft.fft2(np.asarray(vals, dtype=float)) / n ** 2
+            coeffs[i] = to_modes(np.asarray(vals, dtype=float))
         return cls(grid, basis, coeffs, time)
 
     def coefficient_values(self):
         """Real grid values of all coefficient fields, shape (n_basis, n, n)."""
-        return np.real(np.fft.ifft2(self.coeffs) * self.grid.n_points ** 2)
+        return to_values(self.coeffs)
 
     def copy(self):
         return PolymerField(self.grid, self.basis, self.coeffs.copy(),
-                            self.time, self.mass_ref, enforce_symmetry=False)
+                            self.time, self.mass_ref)
 
     def __sub__(self, other):
         if self.basis is not other.basis:
             raise ValueError("polymer fields use different bases")
         return PolymerField(self.grid, self.basis, self.coeffs - other.coeffs,
-                            self.time, 0.0, enforce_symmetry=False)
+                            self.time, 0.0)
 
 
 def polymer_mass_of(coeffs, basis: ConfigBasis):
@@ -148,27 +147,19 @@ class FokkerPlanckSolver:
         """Transport plus drift in coefficient space (dealiased)."""
         n = grid.n_points
         nb = self.basis.n_basis
-        mask = grid.dealias_mask
-        # contiguous copy: the real part of the inverse transform is a
-        # strided view that would knock the matmuls off the BLAS path
-        cg = np.ascontiguousarray(
-            np.real(np.fft.ifft2(coeffs) * n ** 2)).reshape(nb, -1)
-        uv = u.values()
+        cg = to_values(coeffs).reshape(nb, -1)
         w = (self.chi_mass @ cg).reshape(nb, n, n)
 
-        gu = np.empty((2, 2, n, n))
-        for a in range(2):
-            ca = u.coeffs[a]
-            gu[a, 0] = np.real(np.fft.ifft2(1j * grid.k1 * ca) * n ** 2)
-            gu[a, 1] = np.real(np.fft.ifft2(1j * grid.k2 * ca) * n ** 2)
+        # u and its gradient in one transform: uv[b + 1, a] = d_b u_a
+        uc = u.coeffs
+        uv = to_values(np.stack([uc, grid.ik1 * uc, grid.ik2 * uc]))
         dc = (self.drift.reshape(4 * nb, nb) @ cg).reshape(2, 2, nb, n, n)
-        drift_grid = np.einsum("abxy,abixy->ixy", gu, dc)
+        drift_grid = np.einsum("baxy,abixy->ixy", uv[1:], dc)
 
-        stacked = np.concatenate([uv[0] * w, uv[1] * w, drift_grid])
-        hat = np.fft.fft2(stacked) / n ** 2
-        w1_hat, w2_hat, drift_hat = hat[:nb], hat[nb:2 * nb], hat[2 * nb:]
-        tend = drift_hat - 1j * grid.k1 * w1_hat - 1j * grid.k2 * w2_hat
-        return _hermitianize(tend * mask)
+        w1_hat, w2_hat, drift_hat = to_modes(
+            np.stack([uv[0, 0] * w, uv[0, 1] * w, drift_grid]))
+        tend = drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
+        return tend * grid.dealias_mask
 
 
 def fp_rhs(psi: PolymerField, u: SpectralField,
@@ -176,8 +167,7 @@ def fp_rhs(psi: PolymerField, u: SpectralField,
     """Weak-form tendency of psi for the given velocity field."""
     tend = op.explicit_tendency(psi.coeffs, psi.grid, u)
     tend -= op.diag(psi) * psi.coeffs
-    return PolymerField(psi.grid, psi.basis, tend, psi.time, 0.0,
-                        enforce_symmetry=False)
+    return PolymerField(psi.grid, psi.basis, tend, psi.time, 0.0)
 
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
@@ -197,8 +187,7 @@ def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
             return (op.explicit_tendency(y[0], grid, uu) - diag * y[0],)
 
         new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
-    return PolymerField(grid, psi.basis, new, psi.time + dt,
-                        psi.mass_ref, enforce_symmetry=False)
+    return PolymerField(grid, psi.basis, new, psi.time + dt, psi.mass_ref)
 
 
 def fp_energy(psi: PolymerField, s: int):
@@ -206,14 +195,14 @@ def fp_energy(psi: PolymerField, s: int):
 
     Both are diagonal in the (mode, eigenfunction) representation: the
     L^2_M part weights coefficients by (1+|k|^2)^s, the H^1_M part
-    additionally by the eigenvalue lambda_i.
+    additionally by the eigenvalue lambda_i; both sum over the full torus
+    spectrum (column weights in TorusGrid.multiplicity).
     """
-    weight = (1.0 + psi.grid.ksq) ** s
-    sq = np.abs(psi.coeffs) ** 2
-    l2m = SIDE ** 2 * float(np.sum(weight[None] * sq))
-    h1m = SIDE ** 2 * float(np.sum(
-        psi.basis.eigenvalues[:, None, None] * weight[None] * sq))
-    return l2m, h1m
+    grid = psi.grid
+    weight = grid.multiplicity * (1.0 + grid.ksq) ** s
+    per_fn = np.sum(weight * np.abs(psi.coeffs) ** 2, axis=(1, 2))
+    return (SIDE ** 2 * float(per_fn.sum()),
+            SIDE ** 2 * float(psi.basis.eigenvalues @ per_fn))
 
 
 def nonnegativity_report(psi: PolymerField):

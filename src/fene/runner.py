@@ -142,11 +142,13 @@ CONFIG_SCHEMA = {
 
 
 class RunConfig:
-    """Resolved configuration: schema defaults overlaid by the file."""
+    """Resolved configuration: schema defaults overlaid by the file;
+    explicit is the set of keys the file set."""
 
-    def __init__(self, values, text=""):
+    def __init__(self, values, text="", explicit=frozenset()):
         self.values = values
         self.text = text
+        self.explicit = frozenset(explicit)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -183,7 +185,7 @@ def parse_config_text(text) -> RunConfig:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno, field=key) from None
-    return RunConfig(values, text)
+    return RunConfig(values, text, seen)
 
 
 def parse_config(path) -> RunConfig:
@@ -213,11 +215,15 @@ class RunContext:
             raise ConfigError(str(exc), field="grid/ball") from None
         chi = cfg["ball.chi_index"]
         self.chi_index = cfg["ball.n_radial"] if chi == "auto" else chi
-        if abs(cfg["fluid.dt"] - cfg["fp.dt"]) > 1e-15 and \
-                cfg["scenario"] in ("equilibrium", "shear_perturbation",
-                                    "density_bump", "contraction_study"):
-            raise ConfigError("coupled scenarios need fluid.dt == fp.dt",
-                              field="fp.dt")
+        if cfg["scenario"] in ("equilibrium", "shear_perturbation",
+                               "density_bump", "contraction_study"):
+            if abs(cfg["fluid.dt"] - cfg["fp.dt"]) > 1e-15:
+                raise ConfigError("coupled scenarios need fluid.dt == fp.dt",
+                                  field="fp.dt")
+            if "fp.scheme" in cfg.explicit:
+                raise ConfigError("coupled scenarios always advance psi by "
+                                  "SSP-RK3; fp.scheme applies to "
+                                  "stress_difference only", field="fp.scheme")
         self.fluid_cfg = FluidStepConfig(
             dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
             n_modes=cfg["fluid.n_modes"], cfl_safety=cfg["fluid.cfl_safety"])
@@ -463,15 +469,23 @@ def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
     if snap_every:
         os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
     records = [record_state(state, ctx)]
-    if records[-1].blowup_indicator > ceiling:
-        raise _BlowupCeiling("blow-up indicator above ceiling at start")
+    # written not (x <= ceiling) so that a NaN indicator trips the guard
+    if not records[-1].blowup_indicator <= ceiling:
+        raise _BlowupCeiling(f"blow-up indicator "
+                             f"{records[-1].blowup_indicator:.3e} at start")
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
     for k in range(first_step + 1, max_steps + 1):
         state = coupling.coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
+        for name, f in (("r", state.fluid.r), ("u", state.fluid.u),
+                        ("psi", state.psi)):
+            if not np.isfinite(f.coeffs).all():
+                _flush_series(outdir, records)
+                raise _BlowupCeiling(f"non-finite {name} coefficients at "
+                                     f"step {k}")
         if k % every == 0 or k == max_steps:
             rec = record_state(state, ctx)
             records.append(rec)
-            if rec.blowup_indicator > ceiling:
+            if not rec.blowup_indicator <= ceiling:
                 _flush_series(outdir, records)
                 raise _BlowupCeiling(
                     f"blow-up indicator {rec.blowup_indicator:.3e} exceeded "

@@ -1,13 +1,16 @@
 """Fourier representation of real fields on the flat 2-torus [0, 2pi)^2.
 
-Fields are stored as full complex Fourier coefficient arrays in numpy FFT
-layout, normalized so that f(x) = sum_k c_k exp(i k.x) with integer wave
-vectors.  Hermitian symmetry c(-k) = conj(c(k)) is enforced on construction
-and after every operation that could break it, so grid values are real by
-construction.  Quadratic nonlinearities go through the 2/3-rule dealiased
-product; the Galerkin projection P_n zeroes all modes above a square cutoff.
+Fields are stored in numpy's real-FFT layout (..., n, n//2 + 1): rows k1 in
+FFT order, columns k2 = 0 .. n/2, f(x) = sum_k c_k exp(i k.x).  The k2 < 0
+half, c(-k) = conj(c(k)), is implied, so fields are real by construction;
+to_modes / to_values (rfft2 / irfft2, n^2 normalization) are the package's
+only transforms.  Full-spectrum sums (Parseval, Sobolev norms) count the
+interior columns twice and the self-mirrored k2 = 0 and k2 = n/2 columns
+once (TorusGrid.multiplicity); odd derivatives vanish on the self-mirrored
+k1 = -n/2 row and k2 = n/2 column (TorusGrid.ik1, ik2).  Quadratic
+nonlinearities go through the 2/3-rule dealiased product; the Galerkin
+projection P_n zeroes all modes above a square cutoff.
 """
-
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,22 +31,42 @@ class TorusGrid:
         if n < 8 or n % 2 != 0:
             raise ValueError("n_points must be an even integer >= 8")
 
+    @property
+    def spectral_shape(self):
+        """Shape (n, n//2 + 1) of one stored coefficient array."""
+        return (self.n_points, self.n_points // 2 + 1)
+
     @cached_property
     def wavenumbers(self):
-        """Integer wave numbers along one axis in FFT order."""
+        """Integer wave numbers k1 along the first axis in FFT order."""
         return np.fft.fftfreq(self.n_points, 1.0 / self.n_points).astype(int)
 
     @cached_property
     def k1(self):
-        return self.wavenumbers[:, None] * np.ones(self.n_points, dtype=int)
+        return self.wavenumbers[:, None] * np.ones_like(self.k2)
 
     @cached_property
     def k2(self):
-        return np.ones(self.n_points, dtype=int)[:, None] * self.wavenumbers
+        return np.tile(np.arange(self.n_points // 2 + 1), (self.n_points, 1))
 
     @cached_property
     def ksq(self):
         return (self.k1 ** 2 + self.k2 ** 2).astype(float)
+
+    @cached_property
+    def ik1(self):
+        """Multiplier of d/dx1, zero on the k1 = -n/2 row."""
+        return 1j * np.where(self.k1 == -(self.n_points // 2), 0, self.k1)
+
+    @cached_property
+    def ik2(self):
+        """Multiplier of d/dx2, zero on the k2 = n/2 column."""
+        return 1j * np.where(self.k2 == self.n_points // 2, 0, self.k2)
+
+    @cached_property
+    def multiplicity(self):
+        """Copies of each stored column in the full spectrum."""
+        return np.r_[1.0, np.full(self.n_points // 2 - 1, 2.0), 1.0]
 
     @cached_property
     def x(self):
@@ -69,13 +92,14 @@ class TorusGrid:
         return self.spacing ** 2
 
 
-def _reflect(coeffs):
-    """Coefficient array at -k, i.e. index map j -> (-j) mod n on both axes."""
-    return np.roll(coeffs[..., ::-1, ::-1], 1, axis=(-2, -1))
+def to_modes(values):
+    """Half-spectrum coefficients of real grid values (..., n, n)."""
+    return np.fft.rfft2(values, norm="forward")
 
 
-def _hermitianize(coeffs):
-    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
+def to_values(coeffs):
+    """Real grid values (..., n, n) of half-spectrum coefficients."""
+    return np.fft.irfft2(coeffs, norm="forward")
 
 
 class SpectralField:
@@ -83,14 +107,12 @@ class SpectralField:
 
     __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: TorusGrid, coeffs, enforce_symmetry=True):
+    def __init__(self, grid: TorusGrid, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim == 2:
             coeffs = coeffs[None]
-        if coeffs.shape[-2:] != (grid.n_points, grid.n_points):
+        if coeffs.shape[-2:] != grid.spectral_shape:
             raise ValueError("coefficient array does not match grid size")
-        if enforce_symmetry:
-            coeffs = _hermitianize(coeffs)
         self.grid = grid
         self.coeffs = coeffs
 
@@ -105,26 +127,21 @@ class SpectralField:
             values = values[None]
         if values.shape[-2:] != (grid.n_points, grid.n_points):
             raise ValueError("value array does not match grid size")
-        coeffs = np.fft.fft2(values) / grid.n_points ** 2
-        return cls(grid, coeffs)
+        return cls(grid, to_modes(values))
 
     @classmethod
     def zero(cls, grid: TorusGrid, components=1):
-        n = grid.n_points
-        return cls(grid, np.zeros((components, n, n), dtype=complex),
-                   enforce_symmetry=False)
+        return cls(grid, np.zeros((components, *grid.spectral_shape), complex))
 
     def values(self):
         """Real grid values, shape (components, n, n)."""
-        return np.real(np.fft.ifft2(self.coeffs) * self.grid.n_points ** 2)
+        return to_values(self.coeffs)
 
     def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy(),
-                             enforce_symmetry=False)
+        return SpectralField(self.grid, self.coeffs.copy())
 
     def component(self, i):
-        return SpectralField(self.grid, self.coeffs[i][None],
-                             enforce_symmetry=False)
+        return SpectralField(self.grid, self.coeffs[i][None])
 
     def _check_mate(self, other):
         if self.grid is not other.grid and self.grid != other.grid:
@@ -132,30 +149,23 @@ class SpectralField:
 
     def __add__(self, other):
         self._check_mate(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             enforce_symmetry=False)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check_mate(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             enforce_symmetry=False)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * float(scalar),
-                             enforce_symmetry=False)
+        return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs, enforce_symmetry=False)
+        return SpectralField(self.grid, -self.coeffs)
 
 
 def forward(grid: TorusGrid, values) -> SpectralField:
     return SpectralField.from_values(grid, values)
-
-
-def backward(field: SpectralField):
-    return field.values()
 
 
 def derivative(field: SpectralField, alpha) -> SpectralField:
@@ -164,23 +174,21 @@ def derivative(field: SpectralField, alpha) -> SpectralField:
     if a1 < 0 or a2 < 0 or a1 + a2 > 2 * S_MAX:
         raise ValueError(f"multi-index order must lie in [0, {2 * S_MAX}]")
     g = field.grid
-    mult = (1j * g.k1) ** a1 * (1j * g.k2) ** a2
+    mult = (g.ik1 if a1 % 2 else 1j * g.k1) ** a1 \
+        * (g.ik2 if a2 % 2 else 1j * g.k2) ** a2
     return SpectralField(g, field.coeffs * mult)
 
 
 def gradient(field: SpectralField) -> SpectralField:
     """Gradient of a scalar field as a 2-component field."""
     g = field.grid
-    c = field.coeffs[0]
-    out = np.stack([1j * g.k1 * c, 1j * g.k2 * c])
-    return SpectralField(g, out)
+    return SpectralField(g, np.stack([g.ik1, g.ik2]) * field.coeffs[0])
 
 
 def divergence(field: SpectralField) -> SpectralField:
     """Divergence of a 2-component field."""
     g = field.grid
-    c = 1j * g.k1 * field.coeffs[0] + 1j * g.k2 * field.coeffs[1]
-    return SpectralField(g, c[None])
+    return SpectralField(g, g.ik1 * field.coeffs[0] + g.ik2 * field.coeffs[1])
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -191,10 +199,8 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     f._check_mate(g)
     mask = f.grid.dealias_mask
-    fv = np.real(np.fft.ifft2(f.coeffs * mask)) * f.grid.n_points ** 2
-    gv = np.real(np.fft.ifft2(g.coeffs * mask)) * f.grid.n_points ** 2
-    prod = np.fft.fft2(fv * gv) / f.grid.n_points ** 2
-    return SpectralField(f.grid, prod * mask)
+    prod = to_values(f.coeffs * mask) * to_values(g.coeffs * mask)
+    return SpectralField(f.grid, to_modes(prod) * mask)
 
 
 def project_pn(field: SpectralField, n_modes: int) -> SpectralField:
@@ -203,18 +209,19 @@ def project_pn(field: SpectralField, n_modes: int) -> SpectralField:
     if n_modes > g.n_points // 2:
         raise ValueError("n_modes exceeds the Nyquist mode of the grid")
     keep = np.maximum(np.abs(g.k1), np.abs(g.k2)) <= n_modes
-    return SpectralField(g, field.coeffs * keep, enforce_symmetry=False)
+    return SpectralField(g, field.coeffs * keep)
 
 
 def sobolev_norm(field: SpectralField, s: int):
-    """Bessel-potential Sobolev norm ((2pi)^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2).
+    """Bessel-potential Sobolev norm ((2pi)^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2)
+    over the full spectrum (stored columns weighted by multiplicity).
 
     Vector fields contribute the sum of their component norms squared.
     """
     if s < 0 or s > S_MAX:
         raise ValueError(f"Sobolev index must lie in [0, {S_MAX}]")
     g = field.grid
-    weight = (1.0 + g.ksq) ** s
+    weight = g.multiplicity * (1.0 + g.ksq) ** s
     total = np.sum(weight * np.abs(field.coeffs) ** 2)
     return float(np.sqrt(SIDE ** 2 * total))
 

@@ -48,4 +48,4 @@ def random_band_limited(grid, rng, components=1, kmax=None, scale=1.0):
     f = SpectralField.from_values(grid, raw * scale)
     kmax = grid.dealias_cutoff if kmax is None else kmax
     keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= kmax
-    return SpectralField(grid, f.coeffs * keep, enforce_symmetry=False)
+    return SpectralField(grid, f.coeffs * keep)

@@ -9,7 +9,8 @@ from fene.fluid import FluidState, FluidStepConfig, fluid_energy
 from fene.fokker_planck import FokkerPlanckSolver, FPStepConfig, \
     PolymerField, fp_energy, polymer_mass
 from fene.model import ModelParams, density_to_r, r_to_density
-from fene.torus import SpectralField, forward, sobolev_norm, sup_norm_w2inf
+from fene.torus import SpectralField, forward, sobolev_norm, \
+    sup_norm_w2inf, to_modes
 
 
 def equilibrium_state(grid, basis, params):
@@ -60,9 +61,9 @@ def test_fixed_point_config_validates():
 def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
     rng = np.random.default_rng(0)
     n = grid16.n_points
-    coeffs = np.zeros((basis16.n_basis, n, n), dtype=complex)
+    coeffs = np.zeros((basis16.n_basis, n, n // 2 + 1), dtype=complex)
     for i in range(basis16.n_basis):
-        coeffs[i] = np.fft.fft2(rng.standard_normal((n, n)) * 0.1) / n ** 2
+        coeffs[i] = to_modes(rng.standard_normal((n, n)) * 0.1)
     psi = PolymerField(grid16, basis16, coeffs)
     field_vals = stress_field(psi).values()
     cg = psi.coefficient_values()
@@ -89,9 +90,9 @@ def test_xs_norm_equilibrium(grid32, basis32):
 def test_xs_norm_monotone_in_horizon(grid16, basis16, params):
     rng = np.random.default_rng(1)
     n = grid16.n_points
-    coeffs = np.zeros((basis16.n_basis, n, n), dtype=complex)
+    coeffs = np.zeros((basis16.n_basis, n, n // 2 + 1), dtype=complex)
     for i in range(basis16.n_basis):
-        coeffs[i] = np.fft.fft2(rng.standard_normal((n, n)) * 0.1) / n ** 2
+        coeffs[i] = to_modes(rng.standard_normal((n, n)) * 0.1)
     psi = PolymerField(grid16, basis16, coeffs)
     traj = constant_trajectory(psi, 20, 0.05)
     vals = [xs_norm(traj[:k], 1) for k in (5, 10, 21)]
@@ -110,7 +111,7 @@ def test_fixed_point_equilibrium_invariant(grid32, basis32, params, cfgs,
 def test_contraction_factor_constructed_sequence(grid32, basis32):
     psi = PolymerField.equilibrium(grid32, basis32)
     n = grid32.n_points
-    delta = np.zeros((basis32.n_basis, n, n), dtype=complex)
+    delta = np.zeros((basis32.n_basis, n, n // 2 + 1), dtype=complex)
     delta[2, 0, 0] = 1.0
     iterates = []
     for k in range(5):

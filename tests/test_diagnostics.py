@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from fene import coupling
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.cli import main as cli_main
 from fene.errors import ConfigError, VersionError
 from fene.runner import CONFIG_SCHEMA, RunContext, load_series, \
-    parse_config_text, run
+    parse_config, parse_config_text, resume, run
 
 BASE = """
 scenario = {scenario}
@@ -232,3 +233,84 @@ def test_positivity_loss_exit_code(tmp_path):
     with open(os.devnull, "w") as devnull:
         code = run(cfg_path, stderr=devnull)
     assert code in (3, 4)   # positivity loss, or stability guard upstream
+
+
+def small_shear_cfg(tmp_path, steps, extra=""):
+    """shear_perturbation at n = 16 on an 8 x 8 ball with 10 modes."""
+    outdir = str(tmp_path / "small_out")
+    path = tmp_path / "small.cfg"
+    path.write_text("\n".join([
+        "scenario = shear_perturbation", f"max_steps = {steps}",
+        "grid.n_points = 16", "ball.n_radial = 8", "ball.n_angular = 8",
+        "ball.n_basis = 10", f"output = {outdir}", extra]))
+    return str(path), outdir
+
+
+def test_nan_in_resumed_state_trips_ceiling_at_start(tmp_path):
+    cfg_path, _ = small_shear_cfg(tmp_path, steps=5)
+    state = RunContext(parse_config(cfg_path)).initial_state()
+    state.psi.coeffs[3, 1, 1] = np.nan
+    snap = str(tmp_path / "nan.fkp")
+    checkpoint_save(state, snap)
+    stderr_path = tmp_path / "nan.json"
+    with open(stderr_path, "w") as fh:
+        code = resume(snap, cfg_path, stderr=fh)
+    assert code == 5
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "BlowupCeiling"
+    assert "at start" in payload["message"]
+
+
+def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
+    real_step = coupling.coupled_step
+    taken = []
+
+    def poisoned(state, *args):
+        out = real_step(state, *args)
+        taken.append(out.time)
+        if len(taken) == 3:
+            out.psi.coeffs[3, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(coupling, "coupled_step", poisoned)
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=20,
+                                       extra="record_every = 10")
+    stderr_path = tmp_path / "nan.json"
+    with open(stderr_path, "w") as fh:
+        code = run(cfg_path, stderr=fh)
+    assert code == 5
+    assert len(taken) == 3
+    assert "at step 3" in json.loads(stderr_path.read_text())["message"]
+    assert len(load_series(outdir)) == 1   # the initial record, flushed
+
+
+def test_fp_scheme_rejected_in_coupled_scenarios(tmp_path):
+    cfg_path, _ = write_cfg(tmp_path, scenario="shear_perturbation",
+                            extra="fp.scheme = ssprk3_explicit")
+    stderr_path = tmp_path / "scheme.json"
+    with open(stderr_path, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 2
+    assert json.loads(stderr_path.read_text())["reason"] == "ConfigError"
+    with pytest.raises(ConfigError) as err:
+        RunContext(parse_config(cfg_path))
+    assert err.value.field == "fp.scheme"
+    # the one scenario that steps psi on its own still takes the key
+    RunContext(parse_config_text("scenario = stress_difference\n"
+                                 "fp.scheme = ssprk3_explicit\n"))
+
+
+def test_default_contraction_study_stops_at_roundoff(tmp_path):
+    # the fifth distance is round-off (about 1e-18 against 4.5e-4 for the
+    # first), so it ends the ratio list instead of entering it
+    outdir = str(tmp_path / "contraction")
+    cfg_path = tmp_path / "contraction.cfg"
+    cfg_path.write_text(f"scenario = contraction_study\noutput = {outdir}\n")
+    assert run(str(cfg_path)) == 0
+    outcome = json.load(open(os.path.join(outdir, "manifest.json")))["outcome"]
+    assert len(outcome["distances"]) == 5
+    assert len(outcome["ratios"]) == 3
+    assert outcome["converged"]
+    assert outcome["all_ratios_below_one"]
+    assert outcome["distance_to_monolithic"] < 1e-4
+    lines = open(os.path.join(outdir, "contraction.csv")).read().splitlines()
+    assert len(lines) == 6
