@@ -6,13 +6,16 @@ Advances
     du/dt + phi_R [ u . grad u + r grad r ]
           = phi_R D(r) [ div S(grad u) + div T ] + f,
 
-with dealiased pseudo-spectral products, Galerkin projection P_n, and an
-optional velocity cut-off phi_R(|u|_{2,inf}) that switches the nonlinear
-terms off for large velocities.  Time stepping is explicit SSP-RK3 under a
-conservative CFL bound on the speeds |u| + c_s; positivity of r is monitored
-and its loss is an error, never silently repaired.  ssprk3, over tuples of
-coefficient arrays, is the package's one SSP-RK3 step: fluid.step, the
-explicit Fokker-Planck scheme and coupling.coupled_step all take it.
+pseudo-spectrally, with Galerkin projection P_n and an optional velocity
+cut-off phi_R(|u|_{2,inf}) that switches the nonlinear terms off for large
+velocities.  fluid_rhs evaluates every quadratic term of both equations in
+one batched 2/3-rule product per RK stage: each factor goes to the grid once,
+the products are taken there and come back in one transform.  Time stepping
+is explicit SSP-RK3 under a conservative CFL bound on the speeds |u| + c_s;
+positivity of r is monitored and its loss is an error, never silently
+repaired.  ssprk3, over tuples of coefficient arrays, is the package's one
+SSP-RK3 step: fluid.step, the explicit Fokker-Planck scheme and
+coupling.coupled_step all take it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ import numpy as np
 from . import torus
 from .errors import CFLViolation, PositivityLoss
 from .model import ForcingSpec, ModelParams, r_to_density
-from .torus import SpectralField, derivative, dealiased_product, project_pn, \
+from .torus import SpectralField, dealiased_product, project_pn, \
     sobolev_norm, sup_norm_w2inf
 
 
@@ -86,15 +89,6 @@ def _cutoff_value(u, cfg):
     return phi_r(sup_norm_w2inf(u), cfg.cutoff_R)
 
 
-def _dot_grad(u: SpectralField, f: SpectralField) -> SpectralField:
-    """Dealiased u . grad f, componentwise in f."""
-    fx = derivative(f, (1, 0))
-    fy = derivative(f, (0, 1))
-    out = dealiased_product(u.component(0), fx) \
-        + dealiased_product(u.component(1), fy)
-    return out
-
-
 def viscous_divergence(u: SpectralField, p: ModelParams) -> SpectralField:
     """div S(grad u) = mu_s Lap(u) + mu_b grad(div u) in two dimensions."""
     lap = SpectralField(u.grid, -u.grid.ksq * u.coeffs)
@@ -120,46 +114,39 @@ def _d_field(state: FluidState, p: ModelParams) -> SpectralField:
     return SpectralField.from_values(state.r.grid, dvals)
 
 
-def continuity_rhs(state: FluidState, p: ModelParams,
-                   cfg: FluidStepConfig) -> SpectralField:
-    """-phi_R [ u . grad r + (gamma-1)/2 r div u ], projected by P_n."""
+def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
+              cfg: FluidStepConfig):
+    """(dr, du): -phi_R [u . grad r + (gamma-1)/2 r div u] and
+    -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, projected
+    by P_n; stress and forcing may be None.  The eleven quadratic terms are
+    one dealiased product of two stacks of factors."""
+    grid = state.r.grid
+    n_modes = cfg.n_modes or grid.dealias_cutoff
     cut = _cutoff_value(state.u, cfg)
-    if cut == 0.0:
-        return SpectralField.zero(state.r.grid, 1)
-    out = _dot_grad(state.u, state.r) \
-        + 0.5 * (p.gamma - 1.0) * dealiased_product(state.r,
-                                                    torus.divergence(state.u))
-    out = (-cut) * out
-    n_modes = cfg.n_modes or state.r.grid.dealias_cutoff
-    return project_pn(out, n_modes)
-
-
-def momentum_rhs(state: FluidState, stress: SpectralField, forcing,
-                 p: ModelParams, cfg: FluidStepConfig) -> SpectralField:
-    """-phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f."""
-    grid = state.u.grid
-    cut = _cutoff_value(state.u, cfg)
-    rhs = SpectralField.zero(grid, 2)
+    dr = SpectralField.zero(grid, 1)
+    du = np.zeros_like(state.u.coeffs)
     if cut != 0.0:
+        r, u = state.r.coeffs, state.u.coeffs
         visc = viscous_divergence(state.u, p)
         total = visc if stress is None else visc + stress_divergence(stress)
-        rhs = rhs + cut * dealiased_product(_d_field(state, p), total)
+        d = _d_field(state, p).coeffs
+        grad_r = torus.gradient(state.r).coeffs
+        prod = dealiased_product(
+            SpectralField(grid, np.concatenate(
+                [u, r, d, d, u[[0, 0, 1, 1]], r, r])),
+            SpectralField(grid, np.concatenate(
+                [grad_r, torus.divergence(state.u).coeffs, total.coeffs,
+                 grid.ik1 * u, grid.ik2 * u, grad_r]))).coeffs
+        if not cfg.freeze_r:
+            adv_r = prod[0:1] + prod[1:2] + 0.5 * (p.gamma - 1.0) * prod[2:3]
+            dr = project_pn(SpectralField(grid, (-cut) * adv_r), n_modes)
+        du = du + cut * prod[3:5]
         if cfg.include_advection:
-            rhs = rhs - cut * _dot_grad(state.u, state.u)
-        grad_r = torus.gradient(state.r)
-        rhs = rhs - cut * dealiased_product(state.r, grad_r)
+            du = du - cut * (prod[5:7] + prod[7:9])
+        du = du - cut * prod[9:11]
     if forcing is not None:
-        rhs = rhs + forcing
-    n_modes = cfg.n_modes or grid.dealias_cutoff
-    return project_pn(rhs, n_modes)
-
-
-def fluid_rhs(state, stress, forcing, p, cfg):
-    dr = continuity_rhs(state, p, cfg)
-    if cfg.freeze_r:
-        dr = SpectralField.zero(state.r.grid, 1)
-    du = momentum_rhs(state, stress, forcing, p, cfg)
-    return dr, du
+        du = du + forcing.coeffs
+    return dr, project_pn(SpectralField(grid, du), n_modes)
 
 
 def cfl_bound(state: FluidState, p: ModelParams, cfg: FluidStepConfig):

@@ -224,6 +224,8 @@ class RunContext:
                 raise ConfigError("coupled scenarios always advance psi by "
                                   "SSP-RK3; fp.scheme applies to "
                                   "stress_difference only", field="fp.scheme")
+            # the scheme coupled_step runs, as the manifest records it
+            cfg.values["fp.scheme"] = "ssprk3_explicit"
         self.fluid_cfg = FluidStepConfig(
             dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
             n_modes=cfg["fluid.n_modes"], cfl_safety=cfg["fluid.cfl_safety"])
@@ -460,6 +462,13 @@ class _BlowupCeiling(FeneError):
     pass
 
 
+def _check_finite(fields, where):
+    """Raise _BlowupCeiling naming the first field that is not finite."""
+    for name, f in fields:
+        if not np.isfinite(f.coeffs).all():
+            raise _BlowupCeiling(f"non-finite {name} coefficients {where}")
+
+
 def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
                   state=None, first_step=0):
     cfg = ctx.cfg
@@ -474,25 +483,25 @@ def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
         raise _BlowupCeiling(f"blow-up indicator "
                              f"{records[-1].blowup_indicator:.3e} at start")
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
-    for k in range(first_step + 1, max_steps + 1):
-        state = coupling.coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
-        for name, f in (("r", state.fluid.r), ("u", state.fluid.u),
-                        ("psi", state.psi)):
-            if not np.isfinite(f.coeffs).all():
-                _flush_series(outdir, records)
-                raise _BlowupCeiling(f"non-finite {name} coefficients at "
-                                     f"step {k}")
-        if k % every == 0 or k == max_steps:
-            rec = record_state(state, ctx)
-            records.append(rec)
-            if not rec.blowup_indicator <= ceiling:
-                _flush_series(outdir, records)
-                raise _BlowupCeiling(
-                    f"blow-up indicator {rec.blowup_indicator:.3e} exceeded "
-                    f"ceiling {ceiling:.3e} at step {k}")
-        if snap_every and k % snap_every == 0:
-            checkpoint_save(state, os.path.join(
-                outdir, "snapshots", f"step{k:06d}.fkp"))
+    try:
+        for k in range(first_step + 1, max_steps + 1):
+            state = coupling.coupled_step(state, op, ctx.forcing,
+                                          ctx.fluid_cfg)
+            _check_finite((("r", state.fluid.r), ("u", state.fluid.u),
+                           ("psi", state.psi)), f"at step {k}")
+            if k % every == 0 or k == max_steps:
+                rec = record_state(state, ctx)
+                records.append(rec)
+                if not rec.blowup_indicator <= ceiling:
+                    raise _BlowupCeiling(
+                        f"blow-up indicator {rec.blowup_indicator:.3e} "
+                        f"exceeded ceiling {ceiling:.3e} at step {k}")
+            if snap_every and k % snap_every == 0:
+                checkpoint_save(state, os.path.join(
+                    outdir, "snapshots", f"step{k:06d}.fkp"))
+    except _BlowupCeiling:
+        _flush_series(outdir, records)
+        raise
     _flush_series(outdir, records)
     return records, state
 
@@ -508,9 +517,9 @@ def _loglog_slope(deltas, dists):
 
 def _run_stress_difference(ctx: RunContext, outdir):
     cfg = ctx.cfg
-    dt = ctx.fluid_cfg.dt
     horizon = cfg["experiment.horizon"]
-    n_steps = max(int(round(horizon / dt)), 2)
+    fluid_steps = max(int(round(horizon / ctx.fluid_cfg.dt)), 2)
+    fp_steps = max(int(round(horizon / ctx.fp_cfg.dt)), 2)
     deltas = cfg["experiment.deltas"]
     state0 = ctx.initial_state()
     grid = ctx.grid
@@ -524,9 +533,11 @@ def _run_stress_difference(ctx: RunContext, outdir):
     def fluid_solve(stress):
         st = state0.fluid
         out = [st]
-        for _ in range(n_steps):
+        for k in range(1, fluid_steps + 1):
             st = fluid_mod.step(st, stress, ctx.forcing, ctx.params,
                                 ctx.fluid_cfg)
+            _check_finite((("r", st.r), ("u", st.u)),
+                          f"in the fluid half at step {k}")
             out.append(st)
         return out
 
@@ -553,8 +564,9 @@ def _run_stress_difference(ctx: RunContext, outdir):
     def fp_solve(u):
         psi = state0.psi
         out = [psi]
-        for _ in range(n_steps):
+        for k in range(1, fp_steps + 1):
             psi = fp_step(psi, u, op, ctx.fp_cfg)
+            _check_finite((("psi", psi),), f"in the fp half at step {k}")
             out.append(psi)
         return out
 
@@ -577,7 +589,6 @@ def _run_stress_difference(ctx: RunContext, outdir):
 
 def _run_contraction(ctx: RunContext, outdir):
     cfg = ctx.cfg
-    fp_cfg = FPStepConfig(dt=ctx.fp_cfg.dt, scheme="ssprk3_explicit")
     fpc = FixedPointConfig(
         horizon_T=cfg["experiment.horizon"], s=cfg["fixed_point.s"],
         s_prime=cfg["fixed_point.s_prime"],
@@ -585,8 +596,8 @@ def _run_contraction(ctx: RunContext, outdir):
         stop_tol=cfg["fixed_point.stop_tol"])
     state0 = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
-    iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg, fp_cfg,
-                               fpc)
+    iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg,
+                               ctx.fp_cfg, fpc)
     ratios, converged = contraction_factor(iterates, fpc.s_prime)
     dists = [xs_distance(iterates[k + 1], iterates[k], fpc.s_prime)
              for k in range(len(iterates) - 1)]

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fene import coupling
+from fene import coupling, runner
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.cli import main as cli_main
 from fene.errors import ConfigError, VersionError
@@ -314,3 +314,60 @@ def test_default_contraction_study_stops_at_roundoff(tmp_path):
     assert outcome["distance_to_monolithic"] < 1e-4
     lines = open(os.path.join(outdir, "contraction.csv")).read().splitlines()
     assert len(lines) == 6
+
+
+def test_manifest_records_the_scheme_run(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=2)
+    assert run(cfg_path) == 0
+    config = json.load(open(os.path.join(outdir, "manifest.json")))["config"]
+    assert config["fp.scheme"] == "ssprk3_explicit"
+    cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
+                                 extra="experiment.horizon = 0.004")
+    assert run(cfg_path) == 0
+    config = json.load(open(os.path.join(outdir, "manifest.json")))["config"]
+    assert config["fp.scheme"] == "imex_euler"
+
+
+def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
+    real_step = runner.fp_step
+    ends = []
+
+    def timed(psi, *args):
+        out = real_step(psi, *args)
+        ends.append(out.time)
+        return out
+
+    monkeypatch.setattr(runner, "fp_step", timed)
+    cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
+                            extra="\n".join(["experiment.horizon = 0.02",
+                                             "fluid.dt = 1e-3",
+                                             "fp.dt = 2e-3"]))
+    assert run(cfg_path) == 0
+    # four FP trajectories (base and three deltas) of ten steps each
+    assert len(ends) == 40
+    assert max(ends) == pytest.approx(0.02, rel=1e-12)
+
+
+def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
+    real_step = runner.fp_step
+    taken = []
+
+    def poisoned(psi, *args):
+        out = real_step(psi, *args)
+        taken.append(out.time)
+        if len(taken) == 3:
+            out.coeffs[3, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(runner, "fp_step", poisoned)
+    cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
+                                 extra="experiment.horizon = 0.01")
+    stderr_path = tmp_path / "nan.json"
+    with open(stderr_path, "w") as fh:
+        code = run(cfg_path, stderr=fh)
+    assert code == 5
+    assert len(taken) == 3
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "BlowupCeiling"
+    assert "psi" in payload["message"] and "fp half" in payload["message"]
+    assert "at step 3" in payload["message"]

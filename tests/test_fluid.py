@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_band_limited
+from fene import fluid, torus
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
-    continuity_rhs, fluid_energy, max_principle_envelope, momentum_rhs, \
-    phi_r, ssprk3, step, stress_divergence, viscous_divergence
+    fluid_energy, fluid_rhs, max_principle_envelope, phi_r, ssprk3, step, \
+    stress_divergence, viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
-from fene.torus import SIDE, SpectralField, forward, sobolev_norm
+from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
+    forward, project_pn, sobolev_norm, sup_norm_w2inf
 
 
 def constant_state(grid, rho, params, uvals=None):
@@ -45,7 +47,7 @@ def test_positivity_checked_on_construction(grid32):
 
 def test_continuity_rhs_zero_velocity(grid32, params):
     st = constant_state(grid32, 1.3, params)
-    rhs = continuity_rhs(st, params, FluidStepConfig(dt=1e-3))
+    rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
     assert np.max(np.abs(rhs.coeffs)) == 0.0
 
 
@@ -55,7 +57,7 @@ def test_continuity_rhs_closed_form(grid32, params):
     st = FluidState(forward(grid32, np.full((32, 32), c)),
                     forward(grid32, np.stack([np.sin(x1),
                                               np.zeros_like(x1)])))
-    rhs = continuity_rhs(st, params, FluidStepConfig(dt=1e-3))
+    rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
     expect = -c * (params.gamma - 1.0) / 2.0 * np.cos(x1)
     assert np.max(np.abs(rhs.values()[0] - expect)) < 1e-12
 
@@ -67,21 +69,24 @@ def test_continuity_rhs_cutoff_support(grid32, params):
                                               np.zeros_like(x1)])))
     # |u|_{2,inf} of (sin, 0) is about sqrt(5); a cutoff below it scales the
     # rhs by phi_R, far above it leaves the rhs untouched
-    free = continuity_rhs(st, params, FluidStepConfig(dt=1e-3, cutoff_R=50.0))
-    plain = continuity_rhs(st, params, FluidStepConfig(dt=1e-3))
+    free = fluid_rhs(st, None, None, params,
+                     FluidStepConfig(dt=1e-3, cutoff_R=50.0))[0]
+    plain = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
     assert np.array_equal(free.coeffs, plain.coeffs)
-    dead = continuity_rhs(st, params, FluidStepConfig(dt=1e-3, cutoff_R=1.0))
+    dead = fluid_rhs(st, None, None, params,
+                     FluidStepConfig(dt=1e-3, cutoff_R=1.0))[0]
     assert np.max(np.abs(dead.coeffs)) == 0.0
     from fene.torus import sup_norm_w2inf
     y = sup_norm_w2inf(st.u)
     mid_R = y - 0.5
-    mid = continuity_rhs(st, params, FluidStepConfig(dt=1e-3, cutoff_R=mid_R))
+    mid = fluid_rhs(st, None, None, params,
+                    FluidStepConfig(dt=1e-3, cutoff_R=mid_R))[0]
     assert np.allclose(mid.coeffs, phi_r(y, mid_R) * plain.coeffs, rtol=1e-13)
 
 
 def test_momentum_rhs_equilibrium(grid32, params):
     st = constant_state(grid32, 1.0, params)
-    rhs = momentum_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))
+    rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[1]
     assert np.max(np.abs(rhs.coeffs)) == 0.0
 
 
@@ -91,7 +96,7 @@ def test_momentum_rhs_stress_divergence(grid32, params):
     st = constant_state(grid32, r_to_density(c, params), params)
     stress = forward(grid32, np.stack([np.sin(x1), 0.3 * np.sin(x1 + x2),
                                        np.cos(x2)]))
-    rhs = momentum_rhs(st, stress, None, params, FluidStepConfig(dt=1e-3))
+    rhs = fluid_rhs(st, stress, None, params, FluidStepConfig(dt=1e-3))[1]
     g = stress_divergence(stress).values()
     d = 1.0 / r_to_density(c, params)
     assert np.max(np.abs(rhs.values() - d * g)) < 1e-10
@@ -104,10 +109,77 @@ def test_momentum_rhs_viscous_closed_form(grid32):
     st = FluidState(forward(grid32, np.full((32, 32), c)),
                     forward(grid32, np.stack([np.sin(x2),
                                               np.zeros_like(x2)])))
-    rhs = momentum_rhs(st, None, None, p, FluidStepConfig(dt=1e-3))
+    rhs = fluid_rhs(st, None, None, p, FluidStepConfig(dt=1e-3))[1]
     d = 1.0 / r_to_density(c, p)
     assert np.max(np.abs(rhs.values()[0] + d * np.sin(x2))) < 1e-12
     assert np.max(np.abs(rhs.values()[1])) < 1e-13
+
+
+def random_fluid_input(grid, params, seed):
+    """Band-limited positive r, u, a stress and a forcing."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+    r = forward(grid, np.full((n, n), density_to_r(1.0, params))) \
+        + random_band_limited(grid, rng, scale=0.02)
+    u = random_band_limited(grid, rng, components=2, scale=0.3)
+    stress = random_band_limited(grid, rng, components=3, scale=0.1)
+    forcing = random_band_limited(grid, rng, components=2, scale=0.1)
+    return FluidState(r, u), stress, forcing
+
+
+def per_term_fluid_rhs(st, stress, forcing, p, cfg):
+    """One dealiased product per quadratic term, added in the order of the
+    equations; cfg.cutoff_R must be set."""
+    def dot_grad(u, f):
+        return dealiased_product(u.component(0), derivative(f, (1, 0))) \
+            + dealiased_product(u.component(1), derivative(f, (0, 1)))
+
+    grid = st.r.grid
+    cut = phi_r(sup_norm_w2inf(st.u), cfg.cutoff_R)
+    dr = (-cut) * (dot_grad(st.u, st.r) + 0.5 * (p.gamma - 1.0)
+                   * dealiased_product(st.r, torus.divergence(st.u)))
+    d = SpectralField.from_values(
+        grid, 1.0 / r_to_density(st.r.values()[0], p))
+    total = viscous_divergence(st.u, p) + stress_divergence(stress)
+    du = SpectralField.zero(grid, 2) + cut * dealiased_product(d, total) \
+        - cut * dot_grad(st.u, st.u) \
+        - cut * dealiased_product(st.r, torus.gradient(st.r)) + forcing
+    n_modes = cfg.n_modes or grid.dealias_cutoff
+    return project_pn(dr, n_modes), project_pn(du, n_modes)
+
+
+def test_fluid_rhs_matches_per_term_products(grid32, params):
+    st, stress, forcing = random_fluid_input(grid32, params, seed=11)
+    y = sup_norm_w2inf(st.u)
+    cfg = FluidStepConfig(dt=1e-3, cutoff_R=y - 0.4)
+    assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0   # inside the cubic ramp
+    dr, du = fluid_rhs(st, stress, forcing, params, cfg)
+    ref_r, ref_u = per_term_fluid_rhs(st, stress, forcing, params, cfg)
+    assert np.array_equal(dr.coeffs, ref_r.coeffs)
+    assert np.array_equal(du.coeffs, ref_u.coeffs)
+
+
+def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
+    st, stress, forcing = random_fluid_input(grid32, params, seed=12)
+    transforms, sup_norms = [], []
+
+    def counted(func, log):
+        def wrapper(*args):
+            log.append(func.__name__)
+            return func(*args)
+        return wrapper
+
+    for name in ("to_modes", "to_values"):
+        monkeypatch.setattr(torus, name, counted(getattr(torus, name),
+                                                 transforms))
+    monkeypatch.setattr(fluid, "sup_norm_w2inf",
+                        counted(sup_norm_w2inf, sup_norms))
+    fluid_rhs(st, stress, forcing, params, FluidStepConfig(dt=1e-3))
+    assert len(transforms) <= 5
+    assert sup_norms == []
+    fluid_rhs(st, stress, forcing, params,
+              FluidStepConfig(dt=1e-3, cutoff_R=sup_norm_w2inf(st.u) - 0.4))
+    assert len(sup_norms) == 1
 
 
 def test_viscous_divergence_formula(grid32):
