@@ -205,15 +205,28 @@ def fp_energy(psi: PolymerField, s: int):
             SIDE ** 2 * float(psi.basis.eigenvalues @ per_fn))
 
 
+_SAMPLE_BLOCK = 128  # x nodes per block of sampled psi
+
+
 def nonnegativity_report(psi: PolymerField):
     """(min sampled psi, fraction of negative samples) over grid x nodes.
 
     Sampling happens on the configuration quadrature nodes; the scheme never
-    enforces positivity, this is a monitor only.
+    enforces positivity, this is a monitor only.  The samples are formed a
+    block of x nodes at a time and scaled by M only at the end: M > 0 at
+    every node and rounding is monotone, so min(s M) = min(s) M bit for bit.
     """
     basis = psi.basis
     cg = psi.coefficient_values().reshape(basis.n_basis, -1)
     phi_flat = basis.values.reshape(basis.n_basis, -1)
-    samples = cg.T @ phi_flat
-    samples *= basis.quad.maxwellian.reshape(1, -1)
-    return float(samples.min()), float(np.mean(samples < 0.0))
+    m = basis.quad.maxwellian.reshape(-1)
+    col_min = np.full(phi_flat.shape[1], np.inf)
+    negative = 0
+    for start in range(0, cg.shape[1], _SAMPLE_BLOCK):
+        block = cg[:, start:start + _SAMPLE_BLOCK].T @ phi_flat
+        block_min = block.min(axis=0)
+        np.minimum(col_min, block_min, out=col_min)
+        if block_min.min() < 0.0:
+            negative += np.count_nonzero(block * m < 0.0)
+    return (float((col_min * m).min()),
+            float(negative / (cg.shape[1] * m.size)))

@@ -1,8 +1,8 @@
 """Fourier representation of real fields on the flat 2-torus [0, 2pi)^2.
 
-Fields are stored in numpy's real-FFT layout (..., n, n//2 + 1): rows k1 in
-FFT order, columns k2 = 0 .. n/2, f(x) = sum_k c_k exp(i k.x).  The k2 < 0
-half, c(-k) = conj(c(k)), is implied, so fields are real by construction;
+Fields are stored in the real-FFT layout (..., n, n//2 + 1): rows k1 in FFT
+order, columns k2 = 0 .. n/2, f(x) = sum_k c_k exp(i k.x).  The k2 < 0 half,
+c(-k) = conj(c(k)), is implied, so fields are real by construction;
 to_modes / to_values (rfft2 / irfft2, n^2 normalization) are the package's
 only transforms.  Full-spectrum sums (Parseval, Sobolev norms) count the
 interior columns twice and the self-mirrored k2 = 0 and k2 = n/2 columns
@@ -10,11 +10,18 @@ once (TorusGrid.multiplicity); odd derivatives vanish on the self-mirrored
 k1 = -n/2 row and k2 = n/2 column (TorusGrid.ik1, ik2).  Quadratic
 nonlinearities go through the 2/3-rule dealiased product; the Galerkin
 projection P_n zeroes all modes above a square cutoff.
+
+The transforms go through scipy.fft (pocketfft), which transforms an n-d
+batch in one C++ call where numpy.fft makes a Python-level pass per axis:
+about half the transform time of a coupled step at n = 32.  On numpy 2.4 /
+scipy 1.17 the results are bitwise equal to numpy.fft's.  They run on one
+thread: workers = 2 measured slower at every batch shape of a step.
 """
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 SIDE = 2.0 * np.pi
 S_MAX = 8  # largest Sobolev index used by norm-based monitors
@@ -94,12 +101,12 @@ class TorusGrid:
 
 def to_modes(values):
     """Half-spectrum coefficients of real grid values (..., n, n)."""
-    return np.fft.rfft2(values, norm="forward")
+    return scipy.fft.rfft2(values, norm="forward")
 
 
 def to_values(coeffs):
     """Real grid values (..., n, n) of half-spectrum coefficients."""
-    return np.fft.irfft2(coeffs, norm="forward")
+    return scipy.fft.irfft2(coeffs, norm="forward")
 
 
 class SpectralField:

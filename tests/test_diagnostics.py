@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fene import coupling, runner
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.cli import main as cli_main
 from fene.errors import ConfigError, VersionError
+from fene.fokker_planck import FokkerPlanckSolver
 from fene.runner import CONFIG_SCHEMA, RunContext, load_series, \
     parse_config, parse_config_text, resume, run
 
@@ -371,3 +373,37 @@ def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
     assert payload["reason"] == "BlowupCeiling"
     assert "psi" in payload["message"] and "fp half" in payload["message"]
     assert "at step 3" in payload["message"]
+
+
+@pytest.mark.parametrize("key", ["fp.dt", "fluid.dt"])
+def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
+    # round(0.05 / 5.0) = 0 steps: the half would otherwise be stepped past
+    # the horizon
+    cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
+                            extra=f"{key} = 5.0")
+    stderr_path = tmp_path / "dt.json"
+    with open(stderr_path, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 2
+    assert json.loads(stderr_path.read_text())["reason"] == "ConfigError"
+    with pytest.raises(ConfigError) as err:
+        RunContext(parse_config(cfg_path))
+    assert err.value.field == key
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap thresholds are set through glibc mallopt")
+def test_coupled_steps_reuse_the_heap():
+    # with glibc's default thresholds each n = 32 step returns its few MB
+    # of temporaries to the OS and faults them back in (about 1,200 faults)
+    import resource
+    runner._retain_heap()
+    ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"))
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
+    state = ctx.initial_state()
+    faults = []
+    for _ in range(12):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        state = coupling.coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert np.median(faults[4:]) < 50

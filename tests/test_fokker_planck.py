@@ -171,6 +171,29 @@ def test_nonnegativity_report(grid32, basis32):
     assert frac_bad > 0.0
 
 
+def test_nonnegativity_report_matches_full_sample_matrix(grid32, basis32):
+    def full_matrix_report(psi):
+        # every (x node, q node) sample at once, scaled by M before the min
+        basis = psi.basis
+        cg = psi.coefficient_values().reshape(basis.n_basis, -1)
+        samples = cg.T @ basis.values.reshape(basis.n_basis, -1)
+        samples *= basis.quad.maxwellian.reshape(1, -1)
+        return float(samples.min()), float(np.mean(samples < 0.0))
+
+    rng = np.random.default_rng(7)
+    negative = 0
+    for amp in (0.0, 1e-3, 0.3, 1.5):
+        coeffs = random_band_limited(grid32, rng, components=basis32.n_basis,
+                                     kmax=6, scale=amp).coeffs
+        coeffs[0, 0, 0] = 1.0
+        psi = PolymerField(grid32, basis32, coeffs)
+        mn, frac = nonnegativity_report(psi)
+        assert (mn, frac) == full_matrix_report(psi)
+        assert type(frac) is float
+        negative += frac > 0.0
+    assert negative >= 2
+
+
 def test_nonnegativity_stable_under_x_refinement(grid16, grid32, basis32):
     # x-constant psi: spatial refinement cannot move the sampled minimum
     n16, n32 = 16, 32

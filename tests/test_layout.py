@@ -10,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_band_limited
 from fene.checkpoint import MAGIC, checkpoint_load, checkpoint_save
+from fene.configspace import build_quadrature, eigen_basis
 from fene.coupling import CoupledState
 from fene.errors import VersionError
 from fene.fluid import FluidState
-from fene.fokker_planck import PolymerField, polymer_mass
+from fene.fokker_planck import FokkerPlanckSolver, PolymerField, fp_rhs, \
+    polymer_mass
+from fene.model import ModelParams
 from fene.runner import resume
 from fene.torus import SIDE, SpectralField, TorusGrid, derivative, \
     divergence, forward, gradient, sobolev_norm, to_modes, to_values
 
 GRIDS = {n: TorusGrid(n) for n in (8, 16, 32)}
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+FEW = settings(derandomize=True, deadline=None, max_examples=10)
 
 
 def band_limited(n, seed, kmax, components=1):
@@ -152,3 +156,62 @@ def test_version_one_checkpoint_refused(tmp_path):
         f"ball.n_basis = {nb}", f"output = {outdir}"]))
     with open(os.devnull, "w") as devnull:
         assert resume(str(path), str(cfg_path), stderr=devnull) == 6
+
+
+@FEW
+@given(st.floats(2.5, 20.0, exclude_min=True, exclude_max=True),
+       st.integers(8, 16), st.integers(4, 8).map(lambda h: 2 * h),
+       st.floats(0.0, 1.0))
+def test_eigen_basis_branches_orthogonal(b, n_radial, n_angular, fill):
+    # distinct angular branches (m, cos/sin) are orthogonal under the
+    # trapezoid rule in theta for every b, ball size and n_basis
+    capacity = n_radial * (n_angular - 1)
+    basis = eigen_basis(build_quadrature(b, n_radial, n_angular),
+                        1 + int(fill * (capacity - 1)))
+    assert basis.residuals.max() < 1e-8
+    branch = [(m, kind) for m, kind, _ in basis.labels]
+    cross = np.array([[x != y for y in branch] for x in branch])
+    assert np.max(np.abs(basis.gram_matrix()[cross]), initial=0.0) < 1e-8
+
+
+@FEW
+@given(st.floats(4.0, 20.0, exclude_max=True), st.integers(32, 40),
+       st.integers(4, 16).map(lambda h: 2 * h), st.integers(1, 40))
+def test_eigen_basis_m_orthonormal(b, n_radial, n_angular, n_basis):
+    # within a branch the radial Gauss rule integrates M = (1 - t)^(b/2)
+    # times the profiles only approximately; from b = 4 and 32 radial nodes
+    # the 40 lowest modes are resolved to the tolerance
+    basis = eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
+    assert basis.residuals.max() < 1e-8
+    assert basis.gram_error() < 1e-8
+
+
+@FEW
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 16]),
+       st.floats(0.0, 0.1))
+def test_fp_rhs_conserves_polymer_mass(basis16, seed, chi_index, epsilon):
+    grid = GRIDS[16]
+    rng = np.random.default_rng(seed)
+    psi = PolymerField(grid, basis16, random_band_limited(
+        grid, rng, components=basis16.n_basis).coeffs)
+    u = random_band_limited(grid, rng, components=2)
+    op = FokkerPlanckSolver(basis16, ModelParams(epsilon=epsilon), chi_index)
+    tend = fp_rhs(psi, u, op).coeffs
+    rate = basis16.mass_vector @ tend[:, 0, 0]
+    assert abs(rate) < 1e-12 * np.max(np.abs(tend))
+
+
+@FEW
+@given(st.sampled_from([8, 16, 32, 64]),
+       st.lists(st.integers(1, 3), max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_transforms_match_numpy_fft(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((*batch, n, n))
+    coeffs = rng.standard_normal((*batch, n, n // 2 + 1)) \
+        + 1j * rng.standard_normal((*batch, n, n // 2 + 1))
+    np.testing.assert_allclose(to_modes(values),
+                               np.fft.rfft2(values, norm="forward"),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(to_values(coeffs),
+                               np.fft.irfft2(coeffs, norm="forward"),
+                               rtol=0, atol=1e-12)
