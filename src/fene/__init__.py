@@ -5,7 +5,7 @@ from .torus import SpectralField, TorusGrid
 from .configspace import ConfDistribution, ConfigBasis, ConfigQuadrature, \
     build_quadrature, eigen_basis
 from .fluid import FluidState, FluidStepConfig
-from .fokker_planck import FPStepConfig, PolymerField
+from .fokker_planck import PolymerField
 from .coupling import CoupledState, FixedPointConfig
 
 __version__ = "0.1.0"
@@ -14,6 +14,5 @@ __all__ = [
     "ForcingSpec", "ModelParams", "SpectralField", "TorusGrid",
     "ConfDistribution", "ConfigBasis", "ConfigQuadrature",
     "build_quadrature", "eigen_basis", "FluidState", "FluidStepConfig",
-    "FPStepConfig", "PolymerField", "CoupledState", "FixedPointConfig",
-    "__version__",
+    "PolymerField", "CoupledState", "FixedPointConfig", "__version__",
 ]

@@ -3,12 +3,13 @@
 Two routes to the coupled dynamics are provided and played against each
 other by the verification suite:
 
-* fixed_point_map: the constructive route.  Given a candidate polymer
-  trajectory, build its elastic stress, solve the fluid system with that
-  stress over the horizon, then solve the Fokker-Planck equation with the
-  resulting velocity.  Iterating this map from a seed trajectory converges
-  on short horizons; the contraction is measured in the weaker X^{s'}
-  norm with s' <= s - 1.
+* fixed_point_map(psi_traj, state0, op, forcing, fluid_cfg): the
+  constructive route.  Given a candidate polymer trajectory, build its
+  elastic stress, solve the fluid system with that stress over the
+  horizon, then solve the Fokker-Planck equation with the resulting
+  velocity; both halves take the one step fluid_cfg.dt.  Iterating this
+  map from a seed trajectory converges on short horizons; the contraction
+  is measured in the weaker X^{s'} norm with s' <= s - 1.
 
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
   (r, u, psi) together, re-evaluating the stress at every stage.
@@ -29,8 +30,8 @@ import numpy as np
 from . import fluid as fluid_mod
 from .fluid import FluidState, FluidStepConfig, fluid_rhs, ssprk3, \
     state_from_coeffs, stress_divergence
-from .fokker_planck import FokkerPlanckSolver, FPStepConfig, PolymerField, \
-    fp_energy, fp_step
+from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
+    fp_step
 from .torus import SpectralField, sup_norm_w2inf
 
 
@@ -58,15 +59,15 @@ class FixedPointConfig:
     s: int = 2
     s_prime: int = 1
     max_iters: int = 5
-    stop_tol: float = 0.0
 
     def __post_init__(self):
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
         if self.s_prime > self.s - 1:
             raise ValueError("contraction index must satisfy s_prime <= s - 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.max_iters < 2:
+            raise ValueError("max_iters must be at least 2: a contraction "
+                             "ratio needs three iterates")
 
 
 def stress_field(psi: PolymerField) -> SpectralField:
@@ -134,16 +135,14 @@ def _linear_interpolant(samples, t0, dt):
 
 
 def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
-                    forcing, fluid_cfg: FluidStepConfig,
-                    fp_cfg: FPStepConfig):
+                    forcing, fluid_cfg: FluidStepConfig):
     """One application of the stress -> fluid -> Fokker-Planck map.
 
-    psi_traj must span the horizon with the uniform step fluid_cfg.dt.
-    Returns the new polymer trajectory; solver errors propagate with the
-    failing stage attached by the caller driving the iteration.
+    psi_traj must span the horizon with the uniform step fluid_cfg.dt,
+    which both halves take.  Returns the new polymer trajectory; solver
+    errors propagate with the failing stage attached by the caller driving
+    the iteration.
     """
-    if abs(fluid_cfg.dt - fp_cfg.dt) > 1e-15:
-        raise ValueError("fluid and FP steps must share dt")
     dt = fluid_cfg.dt
     n_steps = len(psi_traj) - 1
     t0 = state0.time
@@ -160,34 +159,31 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
     psi = state0.psi
     out = [psi]
     for k in range(n_steps):
-        psi = fp_step(psi, u_at, op, fp_cfg)
+        psi = fp_step(psi, u_at, op, dt)
         out.append(psi)
     return out
 
 
 def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
-                    fluid_cfg: FluidStepConfig, fp_cfg: FPStepConfig,
-                    cfg: FixedPointConfig):
-    """Iterate the map from the constant-in-time seed; returns the iterates
-    (seed first) so distances and ratios can be inspected."""
+                    fluid_cfg: FluidStepConfig, cfg: FixedPointConfig):
+    """Iterate the map max_iters times from the constant-in-time seed;
+    returns the iterates (seed first) so distances and ratios can be
+    inspected."""
     n_steps = int(round(cfg.horizon_T / fluid_cfg.dt))
     iterates = [constant_trajectory(state0.psi, n_steps, fluid_cfg.dt)]
     for _ in range(cfg.max_iters):
-        new = fixed_point_map(iterates[-1], state0, op, forcing, fluid_cfg,
-                              fp_cfg)
-        dist = xs_distance(new, iterates[-1], cfg.s_prime)
-        iterates.append(new)
-        if dist <= cfg.stop_tol:
-            break
+        iterates.append(fixed_point_map(iterates[-1], state0, op, forcing,
+                                        fluid_cfg))
     return iterates
 
 
 def contraction_factor(iterates, s_prime):
-    """Ratios d_{k+1}/d_k of successive X^{s'} iterate distances.
+    """Distances d_k of successive iterates in X^{s'} and their ratios
+    d_{k+1}/d_k.
 
-    Returns (ratios, converged): a distance at the round-off floor
-    1e3 eps d_0 ends the list and reports convergence, since a ratio of
-    round-off says nothing about the map."""
+    Returns (distances, ratios, converged): a distance at the round-off
+    floor 1e3 eps d_0 ends the ratio list and reports convergence, since a
+    ratio of round-off says nothing about the map."""
     if len(iterates) < 3:
         raise ValueError("need at least three iterates")
     dists = [xs_distance(iterates[k + 1], iterates[k], s_prime)
@@ -196,9 +192,9 @@ def contraction_factor(iterates, s_prime):
     ratios = []
     for prev, cur in zip(dists, dists[1:]):
         if cur <= floor:
-            return ratios, True
+            return dists, ratios, True
         ratios.append(cur / prev)
-    return ratios, False
+    return dists, ratios, False
 
 
 def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,

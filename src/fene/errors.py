@@ -28,7 +28,8 @@ class CFLViolation(FeneError):
 
 
 class StabilityViolation(FeneError):
-    """Time step outside the stability region of the chosen scheme."""
+    """Time step puts the Fokker-Planck relaxation and diffusion rates
+    outside the SSP-RK3 stability interval."""
 
 
 class VersionError(FeneError):

@@ -14,8 +14,8 @@ the products are taken there and come back in one transform.  Time stepping
 is explicit SSP-RK3 under a conservative CFL bound on the speeds |u| + c_s;
 positivity of r is monitored and its loss is an error, never silently
 repaired.  ssprk3, over tuples of coefficient arrays, is the package's one
-SSP-RK3 step: fluid.step, the explicit Fokker-Planck scheme and
-coupling.coupled_step all take it.
+SSP-RK3 step: fluid.step, fokker_planck.fp_step and coupling.coupled_step
+all take it.
 """
 
 from dataclasses import dataclass
@@ -149,7 +149,7 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
     return dr, project_pn(SpectralField(grid, du), n_modes)
 
 
-def cfl_bound(state: FluidState, p: ModelParams, cfg: FluidStepConfig):
+def cfl_bound(state: FluidState, p: ModelParams):
     """Conservative explicit bound min(h / max(|u| + c_s),
     h^2 / (4 max D (mu_s + mu_b))); the characteristic speeds of the (r, u)
     system are u.n +- c_s with sound speed c_s = sqrt((gamma-1)/2) r."""
@@ -167,7 +167,7 @@ def cfl_bound(state: FluidState, p: ModelParams, cfg: FluidStepConfig):
 def check_cfl(state: FluidState, p: ModelParams, cfg: FluidStepConfig):
     """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound."""
     if cfg.cfl_safety is not None:
-        bound = cfg.cfl_safety * cfl_bound(state, p, cfg)
+        bound = cfg.cfl_safety * cfl_bound(state, p)
         if cfg.dt > bound:
             raise CFLViolation(
                 f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
@@ -224,15 +224,6 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
 
     r, u = ssprk3((state.r.coeffs, state.u.coeffs), rhs, state.time, cfg.dt)
     return state_from_coeffs(grid, r, u, state.time + cfg.dt)
-
-
-def max_principle_envelope(r0, gradu_integral, p: ModelParams):
-    """Bounds inf r0 e^{-cI} <= r <= sup r0 e^{cI} with c = max(1, (gamma-1)/2)
-    and I the accumulated integral of the grid sup of |grad u|."""
-    vals = r0.values()[0] if isinstance(r0, SpectralField) else np.asarray(r0)
-    c = max(1.0, 0.5 * (p.gamma - 1.0))
-    return (float(vals.min()) * np.exp(-c * gradu_integral),
-            float(vals.max()) * np.exp(c * gradu_integral))
 
 
 def fluid_energy(state: FluidState, s: int):

@@ -14,18 +14,16 @@ where C and G carry the boundary-layer cutoff chi_n inside their
 integrands (both reduce to the plain Gram data when the cutoff is
 disabled).  FokkerPlanckSolver holds this operator for one (basis, model,
 cutoff); the scenario drivers build it once per run (a few milliseconds)
-and pass it to fp_step, fp_rhs and coupling.coupled_step.  Relaxation and
-diffusion are diagonal, so the default IMEX Euler step treats them
-implicitly at no cost; the fully explicit variant is the shared
-fluid.ssprk3 step.  Positivity of psi is only monitored - the Galerkin
-truncation does not preserve it and clipping would corrupt the energy
-monitors.
+and pass it to fp_step, fp_rhs and coupling.coupled_step.  Every route
+advances psi by the shared fluid.ssprk3 step, explicit in all four terms;
+relaxation and diffusion are diagonal, so ssprk3_diag refuses a step
+whose largest rate leaves the SSP-RK3 stability interval.  Positivity of
+psi is only monitored - the Galerkin truncation does not preserve it and
+clipping would corrupt the energy monitors.
 The coefficients of psi form an (n_basis, n, n//2 + 1) tensor, one torus
 field per basis function in the half-spectrum layout of torus; fp_energy
 weights its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,20 +93,6 @@ def polymer_mass(psi: PolymerField):
     return polymer_mass_of(psi.coeffs, psi.basis)
 
 
-@dataclass(frozen=True)
-class FPStepConfig:
-    """Fokker-Planck stepping parameters: the step and the scheme."""
-
-    dt: float
-    scheme: str = "imex_euler"
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.scheme not in ("imex_euler", "ssprk3_explicit"):
-            raise ValueError(f"unknown FP scheme {self.scheme!r}")
-
-
 class FokkerPlanckSolver:
     """The explicit Fokker-Planck operator for one (basis, model, cutoff).
 
@@ -171,22 +155,17 @@ def fp_rhs(psi: PolymerField, u: SpectralField,
 
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
-            cfg: FPStepConfig) -> PolymerField:
-    """Advance one step of the configured scheme; u may be a field or a
+            dt) -> PolymerField:
+    """Advance one SSP-RK3 step of length dt; u may be a field or a
     callable of time (used for the RK stage values)."""
-    dt, grid = cfg.dt, psi.grid
-    if cfg.scheme == "imex_euler":
-        u0 = u(psi.time) if callable(u) else u
-        expl = op.explicit_tendency(psi.coeffs, grid, u0)
-        new = (psi.coeffs + dt * expl) / (1.0 + dt * op.diag(psi))
-    else:
-        diag = op.ssprk3_diag(psi, dt)
+    grid = psi.grid
+    diag = op.ssprk3_diag(psi, dt)
 
-        def rhs(y, t):
-            uu = u(t) if callable(u) else u
-            return (op.explicit_tendency(y[0], grid, uu) - diag * y[0],)
+    def rhs(y, t):
+        uu = u(t) if callable(u) else u
+        return (op.explicit_tendency(y[0], grid, uu) - diag * y[0],)
 
-        new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
+    new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
     return PolymerField(grid, psi.basis, new, psi.time + dt, psi.mass_ref)
 
 

@@ -32,8 +32,8 @@ from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
 from .errors import CFLViolation, ConfigError, FeneError, PositivityLoss, \
     StabilityViolation, VersionError
 from .fluid import FluidState, FluidStepConfig, fluid_energy, phi_r
-from .fokker_planck import FokkerPlanckSolver, FPStepConfig, PolymerField, \
-    fp_energy, fp_step, nonnegativity_report, polymer_mass
+from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
+    fp_step, nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from .torus import SpectralField, TorusGrid, grad_u_sup_norm, sobolev_norm, \
     sup_norm_w2inf
@@ -124,8 +124,6 @@ CONFIG_SCHEMA = {
     "fluid.cutoff_r": (_parse_opt_float, None),
     "fluid.n_modes": (_parse_auto_int, None),
     "fluid.cfl_safety": (_parse_opt_float, 0.8),
-    "fp.dt": (_parse_float, 1e-3),
-    "fp.scheme": (_parse_str("imex_euler", "ssprk3_explicit"), "imex_euler"),
     "scenario.amplitude": (_parse_float, 1e-3),
     "scenario.mode": (_parse_int, 1),
     "scenario.mean_velocity": (_parse_float, 0.1),
@@ -138,18 +136,15 @@ CONFIG_SCHEMA = {
     "fixed_point.s": (_parse_int, 2),
     "fixed_point.s_prime": (_parse_int, 1),
     "fixed_point.max_iters": (_parse_int, 5),
-    "fixed_point.stop_tol": (_parse_float, 0.0),
 }
 
 
 class RunConfig:
-    """Resolved configuration: schema defaults overlaid by the file;
-    explicit is the set of keys the file set."""
+    """Resolved configuration: schema defaults overlaid by the file."""
 
-    def __init__(self, values, text="", explicit=frozenset()):
+    def __init__(self, values, text=""):
         self.values = values
         self.text = text
-        self.explicit = frozenset(explicit)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -186,7 +181,7 @@ def parse_config_text(text) -> RunConfig:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno, field=key) from None
-    return RunConfig(values, text, seen)
+    return RunConfig(values, text)
 
 
 def parse_config(path) -> RunConfig:
@@ -216,27 +211,33 @@ class RunContext:
             raise ConfigError(str(exc), field="grid/ball") from None
         chi = cfg["ball.chi_index"]
         self.chi_index = cfg["ball.n_radial"] if chi == "auto" else chi
-        if cfg["scenario"] in ("equilibrium", "shear_perturbation",
-                               "density_bump", "contraction_study"):
-            if abs(cfg["fluid.dt"] - cfg["fp.dt"]) > 1e-15:
-                raise ConfigError("coupled scenarios need fluid.dt == fp.dt",
-                                  field="fp.dt")
-            if "fp.scheme" in cfg.explicit:
-                raise ConfigError("coupled scenarios always advance psi by "
-                                  "SSP-RK3; fp.scheme applies to "
-                                  "stress_difference only", field="fp.scheme")
-            # the scheme coupled_step runs, as the manifest records it
-            cfg.values["fp.scheme"] = "ssprk3_explicit"
-        self.fluid_cfg = FluidStepConfig(
-            dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
-            n_modes=cfg["fluid.n_modes"], cfl_safety=cfg["fluid.cfl_safety"])
-        self.fp_cfg = FPStepConfig(dt=cfg["fp.dt"], scheme=cfg["fp.scheme"])
+        try:
+            self.fluid_cfg = FluidStepConfig(
+                dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
+                n_modes=cfg["fluid.n_modes"],
+                cfl_safety=cfg["fluid.cfl_safety"])
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="fluid") from None
         if cfg["scenario"] == "stress_difference":
-            for key in ("fluid.dt", "fp.dt"):
-                if int(round(cfg["experiment.horizon"] / cfg[key])) < 2:
-                    raise ConfigError("stress_difference needs at least two "
-                                      "steps of this dt within "
-                                      "experiment.horizon", field=key)
+            if int(round(cfg["experiment.horizon"] / cfg["fluid.dt"])) < 2:
+                raise ConfigError("stress_difference needs at least two "
+                                  "steps of this dt within "
+                                  "experiment.horizon", field="fluid.dt")
+            deltas = cfg["experiment.deltas"]
+            if len(set(deltas)) < 2 or min(deltas) <= 0:
+                raise ConfigError("the log-log slope needs at least two "
+                                  "distinct positive deltas",
+                                  field="experiment.deltas")
+        self.fixed_point = None
+        if cfg["scenario"] == "contraction_study":
+            try:
+                self.fixed_point = FixedPointConfig(
+                    horizon_T=cfg["experiment.horizon"],
+                    s=cfg["fixed_point.s"],
+                    s_prime=cfg["fixed_point.s_prime"],
+                    max_iters=cfg["fixed_point.max_iters"])
+            except ValueError as exc:
+                raise ConfigError(str(exc), field="fixed_point") from None
         self.forcing = ForcingSpec(kind=cfg["forcing.kind"],
                                    amplitude=cfg["forcing.amplitude"],
                                    mode=cfg["forcing.mode"])
@@ -403,8 +404,9 @@ def conservation_drifts(records):
 
 def envelope_margin(records, params: ModelParams):
     """Smallest signed distance of (min_r, max_r) to the maximum-principle
-    envelope built from the accumulated |grad u| integral; nonnegative means
-    the density stayed inside for the whole horizon."""
+    envelope inf r0 e^{-cI} <= r <= sup r0 e^{cI}, c = max(1, (gamma-1)/2),
+    with I the accumulated integral of the grid sup of |grad u|; nonnegative
+    means the density stayed inside for the whole horizon."""
     times = np.array([r.time for r in records])
     grads = np.array([r.grad_u_sup for r in records])
     integral = np.concatenate([[0.0], np.cumsum(
@@ -525,8 +527,7 @@ def _loglog_slope(deltas, dists):
 def _run_stress_difference(ctx: RunContext, outdir):
     cfg = ctx.cfg
     horizon = cfg["experiment.horizon"]
-    fluid_steps = int(round(horizon / ctx.fluid_cfg.dt))
-    fp_steps = int(round(horizon / ctx.fp_cfg.dt))
+    n_steps = int(round(horizon / ctx.fluid_cfg.dt))
     deltas = cfg["experiment.deltas"]
     state0 = ctx.initial_state()
     grid = ctx.grid
@@ -540,7 +541,7 @@ def _run_stress_difference(ctx: RunContext, outdir):
     def fluid_solve(stress):
         st = state0.fluid
         out = [st]
-        for k in range(1, fluid_steps + 1):
+        for k in range(1, n_steps + 1):
             st = fluid_mod.step(st, stress, ctx.forcing, ctx.params,
                                 ctx.fluid_cfg)
             _check_finite((("r", st.r), ("u", st.u)),
@@ -571,8 +572,8 @@ def _run_stress_difference(ctx: RunContext, outdir):
     def fp_solve(u):
         psi = state0.psi
         out = [psi]
-        for k in range(1, fp_steps + 1):
-            psi = fp_step(psi, u, op, ctx.fp_cfg)
+        for k in range(1, n_steps + 1):
+            psi = fp_step(psi, u, op, ctx.fluid_cfg.dt)
             _check_finite((("psi", psi),), f"in the fp half at step {k}")
             out.append(psi)
         return out
@@ -595,19 +596,11 @@ def _run_stress_difference(ctx: RunContext, outdir):
 
 
 def _run_contraction(ctx: RunContext, outdir):
-    cfg = ctx.cfg
-    fpc = FixedPointConfig(
-        horizon_T=cfg["experiment.horizon"], s=cfg["fixed_point.s"],
-        s_prime=cfg["fixed_point.s_prime"],
-        max_iters=cfg["fixed_point.max_iters"],
-        stop_tol=cfg["fixed_point.stop_tol"])
+    fpc = ctx.fixed_point
     state0 = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
-    iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg,
-                               ctx.fp_cfg, fpc)
-    ratios, converged = contraction_factor(iterates, fpc.s_prime)
-    dists = [xs_distance(iterates[k + 1], iterates[k], fpc.s_prime)
-             for k in range(len(iterates) - 1)]
+    iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg, fpc)
+    dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
 
     n_steps = int(round(fpc.horizon_T / ctx.fluid_cfg.dt))
     mono = state0

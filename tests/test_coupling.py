@@ -6,8 +6,8 @@ from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, fixed_point_map, \
     run_fixed_point, stress_field, xs_distance, xs_norm
 from fene.fluid import FluidState, FluidStepConfig, fluid_energy
-from fene.fokker_planck import FokkerPlanckSolver, FPStepConfig, \
-    PolymerField, fp_energy, polymer_mass
+from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
+    fp_energy, polymer_mass
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SpectralField, forward, sobolev_norm, \
     sup_norm_w2inf, to_modes
@@ -34,9 +34,8 @@ def perturbed_state(grid, basis, params, amp=1e-3):
 
 
 @pytest.fixture(scope="module")
-def cfgs():
-    return FluidStepConfig(dt=1e-3), FPStepConfig(dt=1e-3,
-                                                  scheme="ssprk3_explicit")
+def fluid_cfg():
+    return FluidStepConfig(dt=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +98,11 @@ def test_xs_norm_monotone_in_horizon(grid16, basis16, params):
     assert vals[0] <= vals[1] <= vals[2]
 
 
-def test_fixed_point_equilibrium_invariant(grid32, basis32, params, cfgs,
-                                           op32):
-    fluid_cfg, fp_cfg = cfgs
+def test_fixed_point_equilibrium_invariant(grid32, basis32, params,
+                                           fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
     traj = constant_trajectory(st.psi, 20, fluid_cfg.dt)
-    out = fixed_point_map(traj, st, op32, None, fluid_cfg, fp_cfg)
+    out = fixed_point_map(traj, st, op32, None, fluid_cfg)
     assert xs_distance(out, traj, 1) < 1e-10
 
 
@@ -118,41 +116,42 @@ def test_contraction_factor_constructed_sequence(grid32, basis32):
         coeffs = psi.coeffs + 2.0 ** (-k) * delta
         iterates.append(constant_trajectory(
             PolymerField(grid32, basis32, coeffs), 4, 0.01))
-    ratios, converged = contraction_factor(iterates, 1)
+    dists, ratios, converged = contraction_factor(iterates, 1)
+    np.testing.assert_allclose(np.array(dists[1:]) / dists[:-1], 0.5,
+                               rtol=1e-8)
     assert not converged
     np.testing.assert_allclose(ratios, 0.5, rtol=1e-8)
     same = [iterates[0], iterates[0], iterates[0]]
-    ratios2, converged2 = contraction_factor(same, 1)
+    dists2, ratios2, converged2 = contraction_factor(same, 1)
+    assert dists2 == [0.0, 0.0]
     assert converged2 and ratios2 == []
 
 
-def test_contraction_on_perturbed_seed(grid32, basis32, params, cfgs, op32):
-    fluid_cfg, fp_cfg = cfgs
+def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
+                                       op32):
     st = perturbed_state(grid32, basis32, params)
     fpc = FixedPointConfig(horizon_T=0.05, s=2, s_prime=1, max_iters=5)
-    iterates = run_fixed_point(st, op32, None, fluid_cfg, fp_cfg, fpc)
-    ratios, _ = contraction_factor(iterates, 1)
+    iterates = run_fixed_point(st, op32, None, fluid_cfg, fpc)
+    _, ratios, _ = contraction_factor(iterates, 1)
     assert len(ratios) >= 3
     assert all(r < 1.0 for r in ratios)
 
 
 def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     fluid_cfg = FluidStepConfig(dt=1e-3)
-    fp_cfg = FPStepConfig(dt=1e-3, scheme="ssprk3_explicit")
     op = FokkerPlanckSolver(basis16, params, 16)
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     firsts = []
     for horizon in (0.1, 0.05, 0.025):
         fpc = FixedPointConfig(horizon_T=horizon, s=2, s_prime=1,
                                max_iters=2)
-        iterates = run_fixed_point(st, op, None, fluid_cfg, fp_cfg, fpc)
-        ratios, _ = contraction_factor(iterates, 1)
+        iterates = run_fixed_point(st, op, None, fluid_cfg, fpc)
+        _, ratios, _ = contraction_factor(iterates, 1)
         firsts.append(ratios[0])
     assert firsts[0] > firsts[1] > firsts[2]
 
 
-def test_coupled_step_equilibrium(grid32, basis32, params, cfgs, op32):
-    fluid_cfg, _ = cfgs
+def test_coupled_step_equilibrium(grid32, basis32, params, fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
     cur = st
     for _ in range(10):
@@ -162,9 +161,8 @@ def test_coupled_step_equilibrium(grid32, basis32, params, cfgs, op32):
         assert np.max(np.abs(cur.psi.coeffs - st.psi.coeffs)) < 1e-12
 
 
-def test_coupled_step_conserves_everything(grid32, basis32, params, cfgs,
-                                           op32):
-    fluid_cfg, _ = cfgs
+def test_coupled_step_conserves_everything(grid32, basis32, params,
+                                           fluid_cfg, op32):
     st = perturbed_state(grid32, basis32, params, amp=5e-3)
     area = grid32.cell_area()
 
@@ -191,7 +189,6 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
     gaps = []
     for dt in (2e-3, 1e-3):
         fluid_cfg = FluidStepConfig(dt=dt)
-        fp_cfg = FPStepConfig(dt=dt, scheme="ssprk3_explicit")
         n_steps = int(round(horizon / dt))
         mono = [st]
         cur = st
@@ -199,7 +196,7 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
             cur = coupled_step(cur, op32, None, fluid_cfg)
             mono.append(cur)
         mono_psi = [s.psi for s in mono]
-        once = fixed_point_map(mono_psi, st, op32, None, fluid_cfg, fp_cfg)
+        once = fixed_point_map(mono_psi, st, op32, None, fluid_cfg)
         gaps.append(xs_distance(once, mono_psi, 1))
     assert gaps[1] < gaps[0] / 3.0
 

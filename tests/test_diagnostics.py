@@ -10,8 +10,10 @@ from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.cli import main as cli_main
 from fene.errors import ConfigError, VersionError
 from fene.fokker_planck import FokkerPlanckSolver
-from fene.runner import CONFIG_SCHEMA, RunContext, load_series, \
-    parse_config, parse_config_text, resume, run
+from fene.model import ModelParams
+from fene.runner import CONFIG_SCHEMA, RunContext, TimeSeriesRecord, \
+    envelope_margin, load_series, parse_config, parse_config_text, resume, \
+    run
 
 BASE = """
 scenario = {scenario}
@@ -95,6 +97,42 @@ def test_runs_are_seed_deterministic(tmp_path):
     bytes_a = open(os.path.join(out_a, "series.csv"), "rb").read()
     bytes_b = open(os.path.join(out_b, "series.csv"), "rb").read()
     assert bytes_a == bytes_b
+
+
+def envelope_records(r0, r1, grad):
+    """Two monitored rows one time unit apart: (min_r, max_r) = r0 at t = 0
+    and r1 at t = 1, with |grad u| = grad throughout, so I(1) = grad."""
+    zeros = (0.0,) * 4
+    return [TimeSeriesRecord(
+        time=t, mass=0.0, momentum_x=0.0, momentum_y=0.0, polymer_mass=0.0,
+        min_r=lo, max_r=hi, min_psi_sample=0.0, blowup_indicator=0.0,
+        cutoff_active=0, grad_u_sup=grad, fluid_energy_s=zeros,
+        u_norm_sq_s=zeros + (0.0,), fp_l2m_s=zeros, fp_h1m_s=zeros,
+        stress_sq_s=zeros, forcing_sq_s=zeros)
+        for t, (lo, hi) in ((0.0, r0), (1.0, r1))]
+
+
+def test_envelope_margin():
+    # the first row sits on the envelope, so the margin is 0 while r stays
+    # inside and minus the overshoot once it leaves
+    p = ModelParams()
+    assert envelope_margin(envelope_records((1.5, 1.5), (1.5, 1.5), 0.0),
+                           p) == 0.0
+    # no |grad u| integral: the envelope is [inf r0, sup r0] itself
+    assert envelope_margin(envelope_records((1.5, 1.5), (1.4, 1.5), 0.0),
+                           p) == pytest.approx(-0.1, rel=1e-14)
+    # gamma = 3 gives c = 1, so I = log 2 bounds r by r0 / 2 and 2 r0
+    p3 = ModelParams(gamma=3.0)
+    log2 = np.log(2.0)
+    below = envelope_records((1.0, 1.0), (0.4, 1.0), log2)
+    above = envelope_records((1.0, 1.0), (1.0, 2.2), log2)
+    assert envelope_margin(below, p3) == pytest.approx(-0.1, rel=1e-14)
+    assert envelope_margin(above, p3) == pytest.approx(-0.2, rel=1e-14)
+    # the envelope widens with the integral: r0 / 4 < 0.4 at I = 2 log 2
+    wider = envelope_records((1.0, 1.0), (0.4, 1.0), 2.0 * log2)
+    assert envelope_margin(wider, p3) == 0.0
+    # c = (gamma - 1)/2 = 2 at gamma = 5: I = log 2 also bounds r by r0 / 4
+    assert envelope_margin(below, ModelParams(gamma=5.0)) == 0.0
 
 
 def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
@@ -203,7 +241,7 @@ def test_cfl_guard_holds_sound_speed(tmp_path):
     cfg_path.write_text("\n".join([
         "scenario = shear_perturbation", "max_steps = 30",
         f"output = {outdir}", "model.mu_s = 1e-3", "model.mu_b = 0",
-        "scenario.amplitude = 1e-2", "fluid.dt = 0.15", "fp.dt = 0.15"]))
+        "scenario.amplitude = 1e-2", "fluid.dt = 0.15"]))
     stderr_path = tmp_path / "acoustic.json"
     with open(stderr_path, "w") as fh:
         code = run(str(cfg_path), stderr=fh)
@@ -228,7 +266,7 @@ def test_positivity_loss_exit_code(tmp_path):
         tmp_path, scenario="density_bump", steps=5, extra="\n".join([
             "scenario.amplitude = 0.98",
             "scenario.rho0 = 0.0001",
-            "fluid.dt = 0.05", "fp.dt = 0.05",
+            "fluid.dt = 0.05",
             "fluid.cfl_safety = none",
             "model.gamma = 3.0",
         ]))
@@ -287,18 +325,23 @@ def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
 
 
 def test_fp_scheme_rejected_in_coupled_scenarios(tmp_path):
-    cfg_path, _ = write_cfg(tmp_path, scenario="shear_perturbation",
-                            extra="fp.scheme = ssprk3_explicit")
-    stderr_path = tmp_path / "scheme.json"
-    with open(stderr_path, "w") as fh:
-        assert run(cfg_path, stderr=fh) == 2
-    assert json.loads(stderr_path.read_text())["reason"] == "ConfigError"
-    with pytest.raises(ConfigError) as err:
-        RunContext(parse_config(cfg_path))
-    assert err.value.field == "fp.scheme"
-    # the one scenario that steps psi on its own still takes the key
-    RunContext(parse_config_text("scenario = stress_difference\n"
-                                 "fp.scheme = ssprk3_explicit\n"))
+    # psi has one stepper and one step (fluid.dt) in every scenario, and
+    # the fixed point iterates max_iters times: these keys are gone
+    removed = ("fp.scheme = ssprk3_explicit", "fp.dt = 1e-3",
+               "fixed_point.stop_tol = 0.0")
+    for scenario in runner.SCENARIOS:
+        for line in removed:
+            cfg_path, _ = write_cfg(tmp_path, scenario=scenario, extra=line)
+            stderr_path = tmp_path / "removed.json"
+            with open(stderr_path, "w") as fh:
+                assert run(cfg_path, stderr=fh) == 2
+            payload = json.loads(stderr_path.read_text())
+            assert payload["reason"] == "ConfigError"
+            key = line.split(" = ")[0]
+            assert f"[{key}]" in payload["message"]
+            with pytest.raises(ConfigError) as err:
+                parse_config(cfg_path)
+            assert err.value.field == key
 
 
 def test_default_contraction_study_stops_at_roundoff(tmp_path):
@@ -318,16 +361,20 @@ def test_default_contraction_study_stops_at_roundoff(tmp_path):
     assert len(lines) == 6
 
 
-def test_manifest_records_the_scheme_run(tmp_path):
-    cfg_path, outdir = small_shear_cfg(tmp_path, steps=2)
-    assert run(cfg_path) == 0
-    config = json.load(open(os.path.join(outdir, "manifest.json")))["config"]
-    assert config["fp.scheme"] == "ssprk3_explicit"
-    cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
-                                 extra="experiment.horizon = 0.004")
-    assert run(cfg_path) == 0
-    config = json.load(open(os.path.join(outdir, "manifest.json")))["config"]
-    assert config["fp.scheme"] == "imex_euler"
+def test_contraction_study_of_an_exact_fixed_point(tmp_path):
+    # at amplitude 0 the seed is the fixed point: the first distance is
+    # exactly 0, so the study converges with no ratio to report
+    outdir = str(tmp_path / "still")
+    cfg_path = tmp_path / "still.cfg"
+    cfg_path.write_text("\n".join([
+        "scenario = contraction_study", "scenario.amplitude = 0",
+        "grid.n_points = 16", "ball.n_radial = 8", "ball.n_angular = 8",
+        "ball.n_basis = 10", f"output = {outdir}"]))
+    assert run(str(cfg_path)) == 0
+    outcome = json.load(open(os.path.join(outdir, "manifest.json")))["outcome"]
+    assert outcome["converged"] is True
+    assert outcome["ratios"] == []
+    assert outcome["distances"] == [0.0] * 5
 
 
 def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
@@ -342,8 +389,7 @@ def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "fp_step", timed)
     cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
                             extra="\n".join(["experiment.horizon = 0.02",
-                                             "fluid.dt = 1e-3",
-                                             "fp.dt = 2e-3"]))
+                                             "fluid.dt = 2e-3"]))
     assert run(cfg_path) == 0
     # four FP trajectories (base and three deltas) of ten steps each
     assert len(ends) == 40
@@ -375,7 +421,7 @@ def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
     assert "at step 3" in payload["message"]
 
 
-@pytest.mark.parametrize("key", ["fp.dt", "fluid.dt"])
+@pytest.mark.parametrize("key", ["fluid.dt"])
 def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     # round(0.05 / 5.0) = 0 steps: the half would otherwise be stepped past
     # the horizon
@@ -388,6 +434,33 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     with pytest.raises(ConfigError) as err:
         RunContext(parse_config(cfg_path))
     assert err.value.field == key
+
+
+@pytest.mark.parametrize("scenario, line, field", [
+    ("shear_perturbation", "fluid.dt = 0", "fluid"),
+    ("stress_difference", "fluid.n_modes = 0", "fluid"),
+    ("contraction_study", "fixed_point.max_iters = 1", "fixed_point"),
+    ("contraction_study", "fixed_point.s_prime = 2", "fixed_point"),
+    ("contraction_study", "experiment.horizon = -1", "fixed_point"),
+    ("stress_difference", "experiment.deltas = 0.01", "experiment.deltas"),
+    ("stress_difference", "experiment.deltas = 0.01, 0.01",
+     "experiment.deltas"),
+    ("stress_difference", "experiment.deltas = -0.001, 0.01",
+     "experiment.deltas"),
+    ("stress_difference", "experiment.deltas =", "experiment.deltas"),
+], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
+        "one_delta", "repeated_delta", "negative_delta", "no_delta"])
+def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
+    cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
+    stderr_path = tmp_path / "bad.json"
+    with open(stderr_path, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 2
+    assert json.loads(stderr_path.read_text())["reason"] == "ConfigError"
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["reason"] == "ConfigError"
+    with pytest.raises(ConfigError) as err:
+        RunContext(parse_config(cfg_path))
+    assert err.value.field == field
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

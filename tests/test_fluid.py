@@ -5,8 +5,8 @@ from conftest import random_band_limited
 from fene import fluid, torus
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
-    fluid_energy, fluid_rhs, max_principle_envelope, phi_r, ssprk3, step, \
-    stress_divergence, viscous_divergence
+    fluid_energy, fluid_rhs, phi_r, ssprk3, step, stress_divergence, \
+    viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
     forward, project_pn, sobolev_norm, sup_norm_w2inf
@@ -279,7 +279,7 @@ def test_step_raises_cfl(grid32, params):
                     forward(grid32, np.stack([5.0 + np.sin(x2),
                                               np.zeros_like(x1)])))
     cfg = FluidStepConfig(dt=0.05)
-    assert cfg.dt > cfl_bound(st, params, cfg)
+    assert cfg.dt > cfl_bound(st, params)
     with pytest.raises(CFLViolation):
         step(st, None, None, params, cfg)
 
@@ -290,7 +290,7 @@ def test_cfl_bound_holds_sound_speed(grid32):
     p = ModelParams(mu_s=1e-6, mu_b=0.0)
     st = constant_state(grid32, 1.0, p)
     c_s = np.sqrt(0.5 * (p.gamma - 1.0)) * density_to_r(1.0, p)
-    bound = cfl_bound(st, p, FluidStepConfig(dt=1e-3))
+    bound = cfl_bound(st, p)
     assert bound == pytest.approx(grid32.spacing / c_s, rel=1e-12)
 
 
@@ -352,20 +352,6 @@ def test_step_raises_positivity_loss(grid32):
     cfg = FluidStepConfig(dt=0.05, cfl_safety=None)
     with pytest.raises(PositivityLoss):
         step(st, None, None, p, cfg)
-
-
-def test_max_principle_envelope(grid32, params):
-    r0 = forward(grid32, np.full((32, 32), 1.5))
-    lo, hi = max_principle_envelope(r0, 0.0, params)
-    assert (lo, hi) == (1.5, 1.5)
-    p3 = ModelParams(gamma=3.0)
-    lo, hi = max_principle_envelope(forward(grid32, np.ones((32, 32))),
-                                    np.log(2.0), p3)
-    assert lo == pytest.approx(0.5, rel=1e-14)
-    assert hi == pytest.approx(2.0, rel=1e-14)
-    lo2, hi2 = max_principle_envelope(forward(grid32, np.ones((32, 32))),
-                                      2 * np.log(2.0), p3)
-    assert lo2 < lo and hi2 > hi
 
 
 def test_fluid_energy(grid32, params):

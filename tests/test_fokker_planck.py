@@ -4,9 +4,8 @@ import pytest
 from conftest import random_band_limited
 from fene.configspace import ConfDistribution, h1m_seminorm
 from fene.errors import StabilityViolation
-from fene.fokker_planck import FokkerPlanckSolver, FPStepConfig, \
-    PolymerField, fp_energy, fp_rhs, fp_step, nonnegativity_report, \
-    polymer_mass
+from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
+    fp_energy, fp_rhs, fp_step, nonnegativity_report, polymer_mass
 from fene.model import ModelParams
 from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
     forward, to_modes
@@ -29,13 +28,12 @@ def perturbed_field(grid, basis, amp=0.01, mode=1):
 def test_equilibrium_is_steady(grid32, basis32, params):
     psi = PolymerField.equilibrium(grid32, basis32)
     u0 = SpectralField.zero(grid32, 2)
-    cfg = FPStepConfig(dt=1e-3)
     op = FokkerPlanckSolver(basis32, params, 32)
     tend = fp_rhs(psi, u0, op)
     assert np.max(np.abs(tend.coeffs)) < 1e-14
     cur = psi
     for _ in range(5):
-        cur = fp_step(cur, u0, op, cfg)
+        cur = fp_step(cur, u0, op, 1e-3)
         assert np.max(np.abs(cur.coeffs - psi.coeffs)) < 1e-12
 
 
@@ -51,22 +49,11 @@ def test_pure_relaxation_matches_exponential(grid16, basis16, params):
     op = FokkerPlanckSolver(basis16, params, 16)
 
     # third-order explicit scheme against the scalar ODE solution
-    cfg3 = FPStepConfig(dt=1e-3, scheme="ssprk3_explicit")
     cur = psi
     for _ in range(1000):
-        cur = fp_step(cur, u0, op, cfg3)
+        cur = fp_step(cur, u0, op, 1e-3)
     exact = 0.5 * np.exp(-mu)
     assert abs(cur.coeffs[mode, 0, 0].real - exact) < 1e-6
-
-    # IMEX Euler is first order: error below the e^-mu mu^2 dt envelope
-    dt = 1e-3
-    cfg1 = FPStepConfig(dt=dt, scheme="imex_euler")
-    cur = psi
-    for _ in range(1000):
-        cur = fp_step(cur, u0, op, cfg1)
-    err = abs(cur.coeffs[mode, 0, 0].real - exact)
-    assert err < np.exp(-mu) * mu ** 2 * dt
-    assert err > 0.0
 
 
 def test_tendency_marginal_identity(grid32, basis32):
@@ -97,23 +84,20 @@ def test_polymer_mass_conserved(grid32, basis32, params):
     u = shear_velocity(grid32)
     m0 = polymer_mass(psi)
     op = FokkerPlanckSolver(basis32, params, 32)
-    for scheme in ("imex_euler", "ssprk3_explicit"):
-        cfg = FPStepConfig(dt=1e-3, scheme=scheme)
-        cur = psi
-        for _ in range(1000):
-            cur = fp_step(cur, u, op, cfg)
-        assert abs(polymer_mass(cur) - m0) / abs(m0) < 1e-8
+    cur = psi
+    for _ in range(1000):
+        cur = fp_step(cur, u, op, 1e-3)
+    assert abs(polymer_mass(cur) - m0) / abs(m0) < 1e-8
 
 
 def test_epsilon_zero_and_positive_paths(grid32, basis32):
-    # the scheme is the same for eps = 0; the diagonal factor degenerates
+    # the scheme is the same for eps = 0; the diffusion rate vanishes
     psi = perturbed_field(grid32, basis32)
     u = shear_velocity(grid32)
     p0 = ModelParams(epsilon=0.0)
     p1 = ModelParams(epsilon=0.01)
-    cfg = FPStepConfig(dt=1e-3)
-    via_model = fp_step(psi, u, FokkerPlanckSolver(basis32, p1, 32), cfg)
-    plain = fp_step(psi, u, FokkerPlanckSolver(basis32, p0, 32), cfg)
+    via_model = fp_step(psi, u, FokkerPlanckSolver(basis32, p1, 32), 1e-3)
+    plain = fp_step(psi, u, FokkerPlanckSolver(basis32, p0, 32), 1e-3)
     assert not np.array_equal(plain.coeffs, via_model.coeffs)
 
 
@@ -121,9 +105,8 @@ def test_rk3_stability_guard(grid16, basis16):
     p = ModelParams(lam=1e-3)   # huge relaxation rate
     psi = PolymerField.equilibrium(grid16, basis16)
     u = SpectralField.zero(grid16, 2)
-    cfg = FPStepConfig(dt=1e-2, scheme="ssprk3_explicit")
     with pytest.raises(StabilityViolation):
-        fp_step(psi, u, FokkerPlanckSolver(basis16, p, 16), cfg)
+        fp_step(psi, u, FokkerPlanckSolver(basis16, p, 16), 1e-2)
 
 
 def test_fp_energy_values(grid32, basis32):
@@ -211,7 +194,6 @@ def test_relaxation_dissipates_without_flow(grid16, basis16, params):
     # L^2_M distance to the projected equilibrium M eta-bar is nonincreasing
     rng = np.random.default_rng(1)
     u0 = SpectralField.zero(grid16, 2)
-    cfg = FPStepConfig(dt=2e-3)
     op = FokkerPlanckSolver(basis16, params, 16)
     n = grid16.n_points
     for _ in range(20):
@@ -228,7 +210,7 @@ def test_relaxation_dissipates_without_flow(grid16, basis16, params):
         e = deviation_energy(psi)
         cur = psi
         for _ in range(10):
-            cur = fp_step(cur, u0, op, cfg)
+            cur = fp_step(cur, u0, op, 2e-3)
             e_new = deviation_energy(cur)
             assert e_new <= e + 1e-15
             e = e_new
@@ -238,6 +220,5 @@ def test_mass_reference_recorded(grid32, basis32, params):
     psi = perturbed_field(grid32, basis32)
     assert psi.mass_ref == pytest.approx(polymer_mass(psi), rel=1e-12)
     stepped = fp_step(psi, shear_velocity(grid32),
-                      FokkerPlanckSolver(basis32, params, 32),
-                      FPStepConfig(dt=1e-3))
+                      FokkerPlanckSolver(basis32, params, 32), 1e-3)
     assert stepped.mass_ref == psi.mass_ref
