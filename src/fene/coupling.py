@@ -18,6 +18,11 @@ Both routes integrate with the same fluid.ssprk3 step and take the
 Fokker-Planck operator (FokkerPlanckSolver) as an argument; the scenario
 drivers in runner build it once per run and share it between the routes.
 
+Stepping one half over a horizon happens only in fluid_trajectory and
+fp_trajectory, which fixed_point_map and the stress_difference scenario
+share.  Both check every new step for non-finite coefficients and raise
+BlowupCeiling naming the half and the step.
+
 The X^s trajectory norm is sup-in-time of the W^{s,2}_x L^2_M norm plus
 the time integral (trapezoid rule on the stored samples) of the
 W^{s,2}_x H^1_M norm, square-rooted.
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid as fluid_mod
+from .errors import BlowupCeiling
 from .fluid import FluidState, FluidStepConfig, fluid_rhs, ssprk3, \
     state_from_coeffs, stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
@@ -134,34 +140,55 @@ def _linear_interpolant(samples, t0, dt):
     return at
 
 
+def _check_finite(fields, where):
+    """Raise BlowupCeiling naming the first field that is not finite."""
+    for name, f in fields:
+        if not np.isfinite(f.coeffs).all():
+            raise BlowupCeiling(f"non-finite {name} coefficients {where}")
+
+
+def fluid_trajectory(fluid0: FluidState, stress, forcing, params,
+                     cfg: FluidStepConfig, n_steps):
+    """The n_steps + 1 fluid states from fluid0 under a given stress (a
+    field or a callable of time), one fluid.step of cfg.dt apart."""
+    out = [fluid0]
+    for k in range(1, n_steps + 1):
+        fl = fluid_mod.step(out[-1], stress, forcing, params, cfg)
+        _check_finite((("r", fl.r), ("u", fl.u)),
+                      f"in the fluid half at step {k}")
+        out.append(fl)
+    return out
+
+
+def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
+                  n_steps):
+    """The n_steps + 1 polymer fields from psi0 under a given velocity (a
+    field or a callable of time), one fp_step of dt apart."""
+    out = [psi0]
+    for k in range(1, n_steps + 1):
+        psi = fp_step(out[-1], u, op, dt)
+        _check_finite((("psi", psi),), f"in the fp half at step {k}")
+        out.append(psi)
+    return out
+
+
 def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
                     forcing, fluid_cfg: FluidStepConfig):
     """One application of the stress -> fluid -> Fokker-Planck map.
 
     psi_traj must span the horizon with the uniform step fluid_cfg.dt,
-    which both halves take.  Returns the new polymer trajectory; solver
-    errors propagate with the failing stage attached by the caller driving
-    the iteration.
+    which both halves take.  Returns the new polymer trajectory.
     """
     dt = fluid_cfg.dt
     n_steps = len(psi_traj) - 1
     t0 = state0.time
 
     stresses = [stress_field(ps) for ps in psi_traj]
-    stress_at = _linear_interpolant(stresses, t0, dt)
-    fl = state0.fluid
-    velocities = [fl.u]
-    for k in range(n_steps):
-        fl = fluid_mod.step(fl, stress_at, forcing, op.params, fluid_cfg)
-        velocities.append(fl.u)
-    u_at = _linear_interpolant(velocities, t0, dt)
-
-    psi = state0.psi
-    out = [psi]
-    for k in range(n_steps):
-        psi = fp_step(psi, u_at, op, dt)
-        out.append(psi)
-    return out
+    fluid_traj = fluid_trajectory(
+        state0.fluid, _linear_interpolant(stresses, t0, dt), forcing,
+        op.params, fluid_cfg, n_steps)
+    u_at = _linear_interpolant([fl.u for fl in fluid_traj], t0, dt)
+    return fp_trajectory(state0.psi, u_at, op, dt, n_steps)
 
 
 def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
@@ -219,7 +246,7 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
                       state.psi.coeffs), rhs, state.time, fluid_cfg.dt)
     return CoupledState(
         state_from_coeffs(grid, r, u, t1),
-        PolymerField(grid, basis, c, t1, state.psi.mass_ref))
+        PolymerField(grid, basis, c, t1))
 
 
 def blowup_indicator(state: CoupledState):

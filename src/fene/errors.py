@@ -32,6 +32,11 @@ class StabilityViolation(FeneError):
     outside the SSP-RK3 stability interval."""
 
 
+class BlowupCeiling(FeneError):
+    """A state went non-finite or its blow-up indicator passed the
+    configured ceiling."""
+
+
 class VersionError(FeneError):
     """Checkpoint file has wrong magic bytes or unsupported version."""
 

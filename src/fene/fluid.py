@@ -53,16 +53,13 @@ class FluidStepConfig:
 
     cutoff_R=None disables the phi_R regularization entirely.  cfl_safety
     scales the CFL bound; None skips the check (the caller then owns
-    stability).  include_advection / freeze_r exist for unit-test modes
-    that isolate the viscous semigroup.
+    stability).
     """
 
     dt: float
     cutoff_R: float = None
     n_modes: int = None
     cfl_safety: float = 0.8
-    include_advection: bool = True
-    freeze_r: bool = False
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -137,12 +134,10 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
             SpectralField(grid, np.concatenate(
                 [grad_r, torus.divergence(state.u).coeffs, total.coeffs,
                  grid.ik1 * u, grid.ik2 * u, grad_r]))).coeffs
-        if not cfg.freeze_r:
-            adv_r = prod[0:1] + prod[1:2] + 0.5 * (p.gamma - 1.0) * prod[2:3]
-            dr = project_pn(SpectralField(grid, (-cut) * adv_r), n_modes)
+        adv_r = prod[0:1] + prod[1:2] + 0.5 * (p.gamma - 1.0) * prod[2:3]
+        dr = project_pn(SpectralField(grid, (-cut) * adv_r), n_modes)
         du = du + cut * prod[3:5]
-        if cfg.include_advection:
-            du = du - cut * (prod[5:7] + prod[7:9])
+        du = du - cut * (prod[5:7] + prod[7:9])
         du = du - cut * prod[9:11]
     if forcing is not None:
         du = du + forcing.coeffs

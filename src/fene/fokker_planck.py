@@ -37,10 +37,9 @@ from .torus import SIDE, SpectralField, TorusGrid, to_modes, to_values
 class PolymerField:
     """psi(x, q) as (basis index, torus mode) coefficients of phi = psi/M."""
 
-    __slots__ = ("grid", "basis", "coeffs", "time", "mass_ref")
+    __slots__ = ("grid", "basis", "coeffs", "time")
 
-    def __init__(self, grid: TorusGrid, basis: ConfigBasis, coeffs, time=0.0,
-                 mass_ref=None):
+    def __init__(self, grid: TorusGrid, basis: ConfigBasis, coeffs, time=0.0):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (basis.n_basis, *grid.spectral_shape):
             raise ValueError(
@@ -49,8 +48,6 @@ class PolymerField:
         self.basis = basis
         self.coeffs = coeffs
         self.time = time
-        self.mass_ref = polymer_mass_of(coeffs, basis) if mass_ref is None \
-            else mass_ref
 
     @classmethod
     def equilibrium(cls, grid: TorusGrid, basis: ConfigBasis, time=0.0):
@@ -74,13 +71,13 @@ class PolymerField:
 
     def copy(self):
         return PolymerField(self.grid, self.basis, self.coeffs.copy(),
-                            self.time, self.mass_ref)
+                            self.time)
 
     def __sub__(self, other):
         if self.basis is not other.basis:
             raise ValueError("polymer fields use different bases")
         return PolymerField(self.grid, self.basis, self.coeffs - other.coeffs,
-                            self.time, 0.0)
+                            self.time)
 
 
 def polymer_mass_of(coeffs, basis: ConfigBasis):
@@ -151,7 +148,7 @@ def fp_rhs(psi: PolymerField, u: SpectralField,
     """Weak-form tendency of psi for the given velocity field."""
     tend = op.explicit_tendency(psi.coeffs, psi.grid, u)
     tend -= op.diag(psi) * psi.coeffs
-    return PolymerField(psi.grid, psi.basis, tend, psi.time, 0.0)
+    return PolymerField(psi.grid, psi.basis, tend, psi.time)
 
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
@@ -166,7 +163,7 @@ def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
         return (op.explicit_tendency(y[0], grid, uu) - diag * y[0],)
 
     new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
-    return PolymerField(grid, psi.basis, new, psi.time + dt, psi.mass_ref)
+    return PolymerField(grid, psi.basis, new, psi.time + dt)
 
 
 def fp_energy(psi: PolymerField, s: int):

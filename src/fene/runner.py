@@ -12,6 +12,11 @@ line number).  Every run writes into its output directory:
 All randomness is drawn from one seeded generator, and all schemes are
 deterministic, so identical config + seed reproduces every artifact
 byte for byte.  Files are written to a temporary name and renamed.
+
+Scenarios step over a horizon through coupling.fluid_trajectory and
+fp_trajectory, or coupling.coupled_step followed by the same check: a
+non-finite state raises BlowupCeiling at its step.  _EXITS maps every
+error class to its exit code and manifest reason.
 """
 
 import ctypes
@@ -19,7 +24,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -27,13 +33,14 @@ from . import coupling, fluid as fluid_mod
 from .checkpoint import checkpoint_load, checkpoint_save
 from .configspace import ConfDistribution, build_quadrature, eigen_basis, \
     lemma_a1_check
-from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
-    contraction_factor, run_fixed_point, stress_field, xs_distance
-from .errors import CFLViolation, ConfigError, FeneError, PositivityLoss, \
-    StabilityViolation, VersionError
+from .coupling import CoupledState, FixedPointConfig, _check_finite, \
+    blowup_indicator, contraction_factor, fluid_trajectory, fp_trajectory, \
+    run_fixed_point, stress_field, xs_distance
+from .errors import BlowupCeiling, CFLViolation, ConfigError, FeneError, \
+    PositivityLoss, StabilityViolation, VersionError
 from .fluid import FluidState, FluidStepConfig, fluid_energy, phi_r
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
-    fp_step, nonnegativity_report, polymer_mass
+    nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from .torus import SpectralField, TorusGrid, grad_u_sup_norm, sobolev_norm, \
     sup_norm_w2inf
@@ -219,6 +226,9 @@ class RunContext:
         except ValueError as exc:
             raise ConfigError(str(exc), field="fluid") from None
         if cfg["scenario"] == "stress_difference":
+            if not cfg["experiment.horizon"] > 0:
+                raise ConfigError("the horizon must be positive",
+                                  field="experiment.horizon")
             if int(round(cfg["experiment.horizon"] / cfg["fluid.dt"])) < 2:
                 raise ConfigError("stress_difference needs at least two "
                                   "steps of this dt within "
@@ -278,10 +288,18 @@ class RunContext:
         return CoupledState(FluidState(r, u), psi)
 
 
+def _sobolev_block(top):
+    """A tuple field written as the columns <name>0 .. <name><top>."""
+    return field(metadata={"top": top})
+
+
 @dataclass
 class TimeSeriesRecord:
     """One monitored row; all columns are instantaneous functions of the
-    state, so resumed runs reproduce them bitwise."""
+    state, so resumed runs reproduce them bitwise.
+
+    The fields, in order, are the series.csv layout: a scalar field is one
+    column, a Sobolev block one column per index 0..top."""
 
     time: float
     mass: float
@@ -294,35 +312,36 @@ class TimeSeriesRecord:
     blowup_indicator: float
     cutoff_active: int
     grad_u_sup: float
-    fluid_energy_s: tuple
-    u_norm_sq_s: tuple
-    fp_l2m_s: tuple
-    fp_h1m_s: tuple
-    stress_sq_s: tuple
-    forcing_sq_s: tuple
+    fluid_energy_s: tuple = _sobolev_block(S_RECORD)
+    u_norm_sq_s: tuple = _sobolev_block(S_RECORD + 1)
+    fp_l2m_s: tuple = _sobolev_block(S_RECORD)
+    fp_h1m_s: tuple = _sobolev_block(S_RECORD)
+    stress_sq_s: tuple = _sobolev_block(S_RECORD)
+    forcing_sq_s: tuple = _sobolev_block(S_RECORD)
 
     @staticmethod
     def header():
-        cols = ["time", "mass", "momentum_x", "momentum_y", "polymer_mass",
-                "min_r", "max_r", "min_psi_sample", "blowup_indicator",
-                "cutoff_active", "grad_u_sup"]
-        for name, top in (("fluid_energy_s", S_RECORD),
-                          ("u_norm_sq_s", S_RECORD + 1),
-                          ("fp_l2m_s", S_RECORD), ("fp_h1m_s", S_RECORD),
-                          ("stress_sq_s", S_RECORD),
-                          ("forcing_sq_s", S_RECORD)):
-            cols.extend(f"{name}{s}" for s in range(top + 1))
+        cols = []
+        for f in fields(TimeSeriesRecord):
+            top = f.metadata.get("top")
+            cols.extend([f.name] if top is None
+                        else (f"{f.name}{s}" for s in range(top + 1)))
         return cols
 
     def row(self):
-        out = [self.time, self.mass, self.momentum_x, self.momentum_y,
-               self.polymer_mass, self.min_r, self.max_r,
-               self.min_psi_sample, self.blowup_indicator,
-               float(self.cutoff_active), self.grad_u_sup]
-        for block in (self.fluid_energy_s, self.u_norm_sq_s, self.fp_l2m_s,
-                      self.fp_h1m_s, self.stress_sq_s, self.forcing_sq_s):
-            out.extend(block)
+        out = []
+        for f in fields(self):
+            val = getattr(self, f.name)
+            out.extend(val if "top" in f.metadata else [float(val)])
         return out
+
+    @classmethod
+    def from_row(cls, row):
+        vals = iter(row)
+        return cls(**{
+            f.name: tuple(islice(vals, f.metadata["top"] + 1))
+            if "top" in f.metadata else f.type(next(vals))
+            for f in fields(cls)})
 
 
 def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
@@ -406,7 +425,11 @@ def envelope_margin(records, params: ModelParams):
     """Smallest signed distance of (min_r, max_r) to the maximum-principle
     envelope inf r0 e^{-cI} <= r <= sup r0 e^{cI}, c = max(1, (gamma-1)/2),
     with I the accumulated integral of the grid sup of |grad u|; nonnegative
-    means the density stayed inside for the whole horizon."""
+    means the density stayed inside for the whole horizon.  The first record
+    defines the envelope, so only the later ones count; a series of one
+    record has margin 0."""
+    if len(records) < 2:
+        return 0.0
     times = np.array([r.time for r in records])
     grads = np.array([r.grad_u_sup for r in records])
     integral = np.concatenate([[0.0], np.cumsum(
@@ -416,7 +439,7 @@ def envelope_margin(records, params: ModelParams):
     upper = records[0].max_r * np.exp(c * integral)
     min_r = np.array([r.min_r for r in records])
     max_r = np.array([r.max_r for r in records])
-    return float(min((min_r - lower).min(), (upper - max_r).min()))
+    return float(min((min_r - lower)[1:].min(), (upper - max_r)[1:].min()))
 
 
 def fitted_psi_constant(records, s=2):
@@ -467,15 +490,9 @@ def summarize(records, params):
 # ---------------------------------------------------------------------------
 # scenario drivers
 
-class _BlowupCeiling(FeneError):
-    pass
-
-
-def _check_finite(fields, where):
-    """Raise _BlowupCeiling naming the first field that is not finite."""
-    for name, f in fields:
-        if not np.isfinite(f.coeffs).all():
-            raise _BlowupCeiling(f"non-finite {name} coefficients {where}")
+def _check_state(state: CoupledState, where):
+    _check_finite((("r", state.fluid.r), ("u", state.fluid.u),
+                   ("psi", state.psi)), where)
 
 
 def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
@@ -489,26 +506,25 @@ def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
     records = [record_state(state, ctx)]
     # written not (x <= ceiling) so that a NaN indicator trips the guard
     if not records[-1].blowup_indicator <= ceiling:
-        raise _BlowupCeiling(f"blow-up indicator "
-                             f"{records[-1].blowup_indicator:.3e} at start")
+        raise BlowupCeiling(f"blow-up indicator "
+                            f"{records[-1].blowup_indicator:.3e} at start")
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
     try:
         for k in range(first_step + 1, max_steps + 1):
             state = coupling.coupled_step(state, op, ctx.forcing,
                                           ctx.fluid_cfg)
-            _check_finite((("r", state.fluid.r), ("u", state.fluid.u),
-                           ("psi", state.psi)), f"at step {k}")
+            _check_state(state, f"at step {k}")
             if k % every == 0 or k == max_steps:
                 rec = record_state(state, ctx)
                 records.append(rec)
                 if not rec.blowup_indicator <= ceiling:
-                    raise _BlowupCeiling(
+                    raise BlowupCeiling(
                         f"blow-up indicator {rec.blowup_indicator:.3e} "
                         f"exceeded ceiling {ceiling:.3e} at step {k}")
             if snap_every and k % snap_every == 0:
                 checkpoint_save(state, os.path.join(
                     outdir, "snapshots", f"step{k:06d}.fkp"))
-    except _BlowupCeiling:
+    except BlowupCeiling:
         _flush_series(outdir, records)
         raise
     _flush_series(outdir, records)
@@ -539,15 +555,8 @@ def _run_stress_difference(ctx: RunContext, outdir):
         [np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
 
     def fluid_solve(stress):
-        st = state0.fluid
-        out = [st]
-        for k in range(1, n_steps + 1):
-            st = fluid_mod.step(st, stress, ctx.forcing, ctx.params,
-                                ctx.fluid_cfg)
-            _check_finite((("r", st.r), ("u", st.u)),
-                          f"in the fluid half at step {k}")
-            out.append(st)
-        return out
+        return fluid_trajectory(state0.fluid, stress, ctx.forcing,
+                                ctx.params, ctx.fluid_cfg, n_steps)
 
     def fluid_distance(a, b):
         return max(np.sqrt(
@@ -556,13 +565,8 @@ def _run_stress_difference(ctx: RunContext, outdir):
             for x, y in zip(a, b))
 
     base_traj = fluid_solve(base_stress)
-    rows = []
-    fluid_d = []
-    for delta in deltas:
-        traj = fluid_solve(base_stress + float(delta) * pert)
-        dist = fluid_distance(traj, base_traj)
-        fluid_d.append(dist)
-        rows.append(("fluid", delta, dist))
+    fluid_d = [fluid_distance(fluid_solve(base_stress + float(delta) * pert),
+                              base_traj) for delta in deltas]
 
     u_base = state0.fluid.u
     u_pert = SpectralField.from_values(grid, np.stack(
@@ -570,22 +574,14 @@ def _run_stress_difference(ctx: RunContext, outdir):
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
 
     def fp_solve(u):
-        psi = state0.psi
-        out = [psi]
-        for k in range(1, n_steps + 1):
-            psi = fp_step(psi, u, op, ctx.fluid_cfg.dt)
-            _check_finite((("psi", psi),), f"in the fp half at step {k}")
-            out.append(psi)
-        return out
+        return fp_trajectory(state0.psi, u, op, ctx.fluid_cfg.dt, n_steps)
 
     base_psi = fp_solve(u_base)
-    fp_d = []
-    for delta in deltas:
-        traj = fp_solve(u_base + float(delta) * u_pert)
-        dist = xs_distance(traj, base_psi, s_prime)
-        fp_d.append(dist)
-        rows.append(("fp", delta, dist))
+    fp_d = [xs_distance(fp_solve(u_base + float(delta) * u_pert), base_psi,
+                        s_prime) for delta in deltas]
 
+    rows = [("fluid", delta, dist) for delta, dist in zip(deltas, fluid_d)]
+    rows += [("fp", delta, dist) for delta, dist in zip(deltas, fp_d)]
     write_csv(os.path.join(outdir, "difference.csv"),
               ("kind", "delta", "distance"), rows)
     return {
@@ -605,8 +601,9 @@ def _run_contraction(ctx: RunContext, outdir):
     n_steps = int(round(fpc.horizon_T / ctx.fluid_cfg.dt))
     mono = state0
     mono_traj = [state0.psi]
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         mono = coupling.coupled_step(mono, op, ctx.forcing, ctx.fluid_cfg)
+        _check_state(mono, f"in the monolithic reference at step {k}")
         mono_traj.append(mono.psi)
     terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)
 
@@ -659,28 +656,16 @@ def _error_payload(code, exc):
     return {"status": "error", "reason": code, "message": str(exc)}
 
 
-def _classify(exc):
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, PositivityLoss):
-        return EXIT_POSITIVITY
-    if isinstance(exc, (CFLViolation, StabilityViolation)):
-        return EXIT_STABILITY
-    if isinstance(exc, _BlowupCeiling):
-        return EXIT_BLOWUP
-    if isinstance(exc, VersionError):
-        return EXIT_CHECKPOINT
-    return 1
-
-
-_REASONS = {
-    EXIT_CONFIG: "ConfigError",
-    EXIT_POSITIVITY: "PositivityLoss",
-    EXIT_STABILITY: "StabilityViolation",
-    EXIT_BLOWUP: "BlowupCeiling",
-    EXIT_CHECKPOINT: "VersionError",
-    1: "InternalError",
-}
+# error class -> (exit code, manifest reason); the first match wins
+_EXITS = (
+    (ConfigError, EXIT_CONFIG, "ConfigError"),
+    (PositivityLoss, EXIT_POSITIVITY, "PositivityLoss"),
+    ((CFLViolation, StabilityViolation), EXIT_STABILITY,
+     "StabilityViolation"),
+    (BlowupCeiling, EXIT_BLOWUP, "BlowupCeiling"),
+    (VersionError, EXIT_CHECKPOINT, "VersionError"),
+    (FeneError, 1, "InternalError"),
+)
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
@@ -751,8 +736,9 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         })
         return EXIT_OK
     except FeneError as exc:
-        code = _classify(exc)
-        payload = _error_payload(_REASONS[code], exc)
+        code, reason = next((code, reason) for cls, code, reason in _EXITS
+                            if isinstance(exc, cls))
+        payload = _error_payload(reason, exc)
         print(json.dumps(payload), file=stderr)
         if outdir is not None:
             try:
@@ -778,29 +764,9 @@ def load_series(run_dir):
         header = fh.readline().strip().split(",")
         data = [list(map(float, line.strip().split(",")))
                 for line in fh if line.strip()]
-    expected = TimeSeriesRecord.header()
-    if header != expected:
+    if header != TimeSeriesRecord.header():
         raise VersionError(f"{path}: unexpected column layout")
-    records = []
-    for row in data:
-        vals = dict(zip(header, row))
-        def block(name, top):
-            return tuple(vals[f"{name}{s}"] for s in range(top + 1))
-        records.append(TimeSeriesRecord(
-            time=vals["time"], mass=vals["mass"],
-            momentum_x=vals["momentum_x"], momentum_y=vals["momentum_y"],
-            polymer_mass=vals["polymer_mass"], min_r=vals["min_r"],
-            max_r=vals["max_r"], min_psi_sample=vals["min_psi_sample"],
-            blowup_indicator=vals["blowup_indicator"],
-            cutoff_active=int(vals["cutoff_active"]),
-            grad_u_sup=vals["grad_u_sup"],
-            fluid_energy_s=block("fluid_energy_s", S_RECORD),
-            u_norm_sq_s=block("u_norm_sq_s", S_RECORD + 1),
-            fp_l2m_s=block("fp_l2m_s", S_RECORD),
-            fp_h1m_s=block("fp_h1m_s", S_RECORD),
-            stress_sq_s=block("stress_sq_s", S_RECORD),
-            forcing_sq_s=block("forcing_sq_s", S_RECORD)))
-    return records
+    return [TimeSeriesRecord.from_row(row) for row in data]
 
 
 def report(run_dir, stream=None):
@@ -815,21 +781,14 @@ def report(run_dir, stream=None):
     print(f"scenario: {scenario}", file=stream)
     outcome = manifest.get("outcome", {})
     if os.path.exists(os.path.join(run_dir, "series.csv")):
-        records = load_series(run_dir)
-        gamma = manifest["config"]["model.gamma"]
-        params = ModelParams(gamma=gamma, b=manifest["config"]["model.b"])
-        drifts = conservation_drifts(records)
-        print(f"steps recorded: {len(records)}", file=stream)
-        for name, val in drifts.items():
+        config = manifest["config"]
+        summary = summarize(load_series(run_dir), ModelParams(
+            gamma=config["model.gamma"], b=config["model.b"]))
+        print(f"steps recorded: {summary.pop('steps_recorded')}", file=stream)
+        for name, val in summary.pop("drifts").items():
             print(f"drift {name}: {val:.3e}", file=stream)
-        print(f"envelope margin: {envelope_margin(records, params):.3e}",
-              file=stream)
-        print(f"fitted c_psi: {fitted_psi_constant(records):.3e}",
-              file=stream)
-        print(f"fitted c_fluid: {fitted_fluid_constant(records):.3e}",
-              file=stream)
-        print(f"max blow-up indicator: "
-              f"{max(r.blowup_indicator for r in records):.3e}", file=stream)
+        for key, val in summary.items():
+            print(f"{key}: {val:.3e}", file=stream)
     for key in ("fluid_slope", "fp_slope", "ratios", "converged",
                 "distance_to_monolithic", "c_delta", "monotone"):
         if key in outcome:

@@ -113,7 +113,8 @@ def envelope_records(r0, r1, grad):
 
 
 def test_envelope_margin():
-    # the first row sits on the envelope, so the margin is 0 while r stays
+    # the first row defines the envelope, so the margin is taken over the
+    # later rows: 0 for a steady r, the gap to the envelope while r stays
     # inside and minus the overshoot once it leaves
     p = ModelParams()
     assert envelope_margin(envelope_records((1.5, 1.5), (1.5, 1.5), 0.0),
@@ -130,9 +131,12 @@ def test_envelope_margin():
     assert envelope_margin(above, p3) == pytest.approx(-0.2, rel=1e-14)
     # the envelope widens with the integral: r0 / 4 < 0.4 at I = 2 log 2
     wider = envelope_records((1.0, 1.0), (0.4, 1.0), 2.0 * log2)
-    assert envelope_margin(wider, p3) == 0.0
+    assert envelope_margin(wider, p3) == pytest.approx(0.15, rel=1e-14)
     # c = (gamma - 1)/2 = 2 at gamma = 5: I = log 2 also bounds r by r0 / 4
-    assert envelope_margin(below, ModelParams(gamma=5.0)) == 0.0
+    assert envelope_margin(below, ModelParams(gamma=5.0)) == \
+        pytest.approx(0.15, rel=1e-14)
+    # one record is its own envelope
+    assert envelope_margin(below[:1], p3) == 0.0
 
 
 def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
@@ -286,6 +290,26 @@ def small_shear_cfg(tmp_path, steps, extra=""):
     return str(path), outdir
 
 
+def test_series_round_trips_through_load_series(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=5)
+    assert run(cfg_path) == 0
+    header = TimeSeriesRecord.header()
+    # 11 scalar columns, then Sobolev blocks of 4, 5, 4, 4, 4 and 4 columns
+    assert len(header) == 36
+    assert header[10:12] == ["grad_u_sup", "fluid_energy_s0"]
+    assert header[15:20] == [f"u_norm_sq_s{s}" for s in range(5)]
+    assert header[-1] == "forcing_sq_s3"
+    path = os.path.join(outdir, "series.csv")
+    lines = open(path).read().splitlines()
+    assert lines[0].split(",") == header
+    records = load_series(outdir)
+    assert [r.row() for r in records] == \
+        [[float(v) for v in line.split(",")] for line in lines[1:]]
+    again = str(tmp_path / "again.csv")
+    runner.write_csv(again, header, [r.row() for r in records])
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
 def test_nan_in_resumed_state_trips_ceiling_at_start(tmp_path):
     cfg_path, _ = small_shear_cfg(tmp_path, steps=5)
     state = RunContext(parse_config(cfg_path)).initial_state()
@@ -378,7 +402,7 @@ def test_contraction_study_of_an_exact_fixed_point(tmp_path):
 
 
 def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
-    real_step = runner.fp_step
+    real_step = coupling.fp_step
     ends = []
 
     def timed(psi, *args):
@@ -386,7 +410,7 @@ def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
         ends.append(out.time)
         return out
 
-    monkeypatch.setattr(runner, "fp_step", timed)
+    monkeypatch.setattr(coupling, "fp_step", timed)
     cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
                             extra="\n".join(["experiment.horizon = 0.02",
                                              "fluid.dt = 2e-3"]))
@@ -397,7 +421,7 @@ def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
 
 
 def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
-    real_step = runner.fp_step
+    real_step = coupling.fp_step
     taken = []
 
     def poisoned(psi, *args):
@@ -407,7 +431,7 @@ def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
             out.coeffs[3, 1, 1] = np.nan
         return out
 
-    monkeypatch.setattr(runner, "fp_step", poisoned)
+    monkeypatch.setattr(coupling, "fp_step", poisoned)
     cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
                                  extra="experiment.horizon = 0.01")
     stderr_path = tmp_path / "nan.json"
@@ -419,6 +443,53 @@ def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
     assert payload["reason"] == "BlowupCeiling"
     assert "psi" in payload["message"] and "fp half" in payload["message"]
     assert "at step 3" in payload["message"]
+
+
+def small_contraction_cfg(tmp_path):
+    """contraction_study at n = 16 on an 8 x 8 ball with 10 modes: five
+    fixed-point iterates of ten steps each, and a ten-step monolithic
+    reference."""
+    outdir = str(tmp_path / "contraction_out")
+    path = tmp_path / "contraction.cfg"
+    path.write_text("\n".join([
+        "scenario = contraction_study", "grid.n_points = 16",
+        "ball.n_radial = 8", "ball.n_angular = 8", "ball.n_basis = 10",
+        "experiment.horizon = 0.01", f"output = {outdir}"]))
+    return str(path), outdir
+
+
+@pytest.mark.parametrize("target, calls, psi_of, where", [
+    # step 3 of the last iterate's FP half: call 43 of 5 x 10
+    ("fp_step", 43, lambda out: out, "in the fp half at step 3"),
+    # the last of the ten monolithic steps
+    ("coupled_step", 10, lambda out: out.psi,
+     "in the monolithic reference at step 10"),
+], ids=["fixed_point", "monolithic"])
+def test_nan_in_contraction_study_trips_at_its_step(tmp_path, monkeypatch,
+                                                    target, calls, psi_of,
+                                                    where):
+    real_step = getattr(coupling, target)
+    taken = []
+
+    def poisoned(*args):
+        out = real_step(*args)
+        taken.append(out.time)
+        if len(taken) == calls:
+            psi_of(out).coeffs[3, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(coupling, target, poisoned)
+    cfg_path, outdir = small_contraction_cfg(tmp_path)
+    stderr_path = tmp_path / "nan.json"
+    with open(stderr_path, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 5
+    assert len(taken) == calls
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "BlowupCeiling"
+    assert f"non-finite psi coefficients {where}" == payload["message"]
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["status"] == "error"
+    assert manifest["reason"] == "BlowupCeiling"
 
 
 @pytest.mark.parametrize("key", ["fluid.dt"])
@@ -442,6 +513,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("contraction_study", "fixed_point.max_iters = 1", "fixed_point"),
     ("contraction_study", "fixed_point.s_prime = 2", "fixed_point"),
     ("contraction_study", "experiment.horizon = -1", "fixed_point"),
+    ("stress_difference", "experiment.horizon = -1", "experiment.horizon"),
     ("stress_difference", "experiment.deltas = 0.01", "experiment.deltas"),
     ("stress_difference", "experiment.deltas = 0.01, 0.01",
      "experiment.deltas"),
@@ -449,7 +521,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
      "experiment.deltas"),
     ("stress_difference", "experiment.deltas =", "experiment.deltas"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
-        "one_delta", "repeated_delta", "negative_delta", "no_delta"])
+        "stress_difference_horizon=-1", "one_delta", "repeated_delta", "negative_delta", "no_delta"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"

@@ -214,11 +214,3 @@ def test_relaxation_dissipates_without_flow(grid16, basis16, params):
             e_new = deviation_energy(cur)
             assert e_new <= e + 1e-15
             e = e_new
-
-
-def test_mass_reference_recorded(grid32, basis32, params):
-    psi = perturbed_field(grid32, basis32)
-    assert psi.mass_ref == pytest.approx(polymer_mass(psi), rel=1e-12)
-    stepped = fp_step(psi, shear_velocity(grid32),
-                      FokkerPlanckSolver(basis32, params, 32), 1e-3)
-    assert stepped.mass_ref == psi.mass_ref
