@@ -1,9 +1,9 @@
 """Binary snapshot format for bit-exact restarts (.fkp files).
 
-Layout (format version 2), all little-endian:
+Layout (format version 3), all little-endian:
 
     bytes 0..3    magic "FKPD"
-    u32           format version (2)
+    u32           format version (3)
     u32 x 4       n_points, n_radial, n_angular, n_basis
     f64           extensibility b
     f64           time stamp
@@ -11,14 +11,14 @@ Layout (format version 2), all little-endian:
     complex128    u coefficients,   2 * m values (component-major)
     complex128    psi coefficients, n_basis * m values (basis-major)
 
-with m = n_points * (n_points // 2 + 1) values per field in the
-half-spectrum layout of torus (k1-major, k2 = 0 .. n_points/2 in a row),
-each complex128 as a (real, imaginary) binary64 pair: 40 + 16 (3 + n_basis) m
-bytes, 374,312 at n_points = 32 with 40 basis functions.  Version 1 files
-(full n_points^2 spectra) are refused with a VersionError naming the
-version.  Loading without an explicit basis rebuilds grid, quadrature and
-eigenbasis from the stored dimensions, which is deterministic, so save ->
-load -> save reproduces the file byte for byte.
+with m = (2K + 1)(K + 1), K = n_points // 3, values per field in the
+Galerkin block of torus (rows k1 = 0 .. K, -K .. -1, each k2 = 0 .. K),
+each complex128 as a (real, imaginary) binary64 pair: 40 + 16 (3 + n_basis)
+m bytes, 158,968 at n_points = 32 with 40 basis functions.  Files of
+versions 1 and 2 (full and half spectra) are refused with a VersionError
+naming the version.  Loading without an explicit basis rebuilds grid,
+quadrature and eigenbasis from the stored dimensions, which is
+deterministic, so save -> load -> save reproduces the file byte for byte.
 """
 
 import os
@@ -34,7 +34,7 @@ from .fokker_planck import PolymerField
 from .torus import SpectralField, TorusGrid
 
 MAGIC = b"FKPD"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sIIIIIdd")
 
 
@@ -65,17 +65,19 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
     if version != VERSION:
         raise VersionError(f"{path}: unsupported format version {version} "
                            f"(this build reads version {VERSION})")
-    shape = (n_points, n_points // 2 + 1)
+    if grid is None:
+        try:
+            grid = TorusGrid(n_points)
+        except ValueError as exc:   # a header no version ever wrote
+            raise VersionError(f"{path}: {exc}") from None
+    elif grid.n_points != n_points:
+        raise VersionError(f"{path}: grid size {n_points} does not match "
+                           f"the configured {grid.n_points}")
+    shape = grid.spectral_shape
     expected = _HEADER.size + 16 * (3 + n_basis) * shape[0] * shape[1]
     if len(raw) != expected:
         raise VersionError(f"{path}: truncated or padded checkpoint "
                            f"({len(raw)} bytes, expected {expected})")
-
-    if grid is None:
-        grid = TorusGrid(n_points)
-    elif grid.n_points != n_points:
-        raise VersionError(f"{path}: grid size {n_points} does not match "
-                           f"the configured {grid.n_points}")
     if basis is None:
         basis = eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
     else:

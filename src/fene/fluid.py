@@ -6,11 +6,12 @@ Advances
     du/dt + phi_R [ u . grad u + r grad r ]
           = phi_R D(r) [ div S(grad u) + div T ] + f,
 
-pseudo-spectrally, with Galerkin projection P_n and an optional velocity
-cut-off phi_R(|u|_{2,inf}) that switches the nonlinear terms off for large
-velocities.  fluid_rhs evaluates every quadratic term of both equations in
-one batched 2/3-rule product per RK stage: each factor goes to the grid once,
-the products are taken there and come back in one transform.  Time stepping
+pseudo-spectrally in the Galerkin space P_K of torus (the stored block),
+with an optional velocity cut-off phi_R(|u|_{2,inf}) that switches the
+nonlinear terms off for large velocities.  fluid_rhs evaluates every
+quadratic term of both equations in one batched 2/3-rule product per RK
+stage: each factor goes to the grid once, the products are taken there and
+come back in one transform, so every tendency lies in P_K.  Time stepping
 is explicit SSP-RK3 under a conservative CFL bound on the speeds |u| + c_s;
 positivity of r is monitored and its loss is an error, never silently
 repaired.  ssprk3, over tuples of coefficient arrays, is the package's one
@@ -25,8 +26,8 @@ import numpy as np
 from . import torus
 from .errors import CFLViolation, PositivityLoss
 from .model import ForcingSpec, ModelParams, r_to_density
-from .torus import SpectralField, dealiased_product, project_pn, \
-    sobolev_norm, sup_norm_w2inf
+from .torus import SpectralField, dealiased_product, sobolev_norm, \
+    sup_norm_w2inf
 
 
 class FluidState:
@@ -58,14 +59,11 @@ class FluidStepConfig:
 
     dt: float
     cutoff_R: float = None
-    n_modes: int = None
     cfl_safety: float = 0.8
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.n_modes is not None and self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
 
 
 def phi_r(y, R):
@@ -114,11 +112,10 @@ def _d_field(state: FluidState, p: ModelParams) -> SpectralField:
 def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
               cfg: FluidStepConfig):
     """(dr, du): -phi_R [u . grad r + (gamma-1)/2 r div u] and
-    -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, projected
-    by P_n; stress and forcing may be None.  The eleven quadratic terms are
-    one dealiased product of two stacks of factors."""
+    -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, in P_K
+    by construction; stress and forcing may be None.  The eleven quadratic
+    terms are one dealiased product of two stacks of factors."""
     grid = state.r.grid
-    n_modes = cfg.n_modes or grid.dealias_cutoff
     cut = _cutoff_value(state.u, cfg)
     dr = SpectralField.zero(grid, 1)
     du = np.zeros_like(state.u.coeffs)
@@ -135,13 +132,13 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
                 [grad_r, torus.divergence(state.u).coeffs, total.coeffs,
                  grid.ik1 * u, grid.ik2 * u, grad_r]))).coeffs
         adv_r = prod[0:1] + prod[1:2] + 0.5 * (p.gamma - 1.0) * prod[2:3]
-        dr = project_pn(SpectralField(grid, (-cut) * adv_r), n_modes)
+        dr = SpectralField(grid, (-cut) * adv_r)
         du = du + cut * prod[3:5]
         du = du - cut * (prod[5:7] + prod[7:9])
         du = du - cut * prod[9:11]
     if forcing is not None:
         du = du + forcing.coeffs
-    return dr, project_pn(SpectralField(grid, du), n_modes)
+    return dr, SpectralField(grid, du)
 
 
 def cfl_bound(state: FluidState, p: ModelParams):

@@ -20,9 +20,9 @@ relaxation and diffusion are diagonal, so ssprk3_diag refuses a step
 whose largest rate leaves the SSP-RK3 stability interval.  Positivity of
 psi is only monitored - the Galerkin truncation does not preserve it and
 clipping would corrupt the energy monitors.
-The coefficients of psi form an (n_basis, n, n//2 + 1) tensor, one torus
-field per basis function in the half-spectrum layout of torus; fp_energy
-weights its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
+The coefficients of psi form an (n_basis, 2K + 1, K + 1) tensor, one torus
+field per basis function in the Galerkin block of torus; fp_energy weights
+its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ class PolymerField:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (basis.n_basis, *grid.spectral_shape):
             raise ValueError(
-                "coefficient tensor must be (n_basis, n, n//2 + 1)")
+                "coefficient tensor must be (n_basis, 2K + 1, K + 1)")
         self.grid = grid
         self.basis = basis
         self.coeffs = coeffs
@@ -67,7 +67,7 @@ class PolymerField:
 
     def coefficient_values(self):
         """Real grid values of all coefficient fields, shape (n_basis, n, n)."""
-        return to_values(self.coeffs)
+        return to_values(self.coeffs, self.grid.n_points)
 
     def copy(self):
         return PolymerField(self.grid, self.basis, self.coeffs.copy(),
@@ -128,19 +128,18 @@ class FokkerPlanckSolver:
         """Transport plus drift in coefficient space (dealiased)."""
         n = grid.n_points
         nb = self.basis.n_basis
-        cg = to_values(coeffs).reshape(nb, -1)
+        cg = to_values(coeffs, n).reshape(nb, -1)
         w = (self.chi_mass @ cg).reshape(nb, n, n)
 
         # u and its gradient in one transform: uv[b + 1, a] = d_b u_a
         uc = u.coeffs
-        uv = to_values(np.stack([uc, grid.ik1 * uc, grid.ik2 * uc]))
+        uv = to_values(np.stack([uc, grid.ik1 * uc, grid.ik2 * uc]), n)
         dc = (self.drift.reshape(4 * nb, nb) @ cg).reshape(2, 2, nb, n, n)
         drift_grid = np.einsum("baxy,abixy->ixy", uv[1:], dc)
 
         w1_hat, w2_hat, drift_hat = to_modes(
             np.stack([uv[0, 0] * w, uv[0, 1] * w, drift_grid]))
-        tend = drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
-        return tend * grid.dealias_mask
+        return drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
 
 
 def fp_rhs(psi: PolymerField, u: SpectralField,

@@ -70,10 +70,6 @@ def _parse_opt_float(text):
     return None if text.lower() == "none" else float(text)
 
 
-def _parse_auto_int(text):
-    return None if text.lower() in ("auto", "none") else int(text)
-
-
 def _parse_chi(text):
     low = text.lower()
     if low == "auto":
@@ -129,7 +125,6 @@ CONFIG_SCHEMA = {
     "ball.chi_index": (_parse_chi, "auto"),
     "fluid.dt": (_parse_float, 1e-3),
     "fluid.cutoff_r": (_parse_opt_float, None),
-    "fluid.n_modes": (_parse_auto_int, None),
     "fluid.cfl_safety": (_parse_opt_float, 0.8),
     "scenario.amplitude": (_parse_float, 1e-3),
     "scenario.mode": (_parse_int, 1),
@@ -196,6 +191,14 @@ def parse_config(path) -> RunConfig:
         return parse_config_text(fh.read())
 
 
+def _check_retained(grid, mode, name):
+    """Refuse a wave vector that the Galerkin block of grid cannot hold."""
+    if max(map(abs, mode)) > grid.dealias_cutoff:
+        raise ConfigError(f"mode {tuple(mode)} lies above the retained modes "
+                          f"max(|k1|, |k2|) <= {grid.dealias_cutoff}",
+                          field=name)
+
+
 class RunContext:
     """Grid, basis and solver configs materialized from a RunConfig."""
 
@@ -221,7 +224,6 @@ class RunContext:
         try:
             self.fluid_cfg = FluidStepConfig(
                 dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
-                n_modes=cfg["fluid.n_modes"],
                 cfl_safety=cfg["fluid.cfl_safety"])
         except ValueError as exc:
             raise ConfigError(str(exc), field="fluid") from None
@@ -251,6 +253,8 @@ class RunContext:
         self.forcing = ForcingSpec(kind=cfg["forcing.kind"],
                                    amplitude=cfg["forcing.amplitude"],
                                    mode=cfg["forcing.mode"])
+        if self.forcing.kind != "zero" and self.forcing.amplitude != 0.0:
+            _check_retained(self.grid, self.forcing.mode, "forcing.mode")
         self.seed = cfg["seed"]
 
     def initial_state(self) -> CoupledState:
@@ -261,6 +265,8 @@ class RunContext:
         m = cfg["scenario.mode"]
         rho0 = cfg["scenario.rho0"]
         n = self.grid.n_points
+        if name != "equilibrium":
+            _check_retained(self.grid, (m, m), "scenario.mode")
 
         if name == "density_bump":
             rho = rho0 * (1.0 + amp * np.cos(m * x1) * np.cos(m * x2))
@@ -696,12 +702,15 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
     _retain_heap()
     stderr = sys.stderr if stderr is None else stderr
     outdir = None
+    described = {}   # what the manifest records of the parsed config
     try:
         cfg = parse_config(config_path)
         if seed is not None:
             cfg.values["seed"] = int(seed)
         if max_steps is not None:
             cfg.values["max_steps"] = int(max_steps)
+        described = {"scenario": cfg["scenario"], "config": cfg.resolved(),
+                     "config_hash": cfg.content_hash()}
         outdir = output or cfg["output"]
         os.makedirs(outdir, exist_ok=True)
         ceiling = cfg["blowup_ceiling"] if ceiling is None else float(ceiling)
@@ -727,13 +736,8 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         elif scenario == "lemma_a1":
             extra = _run_lemma_a1(ctx, outdir)
 
-        write_manifest(outdir, {
-            "status": "ok",
-            "scenario": scenario,
-            "config": cfg.resolved(),
-            "config_hash": cfg.content_hash(),
-            "outcome": extra,
-        })
+        write_manifest(outdir, {"status": "ok", **described,
+                                "outcome": extra})
         return EXIT_OK
     except FeneError as exc:
         code, reason = next((code, reason) for cls, code, reason in _EXITS
@@ -742,7 +746,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         print(json.dumps(payload), file=stderr)
         if outdir is not None:
             try:
-                write_manifest(outdir, payload)
+                write_manifest(outdir, {**payload, **described})
             except OSError:
                 pass
         return code

@@ -1,15 +1,16 @@
 """Fourier representation of real fields on the flat 2-torus [0, 2pi)^2.
 
-Fields are stored in the real-FFT layout (..., n, n//2 + 1): rows k1 in FFT
-order, columns k2 = 0 .. n/2, f(x) = sum_k c_k exp(i k.x).  The k2 < 0 half,
-c(-k) = conj(c(k)), is implied, so fields are real by construction;
-to_modes / to_values (rfft2 / irfft2, n^2 normalization) are the package's
-only transforms.  Full-spectrum sums (Parseval, Sobolev norms) count the
-interior columns twice and the self-mirrored k2 = 0 and k2 = n/2 columns
-once (TorusGrid.multiplicity); odd derivatives vanish on the self-mirrored
-k1 = -n/2 row and k2 = n/2 column (TorusGrid.ik1, ik2).  Quadratic
-nonlinearities go through the 2/3-rule dealiased product; the Galerkin
-projection P_n zeroes all modes above a square cutoff.
+Fields hold only the modes max(|k1|, |k2|) <= K, K = n // 3 (the 2/3
+rule): an array (..., 2K + 1, K + 1) of rows k1 = 0 .. K, -K .. -1 and
+columns k2 = 0 .. K, f(x) = sum_k c_k exp(i k.x), with the k2 < 0 half,
+c(-k) = conj(c(k)), implied, so fields are real by construction.  to_modes
+(rfft2, n^2 normalization, keep the block: the projection P_K) and
+to_values (zero padding, irfft2) are the package's only transforms.
+Products use the padding form of the 2/3 rule (Orszag 1971; Canuto et al.,
+Spectral Methods, 2006, sec. 3.2): the factors go to the n x n grid and the
+product comes back as its block, which no alias reaches.  Full-spectrum
+sums (Parseval, Sobolev norms) count the k2 = 0 column once and the others
+twice (TorusGrid.multiplicity).
 
 The transforms go through scipy.fft (pocketfft), which transforms an n-d
 batch in one C++ call where numpy.fft makes a Python-level pass per axis:
@@ -39,14 +40,20 @@ class TorusGrid:
             raise ValueError("n_points must be an even integer >= 8")
 
     @property
+    def dealias_cutoff(self):
+        """Largest retained mode K under the 2/3 rule."""
+        return self.n_points // 3
+
+    @property
     def spectral_shape(self):
-        """Shape (n, n//2 + 1) of one stored coefficient array."""
-        return (self.n_points, self.n_points // 2 + 1)
+        """Shape (2K + 1, K + 1) of one stored coefficient array."""
+        return (2 * self.dealias_cutoff + 1, self.dealias_cutoff + 1)
 
     @cached_property
     def wavenumbers(self):
-        """Integer wave numbers k1 along the first axis in FFT order."""
-        return np.fft.fftfreq(self.n_points, 1.0 / self.n_points).astype(int)
+        """Integer wave numbers k1 of the stored rows: 0 .. K, -K .. -1."""
+        rows = self.spectral_shape[0]
+        return np.fft.fftfreq(rows, 1.0 / rows).astype(int)
 
     @cached_property
     def k1(self):
@@ -54,7 +61,8 @@ class TorusGrid:
 
     @cached_property
     def k2(self):
-        return np.tile(np.arange(self.n_points // 2 + 1), (self.n_points, 1))
+        return np.tile(np.arange(self.dealias_cutoff + 1),
+                       (self.spectral_shape[0], 1))
 
     @cached_property
     def ksq(self):
@@ -62,18 +70,18 @@ class TorusGrid:
 
     @cached_property
     def ik1(self):
-        """Multiplier of d/dx1, zero on the k1 = -n/2 row."""
-        return 1j * np.where(self.k1 == -(self.n_points // 2), 0, self.k1)
+        """Multiplier of d/dx1."""
+        return 1j * self.k1
 
     @cached_property
     def ik2(self):
-        """Multiplier of d/dx2, zero on the k2 = n/2 column."""
-        return 1j * np.where(self.k2 == self.n_points // 2, 0, self.k2)
+        """Multiplier of d/dx2."""
+        return 1j * self.k2
 
     @cached_property
     def multiplicity(self):
         """Copies of each stored column in the full spectrum."""
-        return np.r_[1.0, np.full(self.n_points // 2 - 1, 2.0), 1.0]
+        return np.r_[1.0, np.full(self.dealias_cutoff, 2.0)]
 
     @cached_property
     def x(self):
@@ -85,28 +93,26 @@ class TorusGrid:
     def spacing(self):
         return SIDE / self.n_points
 
-    @property
-    def dealias_cutoff(self):
-        """Largest retained mode under the 2/3 rule."""
-        return self.n_points // 3
-
-    @cached_property
-    def dealias_mask(self):
-        kmax = np.maximum(np.abs(self.k1), np.abs(self.k2))
-        return kmax <= self.dealias_cutoff
-
     def cell_area(self):
         return self.spacing ** 2
 
 
 def to_modes(values):
-    """Half-spectrum coefficients of real grid values (..., n, n)."""
-    return scipy.fft.rfft2(values, norm="forward")
+    """Block coefficients of real grid values (..., n, n)."""
+    n = values.shape[-1]
+    k = n // 3
+    full = scipy.fft.rfft2(values, norm="forward")
+    return np.concatenate([full[..., :k + 1, :k + 1],
+                           full[..., n - k:, :k + 1]], axis=-2)
 
 
-def to_values(coeffs):
-    """Real grid values (..., n, n) of half-spectrum coefficients."""
-    return scipy.fft.irfft2(coeffs, norm="forward")
+def to_values(coeffs, n):
+    """Real grid values (..., n, n) of block coefficients."""
+    k = coeffs.shape[-1] - 1
+    full = np.zeros((*coeffs.shape[:-2], n, n // 2 + 1), dtype=complex)
+    full[..., :k + 1, :k + 1] = coeffs[..., :k + 1, :]
+    full[..., n - k:, :k + 1] = coeffs[..., k + 1:, :]
+    return scipy.fft.irfft2(full, norm="forward")
 
 
 class SpectralField:
@@ -142,7 +148,7 @@ class SpectralField:
 
     def values(self):
         """Real grid values, shape (components, n, n)."""
-        return to_values(self.coeffs)
+        return to_values(self.coeffs, self.grid.n_points)
 
     def copy(self):
         return SpectralField(self.grid, self.coeffs.copy())
@@ -181,9 +187,7 @@ def derivative(field: SpectralField, alpha) -> SpectralField:
     if a1 < 0 or a2 < 0 or a1 + a2 > 2 * S_MAX:
         raise ValueError(f"multi-index order must lie in [0, {2 * S_MAX}]")
     g = field.grid
-    mult = (g.ik1 if a1 % 2 else 1j * g.k1) ** a1 \
-        * (g.ik2 if a2 % 2 else 1j * g.k2) ** a2
-    return SpectralField(g, field.coeffs * mult)
+    return SpectralField(g, field.coeffs * (g.ik1 ** a1 * g.ik2 ** a2))
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -205,18 +209,9 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     vector or tensor field.
     """
     f._check_mate(g)
-    mask = f.grid.dealias_mask
-    prod = to_values(f.coeffs * mask) * to_values(g.coeffs * mask)
-    return SpectralField(f.grid, to_modes(prod) * mask)
-
-
-def project_pn(field: SpectralField, n_modes: int) -> SpectralField:
-    """Galerkin projection: zero every mode with max(|k1|, |k2|) > n_modes."""
-    g = field.grid
-    if n_modes > g.n_points // 2:
-        raise ValueError("n_modes exceeds the Nyquist mode of the grid")
-    keep = np.maximum(np.abs(g.k1), np.abs(g.k2)) <= n_modes
-    return SpectralField(g, field.coeffs * keep)
+    n = f.grid.n_points
+    return SpectralField(f.grid, to_modes(to_values(f.coeffs, n)
+                                          * to_values(g.coeffs, n)))
 
 
 def sobolev_norm(field: SpectralField, s: int):

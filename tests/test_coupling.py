@@ -60,7 +60,7 @@ def test_fixed_point_config_validates():
 def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
     rng = np.random.default_rng(0)
     n = grid16.n_points
-    coeffs = np.zeros((basis16.n_basis, n, n // 2 + 1), dtype=complex)
+    coeffs = np.zeros((basis16.n_basis, *grid16.spectral_shape), dtype=complex)
     for i in range(basis16.n_basis):
         coeffs[i] = to_modes(rng.standard_normal((n, n)) * 0.1)
     psi = PolymerField(grid16, basis16, coeffs)
@@ -89,7 +89,7 @@ def test_xs_norm_equilibrium(grid32, basis32):
 def test_xs_norm_monotone_in_horizon(grid16, basis16, params):
     rng = np.random.default_rng(1)
     n = grid16.n_points
-    coeffs = np.zeros((basis16.n_basis, n, n // 2 + 1), dtype=complex)
+    coeffs = np.zeros((basis16.n_basis, *grid16.spectral_shape), dtype=complex)
     for i in range(basis16.n_basis):
         coeffs[i] = to_modes(rng.standard_normal((n, n)) * 0.1)
     psi = PolymerField(grid16, basis16, coeffs)
@@ -108,8 +108,7 @@ def test_fixed_point_equilibrium_invariant(grid32, basis32, params,
 
 def test_contraction_factor_constructed_sequence(grid32, basis32):
     psi = PolymerField.equilibrium(grid32, basis32)
-    n = grid32.n_points
-    delta = np.zeros((basis32.n_basis, n, n // 2 + 1), dtype=complex)
+    delta = np.zeros((basis32.n_basis, *grid32.spectral_shape), dtype=complex)
     delta[2, 0, 0] = 1.0
     iterates = []
     for k in range(5):

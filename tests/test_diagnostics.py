@@ -1,12 +1,14 @@
+import io
 import json
 import os
 import platform
+import struct
 
 import numpy as np
 import pytest
 
 from fene import coupling, runner
-from fene.checkpoint import checkpoint_load, checkpoint_save
+from fene.checkpoint import MAGIC, VERSION, checkpoint_load, checkpoint_save
 from fene.cli import main as cli_main
 from fene.errors import ConfigError, VersionError
 from fene.fokker_planck import FokkerPlanckSolver
@@ -50,6 +52,10 @@ def test_parse_rejects_unknown_key():
         parse_config_text("scenario = equilibrium\nmodle.a = 1.0\n")
     assert err.value.line == 2
     assert err.value.field == "modle.a"
+    # the Galerkin space is the stored block, so its size is no setting
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("fluid.n_modes = 0\n")
+    assert err.value.field == "fluid.n_modes"
 
 
 def test_parse_rejects_duplicates_and_bad_values():
@@ -167,6 +173,11 @@ def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
     trunc.write_bytes(open(path, "rb").read()[:100])
     with pytest.raises(VersionError):
         checkpoint_load(str(trunc))
+    odd = tmp_path / "odd.fkp"   # a grid size no TorusGrid accepts
+    odd.write_bytes(struct.pack("<4sIIIIIdd", MAGIC, VERSION, 7, 16, 16, 12,
+                                4.0, 0.0))
+    with pytest.raises(VersionError):
+        checkpoint_load(str(odd))
 
 
 def test_resume_matches_uninterrupted_bitwise(tmp_path):
@@ -346,6 +357,11 @@ def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
     assert len(taken) == 3
     assert "at step 3" in json.loads(stderr_path.read_text())["message"]
     assert len(load_series(outdir)) == 1   # the initial record, flushed
+    # the error manifest carries the config, so the series can be reported
+    out = io.StringIO()
+    assert runner.report(outdir, stream=out) == 0
+    assert "status: error" in out.getvalue()
+    assert "drift mass" in out.getvalue()
 
 
 def test_fp_scheme_rejected_in_coupled_scenarios(tmp_path):
@@ -509,7 +525,6 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
 
 @pytest.mark.parametrize("scenario, line, field", [
     ("shear_perturbation", "fluid.dt = 0", "fluid"),
-    ("stress_difference", "fluid.n_modes = 0", "fluid"),
     ("contraction_study", "fixed_point.max_iters = 1", "fixed_point"),
     ("contraction_study", "fixed_point.s_prime = 2", "fixed_point"),
     ("contraction_study", "experiment.horizon = -1", "fixed_point"),
@@ -520,8 +535,13 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("stress_difference", "experiment.deltas = -0.001, 0.01",
      "experiment.deltas"),
     ("stress_difference", "experiment.deltas =", "experiment.deltas"),
-], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
-        "stress_difference_horizon=-1", "one_delta", "repeated_delta", "negative_delta", "no_delta"])
+    # n = 16 retains max(|k1|, |k2|) <= 5
+    ("shear_perturbation", "forcing.kind = steady_field\n"
+     "forcing.amplitude = 0.5\nforcing.mode = 7, 0", "forcing.mode"),
+    ("density_bump", "scenario.mode = 6", "scenario.mode"),
+], ids=["dt=0", "max_iters=1", "s_prime=2", "horizon=-1",
+        "stress_difference_horizon=-1", "one_delta", "repeated_delta",
+        "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"
@@ -531,7 +551,7 @@ def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
     assert manifest["reason"] == "ConfigError"
     with pytest.raises(ConfigError) as err:
-        RunContext(parse_config(cfg_path))
+        RunContext(parse_config(cfg_path)).initial_state()
     assert err.value.field == field
 
 

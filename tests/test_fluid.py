@@ -9,7 +9,7 @@ from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
-    forward, project_pn, sobolev_norm, sup_norm_w2inf
+    forward, sobolev_norm, sup_norm_w2inf
 
 
 def constant_state(grid, rho, params, uvals=None):
@@ -144,8 +144,7 @@ def per_term_fluid_rhs(st, stress, forcing, p, cfg):
     du = SpectralField.zero(grid, 2) + cut * dealiased_product(d, total) \
         - cut * dot_grad(st.u, st.u) \
         - cut * dealiased_product(st.r, torus.gradient(st.r)) + forcing
-    n_modes = cfg.n_modes or grid.dealias_cutoff
-    return project_pn(dr, n_modes), project_pn(du, n_modes)
+    return dr, du
 
 
 def test_fluid_rhs_matches_per_term_products(grid32, params):
@@ -364,17 +363,15 @@ def test_fluid_energy(grid32, params):
 
 def test_viscous_energy_decay(grid32, params):
     # frozen r, no advection, no stress: the viscous semigroup
-    # du/dt = P_n [D(r) div S(grad u)] dissipates
+    # du/dt = P_K [D(r) div S(grad u)] dissipates
     rng = np.random.default_rng(5)
     u = random_band_limited(grid32, rng, components=2, kmax=8, scale=0.3)
     rvals = np.full((32, 32), density_to_r(1.0, params))
     D = forward(grid32, 1.0 / r_to_density(rvals, params))
-    K = grid32.dealias_cutoff
 
     def rhs(y, t):
         v = SpectralField(grid32, y[0])
-        return (project_pn(dealiased_product(D, viscous_divergence(v, params)),
-                           K).coeffs,)
+        return (dealiased_product(D, viscous_divergence(v, params)).coeffs,)
 
     energies = [sobolev_norm(u, 0) ** 2]
     y = (u.coeffs,)

@@ -40,8 +40,7 @@ def test_equilibrium_is_steady(grid32, basis32, params):
 def test_pure_relaxation_matches_exponential(grid16, basis16, params):
     u0 = SpectralField.zero(grid16, 2)
     mode = 2
-    n = grid16.n_points
-    coeffs = np.zeros((basis16.n_basis, n, n // 2 + 1), dtype=complex)
+    coeffs = np.zeros((basis16.n_basis, *grid16.spectral_shape), dtype=complex)
     coeffs[0, 0, 0] = 1.0
     coeffs[mode, 0, 0] = 0.5
     psi = PolymerField(grid16, basis16, coeffs)
@@ -124,7 +123,7 @@ def test_fp_energy_quadrature_consistency(grid16, basis16):
     rng = np.random.default_rng(0)
     nb = basis16.n_basis
     n = grid16.n_points
-    coeffs = np.zeros((nb, n, n // 2 + 1), dtype=complex)
+    coeffs = np.zeros((nb, *grid16.spectral_shape), dtype=complex)
     for i in range(nb):
         coeffs[i] = to_modes(rng.standard_normal((n, n)))
     psi = PolymerField(grid16, basis16, coeffs)
@@ -144,8 +143,7 @@ def test_nonnegativity_report(grid32, basis32):
     mn, frac = nonnegativity_report(psi)
     assert mn > 0.0
     assert frac == 0.0
-    n = grid32.n_points
-    coeffs = np.zeros((basis32.n_basis, n, n // 2 + 1), dtype=complex)
+    coeffs = np.zeros((basis32.n_basis, *grid32.spectral_shape), dtype=complex)
     coeffs[0, 0, 0] = 1.0
     coeffs[1, 0, 0] = -2.0
     mn_bad, frac_bad = nonnegativity_report(
@@ -179,9 +177,8 @@ def test_nonnegativity_report_matches_full_sample_matrix(grid32, basis32):
 
 def test_nonnegativity_stable_under_x_refinement(grid16, grid32, basis32):
     # x-constant psi: spatial refinement cannot move the sampled minimum
-    n16, n32 = 16, 32
-    c16 = np.zeros((basis32.n_basis, n16, n16 // 2 + 1), dtype=complex)
-    c32 = np.zeros((basis32.n_basis, n32, n32 // 2 + 1), dtype=complex)
+    c16 = np.zeros((basis32.n_basis, *grid16.spectral_shape), dtype=complex)
+    c32 = np.zeros((basis32.n_basis, *grid32.spectral_shape), dtype=complex)
     for c in (c16, c32):
         c[0, 0, 0] = 1.0
         c[2, 0, 0] = -0.8
@@ -197,7 +194,8 @@ def test_relaxation_dissipates_without_flow(grid16, basis16, params):
     op = FokkerPlanckSolver(basis16, params, 16)
     n = grid16.n_points
     for _ in range(20):
-        coeffs = np.zeros((basis16.n_basis, n, n // 2 + 1), dtype=complex)
+        coeffs = np.zeros((basis16.n_basis, *grid16.spectral_shape),
+                          dtype=complex)
         for i in range(basis16.n_basis):
             coeffs[i] = to_modes(rng.standard_normal((n, n)) * 0.1)
         psi = PolymerField(grid16, basis16, coeffs)

@@ -1,4 +1,4 @@
-"""Property tests of the half-spectrum layout on random band-limited data."""
+"""Property tests of the Galerkin block layout on random band-limited data."""
 
 import os
 import struct
@@ -6,6 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_band_limited
@@ -18,8 +19,8 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, fp_rhs, \
     polymer_mass
 from fene.model import ModelParams
 from fene.runner import resume
-from fene.torus import SIDE, SpectralField, TorusGrid, derivative, \
-    divergence, forward, gradient, sobolev_norm, to_modes, to_values
+from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
+    forward, sobolev_norm, to_modes, to_values
 
 GRIDS = {n: TorusGrid(n) for n in (8, 16, 32)}
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -44,7 +45,7 @@ def test_values_modes_values_roundtrip(case):
     f = band_limited(*case, components=2)
     vals = f.values()
     assert vals.shape == (2, case[0], case[0])
-    assert np.max(np.abs(to_values(to_modes(vals)) - vals)) < 1e-12
+    assert np.max(np.abs(to_values(to_modes(vals), case[0]) - vals)) < 1e-12
 
 
 @PROPERTY
@@ -66,31 +67,10 @@ def test_real_data_hermitian_in_self_mirrored_columns(case):
     n = case[0]
     rng = np.random.default_rng(case[1])
     c = forward(GRIDS[n], rng.standard_normal((n, n))).coeffs[0]
-    mirror = (-np.arange(n)) % n
-    for j in (0, n // 2):
-        assert np.max(np.abs(c[mirror, j] - np.conj(c[:, j]))) < 1e-15
-
-
-@PROPERTY
-@given(st.sampled_from(sorted(GRIDS)), st.integers(0, 3), st.integers(0, 6),
-       st.floats(-3.0, 3.0))
-def test_odd_derivatives_of_nyquist_modes_vanish(n, half_order, other, amp):
-    grid = GRIDS[n]
-    odd = 2 * half_order + 1
-    h = n // 2
-    # pure modes on the k1 = -n/2 row, the k2 = n/2 column and both
-    for (i, j), alphas in (((h, 0), [(odd, other)]),
-                           ((0, h), [(other, odd)]),
-                           ((h, h), [(odd, other), (other, odd)])):
-        coeffs = np.zeros(grid.spectral_shape, dtype=complex)
-        coeffs[i, j] = amp
-        f = SpectralField(grid, coeffs)
-        for alpha in alphas:
-            assert np.max(np.abs(derivative(f, alpha).coeffs)) == 0.0
-        assert np.max(np.abs(gradient(f).coeffs[0 if i else 1])) == 0.0
-        vec = SpectralField(grid, np.stack([coeffs if i else 0 * coeffs,
-                                            coeffs if j else 0 * coeffs]))
-        assert np.max(np.abs(divergence(vec).coeffs)) == 0.0
+    # the block rows k1 = 0 .. K, -K .. -1 mirror like an FFT axis; only
+    # the k2 = 0 column is its own mirror image
+    mirror = (-np.arange(c.shape[0])) % c.shape[0]
+    assert np.max(np.abs(c[mirror, 0] - np.conj(c[:, 0]))) < 1e-15
 
 
 @PROPERTY
@@ -132,30 +112,32 @@ def test_checkpoint_save_load_save_byte_identical(basis16, n, seed):
         with open(first, "rb") as fa, open(second, "rb") as fb:
             blob = fa.read()
             assert blob == fb.read()
-    m = n * (n // 2 + 1)
-    assert len(blob) == 40 + 16 * (3 + basis16.n_basis) * m
+    k = n // 3
+    assert len(blob) == 40 + 16 * (3 + basis16.n_basis) * (2 * k + 1) * (k + 1)
     assert np.array_equal(loaded.psi.coeffs, state.psi.coeffs)
     assert np.array_equal(loaded.fluid.u.coeffs, state.fluid.u.coeffs)
 
 
 def test_version_one_checkpoint_refused(tmp_path):
-    # a version-1 file: the same header, full n x n spectra
+    # the same header; version 1 held full n x n spectra, version 2 the
+    # n x (n/2 + 1) half spectra
     n, nb = 16, 12
-    header = struct.pack("<4sIIIIIdd", MAGIC, 1, n, 16, 16, nb, 4.0, 0.0)
-    path = tmp_path / "old.fkp"
-    path.write_bytes(header + bytes(16 * (3 + nb) * n * n))
-    with pytest.raises(VersionError) as err:
-        checkpoint_load(str(path))
-    assert "version 1" in str(err.value)
-
     outdir = tmp_path / "resumed"
     cfg_path = tmp_path / "resume.cfg"
     cfg_path.write_text("\n".join([
         "scenario = shear_perturbation", "max_steps = 2",
         "grid.n_points = 16", "ball.n_radial = 16", "ball.n_angular = 16",
         f"ball.n_basis = {nb}", f"output = {outdir}"]))
-    with open(os.devnull, "w") as devnull:
-        assert resume(str(path), str(cfg_path), stderr=devnull) == 6
+    for version, columns in ((1, n), (2, n // 2 + 1)):
+        header = struct.pack("<4sIIIIIdd", MAGIC, version, n, 16, 16, nb,
+                             4.0, 0.0)
+        path = tmp_path / f"v{version}.fkp"
+        path.write_bytes(header + bytes(16 * (3 + nb) * n * columns))
+        with pytest.raises(VersionError) as err:
+            checkpoint_load(str(path))
+        assert f"version {version}" in str(err.value)
+        with open(os.devnull, "w") as devnull:
+            assert resume(str(path), str(cfg_path), stderr=devnull) == 6
 
 
 @FEW
@@ -201,17 +183,53 @@ def test_fp_rhs_conserves_polymer_mass(basis16, seed, chi_index, epsilon):
     assert abs(rate) < 1e-12 * np.max(np.abs(tend))
 
 
+def padded(coeffs, n):
+    """The half spectrum (..., n, n//2 + 1) of a block, zero elsewhere."""
+    k = coeffs.shape[-1] - 1
+    rows = np.fft.fftfreq(2 * k + 1, 1.0 / (2 * k + 1)).astype(int) % n
+    full = np.zeros((*coeffs.shape[:-2], n, n // 2 + 1), dtype=complex)
+    full[..., rows, :k + 1] = coeffs
+    return full, rows
+
+
+def random_block(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 @FEW
 @given(st.sampled_from([8, 16, 32, 64]),
        st.lists(st.integers(1, 3), max_size=4), st.integers(0, 2 ** 32 - 1))
 def test_transforms_match_numpy_fft(n, batch, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((*batch, n, n))
-    coeffs = rng.standard_normal((*batch, n, n // 2 + 1)) \
-        + 1j * rng.standard_normal((*batch, n, n // 2 + 1))
-    np.testing.assert_allclose(to_modes(values),
-                               np.fft.rfft2(values, norm="forward"),
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(to_values(coeffs),
-                               np.fft.irfft2(coeffs, norm="forward"),
+    coeffs = random_block(rng, (*batch, *TorusGrid(n).spectral_shape))
+    full, rows = padded(coeffs, n)
+    np.testing.assert_allclose(
+        to_modes(values),
+        np.fft.rfft2(values, norm="forward")[..., rows, :coeffs.shape[-1]],
+        rtol=0, atol=1e-15)
+    np.testing.assert_allclose(to_values(coeffs, n),
+                               np.fft.irfft2(full, norm="forward"),
                                rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.sampled_from([8, 16, 32, 64]), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_dealiased_product_matches_masked_half_spectrum(n, components, seed):
+    # the 2/3 rule as a mask on the full half spectrum: mask both factors,
+    # multiply on the grid, mask the product, keep the block
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    f = random_block(rng, (components, *grid.spectral_shape))
+    g = random_block(rng, (1, *grid.spectral_shape))
+    (ff, rows), (gf, _) = padded(f, n), padded(g, n)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    mask = np.maximum(np.abs(k)[:, None], np.arange(n // 2 + 1)[None, :]) \
+        <= grid.dealias_cutoff
+    prod = scipy.fft.irfft2(ff * mask, norm="forward") \
+        * scipy.fft.irfft2(gf * mask, norm="forward")
+    expect = (scipy.fft.rfft2(prod, norm="forward") * mask)[
+        ..., rows, :grid.dealias_cutoff + 1]
+    got = dealiased_product(SpectralField(grid, f), SpectralField(grid, g))
+    assert np.array_equal(got.coeffs, expect)
