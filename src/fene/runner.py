@@ -696,6 +696,25 @@ def _retain_heap():
             mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
+def _named_output(config_path):
+    """The output line of a config that failed to parse, or None.
+
+    Read line by line, so that a config with an unknown key or a bad value
+    elsewhere still says where its error manifest goes.
+    """
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    named = []
+    for raw in lines:
+        key, _, val = raw.split("#", 1)[0].partition("=")
+        if key.strip() == "output" and val.strip():
+            named.append(val.strip())
+    return named[0] if len(named) == 1 else None
+
+
 def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         resume_from=None, stderr=None):
     """Execute a configured run; returns the process exit code."""
@@ -744,8 +763,11 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
                             if isinstance(exc, cls))
         payload = _error_payload(reason, exc)
         print(json.dumps(payload), file=stderr)
+        if outdir is None and isinstance(exc, ConfigError):
+            outdir = output or _named_output(config_path)
         if outdir is not None:
             try:
+                os.makedirs(outdir, exist_ok=True)
                 write_manifest(outdir, {**payload, **described})
             except OSError:
                 pass

@@ -52,10 +52,6 @@ def test_parse_rejects_unknown_key():
         parse_config_text("scenario = equilibrium\nmodle.a = 1.0\n")
     assert err.value.line == 2
     assert err.value.field == "modle.a"
-    # the Galerkin space is the stored block, so its size is no setting
-    with pytest.raises(ConfigError) as err:
-        parse_config_text("fluid.n_modes = 0\n")
-    assert err.value.field == "fluid.n_modes"
 
 
 def test_parse_rejects_duplicates_and_bad_values():
@@ -525,6 +521,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
 
 @pytest.mark.parametrize("scenario, line, field", [
     ("shear_perturbation", "fluid.dt = 0", "fluid"),
+    # the Galerkin space is the stored block, so its size is no setting
+    ("stress_difference", "fluid.n_modes = 0", "fluid.n_modes"),
     ("contraction_study", "fixed_point.max_iters = 1", "fixed_point"),
     ("contraction_study", "fixed_point.s_prime = 2", "fixed_point"),
     ("contraction_study", "experiment.horizon = -1", "fixed_point"),
@@ -539,7 +537,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "forcing.kind = steady_field\n"
      "forcing.amplitude = 0.5\nforcing.mode = 7, 0", "forcing.mode"),
     ("density_bump", "scenario.mode = 6", "scenario.mode"),
-], ids=["dt=0", "max_iters=1", "s_prime=2", "horizon=-1",
+], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
