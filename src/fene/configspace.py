@@ -24,13 +24,18 @@ correct rho^m behaviour at the origin.  Constants are annihilated by
 a(.,.) identically, which pins the lowest eigenvalue to zero and encodes
 the zero-flux boundary condition naturally (M vanishes on the boundary,
 so no essential condition is imposed).
+
+The Jacobi tables come from one pass of the three-term recurrence
+(jacobi_table), bitwise equal to scipy's eval_jacobi: one pass serves the
+assembly nodes of every angular mode, and one more the radial nodes of the
+modes eigen_basis keeps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
-from scipy.special import eval_jacobi, roots_legendre
+from scipy.special import binom, roots_legendre
 
 from .errors import EigenSolverError
 from .model import maxwellian_normalizer
@@ -127,14 +132,50 @@ def h1m_seminorm(phi, quad: ConfigQuadrature, grads=None):
     return float(np.sqrt(quad.integrate_weighted(dens)))
 
 
-def _jacobi_values(n_modal, alpha, m, t):
-    """P_j^{(alpha, m)}(2t - 1) for j < n_modal and their t-derivatives."""
-    P = np.stack([eval_jacobi(j, alpha, m, 2.0 * t - 1.0)
-                  for j in range(n_modal)])
+def jacobi_table(n, alpha, beta, x):
+    """P_j^{(alpha, beta)}(x) for j < n, stacked along a new first axis.
+
+    All degrees come out of one pass of the three-term recurrence (Shen,
+    Tang & Wang, Spectral Methods, 2011, ch. 3), written as the update of
+    scipy's integer-degree eval_jacobi kernel: degree 0 is 1, degree 1 is
+    closed form, and degree j >= 2 is binom(j + alpha, j) * p after the
+    (d, p) update.  Every row is therefore bitwise equal to scipy's
+    eval_jacobi at the same degree, alpha, beta and x, for O(n) rather
+    than O(n^2) work per node (that kernel reruns the recurrence for each
+    degree).  beta may be an array broadcasting against x
+    (one angular mode per node), so one pass serves every mode.
+    """
+    beta = np.asarray(beta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n,) + np.broadcast_shapes(beta.shape, x.shape))
+    out[:1] = 1.0
+    out[1:2] = 0.5 * (2 * (alpha + 1) + (alpha + beta + 2) * (x - 1))
+    xm1 = x - 1
+    d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
+    p = d + 1
+    for j in range(2, n):
+        k = j - 1.0
+        t = 2 * k + alpha + beta
+        d = ((t * (t + 1) * (t + 2)) * xm1 * p
+             + 2 * k * (k + beta) * (t + 2) * d) \
+            / (2 * (k + alpha + 1) * (k + alpha + beta + 1) * t)
+        p = d + p
+        out[j] = binom(j + alpha, j) * p
+    return out
+
+
+def _jacobi_values(n_modal, alpha, beta, t):
+    """P_j^{(alpha, beta)}(2t - 1) for j < n_modal and their t-derivatives.
+
+    t is a 1-D node array; beta is the angular mode m, a scalar or one value
+    per node.
+    """
+    x = 2.0 * t - 1.0
+    P = jacobi_table(n_modal, alpha, beta, x)
     dP = np.zeros_like(P)
-    for j in range(1, n_modal):
-        dP[j] = (j + alpha + m + 1.0) * eval_jacobi(
-            j - 1, alpha + 1.0, m + 1.0, 2.0 * t - 1.0)
+    dP[1:] = jacobi_table(n_modal - 1, alpha + 1.0, beta + 1.0, x)
+    for j in range(1, n_modal):     # in place: no more table-sized arrays
+        dP[j] *= j + alpha + beta + 1.0
     return P, dP
 
 
@@ -143,8 +184,9 @@ class OperatorBlocks:
 
     stiffness[m], mass[m] are symmetric matrices of the forms a and m on
     the Jacobi trial space of angular mode m described in the module
-    docstring.  Evaluation data for reconstructing node values of modal
-    expansions is kept alongside.
+    docstring, each assembled with its own Gauss-Legendre rule of
+    2 n_modal + m + 8 nodes in t.  The Jacobi tables of all modes come from
+    one jacobi_table pass over the concatenated nodes.
     """
 
     def __init__(self, quad: ConfigQuadrature, n_modal, m_max):
@@ -155,15 +197,20 @@ class OperatorBlocks:
         self.mass = []
         b = quad.b
         alpha = b / 2.0
-        for m in range(m_max + 1):
-            n_asm = 2 * n_modal + m + 8
-            xa, wa = roots_legendre(n_asm)
-            ta = 0.5 * (xa + 1.0)
+        rules = [roots_legendre(2 * n_modal + m + 8) for m in range(m_max + 1)]
+        sizes = [xa.size for xa, _ in rules]
+        nodes = 0.5 * (np.concatenate([xa for xa, _ in rules]) + 1.0)
+        P_all, dP_all = _jacobi_values(
+            n_modal, alpha, np.repeat(np.arange(m_max + 1.0), sizes), nodes)
+        splits = np.cumsum(sizes)[:-1]
+        for m, (_, wa), ta, P, dP in zip(
+                range(m_max + 1), rules, np.split(nodes, splits),
+                np.split(P_all, splits, axis=1),
+                np.split(dP_all, splits, axis=1)):
             wta = 0.5 * wa
             rhoa = np.sqrt(ta)
             m_weight = (1.0 - ta) ** alpha / maxwellian_normalizer(b)
             meas = (b / 2.0) * wta * m_weight
-            P, dP = _jacobi_values(n_modal, alpha, m, ta)
             F = rhoa ** m * P
             dF = (m * np.where(m > 0, rhoa ** max(m - 1, 0), 0.0) * P
                   + 2.0 * rhoa ** (m + 1) * dP) / np.sqrt(b)
@@ -174,12 +221,23 @@ class OperatorBlocks:
             self.stiffness.append(0.5 * (A + A.T))
             self.mass.append(0.5 * (B + B.T))
 
-    def radial_profiles(self, m, coeffs):
-        """Node values (f, df/dr) on the stored radial nodes for mode m."""
+    def radial_tables(self, modes):
+        """{m: (P, dP)} on the stored radial nodes for each m in modes,
+        from one jacobi_table pass over the distinct modes."""
+        t = self.quad.t
+        modes = sorted(set(modes))
+        P, dP = (np.split(a, len(modes), axis=1) for a in _jacobi_values(
+            self.n_modal, self.quad.b / 2.0,
+            np.repeat(np.asarray(modes, dtype=float), t.size),
+            np.tile(t, len(modes))))
+        return dict(zip(modes, zip(P, dP)))
+
+    def radial_profiles(self, m, coeffs, table):
+        """Node values (f, df/dr) on the stored radial nodes for mode m,
+        from its entry (P, dP) of radial_tables."""
         quad = self.quad
-        alpha = quad.b / 2.0
         rho = quad.rho
-        P, dP = _jacobi_values(self.n_modal, alpha, m, quad.t)
+        P, dP = table
         base = coeffs @ P
         dbase = coeffs @ dP
         f = rho ** m * base
@@ -205,7 +263,8 @@ class ConfigBasis:
     values[i] holds phi_i at the quadrature nodes, grads[i] its Cartesian
     q-gradient there; labels[i] = (m, kind, k) records the angular mode,
     cos/sin branch and radial index.  residuals[i] is the relative
-    generalized eigenresidual of the underlying radial solve.
+    generalized eigenresidual of the underlying radial solve; eigen_basis
+    computes it only for the kept eigenpairs.
     mass_vector[i] = int_B M phi_i dq and the per-mode Kramers stress
     stress_vectors[:, i] = (T11, T12, T22)(M phi_i) are formed once here.
     """
@@ -242,7 +301,13 @@ class ConfigBasis:
 
 def eigen_basis(quad: ConfigQuadrature, n_basis, m_max=None) -> ConfigBasis:
     """Solve the decoupled radial eigenproblems and collect the n_basis
-    lowest modes (cos/sin branches of m >= 1 counted separately)."""
+    lowest modes (cos/sin branches of m >= 1 counted separately).
+
+    Every mode block is solved and the (eigenvalue, m, kind, k) keys are
+    sorted; only the n_basis kept eigenpairs are sign-normalized, get a
+    residual and are evaluated on the nodes."""
+    if n_basis < 1:
+        raise ValueError("n_basis must be at least 1")
     blocks = assemble_operator(quad, m_max=m_max)
     n_modal = blocks.n_modal
     capacity = n_modal * (2 * blocks.m_max + 1)
@@ -250,27 +315,22 @@ def eigen_basis(quad: ConfigQuadrature, n_basis, m_max=None) -> ConfigBasis:
         raise ValueError(
             f"n_basis={n_basis} exceeds assembled dimension {capacity}")
 
-    entries = []
+    vectors = []
+    keys = []
     for m in range(blocks.m_max + 1):
-        A, B = blocks.stiffness[m], blocks.mass[m]
         try:
-            lam, vec = eigh(A, B)
+            lam, vec = eigh(blocks.stiffness[m], blocks.mass[m])
         except LinAlgError as exc:
             raise EigenSolverError(
                 f"generalized eigensolver failed for angular mode {m}",
                 residuals=None) from exc
-        scale = np.linalg.norm(A, "fro") + np.linalg.norm(B, "fro")
-        for k in range(n_modal):
-            v = vec[:, k]
-            j = int(np.argmax(np.abs(v)))
-            if v[j] < 0:
-                v = -v
-            res = np.linalg.norm(A @ v - lam[k] * (B @ v)) / scale
-            kinds = ("cos",) if m == 0 else ("cos", "sin")
-            for kind in kinds:
-                entries.append((lam[k], m, kind, k, v, res))
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-    entries = entries[:n_basis]
+        vectors.append(vec)
+        kinds = ("cos",) if m == 0 else ("cos", "sin")
+        keys.extend((lam[k], m, kind, k)
+                    for k in range(n_modal) for kind in kinds)
+    keys.sort()
+    keys = keys[:n_basis]
+    tables = blocks.radial_tables(m for _, m, _, _ in keys)
 
     nr, na = quad.n_radial, quad.n_angular
     theta = quad.angles
@@ -281,8 +341,15 @@ def eigen_basis(quad: ConfigQuadrature, n_basis, m_max=None) -> ConfigBasis:
     labels = []
     e_r = np.stack([np.cos(theta), np.sin(theta)])       # (2, na)
     e_t = np.stack([-np.sin(theta), np.cos(theta)])
-    for i, (lam_i, m, kind, k, v, res) in enumerate(entries):
-        f, df = blocks.radial_profiles(m, v)
+    for i, (lam_i, m, kind, k) in enumerate(keys):
+        A, B = blocks.stiffness[m], blocks.mass[m]
+        v = vectors[m][:, k]
+        j = int(np.argmax(np.abs(v)))
+        if v[j] < 0:
+            v = -v
+        scale = np.linalg.norm(A, "fro") + np.linalg.norm(B, "fro")
+        res = np.linalg.norm(A @ v - lam_i * (B @ v)) / scale
+        f, df = blocks.radial_profiles(m, v, tables[m])
         if m == 0:
             ang = np.full(na, 1.0 / np.sqrt(2.0 * np.pi))
             dang = np.zeros(na)
@@ -311,9 +378,14 @@ def project_pi_qn(phi_values, basis: ConfigBasis) -> ConfDistribution:
     return ConfDistribution(basis, coeffs)
 
 
-def _chi_of_radius(radius, n, b):
+def check_chi_index(n, b):
+    """Refuse a cut-off index n whose plateau sqrt(b) - 2/n is not positive."""
     if n <= 2.0 / np.sqrt(b):
         raise ValueError("cut-off index too small for this b")
+
+
+def _chi_of_radius(radius, n, b):
+    check_chi_index(n, b)
     inner = np.sqrt(b) - 2.0 / n
     s = np.clip((np.asarray(radius, dtype=float) - inner) * n, 0.0, 1.0)
     out = 1.0 - s * s * (3.0 - 2.0 * s)

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import coupling, fluid as fluid_mod
 from .checkpoint import checkpoint_load, checkpoint_save
-from .configspace import ConfDistribution, build_quadrature, eigen_basis, \
-    lemma_a1_check
+from .configspace import ConfDistribution, build_quadrature, \
+    check_chi_index, eigen_basis, lemma_a1_check
 from .coupling import CoupledState, FixedPointConfig, _check_finite, \
     blowup_indicator, contraction_factor, fluid_trajectory, fp_trajectory, \
     run_fixed_point, stress_field, xs_distance
@@ -221,6 +221,11 @@ class RunContext:
             raise ConfigError(str(exc), field="grid/ball") from None
         chi = cfg["ball.chi_index"]
         self.chi_index = cfg["ball.n_radial"] if chi == "auto" else chi
+        if self.chi_index is not None:
+            try:
+                check_chi_index(self.chi_index, self.params.b)
+            except ValueError as exc:
+                raise ConfigError(str(exc), field="ball.chi_index") from None
         try:
             self.fluid_cfg = FluidStepConfig(
                 dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
+from scipy.special import eval_jacobi, roots_legendre
 
-from fene.configspace import ConfDistribution, assemble_operator, \
-    build_quadrature, chi_cutoff, chi_mass_matrix, drift_matrices, \
-    eigen_basis, h1m_seminorm, kramers_stress, l2m_norm, lemma_a1_check, \
-    project_pi_qn
-from fene.model import ModelParams, maxwellian
+from fene.configspace import ConfDistribution, ConfigBasis, \
+    assemble_operator, build_quadrature, chi_cutoff, chi_mass_matrix, \
+    drift_matrices, eigen_basis, h1m_seminorm, jacobi_table, kramers_stress, \
+    l2m_norm, lemma_a1_check, project_pi_qn
+from fene.model import ModelParams, maxwellian, maxwellian_normalizer
 
 
 def test_quadrature_validation():
@@ -211,3 +214,111 @@ def test_lemma_a1_ensemble_finite(quad32, basis32):
         best = max(best, (lhs - dh1) / l2)
     assert np.isfinite(best)
     assert best > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(2.5, 20.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 24), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_jacobi_table_matches_scipy_bitwise(b, m, shifted, seed):
+    # the (alpha + 1, m + 1) tables are the ones behind the t-derivatives
+    alpha, beta = b / 2.0 + shifted, m + shifted
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 17)
+    table = jacobi_table(48, alpha, beta, x)
+    for j in range(48):
+        assert np.array_equal(table[j], eval_jacobi(j, alpha, beta, x))
+    # one pass with a per-node beta equals the per-mode tables
+    betas = np.arange(25.0)
+    nodes = np.repeat(x[None, :3], 25, axis=0)
+    mixed = jacobi_table(48, alpha, betas[:, None], nodes)
+    for k in range(25):
+        assert np.array_equal(mixed[:, k], jacobi_table(48, alpha, k, x[:3]))
+
+
+def _reference_eigen_basis(quad, n_basis):
+    """The eigenbasis built the direct way: eval_jacobi once per degree and
+    per block, sign and residual for every eigenpair, one profile per kept
+    entry."""
+    b, alpha = quad.b, quad.b / 2.0
+    n_modal, m_max = quad.n_radial, quad.n_angular // 2 - 1
+
+    def jacobi(m, t):
+        P = np.stack([eval_jacobi(j, alpha, m, 2.0 * t - 1.0)
+                      for j in range(n_modal)])
+        dP = np.zeros_like(P)
+        for j in range(1, n_modal):
+            dP[j] = (j + alpha + m + 1.0) * eval_jacobi(
+                j - 1, alpha + 1.0, m + 1.0, 2.0 * t - 1.0)
+        return P, dP
+
+    entries = []
+    for m in range(m_max + 1):
+        xa, wa = roots_legendre(2 * n_modal + m + 8)
+        ta = 0.5 * (xa + 1.0)
+        rhoa = np.sqrt(ta)
+        meas = (b / 2.0) * (0.5 * wa) \
+            * ((1.0 - ta) ** alpha / maxwellian_normalizer(b))
+        P, dP = jacobi(m, ta)
+        F = rhoa ** m * P
+        dF = (m * np.where(m > 0, rhoa ** max(m - 1, 0), 0.0) * P
+              + 2.0 * rhoa ** (m + 1) * dP) / np.sqrt(b)
+        B = np.einsum("k,ik,jk->ij", meas, F, F)
+        A = np.einsum("k,ik,jk->ij", meas, dF, dF)
+        if m > 0:
+            A += m * m * np.einsum("k,ik,jk->ij", meas / (b * ta), F, F)
+        A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
+        lam, vec = eigh(A, B)
+        scale = np.linalg.norm(A, "fro") + np.linalg.norm(B, "fro")
+        for k in range(n_modal):
+            v = vec[:, k]
+            if v[int(np.argmax(np.abs(v)))] < 0:
+                v = -v
+            res = np.linalg.norm(A @ v - lam[k] * (B @ v)) / scale
+            for kind in (("cos",) if m == 0 else ("cos", "sin")):
+                entries.append((lam[k], m, kind, k, v, res))
+    entries.sort(key=lambda e: e[:4])
+
+    nr, na, theta, rho = quad.n_radial, quad.n_angular, quad.angles, quad.rho
+    values = np.zeros((n_basis, nr, na))
+    grads = np.zeros((n_basis, 2, nr, na))
+    e_r = np.stack([np.cos(theta), np.sin(theta)])
+    e_t = np.stack([-np.sin(theta), np.cos(theta)])
+    for i, (_, m, kind, k, v, _) in enumerate(entries[:n_basis]):
+        P, dP = jacobi(m, quad.t)
+        base, dbase = v @ P, v @ dP
+        f = rho ** m * base
+        if m > 0:
+            df = (m * rho ** (m - 1) * base
+                  + 2.0 * rho ** (m + 1) * dbase) / np.sqrt(b)
+        else:
+            df = 2.0 * rho * dbase / np.sqrt(b)
+        if m == 0:
+            ang, dang = np.full(na, 1.0 / np.sqrt(2.0 * np.pi)), np.zeros(na)
+        elif kind == "cos":
+            ang = np.cos(m * theta) / np.sqrt(np.pi)
+            dang = -m * np.sin(m * theta) / np.sqrt(np.pi)
+        else:
+            ang = np.sin(m * theta) / np.sqrt(np.pi)
+            dang = m * np.cos(m * theta) / np.sqrt(np.pi)
+        values[i] = f[:, None] * ang[None, :]
+        grads[i] = (df[:, None] * ang[None, :]) * e_r[:, None, :] \
+            + ((f / quad.radii)[:, None] * dang[None, :]) * e_t[:, None, :]
+    kept = entries[:n_basis]
+    return ConfigBasis(quad, n_basis, np.array([e[0] for e in kept]),
+                       values, grads, [e[1:4] for e in kept],
+                       np.array([e[5] for e in kept]))
+
+
+@pytest.mark.parametrize("b, n_radial, n_angular, n_basis", [
+    (4.0, 32, 32, 40), (4.0, 16, 16, 12), (2.51, 32, 32, 40),
+    (10.0, 16, 8, 40), (4.0, 64, 64, 40), (7.3, 8, 8, 10),
+    # truncation keeps (1, cos, 3) without its sin partner: pins tie order
+    (4.0, 32, 32, 39)])
+def test_eigen_basis_matches_direct_construction_bitwise(b, n_radial,
+                                                         n_angular, n_basis):
+    quad = build_quadrature(b, n_radial, n_angular)
+    got = eigen_basis(quad, n_basis)
+    want = _reference_eigen_basis(quad, n_basis)
+    assert got.labels == want.labels
+    for name in ("eigenvalues", "residuals", "values", "grads", "mass_vector",
+                 "stress_vectors"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -32,10 +32,16 @@ output = {output}
 
 def write_cfg(tmp_path, name="run.cfg", scenario="equilibrium", seed=5,
               steps=20, extra="", outdir=None):
+    """BASE with the lines of extra; a key set in extra replaces its BASE
+    line."""
     outdir = outdir or str(tmp_path / f"{scenario}_out")
     path = tmp_path / name
-    path.write_text(BASE.format(scenario=scenario, seed=seed, steps=steps,
-                                output=outdir, extra=extra))
+    base = BASE.format(scenario=scenario, seed=seed, steps=steps,
+                       output=outdir, extra="")
+    own = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in base.splitlines()
+            if line.partition("=")[0].strip() not in own]
+    path.write_text("\n".join(kept) + "\n" + extra + "\n")
     return str(path), outdir
 
 
@@ -537,9 +543,20 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "forcing.kind = steady_field\n"
      "forcing.amplitude = 0.5\nforcing.mode = 7, 0", "forcing.mode"),
     ("density_bump", "scenario.mode = 6", "scenario.mode"),
+    ("equilibrium", "ball.n_basis = 0", "grid/ball"),
+    ("equilibrium", "ball.n_basis = -3", "grid/ball"),
+    # b = 4: chi refuses an index n <= 2 / sqrt(b) = 1
+    ("equilibrium", "ball.chi_index = -2", "ball.chi_index"),
+    ("equilibrium", "ball.chi_index = 0", "ball.chi_index"),
+    ("equilibrium", "ball.chi_index = 1", "ball.chi_index"),
+    ("shear_perturbation", "ball.chi_index = -2", "ball.chi_index"),
+    ("shear_perturbation", "ball.chi_index = 0", "ball.chi_index"),
+    ("shear_perturbation", "ball.chi_index = 1", "ball.chi_index"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
-        "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6"])
+        "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
+        "n_basis=0", "n_basis=-3", "equilibrium_chi=-2", "equilibrium_chi=0",
+        "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"

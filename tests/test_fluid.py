@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from conftest import random_band_limited
 from fene import fluid, torus
@@ -8,8 +9,8 @@ from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     fluid_energy, fluid_rhs, phi_r, ssprk3, step, stress_divergence, \
     viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
-from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
-    forward, sobolev_norm, sup_norm_w2inf
+from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
+    derivative, forward, sobolev_norm, sup_norm_w2inf
 
 
 def constant_state(grid, rho, params, uvals=None):
@@ -228,6 +229,34 @@ def test_step_conservation(grid32, params):
     for _ in range(1000):
         cur = step(cur, None, None, params, cfg)
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
+    assert np.max(drift) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(strategies.sampled_from([16, 32]),
+       strategies.integers(0, 2 ** 32 - 1), strategies.floats(0.0, 1e-2))
+def test_one_step_conserves_mass_and_momentum(n, seed, amplitude):
+    # density 1 plus band-limited noise of peak size <= 1e-2 and a velocity
+    # of the same size; the drift grows with the amplitude (ROADMAP table)
+    params, grid = ModelParams(), TorusGrid(n)
+    noise = random_band_limited(grid, np.random.default_rng(seed),
+                                components=3).values()
+    noise *= amplitude / np.max(np.abs(noise))
+    state = FluidState(
+        forward(grid, density_to_r(1.0 + noise[0], params)),
+        forward(grid, noise[1:]))
+    area = grid.cell_area()
+
+    def invariants(s):
+        rho = r_to_density(s.r.values()[0], params)
+        uv = s.u.values()
+        return np.array([np.sum(rho), np.sum(rho * uv[0]),
+                         np.sum(rho * uv[1])]) * area
+
+    start = invariants(state)
+    after = invariants(step(state, None, None, params,
+                            FluidStepConfig(dt=1e-3)))
+    drift = np.abs(after - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
 
