@@ -1,15 +1,14 @@
 """Quadrature, weighted norms and the relaxation eigenbasis on B(0, sqrt(b)).
 
 The configuration ball is discretized by a tensor rule: a uniform trapezoid
-rule in the angle (spectrally accurate for periodic integrands) and a Gauss
-rule in the substituted radial variable t = |q|^2 / b on (0, 1).  The node
-weights carry the plain area element, and the Maxwellian is evaluated
-analytically at the nodes.  With this substitution every integrand the
-solver needs - Maxwellian-weighted inner products, H^1_M forms, and the
-elastic stress whose integrand carries one inverse power of (b - |q|^2) -
-is a smooth (at integer b/2, polynomial) function of t, so the rule is
-exact at the shipped parameters.  b > 2 is exactly what keeps the stress
-integrand bounded at the nodes.
+rule in the angle (spectrally accurate for periodic integrands) and a
+Gauss-Legendre rule in the substituted radial variable t = |q|^2 / b on
+(0, 1).  The node weights carry the plain area element, and the Maxwellian
+is evaluated analytically at the nodes.  With this substitution every
+integrand the solver needs - Maxwellian-weighted inner products, H^1_M
+forms, and the elastic stress whose integrand carries one inverse power of
+(b - |q|^2) - is a smooth function of t; it is a polynomial, and the node
+rule exact, only at even b.  b > 2 keeps the stress integrand bounded.
 
 The relaxation operator acts on ratios phi = psi / M through the weak forms
 
@@ -25,17 +24,18 @@ a(.,.) identically, which pins the lowest eigenvalue to zero and encodes
 the zero-flux boundary condition naturally (M vanishes on the boundary,
 so no essential condition is imposed).
 
-The Jacobi tables come from one pass of the three-term recurrence
-(jacobi_table), bitwise equal to scipy's eval_jacobi: one pass serves the
-assembly nodes of every angular mode, and one more the radial nodes of the
-modes eigen_basis keeps.
+The per-mode blocks of both forms use one Gauss-Jacobi rule in t
+(radial_rule), exact for every b > 2.  The Jacobi tables come from one
+pass of the three-term recurrence (jacobi_table), bitwise equal to scipy's
+eval_jacobi: one pass serves that rule for every angular mode, and one
+more the radial nodes of the modes eigen_basis keeps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
-from scipy.special import binom, roots_legendre
+from scipy.special import binom, roots_jacobi, roots_legendre
 
 from .errors import EigenSolverError
 from .model import maxwellian_normalizer
@@ -167,8 +167,7 @@ def jacobi_table(n, alpha, beta, x):
 def _jacobi_values(n_modal, alpha, beta, t):
     """P_j^{(alpha, beta)}(2t - 1) for j < n_modal and their t-derivatives.
 
-    t is a 1-D node array; beta is the angular mode m, a scalar or one value
-    per node.
+    t is a 1-D node array; beta is the angular mode m or a column of modes.
     """
     x = 2.0 * t - 1.0
     P = jacobi_table(n_modal, alpha, beta, x)
@@ -179,58 +178,58 @@ def _jacobi_values(n_modal, alpha, beta, t):
     return P, dP
 
 
+def radial_rule(n, b):
+    """n-point Gauss-Jacobi rule in t on (0, 1) for the weight (1 - t)^a,
+    a = b/2 - 1, with plain-measure weights (the weight divided out): exact
+    for int_0^1 (1 - t)^a p(t) dt whenever deg p <= 2n - 1."""
+    a = b / 2.0 - 1.0
+    x, w = roots_jacobi(n, a, 0.0)
+    t = 0.5 * (x + 1.0)
+    return t, w * 2.0 ** -(a + 1.0) / (1.0 - t) ** a
+
+
 class OperatorBlocks:
     """Weak forms of the relaxation operator, one block per angular mode.
 
     stiffness[m], mass[m] are symmetric matrices of the forms a and m on
     the Jacobi trial space of angular mode m described in the module
-    docstring, each assembled with its own Gauss-Legendre rule of
-    2 n_modal + m + 8 nodes in t.  The Jacobi tables of all modes come from
-    one jacobi_table pass over the concatenated nodes.
+    docstring.  Each block integrand is (1 - t)^(b/2 - 1) times a
+    polynomial of degree <= 2 n_modal - 1 + m_max in t, so one radial_rule
+    of n_modal + ceil(m_max / 2) nodes assembles all of them exactly at
+    every b > 2.  quad's own Gauss-Legendre nodes, on which radial_tables
+    evaluates the profiles, are exact only at even b.
     """
 
     def __init__(self, quad: ConfigQuadrature, n_modal, m_max):
         self.quad = quad
         self.n_modal = n_modal
         self.m_max = m_max
-        self.stiffness = []
-        self.mass = []
-        b = quad.b
-        alpha = b / 2.0
-        rules = [roots_legendre(2 * n_modal + m + 8) for m in range(m_max + 1)]
-        sizes = [xa.size for xa, _ in rules]
-        nodes = 0.5 * (np.concatenate([xa for xa, _ in rules]) + 1.0)
+        self.stiffness, self.mass = [], []
+        b, alpha = quad.b, quad.b / 2.0
+        t, w = radial_rule(n_modal + (m_max + 1) // 2, b)
+        rho = np.sqrt(t)
+        meas = (b / 2.0) * w * ((1.0 - t) ** alpha / maxwellian_normalizer(b))
         P_all, dP_all = _jacobi_values(
-            n_modal, alpha, np.repeat(np.arange(m_max + 1.0), sizes), nodes)
-        splits = np.cumsum(sizes)[:-1]
-        for m, (_, wa), ta, P, dP in zip(
-                range(m_max + 1), rules, np.split(nodes, splits),
-                np.split(P_all, splits, axis=1),
-                np.split(dP_all, splits, axis=1)):
-            wta = 0.5 * wa
-            rhoa = np.sqrt(ta)
-            m_weight = (1.0 - ta) ** alpha / maxwellian_normalizer(b)
-            meas = (b / 2.0) * wta * m_weight
-            F = rhoa ** m * P
-            dF = (m * np.where(m > 0, rhoa ** max(m - 1, 0), 0.0) * P
-                  + 2.0 * rhoa ** (m + 1) * dP) / np.sqrt(b)
+            n_modal, alpha, np.arange(m_max + 1.0)[:, None], t)
+        for m in range(m_max + 1):
+            P, dP = P_all[:, m], dP_all[:, m]
+            F = rho ** m * P
+            dF = (m * np.where(m > 0, rho ** max(m - 1, 0), 0.0) * P
+                  + 2.0 * rho ** (m + 1) * dP) / np.sqrt(b)
             B = np.einsum("k,ik,jk->ij", meas, F, F)
             A = np.einsum("k,ik,jk->ij", meas, dF, dF)
             if m > 0:
-                A += m * m * np.einsum("k,ik,jk->ij", meas / (b * ta), F, F)
+                A += m * m * np.einsum("k,ik,jk->ij", meas / (b * t), F, F)
             self.stiffness.append(0.5 * (A + A.T))
             self.mass.append(0.5 * (B + B.T))
 
     def radial_tables(self, modes):
         """{m: (P, dP)} on the stored radial nodes for each m in modes,
         from one jacobi_table pass over the distinct modes."""
-        t = self.quad.t
         modes = sorted(set(modes))
-        P, dP = (np.split(a, len(modes), axis=1) for a in _jacobi_values(
-            self.n_modal, self.quad.b / 2.0,
-            np.repeat(np.asarray(modes, dtype=float), t.size),
-            np.tile(t, len(modes))))
-        return dict(zip(modes, zip(P, dP)))
+        P, dP = _jacobi_values(self.n_modal, self.quad.b / 2.0,
+                               np.array(modes, float)[:, None], self.quad.t)
+        return {m: (P[:, i], dP[:, i]) for i, m in enumerate(modes)}
 
     def radial_profiles(self, m, coeffs, table):
         """Node values (f, df/dr) on the stored radial nodes for mode m,
@@ -299,16 +298,18 @@ class ConfigBasis:
         return float(np.max(np.abs(g - np.eye(self.n_basis))))
 
 
-def eigen_basis(quad: ConfigQuadrature, n_basis, m_max=None) -> ConfigBasis:
+def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     """Solve the decoupled radial eigenproblems and collect the n_basis
     lowest modes (cos/sin branches of m >= 1 counted separately).
 
     Every mode block is solved and the (eigenvalue, m, kind, k) keys are
     sorted; only the n_basis kept eigenpairs are sign-normalized, get a
-    residual and are evaluated on the nodes."""
+    residual and are evaluated on the nodes.  An n_basis that would keep a
+    cos branch without its sin partner is refused: such a span is not
+    invariant under rotations of q."""
     if n_basis < 1:
         raise ValueError("n_basis must be at least 1")
-    blocks = assemble_operator(quad, m_max=m_max)
+    blocks = assemble_operator(quad)
     n_modal = blocks.n_modal
     capacity = n_modal * (2 * blocks.m_max + 1)
     if n_basis > capacity:
@@ -330,6 +331,10 @@ def eigen_basis(quad: ConfigQuadrature, n_basis, m_max=None) -> ConfigBasis:
                     for k in range(n_modal) for kind in kinds)
     keys.sort()
     keys = keys[:n_basis]
+    _, m, kind, k = keys[-1]
+    if m > 0 and kind == "cos":
+        raise ValueError(f"n_basis={n_basis} keeps ({m}, cos, {k}) without "
+                         f"its sin partner; take one mode fewer or more")
     tables = blocks.radial_tables(m for _, m, _, _ in keys)
 
     nr, na = quad.n_radial, quad.n_angular
@@ -427,7 +432,8 @@ def chi_mass_matrix(basis: ConfigBasis, chi_index=None):
     quad = basis.quad
     chi = chi_radial_values(quad, chi_index)
     w = quad.weights * quad.maxwellian * chi[:, None]
-    return np.einsum("kl,ikl,jkl->ij", w, basis.values, basis.values)
+    values = basis.values.reshape(basis.n_basis, -1)
+    return (values * w.ravel()) @ values.T
 
 
 def drift_matrices(basis: ConfigBasis, chi_index=None):
@@ -440,10 +446,10 @@ def drift_matrices(basis: ConfigBasis, chi_index=None):
     chi = chi_radial_values(quad, chi_index) if chi_index is not None \
         else np.ones(quad.n_radial)
     w = quad.weights * quad.maxwellian * chi[:, None]
-    qvec = np.stack([quad.q1, quad.q2])
-    out = np.einsum("bkl,iakl,jkl->abij", w[None] * qvec, basis.grads,
-                    basis.values)
-    return out
+    n = basis.n_basis
+    wq = np.stack([w * quad.q1, w * quad.q2]).reshape(2, 1, -1)  # [b, 0, k]
+    grads = basis.grads.reshape(n, 2, 1, -1).transpose(1, 2, 0, 3)  # [a,0,i,k]
+    return (grads * wq) @ basis.values.reshape(n, -1).T
 
 
 def lemma_a1_check(phi, delta, quad: ConfigQuadrature, grads=None):

@@ -506,9 +506,9 @@ def _check_state(state: CoupledState, where):
                    ("psi", state.psi)), where)
 
 
-def _run_stepping(ctx: RunContext, outdir, max_steps, ceiling,
-                  state=None, first_step=0):
+def _run_stepping(ctx: RunContext, outdir, state=None, first_step=0):
     cfg = ctx.cfg
+    max_steps, ceiling = cfg["max_steps"], cfg["blowup_ceiling"]
     state = ctx.initial_state() if state is None else state
     every = cfg["record_every"]
     snap_every = cfg["snapshots.every"]
@@ -733,16 +733,22 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
             cfg.values["seed"] = int(seed)
         if max_steps is not None:
             cfg.values["max_steps"] = int(max_steps)
+        if ceiling is not None:
+            cfg.values["blowup_ceiling"] = float(ceiling)
         described = {"scenario": cfg["scenario"], "config": cfg.resolved(),
                      "config_hash": cfg.content_hash()}
         outdir = output or cfg["output"]
         os.makedirs(outdir, exist_ok=True)
-        ceiling = cfg["blowup_ceiling"] if ceiling is None else float(ceiling)
+        scenario = cfg["scenario"]
+        stepping = scenario in ("equilibrium", "shear_perturbation",
+                                "density_bump")
+        if resume_from is not None and not stepping:
+            raise ConfigError(f"{scenario} does not step, so a checkpoint "
+                              f"cannot resume it", field="scenario")
         ctx = RunContext(cfg)
 
-        scenario = cfg["scenario"]
         extra = {}
-        if scenario in ("equilibrium", "shear_perturbation", "density_bump"):
+        if stepping:
             state, first_step = None, 0
             if resume_from is not None:
                 state = checkpoint_load(resume_from, grid=ctx.grid,
@@ -750,8 +756,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
                 first_step = int(round(state.time / ctx.fluid_cfg.dt))
                 extra["resumed_from"] = str(resume_from)
                 extra["resumed_step"] = first_step
-            records, _ = _run_stepping(ctx, outdir, cfg["max_steps"],
-                                       ceiling, state, first_step)
+            records, _ = _run_stepping(ctx, outdir, state, first_step)
             extra.update(summarize(records, ctx.params))
         elif scenario == "stress_difference":
             extra = _run_stress_difference(ctx, outdir)

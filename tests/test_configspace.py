@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
-from scipy.special import eval_jacobi, roots_legendre
+from scipy.special import eval_jacobi, gamma, roots_jacobi
 
 from fene.configspace import ConfDistribution, ConfigBasis, \
     assemble_operator, build_quadrature, chi_cutoff, chi_mass_matrix, \
@@ -250,13 +250,16 @@ def _reference_eigen_basis(quad, n_basis):
                 j - 1, alpha + 1.0, m + 1.0, 2.0 * t - 1.0)
         return P, dP
 
+    # one Gauss-Jacobi rule in t for all modes, the weight (1 - t)^a
+    # divided out of its weights
+    a = alpha - 1.0
+    xa, wa = roots_jacobi(n_modal + (m_max + 1) // 2, a, 0.0)
+    ta = 0.5 * (xa + 1.0)
+    rhoa = np.sqrt(ta)
+    meas = (b / 2.0) * (wa * 2.0 ** -(a + 1.0) / (1.0 - ta) ** a) \
+        * ((1.0 - ta) ** alpha / maxwellian_normalizer(b))
     entries = []
     for m in range(m_max + 1):
-        xa, wa = roots_legendre(2 * n_modal + m + 8)
-        ta = 0.5 * (xa + 1.0)
-        rhoa = np.sqrt(ta)
-        meas = (b / 2.0) * (0.5 * wa) \
-            * ((1.0 - ta) ** alpha / maxwellian_normalizer(b))
         P, dP = jacobi(m, ta)
         F = rhoa ** m * P
         dF = (m * np.where(m > 0, rhoa ** max(m - 1, 0), 0.0) * P
@@ -310,9 +313,7 @@ def _reference_eigen_basis(quad, n_basis):
 
 @pytest.mark.parametrize("b, n_radial, n_angular, n_basis", [
     (4.0, 32, 32, 40), (4.0, 16, 16, 12), (2.51, 32, 32, 40),
-    (10.0, 16, 8, 40), (4.0, 64, 64, 40), (7.3, 8, 8, 10),
-    # truncation keeps (1, cos, 3) without its sin partner: pins tie order
-    (4.0, 32, 32, 39)])
+    (10.0, 16, 8, 40), (4.0, 64, 64, 40), (7.3, 8, 8, 10)])
 def test_eigen_basis_matches_direct_construction_bitwise(b, n_radial,
                                                          n_angular, n_basis):
     quad = build_quadrature(b, n_radial, n_angular)
@@ -322,3 +323,25 @@ def test_eigen_basis_matches_direct_construction_bitwise(b, n_radial,
     for name in ("eigenvalues", "residuals", "values", "grads", "mass_vector",
                  "stress_vectors"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n_basis", [39, 41])
+def test_eigen_basis_refuses_split_pair(quad32, n_basis):
+    # 39 would keep (1, cos, 3) and 41 (6, cos, 1) without the sin partner
+    with pytest.raises(ValueError, match="sin partner"):
+        eigen_basis(quad32, n_basis)
+
+
+@pytest.mark.parametrize("b", [2.51, 3.0, 7.3, 10.0])
+def test_operator_mass_blocks_match_jacobi_norms(b):
+    # mass[m]_ij = (b / 2Z) int_0^1 (1 - t)^(b/2) t^m P_i P_j dt, with
+    # P_j = P_j^{(b/2, m)}(2t - 1): delta_ij times the closed-form norm
+    blocks = assemble_operator(build_quadrature(b, 32, 32))
+    alpha, j = b / 2.0, np.arange(blocks.n_modal)
+    for m, B in enumerate(blocks.mass):
+        norm = (b / (2.0 * maxwellian_normalizer(b))) \
+            * gamma(j + alpha + 1) * gamma(j + m + 1) \
+            / ((2 * j + alpha + m + 1) * gamma(j + alpha + m + 1)
+               * gamma(j + 1))
+        scale = np.sqrt(np.outer(norm, norm))
+        assert np.max(np.abs(B - np.diag(norm)) / scale) < 1e-12, m

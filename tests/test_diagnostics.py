@@ -248,6 +248,8 @@ def test_blowup_ceiling_aborts(tmp_path):
     assert json.loads(stderr_path.read_text())["reason"] == "BlowupCeiling"
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
     assert manifest["status"] == "error"
+    # the override is what ran, so it is what the manifest records
+    assert manifest["config"]["blowup_ceiling"] == 1e-6
 
 
 def test_cfl_guard_holds_sound_speed(tmp_path):
@@ -336,6 +338,25 @@ def test_nan_in_resumed_state_trips_ceiling_at_start(tmp_path):
     payload = json.loads(stderr_path.read_text())
     assert payload["reason"] == "BlowupCeiling"
     assert "at start" in payload["message"]
+
+
+@pytest.mark.parametrize("scenario",
+                         ["stress_difference", "contraction_study",
+                          "lemma_a1"])
+def test_resume_refuses_scenarios_that_do_not_step(tmp_path, scenario):
+    cfg_path, _ = small_shear_cfg(tmp_path, steps=1)
+    snap = str(tmp_path / "start.fkp")
+    checkpoint_save(RunContext(parse_config(cfg_path)).initial_state(), snap)
+    other, outdir = write_cfg(tmp_path, name="other.cfg", scenario=scenario)
+    stderr_path = tmp_path / "resume.json"
+    with open(stderr_path, "w") as fh:
+        assert resume(snap, other, stderr=fh) == 2
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "ConfigError"
+    assert payload["message"].startswith("[scenario] ")
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["reason"] == "ConfigError"
+    assert "resumed_from" not in json.dumps(manifest)
 
 
 def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
@@ -545,6 +566,10 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("density_bump", "scenario.mode = 6", "scenario.mode"),
     ("equilibrium", "ball.n_basis = 0", "grid/ball"),
     ("equilibrium", "ball.n_basis = -3", "grid/ball"),
+    # on the 16 x 16 ball 11 keeps (4, cos, 0) and 13 keeps (2, cos, 1)
+    # without the sin partner
+    ("equilibrium", "ball.n_basis = 11", "grid/ball"),
+    ("shear_perturbation", "ball.n_basis = 13", "grid/ball"),
     # b = 4: chi refuses an index n <= 2 / sqrt(b) = 1
     ("equilibrium", "ball.chi_index = -2", "ball.chi_index"),
     ("equilibrium", "ball.chi_index = 0", "ball.chi_index"),
@@ -555,7 +580,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
-        "n_basis=0", "n_basis=-3", "equilibrium_chi=-2", "equilibrium_chi=0",
+        "n_basis=0", "n_basis=-3", "n_basis=11", "n_basis=13",
+        "equilibrium_chi=-2", "equilibrium_chi=0",
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)

@@ -140,6 +140,16 @@ def test_version_one_checkpoint_refused(tmp_path):
             assert resume(str(path), str(cfg_path), stderr=devnull) == 6
 
 
+def _whole_pairs_basis(quad, n_basis):
+    """eigen_basis(quad, n_basis), or n_basis + 1 where n_basis would keep
+    a cos branch without its sin partner (which eigen_basis refuses)."""
+    try:
+        return eigen_basis(quad, n_basis)
+    except ValueError as exc:
+        assert "sin partner" in str(exc)
+        return eigen_basis(quad, n_basis + 1)
+
+
 @FEW
 @given(st.floats(2.5, 20.0, exclude_min=True, exclude_max=True),
        st.integers(8, 16), st.integers(4, 8).map(lambda h: 2 * h),
@@ -148,8 +158,8 @@ def test_eigen_basis_branches_orthogonal(b, n_radial, n_angular, fill):
     # distinct angular branches (m, cos/sin) are orthogonal under the
     # trapezoid rule in theta for every b, ball size and n_basis
     capacity = n_radial * (n_angular - 1)
-    basis = eigen_basis(build_quadrature(b, n_radial, n_angular),
-                        1 + int(fill * (capacity - 1)))
+    basis = _whole_pairs_basis(build_quadrature(b, n_radial, n_angular),
+                               1 + int(fill * (capacity - 1)))
     assert basis.residuals.max() < 1e-8
     branch = [(m, kind) for m, kind, _ in basis.labels]
     cross = np.array([[x != y for y in branch] for x in branch])
@@ -163,7 +173,8 @@ def test_eigen_basis_m_orthonormal(b, n_radial, n_angular, n_basis):
     # within a branch the radial Gauss rule integrates M = (1 - t)^(b/2)
     # times the profiles only approximately; from b = 4 and 32 radial nodes
     # the 40 lowest modes are resolved to the tolerance
-    basis = eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
+    basis = _whole_pairs_basis(build_quadrature(b, n_radial, n_angular),
+                               n_basis)
     assert basis.residuals.max() < 1e-8
     assert basis.gram_error() < 1e-8
 
