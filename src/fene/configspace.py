@@ -106,7 +106,7 @@ class ConfDistribution:
         return np.tensordot(self.coeffs, self.basis.grads, axes=1)
 
 
-def _as_node_values(phi, quad=None):
+def _as_node_values(phi):
     if isinstance(phi, ConfDistribution):
         return phi.node_values(), phi
     return np.asarray(phi, dtype=float), None

@@ -13,10 +13,13 @@ All randomness is drawn from one seeded generator, and all schemes are
 deterministic, so identical config + seed reproduces every artifact
 byte for byte.  Files are written to a temporary name and renamed.
 
-Scenarios step over a horizon through coupling.fluid_trajectory and
-fp_trajectory, or coupling.coupled_step followed by the same check: a
-non-finite state raises BlowupCeiling at its step.  _EXITS maps every
-error class to its exit code and manifest reason.
+SCENARIOS maps each scenario name to its driver.  A driver is called as
+driver(ctx, outdir), writes its artifacts into outdir and returns the
+manifest's outcome; _run_stepping alone also takes a checkpoint to resume
+from.  Drivers step over a horizon through coupling.coupled_trajectory,
+fluid_trajectory and fp_trajectory: a non-finite state raises
+BlowupCeiling at its step.  _EXITS maps every error class to its exit
+code and manifest reason.
 """
 
 import ctypes
@@ -24,31 +27,29 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
-from . import coupling, fluid as fluid_mod
+from . import fluid as fluid_mod
 from .checkpoint import checkpoint_load, checkpoint_save
 from .configspace import ConfDistribution, build_quadrature, \
     check_chi_index, eigen_basis, lemma_a1_check
-from .coupling import CoupledState, FixedPointConfig, _check_finite, \
-    blowup_indicator, contraction_factor, fluid_trajectory, fp_trajectory, \
-    run_fixed_point, stress_field, xs_distance
+from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
+    contraction_factor, coupled_trajectory, fluid_trajectory, \
+    fp_trajectory, run_fixed_point, stress_field, xs_distance
 from .errors import BlowupCeiling, CFLViolation, ConfigError, FeneError, \
     PositivityLoss, StabilityViolation, VersionError
-from .fluid import FluidState, FluidStepConfig, fluid_energy, phi_r
+from .fluid import FluidState, FluidStepConfig, fluid_energy
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
-from .torus import SpectralField, TorusGrid, grad_u_sup_norm, sobolev_norm, \
-    sup_norm_w2inf
+from .torus import SpectralField, TorusGrid, grad_u_sup_norm, sobolev_norm
 
 S_RECORD = 3  # Sobolev indices 0..S_RECORD appear as monitor columns
-
-SCENARIOS = ("equilibrium", "shear_perturbation", "density_bump",
-             "stress_difference", "contraction_study", "lemma_a1")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,14 +57,6 @@ EXIT_POSITIVITY = 3
 EXIT_STABILITY = 4
 EXIT_BLOWUP = 5
 EXIT_CHECKPOINT = 6
-
-
-def _parse_int(text):
-    return int(text)
-
-
-def _parse_float(text):
-    return float(text)
 
 
 def _parse_opt_float(text):
@@ -98,70 +91,54 @@ def _parse_str(*choices):
     return parse
 
 
+def _parse_scenario(text):
+    return _parse_str(*SCENARIOS)(text)
+
+
 CONFIG_SCHEMA = {
-    "scenario": (_parse_str(*SCENARIOS), "equilibrium"),
-    "seed": (_parse_int, 1234),
-    "max_steps": (_parse_int, 100),
-    "record_every": (_parse_int, 1),
+    "scenario": (_parse_scenario, "equilibrium"),
+    "seed": (int, 1234),
+    "max_steps": (int, 100),
+    "record_every": (int, 1),
     "output": (_parse_str(), "fene_run"),
-    "blowup_ceiling": (_parse_float, 1e3),
-    "snapshots.every": (_parse_int, 0),
-    "model.a": (_parse_float, 1.0),
-    "model.gamma": (_parse_float, 1.4),
-    "model.mu_s": (_parse_float, 1.0),
-    "model.mu_b": (_parse_float, 0.5),
-    "model.epsilon": (_parse_float, 0.0),
-    "model.a11": (_parse_float, 1.0),
-    "model.lambda": (_parse_float, 1.0),
-    "model.b": (_parse_float, 4.0),
+    "blowup_ceiling": (float, 1e3),
+    "snapshots.every": (int, 0),
+    "model.a": (float, 1.0),
+    "model.gamma": (float, 1.4),
+    "model.mu_s": (float, 1.0),
+    "model.mu_b": (float, 0.5),
+    "model.epsilon": (float, 0.0),
+    "model.a11": (float, 1.0),
+    "model.lambda": (float, 1.0),
+    "model.b": (float, 4.0),
     "forcing.kind": (_parse_str("zero", "steady_field", "time_periodic"),
                      "zero"),
-    "forcing.amplitude": (_parse_float, 0.0),
+    "forcing.amplitude": (float, 0.0),
     "forcing.mode": (_parse_int_pair, (1, 0)),
-    "grid.n_points": (_parse_int, 32),
-    "ball.n_radial": (_parse_int, 32),
-    "ball.n_angular": (_parse_int, 32),
-    "ball.n_basis": (_parse_int, 40),
+    "grid.n_points": (int, 32),
+    "ball.n_radial": (int, 32),
+    "ball.n_angular": (int, 32),
+    "ball.n_basis": (int, 40),
     "ball.chi_index": (_parse_chi, "auto"),
-    "fluid.dt": (_parse_float, 1e-3),
+    "fluid.dt": (float, 1e-3),
     "fluid.cutoff_r": (_parse_opt_float, None),
     "fluid.cfl_safety": (_parse_opt_float, 0.8),
-    "scenario.amplitude": (_parse_float, 1e-3),
-    "scenario.mode": (_parse_int, 1),
-    "scenario.mean_velocity": (_parse_float, 0.1),
-    "scenario.psi_mode": (_parse_int, 1),
-    "scenario.rho0": (_parse_float, 1.0),
-    "experiment.horizon": (_parse_float, 0.05),
+    "scenario.amplitude": (float, 1e-3),
+    "scenario.mode": (int, 1),
+    "scenario.mean_velocity": (float, 0.1),
+    "scenario.psi_mode": (int, 1),
+    "scenario.rho0": (float, 1.0),
+    "experiment.horizon": (float, 0.05),
     "experiment.deltas": (_parse_float_list, (1e-4, 1e-3, 1e-2)),
     "experiment.lemma_deltas": (_parse_float_list, (1.0, 0.1, 0.01)),
-    "experiment.ensemble": (_parse_int, 200),
-    "fixed_point.s": (_parse_int, 2),
-    "fixed_point.s_prime": (_parse_int, 1),
-    "fixed_point.max_iters": (_parse_int, 5),
+    "experiment.ensemble": (int, 200),
+    "fixed_point.s_prime": (int, 1),
+    "fixed_point.max_iters": (int, 5),
 }
 
 
-class RunConfig:
-    """Resolved configuration: schema defaults overlaid by the file."""
-
-    def __init__(self, values, text=""):
-        self.values = values
-        self.text = text
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def content_hash(self):
-        return hashlib.sha256(self.text.encode()).hexdigest()
-
-    def resolved(self):
-        out = {}
-        for key, val in sorted(self.values.items()):
-            out[key] = list(val) if isinstance(val, tuple) else val
-        return out
-
-
-def parse_config_text(text) -> RunConfig:
+def parse_config_text(text):
+    """The resolved config: schema defaults overlaid by the text."""
     values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,10 +160,10 @@ def parse_config_text(text) -> RunConfig:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigError(str(exc), line=lineno, field=key) from None
-    return RunConfig(values, text)
+    return values
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
 
@@ -199,39 +176,44 @@ def _check_retained(grid, mode, name):
                           field=name)
 
 
-class RunContext:
-    """Grid, basis and solver configs materialized from a RunConfig."""
+@contextmanager
+def _refusing(field):
+    """Report a ValueError raised in the block as a ConfigError on field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=field) from None
 
-    def __init__(self, cfg: RunConfig):
+
+class RunContext:
+    """Grid, basis and solver configs materialized from a config dict."""
+
+    def __init__(self, cfg):
         self.cfg = cfg
-        try:
+        with _refusing("model"):
             self.params = ModelParams(
                 a=cfg["model.a"], gamma=cfg["model.gamma"],
                 mu_s=cfg["model.mu_s"], mu_b=cfg["model.mu_b"],
                 epsilon=cfg["model.epsilon"], a11=cfg["model.a11"],
                 lam=cfg["model.lambda"], b=cfg["model.b"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="model") from None
-        try:
+        with _refusing("grid/ball"):
             self.grid = TorusGrid(cfg["grid.n_points"])
             self.quad = build_quadrature(self.params.b, cfg["ball.n_radial"],
                                          cfg["ball.n_angular"])
             self.basis = eigen_basis(self.quad, cfg["ball.n_basis"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="grid/ball") from None
         chi = cfg["ball.chi_index"]
         self.chi_index = cfg["ball.n_radial"] if chi == "auto" else chi
         if self.chi_index is not None:
-            try:
+            with _refusing("ball.chi_index"):
                 check_chi_index(self.chi_index, self.params.b)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field="ball.chi_index") from None
-        try:
+        with _refusing("fluid"):
             self.fluid_cfg = FluidStepConfig(
                 dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
                 cfl_safety=cfg["fluid.cfl_safety"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="fluid") from None
+        for key, least in (("max_steps", 0), ("record_every", 1),
+                           ("snapshots.every", 0)):
+            if cfg[key] < least:
+                raise ConfigError(f"must be at least {least}", field=key)
         if cfg["scenario"] == "stress_difference":
             if not cfg["experiment.horizon"] > 0:
                 raise ConfigError("the horizon must be positive",
@@ -247,14 +229,11 @@ class RunContext:
                                   field="experiment.deltas")
         self.fixed_point = None
         if cfg["scenario"] == "contraction_study":
-            try:
+            with _refusing("fixed_point"):
                 self.fixed_point = FixedPointConfig(
                     horizon_T=cfg["experiment.horizon"],
-                    s=cfg["fixed_point.s"],
                     s_prime=cfg["fixed_point.s_prime"],
                     max_iters=cfg["fixed_point.max_iters"])
-            except ValueError as exc:
-                raise ConfigError(str(exc), field="fixed_point") from None
         self.forcing = ForcingSpec(kind=cfg["forcing.kind"],
                                    amplitude=cfg["forcing.amplitude"],
                                    mode=cfg["forcing.mode"])
@@ -367,10 +346,8 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
     psi_min, _ = nonnegativity_report(state.psi)
     stress = stress_field(state.psi)
     f_field = fluid_mod._forcing_field(ctx.forcing, grid, state.time)
-    cutoff_active = 0
-    if ctx.fluid_cfg.cutoff_R is not None:
-        cutoff_active = int(
-            phi_r(sup_norm_w2inf(state.fluid.u), ctx.fluid_cfg.cutoff_R) < 1.0)
+    cutoff_active = int(
+        fluid_mod._cutoff_value(state.fluid.u, ctx.fluid_cfg) < 1.0)
     fl_e, u_sq, l2m, h1m, t_sq, f_sq = [], [], [], [], [], []
     for s in range(S_RECORD + 1):
         fl_e.append(fluid_energy(state.fluid, s))
@@ -501,15 +478,23 @@ def summarize(records, params):
 # ---------------------------------------------------------------------------
 # scenario drivers
 
-def _check_state(state: CoupledState, where):
-    _check_finite((("r", state.fluid.r), ("u", state.fluid.u),
-                   ("psi", state.psi)), where)
-
-
-def _run_stepping(ctx: RunContext, outdir, state=None, first_step=0):
+def _run_stepping(ctx: RunContext, outdir, resume_from=None):
+    """Step from the initial state, or from the checkpoint resume_from, to
+    max_steps; the outcome summarizes the recorded series."""
     cfg = ctx.cfg
     max_steps, ceiling = cfg["max_steps"], cfg["blowup_ceiling"]
-    state = ctx.initial_state() if state is None else state
+    outcome, first_step = {}, 0
+    if resume_from is None:
+        state = ctx.initial_state()
+    else:
+        state = checkpoint_load(resume_from, grid=ctx.grid, basis=ctx.basis)
+        first_step = int(round(state.time / ctx.fluid_cfg.dt))
+        if first_step >= max_steps:
+            raise ConfigError(f"the checkpoint is at step {first_step}, at "
+                              f"or past max_steps = {max_steps}",
+                              field="max_steps")
+        outcome = {"resumed_from": str(resume_from),
+                   "resumed_step": first_step}
     every = cfg["record_every"]
     snap_every = cfg["snapshots.every"]
     if snap_every:
@@ -521,10 +506,9 @@ def _run_stepping(ctx: RunContext, outdir, state=None, first_step=0):
                             f"{records[-1].blowup_indicator:.3e} at start")
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
     try:
-        for k in range(first_step + 1, max_steps + 1):
-            state = coupling.coupled_step(state, op, ctx.forcing,
-                                          ctx.fluid_cfg)
-            _check_state(state, f"at step {k}")
+        for k, state in coupled_trajectory(
+                state, op, ctx.forcing, ctx.fluid_cfg,
+                range(first_step + 1, max_steps + 1)):
             if k % every == 0 or k == max_steps:
                 rec = record_state(state, ctx)
                 records.append(rec)
@@ -539,7 +523,7 @@ def _run_stepping(ctx: RunContext, outdir, state=None, first_step=0):
         _flush_series(outdir, records)
         raise
     _flush_series(outdir, records)
-    return records, state
+    return {**outcome, **summarize(records, ctx.params)}
 
 
 def _flush_series(outdir, records):
@@ -610,12 +594,9 @@ def _run_contraction(ctx: RunContext, outdir):
     dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
 
     n_steps = int(round(fpc.horizon_T / ctx.fluid_cfg.dt))
-    mono = state0
-    mono_traj = [state0.psi]
-    for k in range(1, n_steps + 1):
-        mono = coupling.coupled_step(mono, op, ctx.forcing, ctx.fluid_cfg)
-        _check_state(mono, f"in the monolithic reference at step {k}")
-        mono_traj.append(mono.psi)
+    mono_traj = [state0.psi] + [mono.psi for _, mono in coupled_trajectory(
+        state0, op, ctx.forcing, ctx.fluid_cfg, range(1, n_steps + 1),
+        "in the monolithic reference")]
     terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)
 
     write_csv(os.path.join(outdir, "contraction.csv"),
@@ -658,6 +639,16 @@ def _run_lemma_a1(ctx: RunContext, outdir):
                              for a, b in zip(ordered, ordered[1:]))),
         "ensemble": n_ensemble,
     }
+
+
+SCENARIOS = {
+    "equilibrium": _run_stepping,
+    "shear_perturbation": _run_stepping,
+    "density_bump": _run_stepping,
+    "stress_difference": _run_stress_difference,
+    "contraction_study": _run_contraction,
+    "lemma_a1": _run_lemma_a1,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -728,45 +719,29 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
     outdir = None
     described = {}   # what the manifest records of the parsed config
     try:
-        cfg = parse_config(config_path)
+        with open(config_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        cfg = parse_config_text(text)
         if seed is not None:
-            cfg.values["seed"] = int(seed)
+            cfg["seed"] = int(seed)
         if max_steps is not None:
-            cfg.values["max_steps"] = int(max_steps)
+            cfg["max_steps"] = int(max_steps)
         if ceiling is not None:
-            cfg.values["blowup_ceiling"] = float(ceiling)
-        described = {"scenario": cfg["scenario"], "config": cfg.resolved(),
-                     "config_hash": cfg.content_hash()}
+            cfg["blowup_ceiling"] = float(ceiling)
+        described = {"scenario": cfg["scenario"], "config": cfg,
+                     "config_hash": hashlib.sha256(text.encode()).hexdigest()}
         outdir = output or cfg["output"]
         os.makedirs(outdir, exist_ok=True)
-        scenario = cfg["scenario"]
-        stepping = scenario in ("equilibrium", "shear_perturbation",
-                                "density_bump")
-        if resume_from is not None and not stepping:
-            raise ConfigError(f"{scenario} does not step, so a checkpoint "
-                              f"cannot resume it", field="scenario")
+        driver = SCENARIOS[cfg["scenario"]]
+        if resume_from is not None:
+            if driver is not _run_stepping:
+                raise ConfigError(f"{cfg['scenario']} does not step, so a "
+                                  f"checkpoint cannot resume it",
+                                  field="scenario")
+            driver = partial(_run_stepping, resume_from=resume_from)
         ctx = RunContext(cfg)
-
-        extra = {}
-        if stepping:
-            state, first_step = None, 0
-            if resume_from is not None:
-                state = checkpoint_load(resume_from, grid=ctx.grid,
-                                        basis=ctx.basis)
-                first_step = int(round(state.time / ctx.fluid_cfg.dt))
-                extra["resumed_from"] = str(resume_from)
-                extra["resumed_step"] = first_step
-            records, _ = _run_stepping(ctx, outdir, state, first_step)
-            extra.update(summarize(records, ctx.params))
-        elif scenario == "stress_difference":
-            extra = _run_stress_difference(ctx, outdir)
-        elif scenario == "contraction_study":
-            extra = _run_contraction(ctx, outdir)
-        elif scenario == "lemma_a1":
-            extra = _run_lemma_a1(ctx, outdir)
-
         write_manifest(outdir, {"status": "ok", **described,
-                                "outcome": extra})
+                                "outcome": driver(ctx, outdir)})
         return EXIT_OK
     except FeneError as exc:
         code, reason = next((code, reason) for cls, code, reason in _EXITS

@@ -52,7 +52,7 @@ def test_coupled_state_validates_time(grid32, basis32, params):
 
 def test_fixed_point_config_validates():
     with pytest.raises(ValueError):
-        FixedPointConfig(horizon_T=0.1, s=2, s_prime=2)
+        FixedPointConfig(horizon_T=0.1, s_prime=2)
     with pytest.raises(ValueError):
         FixedPointConfig(horizon_T=-1.0)
 
@@ -129,7 +129,7 @@ def test_contraction_factor_constructed_sequence(grid32, basis32):
 def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
                                        op32):
     st = perturbed_state(grid32, basis32, params)
-    fpc = FixedPointConfig(horizon_T=0.05, s=2, s_prime=1, max_iters=5)
+    fpc = FixedPointConfig(horizon_T=0.05, s_prime=1, max_iters=5)
     iterates = run_fixed_point(st, op32, None, fluid_cfg, fpc)
     _, ratios, _ = contraction_factor(iterates, 1)
     assert len(ratios) >= 3
@@ -142,8 +142,7 @@ def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     firsts = []
     for horizon in (0.1, 0.05, 0.025):
-        fpc = FixedPointConfig(horizon_T=horizon, s=2, s_prime=1,
-                               max_iters=2)
+        fpc = FixedPointConfig(horizon_T=horizon, s_prime=1, max_iters=2)
         iterates = run_fixed_point(st, op, None, fluid_cfg, fpc)
         _, ratios, _ = contraction_factor(iterates, 1)
         firsts.append(ratios[0])

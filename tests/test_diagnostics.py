@@ -151,7 +151,7 @@ def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
     cfg = parse_config_text("grid.n_points = 16\nball.n_radial = 16\n"
                             "ball.n_angular = 16\nball.n_basis = 12\n")
     ctx = RunContext(cfg)
-    cfg.values["scenario"] = "shear_perturbation"
+    cfg["scenario"] = "shear_perturbation"
     state = ctx.initial_state()
     path = str(tmp_path / "state.fkp")
     checkpoint_save(state, path)
@@ -359,6 +359,26 @@ def test_resume_refuses_scenarios_that_do_not_step(tmp_path, scenario):
     assert "resumed_from" not in json.dumps(manifest)
 
 
+def test_resume_refuses_a_checkpoint_at_or_past_max_steps(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=4,
+                                       extra="snapshots.every = 2")
+    assert run(cfg_path) == 0
+    snap = os.path.join(outdir, "snapshots", "step000004.fkp")
+    for steps in (2, 4):
+        resumed = str(tmp_path / f"resumed{steps}")
+        stderr_path = tmp_path / "resume.json"
+        with open(stderr_path, "w") as fh:
+            assert resume(snap, cfg_path, output=resumed, max_steps=steps,
+                          stderr=fh) == 2
+        payload = json.loads(stderr_path.read_text())
+        assert payload["reason"] == "ConfigError"
+        assert payload["message"].startswith("[max_steps] ")
+        manifest = json.load(open(os.path.join(resumed, "manifest.json")))
+        assert manifest["reason"] == "ConfigError"
+        assert "resumed_from" not in json.dumps(manifest)
+        assert not os.path.exists(os.path.join(resumed, "series.csv"))
+
+
 def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
     real_step = coupling.coupled_step
     taken = []
@@ -388,10 +408,11 @@ def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
 
 
 def test_fp_scheme_rejected_in_coupled_scenarios(tmp_path):
-    # psi has one stepper and one step (fluid.dt) in every scenario, and
-    # the fixed point iterates max_iters times: these keys are gone
+    # psi has one stepper and one step (fluid.dt) in every scenario, the
+    # fixed point iterates max_iters times, and the contraction index is
+    # bounded by 1 alone: these keys are gone
     removed = ("fp.scheme = ssprk3_explicit", "fp.dt = 1e-3",
-               "fixed_point.stop_tol = 0.0")
+               "fixed_point.stop_tol = 0.0", "fixed_point.s = 2")
     for scenario in runner.SCENARIOS:
         for line in removed:
             cfg_path, _ = write_cfg(tmp_path, scenario=scenario, extra=line)
@@ -577,12 +598,18 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "ball.chi_index = -2", "ball.chi_index"),
     ("shear_perturbation", "ball.chi_index = 0", "ball.chi_index"),
     ("shear_perturbation", "ball.chi_index = 1", "ball.chi_index"),
+    # a step count, a record interval of 0 (division by zero) or below,
+    # and a negative snapshot interval (a snapshot at every step)
+    ("shear_perturbation", "max_steps = -1", "max_steps"),
+    ("shear_perturbation", "record_every = 0", "record_every"),
+    ("shear_perturbation", "snapshots.every = -1", "snapshots.every"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
         "n_basis=0", "n_basis=-3", "n_basis=11", "n_basis=13",
         "equilibrium_chi=-2", "equilibrium_chi=0",
-        "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1"])
+        "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
+        "max_steps=-1", "record_every=0", "snapshots_every=-1"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"
