@@ -16,8 +16,9 @@ other by the verification suite:
   (r, u, psi) together, re-evaluating the stress at every stage.
 
 Both routes integrate with the same fluid.ssprk3 step and take the
-Fokker-Planck operator (FokkerPlanckSolver) as an argument; the scenario
-drivers in runner build it once per run and share it between the routes.
+Fokker-Planck operator (FokkerPlanckSolver, built for one grid) as an
+argument: op.check_step guards each step and op.tendency is the FP half of
+every stage.  The scenario drivers in runner build it once per run.
 
 Stepping over a horizon happens only in fluid_trajectory and
 fp_trajectory, which fixed_point_map and the stress_difference scenario
@@ -70,11 +71,16 @@ class FixedPointConfig:
     def __post_init__(self):
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
-        if self.s_prime > 1:
-            raise ValueError("contraction index must satisfy s_prime <= 1")
+        if not 0 <= self.s_prime <= 1:
+            raise ValueError("contraction index must satisfy "
+                             "0 <= s_prime <= 1")
         if self.max_iters < 2:
             raise ValueError("max_iters must be at least 2: a contraction "
                              "ratio needs three iterates")
+
+    def n_steps(self, dt):
+        """Steps of length dt that span the horizon."""
+        return int(round(self.horizon_T / dt))
 
 
 def stress_field(psi: PolymerField) -> SpectralField:
@@ -91,10 +97,6 @@ def _stress_of(grid, basis, coeffs):
         grid, np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0])))
 
 
-def _times(traj):
-    return np.array([s.time for s in traj])
-
-
 def xs_norm(traj, s):
     """Trajectory norm of X^s from dense-in-time samples."""
     if not traj:
@@ -103,9 +105,7 @@ def xs_norm(traj, s):
     h1 = np.empty(len(traj))
     for i, psi in enumerate(traj):
         l2[i], h1[i] = fp_energy(psi, s)
-    if len(traj) == 1:
-        return float(np.sqrt(l2[0]))
-    return float(np.sqrt(l2.max() + np.trapezoid(h1, _times(traj))))
+    return float(np.sqrt(l2.max() + np.trapezoid(h1, [p.time for p in traj])))
 
 
 def xs_distance(traj_a, traj_b, s):
@@ -197,8 +197,8 @@ def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
     """Iterate the map max_iters times from the constant-in-time seed;
     returns the iterates (seed first) so distances and ratios can be
     inspected."""
-    n_steps = int(round(cfg.horizon_T / fluid_cfg.dt))
-    iterates = [constant_trajectory(state0.psi, n_steps, fluid_cfg.dt)]
+    iterates = [constant_trajectory(state0.psi, cfg.n_steps(fluid_cfg.dt),
+                                    fluid_cfg.dt)]
     for _ in range(cfg.max_iters):
         iterates.append(fixed_point_map(iterates[-1], state0, op, forcing,
                                         fluid_cfg))
@@ -230,7 +230,7 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress."""
     p = op.params
     grid, basis = state.psi.grid, state.psi.basis
-    diag = op.ssprk3_diag(state.psi, fluid_cfg.dt)
+    op.check_step(state.psi, fluid_cfg.dt)
     fluid_mod.check_cfl(state.fluid, p, fluid_cfg)
 
     def rhs(y, t):
@@ -239,8 +239,7 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
         dr, du = fluid_rhs(st, _stress_of(grid, basis, c),
                            fluid_mod._forcing_field(forcing, grid, t),
                            p, fluid_cfg)
-        dc = op.explicit_tendency(c, grid, st.u) - diag * c
-        return dr.coeffs, du.coeffs, dc
+        return dr.coeffs, du.coeffs, op.tendency(c, st.u)
 
     t1 = state.time + fluid_cfg.dt
     r, u, c = ssprk3((state.fluid.r.coeffs, state.fluid.u.coeffs,

@@ -8,15 +8,16 @@ Advances
 
 pseudo-spectrally in the Galerkin space P_K of torus (the stored block),
 with an optional velocity cut-off phi_R(|u|_{2,inf}) that switches the
-nonlinear terms off for large velocities.  fluid_rhs evaluates every
-quadratic term of both equations in one batched 2/3-rule product per RK
-stage: each factor goes to the grid once, the products are taken there and
-come back in one transform, so every tendency lies in P_K.  Time stepping
-is explicit SSP-RK3 under a conservative CFL bound on the speeds |u| + c_s;
-positivity of r is monitored and its loss is an error, never silently
-repaired.  ssprk3, over tuples of coefficient arrays, is the package's one
-SSP-RK3 step: fluid.step, fokker_planck.fp_step and coupling.coupled_step
-all take it.
+nonlinear terms off for large velocities.  fluid_rhs evaluates the eleven
+quadratic terms of both equations in one 2/3-rule product per RK stage:
+left factors (u1, u2, r, D(r)) times the rows of a table, d1 (r, u1, u2),
+d2 (r, u1, u2), (div u, d1 r, d2 r) and (div S + div T, 0).  Each factor
+goes to the grid once and the products come back in one transform, so
+every tendency lies in P_K.  Time stepping is explicit SSP-RK3 under a
+conservative CFL bound on the speeds |u| + c_s; positivity of r is
+monitored and its loss is an error, never silently repaired.  ssprk3, over
+tuples of coefficient arrays, is the package's one SSP-RK3 step:
+fluid.step, fokker_planck.fp_step and coupling.coupled_step all take it.
 """
 
 from dataclasses import dataclass
@@ -64,6 +65,8 @@ class FluidStepConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.cutoff_R is not None and not self.cutoff_R > 0:
+            raise ValueError("cut-off threshold must be positive")
 
 
 def phi_r(y, R):
@@ -114,28 +117,29 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
     """(dr, du): -phi_R [u . grad r + (gamma-1)/2 r div u] and
     -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, in P_K
     by construction; stress and forcing may be None.  The eleven quadratic
-    terms are one dealiased product of two stacks of factors."""
+    terms are one dealiased product of (u1, u2, r, D) with the rows of a
+    4 x 3 table of right factors."""
     grid = state.r.grid
     cut = _cutoff_value(state.u, cfg)
     dr = SpectralField.zero(grid, 1)
     du = np.zeros_like(state.u.coeffs)
     if cut != 0.0:
-        r, u = state.r.coeffs, state.u.coeffs
         visc = viscous_divergence(state.u, p)
         total = visc if stress is None else visc + stress_divergence(stress)
-        d = _d_field(state, p).coeffs
-        grad_r = torus.gradient(state.r).coeffs
-        prod = dealiased_product(
-            SpectralField(grid, np.concatenate(
-                [u, r, d, d, u[[0, 0, 1, 1]], r, r])),
-            SpectralField(grid, np.concatenate(
-                [grad_r, torus.divergence(state.u).coeffs, total.coeffs,
-                 grid.ik1 * u, grid.ik2 * u, grad_r]))).coeffs
-        adv_r = prod[0:1] + prod[1:2] + 0.5 * (p.gamma - 1.0) * prod[2:3]
+        ru = np.concatenate([state.r.coeffs, state.u.coeffs])
+        d1, d2 = grid.ik1 * ru, grid.ik2 * ru   # d_b of (r, u1, u2)
+        # rows d1 (r, u), d2 (r, u), (div u, grad r), (div S + div T, 0)
+        right = np.stack([d1, d2, [d1[1] + d2[2], d1[0], d2[0]],
+                          [*total.coeffs, np.zeros_like(d1[0])]])
+        left = np.concatenate([state.u.coeffs, state.r.coeffs,
+                               _d_field(state, p).coeffs])
+        prod = dealiased_product(SpectralField(grid, left[:, None]),
+                                 SpectralField(grid, right)).coeffs
+        adv_r = prod[0, 0] + prod[1, 0] + 0.5 * (p.gamma - 1.0) * prod[2, 0]
         dr = SpectralField(grid, (-cut) * adv_r)
-        du = du + cut * prod[3:5]
-        du = du - cut * (prod[5:7] + prod[7:9])
-        du = du - cut * prod[9:11]
+        du = du + cut * prod[3, :2]
+        du = du - cut * (prod[0, 1:] + prod[1, 1:])
+        du = du - cut * prod[2, 1:]
     if forcing is not None:
         du = du + forcing.coeffs
     return dr, SpectralField(grid, du)
@@ -183,24 +187,17 @@ def state_from_coeffs(grid, r, u, time, check_positivity=True):
                       check_positivity)
 
 
-def _resolve(value, t):
-    return value(t) if callable(value) else value
-
-
-def _forcing_field(forcing, grid, t):
-    if forcing is None:
+def _forcing_field(forcing: ForcingSpec, grid, t):
+    if forcing is None or forcing.kind == "zero" or forcing.amplitude == 0.0:
         return None
-    if isinstance(forcing, ForcingSpec):
-        if forcing.kind == "zero" or forcing.amplitude == 0.0:
-            return None
-        x1, x2 = grid.x
-        return SpectralField.from_values(grid, forcing.values(x1, x2, t))
-    return _resolve(forcing, t)
+    x1, x2 = grid.x
+    return SpectralField.from_values(grid, forcing.values(x1, x2, t))
 
 
 def step(state: FluidState, stress, forcing, p: ModelParams,
          cfg: FluidStepConfig) -> FluidState:
-    """One SSP-RK3 step; stress/forcing may be fields or callables of time.
+    """One SSP-RK3 step; stress may be a field or a callable of time, and
+    forcing a ForcingSpec; either may be None.
 
     Raises CFLViolation when dt exceeds the configured bound and
     PositivityLoss when the updated r is not positive on the grid.
@@ -210,7 +207,7 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
 
     def rhs(y, t):
         st = state_from_coeffs(grid, *y, t, check_positivity=False)
-        dr, du = fluid_rhs(st, _resolve(stress, t),
+        dr, du = fluid_rhs(st, stress(t) if callable(stress) else stress,
                            _forcing_field(forcing, grid, t), p, cfg)
         return dr.coeffs, du.coeffs
 

@@ -13,13 +13,15 @@ per coefficient field c_i(x, t),
 where C and G carry the boundary-layer cutoff chi_n inside their
 integrands (both reduce to the plain Gram data when the cutoff is
 disabled).  FokkerPlanckSolver holds this operator for one (basis, model,
-cutoff); the scenario drivers build it once per run (a few milliseconds)
-and pass it to fp_step, fp_rhs and coupling.coupled_step.  Every route
-advances psi by the shared fluid.ssprk3 step, explicit in all four terms;
-relaxation and diffusion are diagonal, so ssprk3_diag refuses a step
-whose largest rate leaves the SSP-RK3 stability interval.  Positivity of
-psi is only monitored - the Galerkin truncation does not preserve it and
-clipping would corrupt the energy monitors.
+cutoff) on one torus grid, with the diagonal relaxation-plus-diffusion
+rate of every coefficient; the scenario drivers build it once per run (a
+few milliseconds) and pass it to fp_step and coupling.coupled_step.  Its
+tendency is the only place the Fokker-Planck tendency is formed, and both
+routes advance psi by the shared fluid.ssprk3 step over it, explicit in
+all four terms; check_step refuses a psi on another basis or grid, and a
+step whose largest diagonal rate leaves the SSP-RK3 stability interval.
+Positivity of psi is only monitored - the Galerkin truncation does not
+preserve it and clipping would corrupt the energy monitors.
 The coefficients of psi form an (n_basis, 2K + 1, K + 1) tensor, one torus
 field per basis function in the Galerkin block of torus; fp_energy weights
 its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
@@ -80,52 +82,49 @@ class PolymerField:
                             self.time)
 
 
-def polymer_mass_of(coeffs, basis: ConfigBasis):
+def polymer_mass(psi: PolymerField):
     """int int psi dq dx from coefficients: only the q-constant mode carries
     mass, and the torus mean sits in the k = 0 coefficient."""
-    return float(SIDE ** 2 * np.real(coeffs[:, 0, 0] @ basis.mass_vector))
-
-
-def polymer_mass(psi: PolymerField):
-    return polymer_mass_of(psi.coeffs, psi.basis)
+    return float(SIDE ** 2 * np.real(psi.coeffs[:, 0, 0]
+                                     @ psi.basis.mass_vector))
 
 
 class FokkerPlanckSolver:
-    """The explicit Fokker-Planck operator for one (basis, model, cutoff).
+    """The explicit Fokker-Planck operator for one (basis, model, cutoff) on
+    one torus grid.
 
     chi_index=None disables the boundary-layer cutoff (chi = 1); an integer
     ties the cutoff plateau to sqrt(b) - 2/chi_index as in the regularized
-    scheme.  params also serves the fluid half of coupled_step.
+    scheme.  params also serves the fluid half of coupled_step.  diag holds
+    the relaxation plus diffusion rate of every coefficient.
     """
 
     def __init__(self, basis: ConfigBasis, params: ModelParams,
-                 chi_index=None):
+                 grid: TorusGrid, chi_index=None):
         self.basis = basis
         self.params = params
+        self.grid = grid
         self.chi_mass = chi_mass_matrix(basis, chi_index)
         self.drift = drift_matrices(basis, chi_index)
-        self.relax = params.relaxation_rate * basis.eigenvalues
+        relax = params.relaxation_rate * basis.eigenvalues
+        self.diag = relax[:, None, None] + params.epsilon * grid.ksq[None]
 
-    def diag(self, psi: PolymerField):
-        """Relaxation plus diffusion rate of every coefficient of psi."""
+    def check_step(self, psi: PolymerField, dt):
+        """Refuse a psi on another basis or grid, and a dt whose
+        dt * max rate leaves the SSP-RK3 stability interval."""
         if psi.basis is not self.basis:
             raise ValueError("operator and polymer field use different bases")
-        return self.relax[:, None, None] \
-            + self.params.epsilon * psi.grid.ksq[None]
-
-    def ssprk3_diag(self, psi: PolymerField, dt):
-        """diag(psi), refused when dt * max rate leaves the SSP-RK3
-        stability interval."""
-        diag = self.diag(psi)
-        zmax = dt * float(diag.max())
+        if psi.grid != self.grid:
+            raise ValueError("operator and polymer field use different grids")
+        zmax = dt * float(self.diag.max())
         if zmax > 2.5:
             raise StabilityViolation(
                 f"dt * max relaxation/diffusion rate = {zmax:.2f} "
                 "outside the SSP-RK3 stability interval")
-        return diag
 
-    def explicit_tendency(self, coeffs, grid: TorusGrid, u: SpectralField):
+    def explicit_tendency(self, coeffs, u: SpectralField):
         """Transport plus drift in coefficient space (dealiased)."""
+        grid = self.grid
         n = grid.n_points
         nb = self.basis.n_basis
         cg = to_values(coeffs, n).reshape(nb, -1)
@@ -141,28 +140,23 @@ class FokkerPlanckSolver:
             np.stack([uv[0, 0] * w, uv[0, 1] * w, drift_grid]))
         return drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
 
-
-def fp_rhs(psi: PolymerField, u: SpectralField,
-           op: FokkerPlanckSolver) -> PolymerField:
-    """Weak-form tendency of psi for the given velocity field."""
-    tend = op.explicit_tendency(psi.coeffs, psi.grid, u)
-    tend -= op.diag(psi) * psi.coeffs
-    return PolymerField(psi.grid, psi.basis, tend, psi.time)
+    def tendency(self, coeffs, u: SpectralField):
+        """The Fokker-Planck tendency of the coefficients under velocity u:
+        transport and drift, less relaxation and diffusion."""
+        return self.explicit_tendency(coeffs, u) - self.diag * coeffs
 
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
             dt) -> PolymerField:
     """Advance one SSP-RK3 step of length dt; u may be a field or a
     callable of time (used for the RK stage values)."""
-    grid = psi.grid
-    diag = op.ssprk3_diag(psi, dt)
+    op.check_step(psi, dt)
 
     def rhs(y, t):
-        uu = u(t) if callable(u) else u
-        return (op.explicit_tendency(y[0], grid, uu) - diag * y[0],)
+        return (op.tendency(y[0], u(t) if callable(u) else u),)
 
     new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
-    return PolymerField(grid, psi.basis, new, psi.time + dt)
+    return PolymerField(psi.grid, psi.basis, new, psi.time + dt)
 
 
 def fp_energy(psi: PolymerField, s: int):

@@ -214,26 +214,35 @@ class RunContext:
                            ("snapshots.every", 0)):
             if cfg[key] < least:
                 raise ConfigError(f"must be at least {least}", field=key)
-        if cfg["scenario"] == "stress_difference":
+        name = cfg["scenario"]
+        if name == "stress_difference":
             if not cfg["experiment.horizon"] > 0:
                 raise ConfigError("the horizon must be positive",
                                   field="experiment.horizon")
-            if int(round(cfg["experiment.horizon"] / cfg["fluid.dt"])) < 2:
-                raise ConfigError("stress_difference needs at least two "
-                                  "steps of this dt within "
-                                  "experiment.horizon", field="fluid.dt")
             deltas = cfg["experiment.deltas"]
             if len(set(deltas)) < 2 or min(deltas) <= 0:
                 raise ConfigError("the log-log slope needs at least two "
                                   "distinct positive deltas",
                                   field="experiment.deltas")
         self.fixed_point = None
-        if cfg["scenario"] == "contraction_study":
+        if name in ("stress_difference", "contraction_study"):
             with _refusing("fixed_point"):
                 self.fixed_point = FixedPointConfig(
                     horizon_T=cfg["experiment.horizon"],
                     s_prime=cfg["fixed_point.s_prime"],
                     max_iters=cfg["fixed_point.max_iters"])
+            if self.fixed_point.n_steps(self.fluid_cfg.dt) < 2:
+                raise ConfigError(f"{name} needs at least two steps of this "
+                                  "dt within experiment.horizon",
+                                  field="fluid.dt")
+        if name == "lemma_a1":
+            if cfg["experiment.ensemble"] < 100:
+                raise ConfigError("lemma_a1 needs an ensemble of at least 100",
+                                  field="experiment.ensemble")
+            deltas = cfg["experiment.lemma_deltas"]
+            if not deltas or min(deltas) <= 0:
+                raise ConfigError("lemma_a1 needs at least one delta, each "
+                                  "positive", field="experiment.lemma_deltas")
         self.forcing = ForcingSpec(kind=cfg["forcing.kind"],
                                    amplitude=cfg["forcing.amplitude"],
                                    mode=cfg["forcing.mode"])
@@ -273,6 +282,10 @@ class RunContext:
             fields = {0: np.ones((n, n)), mode: amp * np.cos(m * x2)}
             psi = PolymerField.from_coefficient_fields(self.grid, self.basis,
                                                        fields)
+        if not rho.min() > 0:
+            raise ConfigError("the initial density must be positive on the "
+                              "grid", field="scenario.amplitude" if rho0 > 0
+                              else "scenario.rho0")
         r = SpectralField.from_values(self.grid, density_to_r(rho, self.params))
         u = SpectralField.from_values(self.grid, uvals)
         return CoupledState(FluidState(r, u), psi)
@@ -504,7 +517,7 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     if not records[-1].blowup_indicator <= ceiling:
         raise BlowupCeiling(f"blow-up indicator "
                             f"{records[-1].blowup_indicator:.3e} at start")
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
     try:
         for k, state in coupled_trajectory(
                 state, op, ctx.forcing, ctx.fluid_cfg,
@@ -536,14 +549,12 @@ def _loglog_slope(deltas, dists):
 
 
 def _run_stress_difference(ctx: RunContext, outdir):
-    cfg = ctx.cfg
-    horizon = cfg["experiment.horizon"]
-    n_steps = int(round(horizon / ctx.fluid_cfg.dt))
-    deltas = cfg["experiment.deltas"]
+    n_steps = ctx.fixed_point.n_steps(ctx.fluid_cfg.dt)
+    deltas = ctx.cfg["experiment.deltas"]
     state0 = ctx.initial_state()
     grid = ctx.grid
     x1, x2 = grid.x
-    s_prime = cfg["fixed_point.s_prime"]
+    s_prime = ctx.fixed_point.s_prime
 
     base_stress = stress_field(state0.psi)
     pert = SpectralField.from_values(grid, np.stack(
@@ -566,7 +577,7 @@ def _run_stress_difference(ctx: RunContext, outdir):
     u_base = state0.fluid.u
     u_pert = SpectralField.from_values(grid, np.stack(
         [np.sin(x2), np.sin(x1)]))
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
 
     def fp_solve(u):
         return fp_trajectory(state0.psi, u, op, ctx.fluid_cfg.dt, n_steps)
@@ -589,11 +600,11 @@ def _run_stress_difference(ctx: RunContext, outdir):
 def _run_contraction(ctx: RunContext, outdir):
     fpc = ctx.fixed_point
     state0 = ctx.initial_state()
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
     iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg, fpc)
     dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
 
-    n_steps = int(round(fpc.horizon_T / ctx.fluid_cfg.dt))
+    n_steps = fpc.n_steps(ctx.fluid_cfg.dt)
     mono_traj = [state0.psi] + [mono.psi for _, mono in coupled_trajectory(
         state0, op, ctx.forcing, ctx.fluid_cfg, range(1, n_steps + 1),
         "in the monolithic reference")]
@@ -615,9 +626,6 @@ def _run_contraction(ctx: RunContext, outdir):
 def _run_lemma_a1(ctx: RunContext, outdir):
     cfg = ctx.cfg
     n_ensemble = cfg["experiment.ensemble"]
-    if n_ensemble < 100:
-        raise ConfigError("lemma_a1 needs an ensemble of at least 100",
-                          field="experiment.ensemble")
     rng = np.random.default_rng(ctx.seed)
     deltas = cfg["experiment.lemma_deltas"]
     samples = [ConfDistribution(ctx.basis,

@@ -39,8 +39,8 @@ def fluid_cfg():
 
 
 @pytest.fixture(scope="module")
-def op32(basis32, params):
-    return FokkerPlanckSolver(basis32, params, 32)
+def op32(basis32, params, grid32):
+    return FokkerPlanckSolver(basis32, params, grid32, 32)
 
 
 def test_coupled_state_validates_time(grid32, basis32, params):
@@ -138,7 +138,7 @@ def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
 
 def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     fluid_cfg = FluidStepConfig(dt=1e-3)
-    op = FokkerPlanckSolver(basis16, params, 16)
+    op = FokkerPlanckSolver(basis16, params, grid16, 16)
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     firsts = []
     for horizon in (0.1, 0.05, 0.025):

@@ -603,13 +603,32 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "max_steps = -1", "max_steps"),
     ("shear_perturbation", "record_every = 0", "record_every"),
     ("shear_perturbation", "snapshots.every = -1", "snapshots.every"),
+    # phi_R needs a positive threshold
+    ("shear_perturbation", "fluid.cutoff_r = 0", "fluid"),
+    ("shear_perturbation", "fluid.cutoff_r = -1", "fluid"),
+    # the density transform needs rho > 0 on the grid
+    ("equilibrium", "scenario.rho0 = 0", "scenario.rho0"),
+    ("density_bump", "scenario.amplitude = 1.5", "scenario.amplitude"),
+    ("shear_perturbation", "scenario.amplitude = 2.5", "scenario.amplitude"),
+    # X^{s'} with 0 <= s' <= s - 1 in both experiments
+    ("stress_difference", "fixed_point.s_prime = -1", "fixed_point"),
+    ("contraction_study", "fixed_point.s_prime = -1", "fixed_point"),
+    # round(0.0004 / 1e-3) = 0 steps: every distance would be 0
+    ("contraction_study", "experiment.horizon = 0.0004", "fluid.dt"),
+    ("lemma_a1", "experiment.lemma_deltas =", "experiment.lemma_deltas"),
+    ("lemma_a1", "experiment.lemma_deltas = 1.0, -1.0",
+     "experiment.lemma_deltas"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
         "n_basis=0", "n_basis=-3", "n_basis=11", "n_basis=13",
         "equilibrium_chi=-2", "equilibrium_chi=0",
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
-        "max_steps=-1", "record_every=0", "snapshots_every=-1"])
+        "max_steps=-1", "record_every=0", "snapshots_every=-1",
+        "cutoff_r=0", "cutoff_r=-1", "rho0=0", "bump_amplitude=1.5",
+        "shear_amplitude=2.5", "stress_difference_s_prime=-1",
+        "contraction_s_prime=-1", "contraction_zero_steps", "no_lemma_delta",
+        "negative_lemma_delta"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"
@@ -631,7 +650,8 @@ def test_coupled_steps_reuse_the_heap():
     import resource
     runner._retain_heap()
     ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"))
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.chi_index)
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid,
+                            ctx.chi_index)
     state = ctx.initial_state()
     faults = []
     for _ in range(12):

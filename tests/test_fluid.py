@@ -161,11 +161,13 @@ def test_fluid_rhs_matches_per_term_products(grid32, params):
 
 def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
     st, stress, forcing = random_fluid_input(grid32, params, seed=12)
-    transforms, sup_norms = [], []
+    transforms, sup_norms, slices = [], [], {"to_modes": 0, "to_values": 0}
 
     def counted(func, log):
         def wrapper(*args):
             log.append(func.__name__)
+            if func.__name__ in slices:   # leading axes count the slices
+                slices[func.__name__] += int(np.prod(args[0].shape[:-2]))
             return func(*args)
         return wrapper
 
@@ -177,6 +179,10 @@ def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
     fluid_rhs(st, stress, forcing, params, FluidStepConfig(dt=1e-3))
     assert len(transforms) <= 5
     assert sup_norms == []
+    # inverse: r for D(r), 4 left factors, the 4 x 3 table; forward: D(r)
+    # and the 12 products
+    assert slices["to_values"] <= 17
+    assert slices["to_modes"] <= 13
     fluid_rhs(st, stress, forcing, params,
               FluidStepConfig(dt=1e-3, cutoff_R=sup_norm_w2inf(st.u) - 0.4))
     assert len(sup_norms) == 1

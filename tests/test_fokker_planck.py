@@ -5,7 +5,7 @@ from conftest import random_band_limited
 from fene.configspace import ConfDistribution, h1m_seminorm
 from fene.errors import StabilityViolation
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
-    fp_energy, fp_rhs, fp_step, nonnegativity_report, polymer_mass
+    fp_energy, fp_step, nonnegativity_report, polymer_mass
 from fene.model import ModelParams
 from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
     forward, to_modes
@@ -28,8 +28,8 @@ def perturbed_field(grid, basis, amp=0.01, mode=1):
 def test_equilibrium_is_steady(grid32, basis32, params):
     psi = PolymerField.equilibrium(grid32, basis32)
     u0 = SpectralField.zero(grid32, 2)
-    op = FokkerPlanckSolver(basis32, params, 32)
-    tend = fp_rhs(psi, u0, op)
+    op = FokkerPlanckSolver(basis32, params, grid32, 32)
+    tend = PolymerField(grid32, basis32, op.tendency(psi.coeffs, u0))
     assert np.max(np.abs(tend.coeffs)) < 1e-14
     cur = psi
     for _ in range(5):
@@ -45,7 +45,7 @@ def test_pure_relaxation_matches_exponential(grid16, basis16, params):
     coeffs[mode, 0, 0] = 0.5
     psi = PolymerField(grid16, basis16, coeffs)
     mu = params.relaxation_rate * basis16.eigenvalues[mode]
-    op = FokkerPlanckSolver(basis16, params, 16)
+    op = FokkerPlanckSolver(basis16, params, grid16, 16)
 
     # third-order explicit scheme against the scalar ODE solution
     cur = psi
@@ -59,10 +59,10 @@ def test_tendency_marginal_identity(grid32, basis32):
     # with the cutoff disabled, integrating the weak form against the
     # constant test function leaves exactly transport plus diffusion
     params = ModelParams(epsilon=0.01)
-    op = FokkerPlanckSolver(basis32, params, None)
+    op = FokkerPlanckSolver(basis32, params, grid32, None)
     psi = perturbed_field(grid32, basis32, amp=0.05)
     u = shear_velocity(grid32)
-    tend = fp_rhs(psi, u, op)
+    tend = PolymerField(grid32, basis32, op.tendency(psi.coeffs, u))
 
     w = basis32.quad.weights * basis32.quad.maxwellian
     mass_vec = np.einsum("kl,ikl->i", w, basis32.values)
@@ -82,7 +82,7 @@ def test_polymer_mass_conserved(grid32, basis32, params):
     psi = perturbed_field(grid32, basis32)
     u = shear_velocity(grid32)
     m0 = polymer_mass(psi)
-    op = FokkerPlanckSolver(basis32, params, 32)
+    op = FokkerPlanckSolver(basis32, params, grid32, 32)
     cur = psi
     for _ in range(1000):
         cur = fp_step(cur, u, op, 1e-3)
@@ -95,8 +95,8 @@ def test_epsilon_zero_and_positive_paths(grid32, basis32):
     u = shear_velocity(grid32)
     p0 = ModelParams(epsilon=0.0)
     p1 = ModelParams(epsilon=0.01)
-    via_model = fp_step(psi, u, FokkerPlanckSolver(basis32, p1, 32), 1e-3)
-    plain = fp_step(psi, u, FokkerPlanckSolver(basis32, p0, 32), 1e-3)
+    via_model = fp_step(psi, u, FokkerPlanckSolver(basis32, p1, grid32, 32), 1e-3)
+    plain = fp_step(psi, u, FokkerPlanckSolver(basis32, p0, grid32, 32), 1e-3)
     assert not np.array_equal(plain.coeffs, via_model.coeffs)
 
 
@@ -105,7 +105,18 @@ def test_rk3_stability_guard(grid16, basis16):
     psi = PolymerField.equilibrium(grid16, basis16)
     u = SpectralField.zero(grid16, 2)
     with pytest.raises(StabilityViolation):
-        fp_step(psi, u, FokkerPlanckSolver(basis16, p, 16), 1e-2)
+        fp_step(psi, u, FokkerPlanckSolver(basis16, p, grid16, 16), 1e-2)
+
+
+def test_check_step_refuses_other_grid_or_basis(grid16, grid32, basis16,
+                                                 basis32, params):
+    op = FokkerPlanckSolver(basis16, params, grid16, 16)
+    op.check_step(PolymerField.equilibrium(grid16, basis16), 1e-3)
+    u = SpectralField.zero(grid32, 2)
+    with pytest.raises(ValueError, match="different grids"):
+        fp_step(PolymerField.equilibrium(grid32, basis16), u, op, 1e-3)
+    with pytest.raises(ValueError, match="different bases"):
+        op.check_step(PolymerField.equilibrium(grid16, basis32), 1e-3)
 
 
 def test_fp_energy_values(grid32, basis32):
@@ -191,7 +202,7 @@ def test_relaxation_dissipates_without_flow(grid16, basis16, params):
     # L^2_M distance to the projected equilibrium M eta-bar is nonincreasing
     rng = np.random.default_rng(1)
     u0 = SpectralField.zero(grid16, 2)
-    op = FokkerPlanckSolver(basis16, params, 16)
+    op = FokkerPlanckSolver(basis16, params, grid16, 16)
     n = grid16.n_points
     for _ in range(20):
         coeffs = np.zeros((basis16.n_basis, *grid16.spectral_shape),

@@ -15,7 +15,7 @@ from fene.configspace import build_quadrature, eigen_basis
 from fene.coupling import CoupledState
 from fene.errors import VersionError
 from fene.fluid import FluidState
-from fene.fokker_planck import FokkerPlanckSolver, PolymerField, fp_rhs, \
+from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     polymer_mass
 from fene.model import ModelParams
 from fene.runner import resume
@@ -188,8 +188,9 @@ def test_fp_rhs_conserves_polymer_mass(basis16, seed, chi_index, epsilon):
     psi = PolymerField(grid, basis16, random_band_limited(
         grid, rng, components=basis16.n_basis).coeffs)
     u = random_band_limited(grid, rng, components=2)
-    op = FokkerPlanckSolver(basis16, ModelParams(epsilon=epsilon), chi_index)
-    tend = fp_rhs(psi, u, op).coeffs
+    op = FokkerPlanckSolver(basis16, ModelParams(epsilon=epsilon), grid,
+                            chi_index)
+    tend = op.tendency(psi.coeffs, u)
     rate = basis16.mass_vector @ tend[:, 0, 0]
     assert abs(rate) < 1e-12 * np.max(np.abs(tend))
 
