@@ -232,12 +232,12 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     grid, basis = state.psi.grid, state.psi.basis
     op.check_step(state.psi, fluid_cfg.dt)
     fluid_mod.check_cfl(state.fluid, p, fluid_cfg)
+    force = fluid_mod.forcing_of_time(forcing, grid)
 
     def rhs(y, t):
         r, u, c = y
         st = state_from_coeffs(grid, r, u, t, check_positivity=False)
-        dr, du = fluid_rhs(st, _stress_of(grid, basis, c),
-                           fluid_mod._forcing_field(forcing, grid, t),
+        dr, du = fluid_rhs(st, _stress_of(grid, basis, c), force(t),
                            p, fluid_cfg)
         return dr.coeffs, du.coeffs, op.tendency(c, st.u)
 

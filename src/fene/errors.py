@@ -38,7 +38,8 @@ class BlowupCeiling(FeneError):
 
 
 class VersionError(FeneError):
-    """Checkpoint file has wrong magic bytes or unsupported version."""
+    """Checkpoint file has wrong magic bytes or unsupported version, or
+    does not fit the configured run (grid, basis, time step)."""
 
 
 class EigenSolverError(FeneError):

@@ -21,6 +21,7 @@ fluid.step, fokker_planck.fp_step and coupling.coupled_step all take it.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -194,6 +195,15 @@ def _forcing_field(forcing: ForcingSpec, grid, t):
     return SpectralField.from_values(grid, forcing.values(x1, x2, t))
 
 
+def forcing_of_time(forcing: ForcingSpec, grid):
+    """The forcing field (or None) as a callable of time: a steady field is
+    built once here, a time-periodic one at every call."""
+    if forcing is not None and forcing.kind == "steady_field":
+        field = _forcing_field(forcing, grid, 0.0)
+        return lambda t: field
+    return partial(_forcing_field, forcing, grid)
+
+
 def step(state: FluidState, stress, forcing, p: ModelParams,
          cfg: FluidStepConfig) -> FluidState:
     """One SSP-RK3 step; stress may be a field or a callable of time, and
@@ -204,11 +214,12 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
     """
     check_cfl(state, p, cfg)
     grid = state.r.grid
+    force = forcing_of_time(forcing, grid)
 
     def rhs(y, t):
         st = state_from_coeffs(grid, *y, t, check_positivity=False)
         dr, du = fluid_rhs(st, stress(t) if callable(stress) else stress,
-                           _forcing_field(forcing, grid, t), p, cfg)
+                           force(t), p, cfg)
         return dr.coeffs, du.coeffs
 
     r, u = ssprk3((state.r.coeffs, state.u.coeffs), rhs, state.time, cfg.dt)

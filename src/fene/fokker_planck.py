@@ -22,6 +22,11 @@ all four terms; check_step refuses a psi on another basis or grid, and a
 step whose largest diagonal rate leaves the SSP-RK3 stability interval.
 Positivity of psi is only monitored - the Galerkin truncation does not
 preserve it and clipping would corrupt the energy monitors.
+nonnegativity_report bounds the samples of every q column over x and
+samples only the radial rings those bounds cannot clear of the minimum or
+of a negative value; on whole rings the GEMM rounds as on the full sample
+matrix, so the report is the full matrix's bit for bit at a fraction of
+its cost.
 The coefficients of psi form an (n_basis, 2K + 1, K + 1) tensor, one torus
 field per basis function in the Galerkin block of torus; fp_energy weights
 its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
@@ -175,27 +180,62 @@ def fp_energy(psi: PolymerField, s: int):
 
 
 _SAMPLE_BLOCK = 128  # x nodes per block of sampled psi
+# Relative slack of the column bounds, against the rounding of both the
+# bounds and the samples (each an n_basis-term sum, error ~ n_basis * eps).
+_BOUND_SLACK = 1e-12
+
+
+def _candidate_rings(cg, basis: ConfigBasis):
+    """Mask of the radial rings whose samples s = cg.T @ phi may hold the
+    minimum of s M or a negative value, from bounds of every q column j
+    over x: s(x, j) lies in mid @ phi(j) -/+ (rad @ |phi(j)| + slack), with
+    mid_i and rad_i the centre and half-range of cg[i].  A column is ruled
+    out only if lo M exceeds the least hi M and lo >= 0; a NaN bound rules
+    nothing out, as every comparison with NaN is False."""
+    nb = basis.n_basis
+    phi = basis.values.reshape(nb, -1)
+    m = basis.quad.maxwellian.reshape(-1)
+    cmax, cmin = cg.max(axis=1), cg.min(axis=1)
+    centre = (cmax + cmin) / 2.0 @ phi
+    reach = ((cmax - cmin) / 2.0 + _BOUND_SLACK * np.maximum(cmax, -cmin)) \
+        @ np.abs(phi)
+    lo = centre - reach
+    best = np.min((centre + reach) * m)
+    ruled_out = (lo * m > best) & (lo >= 0.0)
+    return ~ruled_out.reshape(basis.values.shape[1:]).all(axis=1)
 
 
 def nonnegativity_report(psi: PolymerField):
     """(min sampled psi, fraction of negative samples) over grid x nodes.
 
     Sampling happens on the configuration quadrature nodes; the scheme never
-    enforces positivity, this is a monitor only.  The samples are formed a
-    block of x nodes at a time and scaled by M only at the end: M > 0 at
-    every node and rounding is monotone, so min(s M) = min(s) M bit for bit.
+    enforces positivity, this is a monitor only.  Only the radial rings
+    that bounds over x cannot clear (_candidate_rings) are sampled: near
+    equilibrium one ring in 32, since psi is smallest next to the boundary
+    of the ball and its columns elsewhere are bounded away from that
+    minimum.
+
+    The result is the full sample matrix's, bit for bit.  The samples of
+    the kept rings are formed a block of x nodes at a time by the same GEMM
+    as the full matrix, on whole rings of columns: one gathered column
+    would go through gemv and round differently.  They are scaled by M
+    only at the end: M > 0 at every node and rounding is monotone, so
+    min(s M) = min(s) M.  A skipped column holds neither the minimum nor a
+    negative sample, so the count of negative samples is the full one.
     """
     basis = psi.basis
-    cg = psi.coefficient_values().reshape(basis.n_basis, -1)
-    phi_flat = basis.values.reshape(basis.n_basis, -1)
-    m = basis.quad.maxwellian.reshape(-1)
-    col_min = np.full(phi_flat.shape[1], np.inf)
+    nb = basis.n_basis
+    cg = psi.coefficient_values().reshape(nb, -1)
+    rings = _candidate_rings(cg, basis)
+    phi = basis.values[:, rings].reshape(nb, -1)
+    m = basis.quad.maxwellian[rings].reshape(-1)
+    col_min = np.full(phi.shape[1], np.inf)
     negative = 0
     for start in range(0, cg.shape[1], _SAMPLE_BLOCK):
-        block = cg[:, start:start + _SAMPLE_BLOCK].T @ phi_flat
+        block = cg[:, start:start + _SAMPLE_BLOCK].T @ phi
         block_min = block.min(axis=0)
         np.minimum(col_min, block_min, out=col_min)
-        if block_min.min() < 0.0:
+        if not block_min.min() >= 0.0:   # a NaN may hide a negative
             negative += np.count_nonzero(block * m < 0.0)
     return (float((col_min * m).min()),
-            float(negative / (cg.shape[1] * m.size)))
+            float(negative / (cg.shape[1] * basis.quad.maxwellian.size)))

@@ -491,9 +491,16 @@ def summarize(records, params):
 # ---------------------------------------------------------------------------
 # scenario drivers
 
+# a resumed time must be this close, relative, to a whole number of steps:
+# k additions of dt round by about k eps
+_STEP_RTOL = 1e-9
+
+
 def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     """Step from the initial state, or from the checkpoint resume_from, to
-    max_steps; the outcome summarizes the recorded series."""
+    max_steps; the outcome summarizes the recorded series.  A checkpoint
+    whose time is not a whole number of steps of fluid.dt was written
+    under another dt and is refused (VersionError)."""
     cfg = ctx.cfg
     max_steps, ceiling = cfg["max_steps"], cfg["blowup_ceiling"]
     outcome, first_step = {}, 0
@@ -501,7 +508,11 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
         state = ctx.initial_state()
     else:
         state = checkpoint_load(resume_from, grid=ctx.grid, basis=ctx.basis)
-        first_step = int(round(state.time / ctx.fluid_cfg.dt))
+        dt = ctx.fluid_cfg.dt
+        first_step = int(round(state.time / dt))
+        if abs(state.time - first_step * dt) > _STEP_RTOL * state.time:
+            raise VersionError(f"{resume_from}: time {state.time!r} is not "
+                               f"a whole number of steps of fluid.dt = {dt!r}")
         if first_step >= max_steps:
             raise ConfigError(f"the checkpoint is at step {first_step}, at "
                               f"or past max_steps = {max_steps}",

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from fene import fokker_planck, torus
 from fene.configspace import ConfDistribution, kramers_stress
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, fixed_point_map, \
     run_fixed_point, stress_field, xs_distance, xs_norm
-from fene.fluid import FluidState, FluidStepConfig, fluid_energy
+from fene.fluid import FluidState, FluidStepConfig, fluid_energy, step
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
-from fene.model import ModelParams, density_to_r, r_to_density
+from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from fene.torus import SpectralField, forward, sobolev_norm, \
     sup_norm_w2inf, to_modes
 
@@ -211,3 +212,30 @@ def test_blowup_indicator(grid32, basis32, params):
     st_2u = CoupledState(FluidState(st.fluid.r, 2.0 * u),
                          PolymerField.equilibrium(grid32, basis32))
     assert blowup_indicator(st_2u) == pytest.approx(2 * expect, rel=1e-12)
+
+
+def test_steady_forcing_is_built_once_per_step(grid32, basis32, params, op32,
+                                               fluid_cfg, monkeypatch):
+    slices = []
+
+    def counted(func):
+        def wrapper(values):
+            slices.append(int(np.prod(values.shape[:-2])))
+            return func(values)
+        return wrapper
+
+    monkeypatch.setattr(fokker_planck, "to_modes",
+                        counted(fokker_planck.to_modes))
+    monkeypatch.setattr(torus, "to_modes", counted(torus.to_modes))
+    state = perturbed_state(grid32, basis32, params)
+    for advance in (lambda f: coupled_step(state, op32, f, fluid_cfg),
+                    lambda f: step(state.fluid, None, f, params, fluid_cfg)):
+        counts = {}
+        for kind in ("zero", "steady_field", "time_periodic"):
+            slices.clear()
+            advance(ForcingSpec(kind, 0.1, (1, 0)))
+            counts[kind] = (len(slices), sum(slices))
+        calls, total = counts["zero"]
+        # one 2-slice transform per step, against one per SSP-RK3 stage
+        assert counts["steady_field"] == (calls + 1, total + 2)
+        assert counts["time_periodic"] == (calls + 3, total + 6)

@@ -379,6 +379,25 @@ def test_resume_refuses_a_checkpoint_at_or_past_max_steps(tmp_path):
         assert not os.path.exists(os.path.join(resumed, "series.csv"))
 
 
+def test_resume_refuses_a_checkpoint_written_under_another_dt(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=6,
+                                       extra="snapshots.every = 2")
+    assert run(cfg_path) == 0
+    snap = os.path.join(outdir, "snapshots", "step000004.fkp")   # t = 0.004
+    other = tmp_path / "dt3.cfg"
+    other.write_text(open(cfg_path).read() + "\nfluid.dt = 3e-3\n")
+    resumed = str(tmp_path / "resumed")
+    stderr_path = tmp_path / "resume.json"
+    with open(stderr_path, "w") as fh:
+        assert resume(snap, str(other), output=resumed, stderr=fh) == 6
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "VersionError"
+    assert "fluid.dt" in payload["message"]
+    manifest = json.load(open(os.path.join(resumed, "manifest.json")))
+    assert manifest["reason"] == "VersionError"
+    assert not os.path.exists(os.path.join(resumed, "series.csv"))
+
+
 def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
     real_step = coupling.coupled_step
     taken = []

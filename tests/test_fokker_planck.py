@@ -1,14 +1,23 @@
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_band_limited
-from fene.configspace import ConfDistribution, h1m_seminorm
+from fene.configspace import ConfDistribution, build_quadrature, \
+    eigen_basis, h1m_seminorm
+from fene.coupling import coupled_trajectory
 from fene.errors import StabilityViolation
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
-    fp_energy, fp_step, nonnegativity_report, polymer_mass
+    _candidate_rings, fp_energy, fp_step, nonnegativity_report, polymer_mass
 from fene.model import ModelParams
-from fene.torus import SIDE, SpectralField, dealiased_product, derivative, \
-    forward, to_modes
+from fene.runner import RunContext, parse_config_text
+from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
+    derivative, forward, to_modes
+
+GRIDS = {n: TorusGrid(n) for n in (16, 32)}
 
 
 def shear_velocity(grid, amp=0.1, mean=0.05):
@@ -184,6 +193,65 @@ def test_nonnegativity_report_matches_full_sample_matrix(grid32, basis32):
         assert type(frac) is float
         negative += frac > 0.0
     assert negative >= 2
+
+
+def full_sample_report(psi):
+    """(min, negative fraction) of every (x node, q node) sample at once."""
+    basis = psi.basis
+    cg = psi.coefficient_values().reshape(basis.n_basis, -1)
+    samples = cg.T @ basis.values.reshape(basis.n_basis, -1)
+    samples *= basis.quad.maxwellian.reshape(1, -1)
+    return float(samples.min()), float(np.mean(samples < 0.0))
+
+
+# (b, n_radial, n_angular, n_basis)
+BALLS = [(2.51, 32, 32, 40), (4.0, 32, 32, 40), (10.0, 32, 32, 40),
+         (4.0, 8, 8, 10), (4.0, 16, 16, 12), (4.0, 16, 12, 12),
+         (4.0, 12, 10, 10)]
+
+
+@lru_cache(maxsize=None)
+def ball_basis(b, n_radial, n_angular, n_basis):
+    return eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(BALLS), st.sampled_from([16, 32]),
+       st.one_of(st.just(0.0),
+                 st.floats(-9.0, math.log10(1.5)).map(lambda e: 10.0 ** e)),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pruned_report_is_the_full_sample_matrix(ball, n, amp, kmax, seed,
+                                                 with_nan):
+    basis = ball_basis(*ball)
+    grid = GRIDS[n]
+    rng = np.random.default_rng(seed)
+    coeffs = random_band_limited(grid, rng, components=basis.n_basis,
+                                 kmax=kmax, scale=amp).coeffs
+    coeffs[0, 0, 0] = 1.0
+    if with_nan:
+        coeffs[rng.integers(basis.n_basis), 1, 1] = np.nan
+    psi = PolymerField(grid, basis, coeffs)
+    mn, frac = nonnegativity_report(psi)
+    full_mn, full_frac = full_sample_report(psi)
+    assert frac == full_frac
+    if with_nan:
+        assert math.isnan(mn) and math.isnan(full_mn)
+    else:
+        assert mn == full_mn
+
+
+def test_near_equilibrium_psi_samples_at_most_two_rings():
+    ctx = RunContext(parse_config_text("scenario = shear_perturbation"))
+    state = ctx.initial_state()
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
+    states = [state] + [s for _, s in coupled_trajectory(
+        state, op, ctx.forcing, ctx.fluid_cfg, range(1, 5))]
+    for st_k in states:
+        psi = st_k.psi
+        cg = psi.coefficient_values().reshape(psi.basis.n_basis, -1)
+        rings = _candidate_rings(cg, psi.basis)
+        assert rings.shape == (32,)
+        assert 1 <= rings.sum() <= 2
 
 
 def test_nonnegativity_stable_under_x_refinement(grid16, grid32, basis32):

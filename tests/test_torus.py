@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_band_limited
 from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
-    derivative, divergence, forward, gradient, sobolev_norm, sup_norm_w2inf
+    derivative, divergence, forward, gradient, grad_u_sup_norm, \
+    sobolev_norm, sup_norm_w2inf
 
 
 def test_grid_validation():
@@ -202,3 +203,19 @@ def test_gradient_divergence_helpers(grid32):
     assert np.max(np.abs(grad.values()[0] - np.cos(x1) * np.cos(x2))) < 1e-12
     div = divergence(grad)
     assert np.max(np.abs(div.values()[0] + 2 * np.sin(x1) * np.cos(x2))) < 1e-11
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_sup_norms_match_one_transform_per_multi_index(n):
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 0.3, 10.0):
+        u = random_band_limited(grid, rng, components=2, scale=scale)
+        w2 = np.zeros((n, n))
+        for alpha in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            w2 += np.sqrt(np.sum(derivative(u, alpha).values() ** 2, axis=0))
+        grad = np.zeros((n, n))
+        for alpha in ((1, 0), (0, 1)):
+            grad += np.sum(np.abs(derivative(u, alpha).values()), axis=0)
+        assert sup_norm_w2inf(u) == float(w2.max())
+        assert grad_u_sup_norm(u) == float(grad.max())
