@@ -13,7 +13,13 @@ other by the verification suite:
   the s = 2 of the energy estimates).
 
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
-  (r, u, psi) together, re-evaluating the stress at every stage.
+  (r, u, psi) together, re-evaluating the stress at every stage.  Each
+  stage makes one inverse transform, of fluid.rhs_factors followed by
+  the coefficients of psi: fluid_rhs reads the fluid factors of that
+  batch and op.tendency its velocity block (fluid.VELOCITY) and the
+  coefficients, so both halves share every grid value.  The split
+  solvers of fixed_point_map, fluid.step and fp_step, leave each half to
+  make its own one call per stage and form the same products.
 
 Both routes integrate with the same fluid.ssprk3 step and take the
 Fokker-Planck operator (FokkerPlanckSolver, built for one grid) as an
@@ -38,11 +44,11 @@ import numpy as np
 
 from . import fluid as fluid_mod
 from .errors import BlowupCeiling
-from .fluid import FluidState, FluidStepConfig, fluid_rhs, ssprk3, \
-    state_from_coeffs, stress_divergence
+from .fluid import N_FACTORS, VELOCITY, FluidState, FluidStepConfig, \
+    fluid_rhs, rhs_factors, ssprk3, state_from_coeffs, stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     fp_step
-from .torus import SpectralField, sup_norm_w2inf
+from .torus import SpectralField, sup_norm_w2inf, to_values
 
 
 class CoupledState:
@@ -237,9 +243,12 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     def rhs(y, t):
         r, u, c = y
         st = state_from_coeffs(grid, r, u, t, check_positivity=False)
-        dr, du = fluid_rhs(st, _stress_of(grid, basis, c), force(t),
-                           p, fluid_cfg)
-        return dr.coeffs, du.coeffs, op.tendency(c, st.u)
+        stress = _stress_of(grid, basis, c)
+        values = to_values(np.concatenate([rhs_factors(st, stress, p), c]),
+                           grid.n_points)
+        dr, du = fluid_rhs(st, stress, force(t), p, fluid_cfg, values)
+        dc = op.tendency(c, st.u, (values[VELOCITY], values[N_FACTORS:]))
+        return dr.coeffs, du.coeffs, dc
 
     t1 = state.time + fluid_cfg.dt
     r, u, c = ssprk3((state.fluid.r.coeffs, state.fluid.u.coeffs,

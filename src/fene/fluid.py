@@ -10,11 +10,16 @@ pseudo-spectrally in the Galerkin space P_K of torus (the stored block),
 with an optional velocity cut-off phi_R(|u|_{2,inf}) that switches the
 nonlinear terms off for large velocities.  fluid_rhs evaluates the eleven
 quadratic terms of both equations in one 2/3-rule product per RK stage:
-left factors (u1, u2, r, D(r)) times the rows of a table, d1 (r, u1, u2),
-d2 (r, u1, u2), (div u, d1 r, d2 r) and (div S + div T, 0).  Each factor
-goes to the grid once and the products come back in one transform, so
-every tendency lies in P_K.  Time stepping is explicit SSP-RK3 under a
-conservative CFL bound on the speeds |u| + c_s; positivity of r is
+left factors (u1, u2, r, D(r)) times the rows of a table, (d1 r, d1 u),
+(d2 r, d2 u), (div u, grad r) and div S + div T.  It reads the twelve
+distinct factors (rhs_factors) as grid values of one inverse transform:
+its own call when the fluid half is stepped on its own (fluid.step), made
+only if phi_R != 0, or the batch coupling.coupled_step shares with the
+Fokker-Planck half, which reads the velocity block (VELOCITY) of it.
+Only D(r) takes a round trip through P_K inside fluid_rhs, and the
+products come back in one transform, so every tendency lies in P_K.  Time
+stepping is explicit SSP-RK3 under a conservative CFL bound on the speeds
+|u| + c_s; positivity of r is
 monitored and its loss is an error, never silently repaired.  ssprk3, over
 tuples of coefficient arrays, is the package's one SSP-RK3 step:
 fluid.step, fokker_planck.fp_step and coupling.coupled_step all take it.
@@ -105,42 +110,72 @@ def stress_divergence(stress: SpectralField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def _d_field(state: FluidState, p: ModelParams) -> SpectralField:
-    rvals = state.r.values()[0]
-    if not rvals.min() > 0:
-        raise PositivityLoss("D(r) undefined: r reached zero on the grid")
-    dvals = 1.0 / r_to_density(rvals, p)
-    return SpectralField.from_values(state.r.grid, dvals)
+def velocity_factors(u: SpectralField):
+    """u, d1 u, d2 u as one (6, 2K + 1, K + 1) stack, the order
+    (3, 2, ...) of d_b u_a with b = 0 for u itself."""
+    g = u.grid
+    return np.concatenate([u.coeffs, g.ik1 * u.coeffs, g.ik2 * u.coeffs])
+
+
+# The factors of fluid_rhs in the order of rhs_factors, and D(r) after them
+R, D1R, D2R, DIVU, V1, V2, U1, U2, D1U1, D1U2, D2U1, D2U2 = range(12)
+N_FACTORS = 12
+VELOCITY = slice(U1, N_FACTORS)   # the velocity_factors(u) block
+D = N_FACTORS
+# The eleven quadratic terms (left, right): the 4 x 3 table of rows
+# u1 (d1 r, d1 u), u2 (d2 r, d2 u), r (div u, grad r), D (div S + div T)
+# less its empty last slot, so term 3 i + j is row i, column j
+_LEFT, _RIGHT = (list(side) for side in zip(
+    (U1, D1R), (U1, D1U1), (U1, D1U2), (U2, D2R), (U2, D2U1), (U2, D2U2),
+    (R, DIVU), (R, D1R), (R, D2R), (D, V1), (D, V2)))
+
+
+def rhs_factors(state: FluidState, stress, p: ModelParams):
+    """The N_FACTORS distinct spectral factors of fluid_rhs, stacked: r,
+    d1 r, d2 r, div u, div S + div T (2), then velocity_factors(u) as the
+    VELOCITY block; stress may be None."""
+    g = state.r.grid
+    rc = state.r.coeffs
+    visc = viscous_divergence(state.u, p)
+    total = visc if stress is None else visc + stress_divergence(stress)
+    vel = velocity_factors(state.u)
+    div_u = vel[2] + vel[5]   # d1 u1 + d2 u2
+    return np.concatenate([rc, g.ik1 * rc, g.ik2 * rc, div_u[None],
+                           total.coeffs, vel])
 
 
 def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
-              cfg: FluidStepConfig):
+              cfg: FluidStepConfig, values=None):
     """(dr, du): -phi_R [u . grad r + (gamma-1)/2 r div u] and
     -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, in P_K
-    by construction; stress and forcing may be None.  The eleven quadratic
-    terms are one dealiased product of (u1, u2, r, D) with the rows of a
-    4 x 3 table of right factors."""
+    by construction; stress and forcing may be None.
+
+    values, when given, holds the grid values of rhs_factors(state, stress,
+    p) in its first N_FACTORS slices; otherwise fluid_rhs transforms them
+    in one call, if phi_R != 0.  D(r) = 1 / rho(r) takes its P_K round trip
+    from the r slice, and the eleven quadratic terms, left factors (u1, u2,
+    r, D) times the rows of a 4 x 3 table less its empty slot, are one
+    dealiased product."""
     grid = state.r.grid
     cut = _cutoff_value(state.u, cfg)
     dr = SpectralField.zero(grid, 1)
     du = np.zeros_like(state.u.coeffs)
     if cut != 0.0:
-        visc = viscous_divergence(state.u, p)
-        total = visc if stress is None else visc + stress_divergence(stress)
-        ru = np.concatenate([state.r.coeffs, state.u.coeffs])
-        d1, d2 = grid.ik1 * ru, grid.ik2 * ru   # d_b of (r, u1, u2)
-        # rows d1 (r, u), d2 (r, u), (div u, grad r), (div S + div T, 0)
-        right = np.stack([d1, d2, [d1[1] + d2[2], d1[0], d2[0]],
-                          [*total.coeffs, np.zeros_like(d1[0])]])
-        left = np.concatenate([state.u.coeffs, state.r.coeffs,
-                               _d_field(state, p).coeffs])
-        prod = dealiased_product(SpectralField(grid, left[:, None]),
-                                 SpectralField(grid, right)).coeffs
-        adv_r = prod[0, 0] + prod[1, 0] + 0.5 * (p.gamma - 1.0) * prod[2, 0]
+        if values is None:
+            values = torus.to_values(rhs_factors(state, stress, p),
+                                     grid.n_points)
+        rvals = values[R]
+        if not rvals.min() > 0:
+            raise PositivityLoss("D(r) undefined: r reached zero on the grid")
+        dvals = torus.to_values(torus.to_modes(1.0 / r_to_density(rvals, p)),
+                                grid.n_points)
+        factors = np.concatenate([values[:N_FACTORS], dvals[None]])
+        prod = dealiased_product(factors[_LEFT], factors[_RIGHT])
+        adv_r = prod[0] + prod[3] + 0.5 * (p.gamma - 1.0) * prod[6]
         dr = SpectralField(grid, (-cut) * adv_r)
-        du = du + cut * prod[3, :2]
-        du = du - cut * (prod[0, 1:] + prod[1, 1:])
-        du = du - cut * prod[2, 1:]
+        du = du + cut * prod[9:11]
+        du = du - cut * (prod[1:3] + prod[4:6])
+        du = du - cut * prod[7:9]
     if forcing is not None:
         du = du + forcing.coeffs
     return dr, SpectralField(grid, du)

@@ -18,8 +18,12 @@ rate of every coefficient; the scenario drivers build it once per run (a
 few milliseconds) and pass it to fp_step and coupling.coupled_step.  Its
 tendency is the only place the Fokker-Planck tendency is formed, and both
 routes advance psi by the shared fluid.ssprk3 step over it, explicit in
-all four terms; check_step refuses a psi on another basis or grid, and a
-step whose largest diagonal rate leaves the SSP-RK3 stability interval.
+all four terms.  The tendency reads the grid values of u, d1 u, d2 u and
+of the coefficients from one inverse transform: its own call when psi is
+stepped on its own (fp_step), or the batch coupling.coupled_step shares
+with the fluid half; it brings its 3 n_basis products back in one forward
+call.  check_step refuses a psi on another basis or grid, and a step whose
+largest diagonal rate leaves the SSP-RK3 stability interval.
 Positivity of psi is only monitored - the Galerkin truncation does not
 preserve it and clipping would corrupt the energy monitors.
 nonnegativity_report bounds the samples of every q column over x and
@@ -36,7 +40,7 @@ import numpy as np
 
 from .configspace import ConfigBasis, chi_mass_matrix, drift_matrices
 from .errors import StabilityViolation
-from .fluid import ssprk3
+from .fluid import ssprk3, velocity_factors
 from .model import ModelParams
 from .torus import SIDE, SpectralField, TorusGrid, to_modes, to_values
 
@@ -127,28 +131,38 @@ class FokkerPlanckSolver:
                 f"dt * max relaxation/diffusion rate = {zmax:.2f} "
                 "outside the SSP-RK3 stability interval")
 
-    def explicit_tendency(self, coeffs, u: SpectralField):
-        """Transport plus drift in coefficient space (dealiased)."""
+    def explicit_tendency(self, uv, cg):
+        """Transport plus drift in coefficient space (dealiased), from the
+        grid values uv of fluid.velocity_factors(u) and cg of the
+        coefficients."""
         grid = self.grid
         n = grid.n_points
         nb = self.basis.n_basis
-        cg = to_values(coeffs, n).reshape(nb, -1)
+        cg = cg.reshape(nb, -1)
         w = (self.chi_mass @ cg).reshape(nb, n, n)
 
-        # u and its gradient in one transform: uv[b + 1, a] = d_b u_a
-        uc = u.coeffs
-        uv = to_values(np.stack([uc, grid.ik1 * uc, grid.ik2 * uc]), n)
+        uv = uv.reshape(3, 2, n, n)   # uv[b + 1, a] = d_b u_a
         dc = (self.drift.reshape(4 * nb, nb) @ cg).reshape(2, 2, nb, n, n)
-        drift_grid = np.einsum("baxy,abixy->ixy", uv[1:], dc)
 
-        w1_hat, w2_hat, drift_hat = to_modes(
-            np.stack([uv[0, 0] * w, uv[0, 1] * w, drift_grid]))
+        # the 3 n_basis grid products, written where to_modes reads them
+        prod = np.empty((3, nb, n, n))
+        np.multiply(uv[0, 0], w, out=prod[0])
+        np.multiply(uv[0, 1], w, out=prod[1])
+        np.einsum("baxy,abixy->ixy", uv[1:], dc, out=prod[2])
+        w1_hat, w2_hat, drift_hat = to_modes(prod)
         return drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
 
-    def tendency(self, coeffs, u: SpectralField):
+    def tendency(self, coeffs, u: SpectralField, values=None):
         """The Fokker-Planck tendency of the coefficients under velocity u:
-        transport and drift, less relaxation and diffusion."""
-        return self.explicit_tendency(coeffs, u) - self.diag * coeffs
+        transport and drift, less relaxation and diffusion.  values, when
+        given, is the pair of grid values (uv, cg) of explicit_tendency;
+        otherwise both come from one transform."""
+        if values is None:
+            vel = velocity_factors(u)
+            both = to_values(np.concatenate([vel, coeffs]),
+                             self.grid.n_points)
+            values = both[:len(vel)], both[len(vel):]
+        return self.explicit_tendency(*values) - self.diag * coeffs
 
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,

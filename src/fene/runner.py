@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import islice
@@ -500,7 +500,8 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     """Step from the initial state, or from the checkpoint resume_from, to
     max_steps; the outcome summarizes the recorded series.  A checkpoint
     whose time is not a whole number of steps of fluid.dt was written
-    under another dt and is refused (VersionError)."""
+    under another dt and is refused (VersionError).  A run that stops
+    with a FeneError still writes the rows it recorded."""
     cfg = ctx.cfg
     max_steps, ceiling = cfg["max_steps"], cfg["blowup_ceiling"]
     outcome, first_step = {}, 0
@@ -524,12 +525,13 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     if snap_every:
         os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
     records = [record_state(state, ctx)]
-    # written not (x <= ceiling) so that a NaN indicator trips the guard
-    if not records[-1].blowup_indicator <= ceiling:
-        raise BlowupCeiling(f"blow-up indicator "
-                            f"{records[-1].blowup_indicator:.3e} at start")
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
     try:
+        # written not (x <= ceiling) so that a NaN indicator trips the guard
+        if not records[-1].blowup_indicator <= ceiling:
+            raise BlowupCeiling(f"blow-up indicator "
+                                f"{records[-1].blowup_indicator:.3e} at start")
+        op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid,
+                                ctx.chi_index)
         for k, state in coupled_trajectory(
                 state, op, ctx.forcing, ctx.fluid_cfg,
                 range(first_step + 1, max_steps + 1)):
@@ -543,11 +545,18 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
             if snap_every and k % snap_every == 0:
                 checkpoint_save(state, os.path.join(
                     outdir, "snapshots", f"step{k:06d}.fkp"))
-    except BlowupCeiling:
+    except FeneError:
         _flush_series(outdir, records)
         raise
     _flush_series(outdir, records)
     return {**outcome, **summarize(records, ctx.params)}
+
+
+def _remove_series(outdir):
+    """Remove the series.csv an earlier run left in outdir, so that the
+    one there is always this run's (only a stepping run writes one)."""
+    with suppress(FileNotFoundError):
+        os.remove(os.path.join(outdir, "series.csv"))
 
 
 def _flush_series(outdir, records):
@@ -751,6 +760,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
                      "config_hash": hashlib.sha256(text.encode()).hexdigest()}
         outdir = output or cfg["output"]
         os.makedirs(outdir, exist_ok=True)
+        _remove_series(outdir)
         driver = SCENARIOS[cfg["scenario"]]
         if resume_from is not None:
             if driver is not _run_stepping:
@@ -769,6 +779,8 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         print(json.dumps(payload), file=stderr)
         if outdir is None and isinstance(exc, ConfigError):
             outdir = output or _named_output(config_path)
+            if outdir is not None:
+                _remove_series(outdir)
         if outdir is not None:
             try:
                 os.makedirs(outdir, exist_ok=True)

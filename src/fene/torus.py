@@ -202,16 +202,16 @@ def divergence(field: SpectralField) -> SpectralField:
     return SpectralField(g, g.ik1 * field.coeffs[0] + g.ik2 * field.coeffs[1])
 
 
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product with quadratic aliasing removed by the 2/3 rule.
+def dealiased_product(f, g):
+    """Block coefficients of the product of two fields of P_K given by their
+    grid values (to_values of block coefficients): quadratic aliasing never
+    reaches the block under the 2/3 rule.
 
-    Components broadcast, so a scalar field multiplies each component of a
-    vector or tensor field.
+    The value arrays broadcast, so a scalar field multiplies each component
+    of a vector or tensor field, and one call forms a whole table of
+    products for one forward transform.
     """
-    f._check_mate(g)
-    n = f.grid.n_points
-    return SpectralField(f.grid, to_modes(to_values(f.coeffs, n)
-                                          * to_values(g.coeffs, n)))
+    return to_modes(f * g)
 
 
 def sobolev_norm(field: SpectralField, s: int):

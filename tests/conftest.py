@@ -3,7 +3,7 @@ import pytest
 
 from fene.configspace import build_quadrature, eigen_basis
 from fene.model import ModelParams
-from fene.torus import SpectralField, TorusGrid
+from fene.torus import SpectralField, TorusGrid, dealiased_product
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +49,8 @@ def random_band_limited(grid, rng, components=1, kmax=None, scale=1.0):
     kmax = grid.dealias_cutoff if kmax is None else kmax
     keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= kmax
     return SpectralField(grid, f.coeffs * keep)
+
+
+def field_product(f, g):
+    """The dealiased product of two SpectralFields, as a SpectralField."""
+    return SpectralField(f.grid, dealiased_product(f.values(), g.values()))

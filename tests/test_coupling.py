@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft
 
-from fene import fokker_planck, torus
+from conftest import random_band_limited
+from fene import coupling, fluid, fokker_planck, torus
 from fene.configspace import ConfDistribution, kramers_stress
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, fixed_point_map, \
     run_fixed_point, stress_field, xs_distance, xs_norm
-from fene.fluid import FluidState, FluidStepConfig, fluid_energy, step
+from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
+    fluid_rhs, phi_r, step
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
 from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
@@ -239,3 +242,85 @@ def test_steady_forcing_is_built_once_per_step(grid32, basis32, params, op32,
         # one 2-slice transform per step, against one per SSP-RK3 stage
         assert counts["steady_field"] == (calls + 1, total + 2)
         assert counts["time_periodic"] == (calls + 3, total + 6)
+
+
+def random_coupled_state(grid, basis, params, seed):
+    """Band-limited positive r, u and a perturbed equilibrium psi."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+    r = forward(grid, np.full((n, n), density_to_r(1.0, params))) \
+        + random_band_limited(grid, rng, scale=0.02)
+    u = random_band_limited(grid, rng, components=2, scale=0.3)
+    psi = PolymerField.equilibrium(grid, basis)
+    psi.coeffs += random_band_limited(grid, rng, components=basis.n_basis,
+                                      scale=1e-3).coeffs
+    return CoupledState(FluidState(r, u), psi)
+
+
+def first_stage(state, op, forcing, cfg, monkeypatch):
+    """(dr, du, dc) of the first SSP-RK3 stage of coupled_step."""
+    stages = []
+
+    def one_stage(y, rhs, t, dt):
+        stages.append(rhs(y, t))
+        return y
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "ssprk3", one_stage)
+        coupled_step(state, op, forcing, cfg)
+    return stages[0]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("case", ["ramp", "dead", "steady_field"])
+def test_shared_stage_equals_split_halves(n, case, request, params,
+                                          monkeypatch):
+    grid, basis = (request.getfixturevalue(f"{name}{n}")
+                   for name in ("grid", "basis"))
+    state = random_coupled_state(grid, basis, params, seed=n)
+    y = sup_norm_w2inf(state.fluid.u)
+    cutoff, forcing = {"ramp": (y - 0.4, None), "dead": (y - 1.5, None),
+                       "steady_field": (None, ForcingSpec(
+                           "steady_field", 0.1, (1, 0)))}[case]
+    if case == "ramp":
+        assert 0.0 < phi_r(y, cutoff) < 1.0
+    if case == "dead":
+        assert cutoff > 0.0 and phi_r(y, cutoff) == 0.0
+    cfg = FluidStepConfig(dt=1e-4, cutoff_R=cutoff)
+    op = FokkerPlanckSolver(basis, params, grid, n)
+    dr, du, dc = first_stage(state, op, forcing, cfg, monkeypatch)
+
+    st, c = state.fluid, state.psi.coeffs
+    force = fluid.forcing_of_time(forcing, grid)(state.time)
+    ref_r, ref_u = fluid_rhs(st, stress_field(state.psi), force, params,
+                             cfg)
+    assert np.array_equal(dr, ref_r.coeffs)
+    assert np.array_equal(du, ref_u.coeffs)
+    assert np.array_equal(dc, op.tendency(c, st.u))
+
+
+def test_coupled_step_transform_budget(grid32, basis32, params, op32,
+                                       fluid_cfg, monkeypatch):
+    # each torus transform is one scipy.fft call; per SSP-RK3 stage one
+    # inverse call of the 12 fluid factors and the 40 coefficient fields
+    # and one of D(r); forward D(r), the 11 fluid products and the 3 x 40
+    # FP products.  Once per step: u and r for the CFL bound, r for the
+    # positivity of the new state.
+    calls = {"irfft2": [], "rfft2": []}
+
+    def counted(name):
+        func = getattr(scipy.fft, name)
+
+        def wrapper(x, *args, **kwargs):
+            calls[name].append(int(np.prod(x.shape[:-2])))
+            return func(x, *args, **kwargs)
+        return wrapper
+
+    state = perturbed_state(grid32, basis32, params)
+    for name in calls:
+        monkeypatch.setattr(scipy.fft, name, counted(name))
+    coupled_step(state, op32, None, fluid_cfg)
+    inverse, forward_ = calls["irfft2"], calls["rfft2"]
+    assert len(inverse) + len(forward_) <= 18      # 27 before sharing
+    assert sum(inverse) <= 163                     # 193
+    assert sum(forward_) <= 396                    # 399

@@ -398,6 +398,45 @@ def test_resume_refuses_a_checkpoint_written_under_another_dt(tmp_path):
     assert not os.path.exists(os.path.join(resumed, "series.csv"))
 
 
+def test_a_stopped_run_leaves_only_its_own_series(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=4,
+                                       extra="snapshots.every = 2")
+    assert run(cfg_path) == 0
+    assert len(load_series(outdir)) == 5
+    # dt = 0.15 is refused at the first step, after the record at t = 0
+    unstable = tmp_path / "unstable.cfg"
+    unstable.write_text(open(cfg_path).read() + "\nfluid.dt = 0.15\n")
+    with open(os.devnull, "w") as devnull:
+        assert run(str(unstable), stderr=devnull) == 4
+    assert [rec.time for rec in load_series(outdir)] == [0.0]
+    report = io.StringIO()
+    runner.report(outdir, stream=report)
+    assert "steps recorded: 1\n" in report.getvalue()
+    # a resume refused before its first record leaves no series.csv
+    other = tmp_path / "dt3.cfg"
+    other.write_text(open(cfg_path).read() + "\nfluid.dt = 3e-3\n")
+    snap = os.path.join(outdir, "snapshots", "step000002.fkp")   # t = 0.002
+    with open(os.devnull, "w") as devnull:
+        assert resume(snap, str(other), stderr=devnull) == 6
+    assert not os.path.exists(os.path.join(outdir, "series.csv"))
+    # so does a rerun whose config is refused before its first step
+    assert run(cfg_path) == 0
+    zero_dt = tmp_path / "dt0.cfg"
+    zero_dt.write_text(open(cfg_path).read() + "\nfluid.dt = 0\n")
+    with open(os.devnull, "w") as devnull:
+        assert run(str(zero_dt), stderr=devnull) == 2
+    assert not os.path.exists(os.path.join(outdir, "series.csv"))
+    # or one refused while its config is parsed, whose manifest has none
+    assert run(cfg_path) == 0
+    typo = tmp_path / "typo.cfg"
+    typo.write_text(open(cfg_path).read() + "\nfluid.dtt = 1e-3\n")
+    with open(os.devnull, "w") as devnull:
+        assert run(str(typo), stderr=devnull) == 2
+    assert "config" not in json.load(open(os.path.join(outdir,
+                                                       "manifest.json")))
+    assert not os.path.exists(os.path.join(outdir, "series.csv"))
+
+
 def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
     real_step = coupling.coupled_step
     taken = []

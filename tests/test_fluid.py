@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import random_band_limited
+from conftest import field_product, random_band_limited
 from fene import fluid, torus
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     fluid_energy, fluid_rhs, phi_r, ssprk3, step, stress_divergence, \
     viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
-from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
+from fene.torus import SIDE, SpectralField, TorusGrid, \
     derivative, forward, sobolev_norm, sup_norm_w2inf
 
 
@@ -132,19 +132,19 @@ def per_term_fluid_rhs(st, stress, forcing, p, cfg):
     """One dealiased product per quadratic term, added in the order of the
     equations; cfg.cutoff_R must be set."""
     def dot_grad(u, f):
-        return dealiased_product(u.component(0), derivative(f, (1, 0))) \
-            + dealiased_product(u.component(1), derivative(f, (0, 1)))
+        return field_product(u.component(0), derivative(f, (1, 0))) \
+            + field_product(u.component(1), derivative(f, (0, 1)))
 
     grid = st.r.grid
     cut = phi_r(sup_norm_w2inf(st.u), cfg.cutoff_R)
     dr = (-cut) * (dot_grad(st.u, st.r) + 0.5 * (p.gamma - 1.0)
-                   * dealiased_product(st.r, torus.divergence(st.u)))
+                   * field_product(st.r, torus.divergence(st.u)))
     d = SpectralField.from_values(
         grid, 1.0 / r_to_density(st.r.values()[0], p))
     total = viscous_divergence(st.u, p) + stress_divergence(stress)
-    du = SpectralField.zero(grid, 2) + cut * dealiased_product(d, total) \
+    du = SpectralField.zero(grid, 2) + cut * field_product(d, total) \
         - cut * dot_grad(st.u, st.u) \
-        - cut * dealiased_product(st.r, torus.gradient(st.r)) + forcing
+        - cut * field_product(st.r, torus.gradient(st.r)) + forcing
     return dr, du
 
 
@@ -177,12 +177,12 @@ def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
     monkeypatch.setattr(fluid, "sup_norm_w2inf",
                         counted(sup_norm_w2inf, sup_norms))
     fluid_rhs(st, stress, forcing, params, FluidStepConfig(dt=1e-3))
-    assert len(transforms) <= 5
+    assert len(transforms) <= 4
     assert sup_norms == []
-    # inverse: r for D(r), 4 left factors, the 4 x 3 table; forward: D(r)
-    # and the 12 products
-    assert slices["to_values"] <= 17
-    assert slices["to_modes"] <= 13
+    # inverse: the 12 distinct factors, then D(r); forward: D(r) and the
+    # 11 products
+    assert slices["to_values"] <= 13
+    assert slices["to_modes"] <= 12
     fluid_rhs(st, stress, forcing, params,
               FluidStepConfig(dt=1e-3, cutoff_R=sup_norm_w2inf(st.u) - 0.4))
     assert len(sup_norms) == 1
@@ -406,7 +406,7 @@ def test_viscous_energy_decay(grid32, params):
 
     def rhs(y, t):
         v = SpectralField(grid32, y[0])
-        return (dealiased_product(D, viscous_divergence(v, params)).coeffs,)
+        return (field_product(D, viscous_divergence(v, params)).coeffs,)
 
     energies = [sobolev_norm(u, 0) ** 2]
     y = (u.coeffs,)

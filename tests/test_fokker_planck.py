@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_band_limited
+from conftest import field_product, random_band_limited
 from fene.configspace import ConfDistribution, build_quadrature, \
     eigen_basis, h1m_seminorm
 from fene.coupling import coupled_trajectory
@@ -14,7 +14,7 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     _candidate_rings, fp_energy, fp_step, nonnegativity_report, polymer_mass
 from fene.model import ModelParams
 from fene.runner import RunContext, parse_config_text
-from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
+from fene.torus import SIDE, SpectralField, TorusGrid, \
     derivative, forward, to_modes
 
 GRIDS = {n: TorusGrid(n) for n in (16, 32)}
@@ -78,8 +78,8 @@ def test_tendency_marginal_identity(grid32, basis32):
     eta_dot = np.tensordot(mass_vec, tend.coefficient_values(), axes=1)
 
     eta = SpectralField(grid32, np.tensordot(mass_vec, psi.coeffs, axes=1))
-    flux1 = dealiased_product(SpectralField(grid32, u.coeffs[0]), eta)
-    flux2 = dealiased_product(SpectralField(grid32, u.coeffs[1]), eta)
+    flux1 = field_product(SpectralField(grid32, u.coeffs[0]), eta)
+    flux2 = field_product(SpectralField(grid32, u.coeffs[1]), eta)
     div = derivative(flux1, (1, 0)) + derivative(flux2, (0, 1))
     lap = SpectralField(grid32, -grid32.ksq * eta.coeffs)
     expect = (-1.0 * div + params.epsilon * lap).values()[0]
