@@ -29,6 +29,9 @@ The per-mode blocks of both forms use one Gauss-Jacobi rule in t
 pass of the three-term recurrence (jacobi_table), bitwise equal to scipy's
 eval_jacobi: one pass serves that rule for every angular mode, and one
 more the radial nodes of the modes eigen_basis keeps.
+
+Norms, stress and lemma_a1_check take node values of phi (and grad_q phi),
+which a ConfDistribution supplies; chi_of_radius is the one cut-off chi_n.
 """
 
 from dataclasses import dataclass
@@ -106,28 +109,14 @@ class ConfDistribution:
         return np.tensordot(self.coeffs, self.basis.grads, axes=1)
 
 
-def _as_node_values(phi):
-    if isinstance(phi, ConfDistribution):
-        return phi.node_values(), phi
-    return np.asarray(phi, dtype=float), None
+def l2m_norm(values, quad: ConfigQuadrature):
+    """Maxwellian-weighted L^2 norm of node values of the ratio phi = psi/M."""
+    return float(np.sqrt(quad.integrate_weighted(np.asarray(values) ** 2)))
 
 
-def l2m_norm(phi, quad: ConfigQuadrature):
-    """Maxwellian-weighted L^2 norm of the ratio phi = psi/M."""
-    values, _ = _as_node_values(phi)
-    return float(np.sqrt(quad.integrate_weighted(values ** 2)))
-
-
-def h1m_seminorm(phi, quad: ConfigQuadrature, grads=None):
-    """Maxwellian-weighted H^1 seminorm; grads shape (2, n_radial, n_angular).
-
-    A ConfDistribution carries its own gradients through the basis; raw node
-    values need them supplied explicitly.
-    """
-    if isinstance(phi, ConfDistribution):
-        grads = phi.node_grads()
-    elif grads is None:
-        raise ValueError("h1m_seminorm needs gradient node values")
+def h1m_seminorm(grads, quad: ConfigQuadrature):
+    """Maxwellian-weighted H^1 seminorm from the node values of grad_q phi,
+    shape (2, n_radial, n_angular)."""
     dens = np.sum(np.asarray(grads) ** 2, axis=0)
     return float(np.sqrt(quad.integrate_weighted(dens)))
 
@@ -248,14 +237,6 @@ class OperatorBlocks:
         return f, df
 
 
-def assemble_operator(quad: ConfigQuadrature, n_modal=None, m_max=None):
-    if n_modal is None:
-        n_modal = quad.n_radial
-    if m_max is None:
-        m_max = quad.n_angular // 2 - 1
-    return OperatorBlocks(quad, n_modal, m_max)
-
-
 class ConfigBasis:
     """First n_basis eigenpairs of the relaxation operator, M-orthonormal.
 
@@ -309,7 +290,7 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     invariant under rotations of q."""
     if n_basis < 1:
         raise ValueError("n_basis must be at least 1")
-    blocks = assemble_operator(quad)
+    blocks = OperatorBlocks(quad, quad.n_radial, quad.n_angular // 2 - 1)
     n_modal = blocks.n_modal
     capacity = n_modal * (2 * blocks.m_max + 1)
     if n_basis > capacity:
@@ -322,9 +303,8 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
         try:
             lam, vec = eigh(blocks.stiffness[m], blocks.mass[m])
         except LinAlgError as exc:
-            raise EigenSolverError(
-                f"generalized eigensolver failed for angular mode {m}",
-                residuals=None) from exc
+            raise EigenSolverError("generalized eigensolver failed for "
+                                   f"angular mode {m}") from exc
         vectors.append(vec)
         kinds = ("cos",) if m == 0 else ("cos", "sin")
         keys.extend((lam[k], m, kind, k)
@@ -389,34 +369,24 @@ def check_chi_index(n, b):
         raise ValueError("cut-off index too small for this b")
 
 
-def _chi_of_radius(radius, n, b):
+def chi_of_radius(radius, n, b):
+    """Boundary-layer cutoff chi_n at |q| = radius: 1 inside
+    |q| <= sqrt(b) - 2/n, 0 outside |q| >= sqrt(b) - 1/n, C^1 cubic blend
+    in between."""
     check_chi_index(n, b)
     inner = np.sqrt(b) - 2.0 / n
     s = np.clip((np.asarray(radius, dtype=float) - inner) * n, 0.0, 1.0)
-    out = 1.0 - s * s * (3.0 - 2.0 * s)
-    return out if np.ndim(out) else float(out)
+    return 1.0 - s * s * (3.0 - 2.0 * s)
 
 
-def chi_cutoff(q, n, b):
-    """Boundary-layer cutoff at a point q: 1 inside |q| <= sqrt(b) - 2/n,
-    0 outside |q| >= sqrt(b) - 1/n, C^1 cubic blend in between."""
-    q = np.asarray(q, dtype=float)
-    return _chi_of_radius(np.sqrt(np.sum(q * q, axis=0)), n, b)
-
-
-def chi_radial_values(quad: ConfigQuadrature, n):
-    """Cutoff values on the radial quadrature nodes."""
-    return _chi_of_radius(quad.radii, n, quad.b)
-
-
-def kramers_stress(phi, quad: ConfigQuadrature):
-    """Elastic stress int_B psi F(q) x q dq of psi = M phi.
+def kramers_stress(values, quad: ConfigQuadrature):
+    """Elastic stress int_B psi F(q) x q dq of psi = M phi, from the node
+    values of phi.
 
     The integrand M q_a q_b / (1 - t) is formed from the radial factor
     M / (1 - t), bounded for b > 2, so near-boundary nodes stay tame.
     The result is symmetric because F is parallel to q.
     """
-    values, _ = _as_node_values(phi)
     core = quad.weights * values \
         * (quad.maxwellian_radial / quad.one_minus_t)[:, None]
     t11 = float(np.sum(core * quad.q1 * quad.q1))
@@ -430,7 +400,7 @@ def chi_mass_matrix(basis: ConfigBasis, chi_index=None):
     if chi_index is None:
         return np.eye(basis.n_basis)
     quad = basis.quad
-    chi = chi_radial_values(quad, chi_index)
+    chi = chi_of_radius(quad.radii, chi_index, quad.b)
     w = quad.weights * quad.maxwellian * chi[:, None]
     values = basis.values.reshape(basis.n_basis, -1)
     return (values * w.ravel()) @ values.T
@@ -443,8 +413,8 @@ def drift_matrices(basis: ConfigBasis, chi_index=None):
     Fokker-Planck weak form; built once per (basis, cutoff) pair.
     """
     quad = basis.quad
-    chi = chi_radial_values(quad, chi_index) if chi_index is not None \
-        else np.ones(quad.n_radial)
+    chi = chi_of_radius(quad.radii, chi_index, quad.b) \
+        if chi_index is not None else np.ones(quad.n_radial)
     w = quad.weights * quad.maxwellian * chi[:, None]
     n = basis.n_basis
     wq = np.stack([w * quad.q1, w * quad.q2]).reshape(2, 1, -1)  # [b, 0, k]
@@ -452,25 +422,17 @@ def drift_matrices(basis: ConfigBasis, chi_index=None):
     return (grads * wq) @ basis.values.reshape(n, -1).T
 
 
-def lemma_a1_check(phi, delta, quad: ConfigQuadrature, grads=None):
-    """Quadrature values behind the weighted interpolation inequality.
+def lemma_a1_check(values, grads, quad: ConfigQuadrature):
+    """Quadrature values behind the weighted interpolation inequality, from
+    the node values of phi and of grad_q phi.
 
-    Returns (lhs, delta_h1_sq, l2_sq) with
-      lhs         = (int_B |psi| / (1 - |q|/sqrt(b)) dq)^2,  psi = M phi,
-      delta_h1_sq = delta * h1m_seminorm(phi)^2,
-      l2_sq       = l2m_norm(phi)^2.
+    Returns (lhs, h1_sq, l2_sq) with
+      lhs   = (int_B |psi| / (1 - |q|/sqrt(b)) dq)^2,  psi = M phi,
+      h1_sq = h1m_seminorm(grads)^2,
+      l2_sq = l2m_norm(values)^2.
     The denominator is normalized by the ball radius; empirical constants
-    c_delta are ensemble maxima of (lhs - delta_h1_sq) / l2_sq.
+    c_delta are ensemble maxima of (lhs - delta h1_sq) / l2_sq.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    values, dist = _as_node_values(phi)
-    if dist is not None:
-        grads = dist.node_grads()
-    if grads is None:
-        raise ValueError("lemma_a1_check needs gradient node values")
     layer = quad.maxwellian_radial / (1.0 - quad.rho)
     lhs = float(np.sum(quad.weights * np.abs(values) * layer[:, None])) ** 2
-    h1sq = h1m_seminorm(values, quad, grads=grads) ** 2
-    l2sq = l2m_norm(values, quad) ** 2
-    return lhs, delta * h1sq, l2sq
+    return lhs, h1m_seminorm(grads, quad) ** 2, l2m_norm(values, quad) ** 2

@@ -43,8 +43,4 @@ class VersionError(FeneError):
 
 
 class EigenSolverError(FeneError):
-    """Generalized eigensolver failed; carries the residual norms."""
-
-    def __init__(self, message, residuals=None):
-        self.residuals = residuals
-        super().__init__(message)
+    """The generalized eigensolver failed on an angular mode block."""

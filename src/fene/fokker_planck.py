@@ -26,11 +26,11 @@ call.  check_step refuses a psi on another basis or grid, and a step whose
 largest diagonal rate leaves the SSP-RK3 stability interval.
 Positivity of psi is only monitored - the Galerkin truncation does not
 preserve it and clipping would corrupt the energy monitors.
-nonnegativity_report bounds the samples of every q column over x and
-samples only the radial rings those bounds cannot clear of the minimum or
-of a negative value; on whole rings the GEMM rounds as on the full sample
-matrix, so the report is the full matrix's bit for bit at a fraction of
-its cost.
+nonnegativity_report returns the minimum of the sampled psi: it bounds the
+samples of every q column over x and samples only the radial rings those
+bounds cannot clear of the minimum; on whole rings the GEMM rounds as on
+the full sample matrix, so the minimum is the full matrix's bit for bit at
+a fraction of its cost.
 The coefficients of psi form an (n_basis, 2K + 1, K + 1) tensor, one torus
 field per basis function in the Galerkin block of torus; fp_energy weights
 its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
@@ -201,11 +201,11 @@ _BOUND_SLACK = 1e-12
 
 def _candidate_rings(cg, basis: ConfigBasis):
     """Mask of the radial rings whose samples s = cg.T @ phi may hold the
-    minimum of s M or a negative value, from bounds of every q column j
-    over x: s(x, j) lies in mid @ phi(j) -/+ (rad @ |phi(j)| + slack), with
-    mid_i and rad_i the centre and half-range of cg[i].  A column is ruled
-    out only if lo M exceeds the least hi M and lo >= 0; a NaN bound rules
-    nothing out, as every comparison with NaN is False."""
+    minimum of s M, from bounds of every q column j over x: s(x, j) lies in
+    mid @ phi(j) -/+ (rad @ |phi(j)| + slack), with mid_i and rad_i the
+    centre and half-range of cg[i].  A column is ruled out only if lo M
+    exceeds the least hi M; a NaN bound rules nothing out, as every
+    comparison with NaN is False."""
     nb = basis.n_basis
     phi = basis.values.reshape(nb, -1)
     m = basis.quad.maxwellian.reshape(-1)
@@ -215,12 +215,12 @@ def _candidate_rings(cg, basis: ConfigBasis):
         @ np.abs(phi)
     lo = centre - reach
     best = np.min((centre + reach) * m)
-    ruled_out = (lo * m > best) & (lo >= 0.0)
+    ruled_out = lo * m > best
     return ~ruled_out.reshape(basis.values.shape[1:]).all(axis=1)
 
 
 def nonnegativity_report(psi: PolymerField):
-    """(min sampled psi, fraction of negative samples) over grid x nodes.
+    """Minimum of the sampled psi over the grid x nodes.
 
     Sampling happens on the configuration quadrature nodes; the scheme never
     enforces positivity, this is a monitor only.  Only the radial rings
@@ -234,8 +234,7 @@ def nonnegativity_report(psi: PolymerField):
     as the full matrix, on whole rings of columns: one gathered column
     would go through gemv and round differently.  They are scaled by M
     only at the end: M > 0 at every node and rounding is monotone, so
-    min(s M) = min(s) M.  A skipped column holds neither the minimum nor a
-    negative sample, so the count of negative samples is the full one.
+    min(s M) = min(s) M.
     """
     basis = psi.basis
     nb = basis.n_basis
@@ -244,12 +243,7 @@ def nonnegativity_report(psi: PolymerField):
     phi = basis.values[:, rings].reshape(nb, -1)
     m = basis.quad.maxwellian[rings].reshape(-1)
     col_min = np.full(phi.shape[1], np.inf)
-    negative = 0
     for start in range(0, cg.shape[1], _SAMPLE_BLOCK):
         block = cg[:, start:start + _SAMPLE_BLOCK].T @ phi
-        block_min = block.min(axis=0)
-        np.minimum(col_min, block_min, out=col_min)
-        if not block_min.min() >= 0.0:   # a NaN may hide a negative
-            negative += np.count_nonzero(block * m < 0.0)
-    return (float((col_min * m).min()),
-            float(negative / (cg.shape[1] * basis.quad.maxwellian.size)))
+        np.minimum(col_min, block.min(axis=0), out=col_min)
+    return float((col_min * m).min())

@@ -25,7 +25,6 @@ class ModelParams:
     a11     first Rouse matrix entry (> 0)
     lam     Deborah number (> 0)
     b       FENE extensibility parameter (> 2)
-    dim     spatial dimension; the implemented numerics are 2-D only
     """
 
     a: float = 1.0
@@ -36,7 +35,6 @@ class ModelParams:
     a11: float = 1.0
     lam: float = 1.0
     b: float = 4.0
-    dim: int = 2
 
     def __post_init__(self):
         checks = [
@@ -48,7 +46,6 @@ class ModelParams:
             (self.a11 > 0, "a11 > 0"),
             (self.lam > 0, "lam > 0"),
             (self.b > 2, "b > 2"),
-            (self.dim == 2, "dim == 2"),
         ]
         for ok, rule in checks:
             if not ok:
@@ -168,9 +165,9 @@ def d_coefficient(r, p: ModelParams):
 def viscous_stress(grad_u, p: ModelParams):
     """Newton's rheological law.
 
-    S = mu_s (G + G^T - (2/d) tr(G) I) + mu_b tr(G) I for the velocity
-    gradient G with G[i, j] = du_i/dx_j.  The result is symmetric with
-    trace d * mu_b * div(u).
+    S = mu_s (G + G^T - (2/d) tr(G) I) + mu_b tr(G) I in d = 2 dimensions,
+    for the velocity gradient G with G[i, j] = du_i/dx_j.  The result is
+    symmetric with trace 2 mu_b div(u).
     """
     g = np.asarray(grad_u, dtype=float)
     if g.shape[:2] != (2, 2):
@@ -180,4 +177,4 @@ def viscous_stress(grad_u, p: ModelParams):
     eye[0, 0] = 1.0
     eye[1, 1] = 1.0
     gt = np.swapaxes(g, 0, 1)
-    return p.mu_s * (g + gt - (2.0 / p.dim) * div * eye) + p.mu_b * div * eye
+    return p.mu_s * (g + gt - div * eye) + p.mu_b * div * eye

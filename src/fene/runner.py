@@ -214,11 +214,12 @@ class RunContext:
                            ("snapshots.every", 0)):
             if cfg[key] < least:
                 raise ConfigError(f"must be at least {least}", field=key)
+        # written not (x <= 0) so that a NaN ceiling is refused too
+        if not cfg["blowup_ceiling"] > 0:
+            raise ConfigError("the blow-up ceiling must be positive",
+                              field="blowup_ceiling")
         name = cfg["scenario"]
         if name == "stress_difference":
-            if not cfg["experiment.horizon"] > 0:
-                raise ConfigError("the horizon must be positive",
-                                  field="experiment.horizon")
             deltas = cfg["experiment.deltas"]
             if len(set(deltas)) < 2 or min(deltas) <= 0:
                 raise ConfigError("the log-log slope needs at least two "
@@ -226,6 +227,9 @@ class RunContext:
                                   field="experiment.deltas")
         self.fixed_point = None
         if name in ("stress_difference", "contraction_study"):
+            if not cfg["experiment.horizon"] > 0:
+                raise ConfigError("the horizon must be positive",
+                                  field="experiment.horizon")
             with _refusing("fixed_point"):
                 self.fixed_point = FixedPointConfig(
                     horizon_T=cfg["experiment.horizon"],
@@ -356,7 +360,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
     mass = float(np.sum(rho) * area)
     mom = (float(np.sum(rho * uv[0]) * area),
            float(np.sum(rho * uv[1]) * area))
-    psi_min, _ = nonnegativity_report(state.psi)
+    psi_min = nonnegativity_report(state.psi)
     stress = stress_field(state.psi)
     f_field = fluid_mod._forcing_field(ctx.forcing, grid, state.time)
     cutoff_active = int(
@@ -651,7 +655,8 @@ def _run_lemma_a1(ctx: RunContext, outdir):
     samples = [ConfDistribution(ctx.basis,
                                 rng.standard_normal(ctx.basis.n_basis))
                for _ in range(n_ensemble)]
-    parts = [lemma_a1_check(dist, 1.0, ctx.quad) for dist in samples]
+    parts = [lemma_a1_check(dist.node_values(), dist.node_grads(), ctx.quad)
+             for dist in samples]
     results = {}
     for delta in deltas:
         best = -np.inf

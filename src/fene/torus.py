@@ -107,7 +107,10 @@ def to_modes(values):
 
 
 def to_values(coeffs, n):
-    """Real grid values (..., n, n) of block coefficients."""
+    """Real grid values (..., n, n) of block coefficients.  A batch of 12
+    or more slices at n = 64 stays fast only under runner._retain_heap
+    (set by every fene run): library callers get the slow path, 1.8x six
+    2-slice calls, as its temporaries cross glibc's mmap threshold."""
     k = coeffs.shape[-1] - 1
     full = np.zeros((*coeffs.shape[:-2], n, n // 2 + 1), dtype=complex)
     full[..., :k + 1, :k + 1] = coeffs[..., :k + 1, :]
@@ -175,10 +178,6 @@ class SpectralField:
 
     def __neg__(self):
         return SpectralField(self.grid, -self.coeffs)
-
-
-def forward(grid: TorusGrid, values) -> SpectralField:
-    return SpectralField.from_values(grid, values)
 
 
 def derivative(field: SpectralField, alpha) -> SpectralField:

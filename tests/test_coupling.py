@@ -13,13 +13,14 @@ from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
 from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
-from fene.torus import SpectralField, forward, sobolev_norm, \
+from fene.torus import SpectralField, sobolev_norm, \
     sup_norm_w2inf, to_modes
 
 
 def equilibrium_state(grid, basis, params):
     n = grid.n_points
-    r = forward(grid, np.full((n, n), density_to_r(1.0, params)))
+    r = SpectralField.from_values(
+        grid, np.full((n, n), density_to_r(1.0, params)))
     u = SpectralField.zero(grid, 2)
     return CoupledState(FluidState(r, u),
                         PolymerField.equilibrium(grid, basis))
@@ -29,9 +30,9 @@ def perturbed_state(grid, basis, params, amp=1e-3):
     x1, x2 = grid.x
     n = grid.n_points
     rho = 1.0 + 0.5 * amp * np.cos(x1)
-    r = forward(grid, density_to_r(rho, params))
-    u = forward(grid, np.stack([0.1 + amp * np.sin(x2),
-                                0.5 * amp * np.sin(x1)]))
+    r = SpectralField.from_values(grid, density_to_r(rho, params))
+    u = SpectralField.from_values(grid, np.stack([0.1 + amp * np.sin(x2),
+                                                  0.5 * amp * np.sin(x1)]))
     psi = PolymerField.from_coefficient_fields(
         grid, basis, {0: np.ones((n, n)), 1: amp * np.cos(x2)})
     return CoupledState(FluidState(r, u), psi)
@@ -72,7 +73,7 @@ def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
     cg = psi.coefficient_values()
     for ix, iy in ((0, 0), (3, 7), (10, 2)):
         dist = ConfDistribution(basis16, cg[:, ix, iy])
-        direct = kramers_stress(dist, quad16)
+        direct = kramers_stress(dist.node_values(), quad16)
         assert abs(field_vals[0, ix, iy] - direct[0, 0]) < 1e-10
         assert abs(field_vals[1, ix, iy] - direct[0, 1]) < 1e-10
         assert abs(field_vals[2, ix, iy] - direct[1, 1]) < 1e-10
@@ -207,7 +208,8 @@ def test_blowup_indicator(grid32, basis32, params):
     st = equilibrium_state(grid32, basis32, params)
     assert blowup_indicator(st) == 0.0
     x1, _ = grid32.x
-    u = forward(grid32, np.stack([np.sin(x1), np.zeros_like(x1)]))
+    u = SpectralField.from_values(grid32,
+                                  np.stack([np.sin(x1), np.zeros_like(x1)]))
     st_u = CoupledState(FluidState(st.fluid.r, u),
                         PolymerField.equilibrium(grid32, basis32))
     expect = sup_norm_w2inf(u)   # div T(M) = 0 for the constant stress
@@ -248,7 +250,8 @@ def random_coupled_state(grid, basis, params, seed):
     """Band-limited positive r, u and a perturbed equilibrium psi."""
     rng = np.random.default_rng(seed)
     n = grid.n_points
-    r = forward(grid, np.full((n, n), density_to_r(1.0, params))) \
+    r = SpectralField.from_values(
+        grid, np.full((n, n), density_to_r(1.0, params))) \
         + random_band_limited(grid, rng, scale=0.02)
     u = random_band_limited(grid, rng, components=2, scale=0.3)
     psi = PolymerField.equilibrium(grid, basis)

@@ -252,6 +252,16 @@ def test_blowup_ceiling_aborts(tmp_path):
     assert manifest["config"]["blowup_ceiling"] == 1e-6
 
 
+def test_bad_ceiling_override_is_a_config_error(tmp_path, capsys):
+    # the override replaces the config value before RunContext checks it
+    cfg_path, outdir = write_cfg(tmp_path, scenario="shear_perturbation")
+    assert cli_main(["run", cfg_path, "--ceiling", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["reason"] == "ConfigError"
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["reason"] == "ConfigError"
+    assert "[blowup_ceiling]" in manifest["message"]
+
+
 def test_cfl_guard_holds_sound_speed(tmp_path):
     # with almost no viscosity the acoustic speed sets the CFL bound (about
     # 0.12 here); dt = 0.15 must be refused before the first step
@@ -631,7 +641,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("stress_difference", "fluid.n_modes = 0", "fluid.n_modes"),
     ("contraction_study", "fixed_point.max_iters = 1", "fixed_point"),
     ("contraction_study", "fixed_point.s_prime = 2", "fixed_point"),
-    ("contraction_study", "experiment.horizon = -1", "fixed_point"),
+    ("contraction_study", "experiment.horizon = -1", "experiment.horizon"),
     ("stress_difference", "experiment.horizon = -1", "experiment.horizon"),
     ("stress_difference", "experiment.deltas = 0.01", "experiment.deltas"),
     ("stress_difference", "experiment.deltas = 0.01, 0.01",
@@ -661,6 +671,11 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "max_steps = -1", "max_steps"),
     ("shear_perturbation", "record_every = 0", "record_every"),
     ("shear_perturbation", "snapshots.every = -1", "snapshots.every"),
+    # a ceiling that no indicator can stay under, or none at all
+    ("shear_perturbation", "blowup_ceiling = -1", "blowup_ceiling"),
+    ("shear_perturbation", "blowup_ceiling = 0", "blowup_ceiling"),
+    ("shear_perturbation", "blowup_ceiling = nan", "blowup_ceiling"),
+    ("lemma_a1", "blowup_ceiling = -1", "blowup_ceiling"),
     # phi_R needs a positive threshold
     ("shear_perturbation", "fluid.cutoff_r = 0", "fluid"),
     ("shear_perturbation", "fluid.cutoff_r = -1", "fluid"),
@@ -683,6 +698,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "equilibrium_chi=-2", "equilibrium_chi=0",
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
         "max_steps=-1", "record_every=0", "snapshots_every=-1",
+        "ceiling=-1", "ceiling=0", "ceiling=nan", "lemma_ceiling=-1",
         "cutoff_r=0", "cutoff_r=-1", "rho0=0", "bump_amplitude=1.5",
         "shear_amplitude=2.5", "stress_difference_s_prime=-1",
         "contraction_s_prime=-1", "contraction_zero_steps", "no_lemma_delta",

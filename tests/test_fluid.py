@@ -10,14 +10,15 @@ from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, SpectralField, TorusGrid, \
-    derivative, forward, sobolev_norm, sup_norm_w2inf
+    derivative, sobolev_norm, sup_norm_w2inf
 
 
 def constant_state(grid, rho, params, uvals=None):
     n = grid.n_points
-    r = forward(grid, np.full((n, n), density_to_r(rho, params)))
+    r = SpectralField.from_values(
+        grid, np.full((n, n), density_to_r(rho, params)))
     u = SpectralField.zero(grid, 2) if uvals is None \
-        else forward(grid, uvals)
+        else SpectralField.from_values(grid, uvals)
     return FluidState(r, u)
 
 
@@ -41,7 +42,7 @@ def test_phi_r_plateaus():
 
 
 def test_positivity_checked_on_construction(grid32):
-    r = forward(grid32, np.full((32, 32), -0.5))
+    r = SpectralField.from_values(grid32, np.full((32, 32), -0.5))
     with pytest.raises(PositivityLoss):
         FluidState(r, SpectralField.zero(grid32, 2))
 
@@ -55,9 +56,9 @@ def test_continuity_rhs_zero_velocity(grid32, params):
 def test_continuity_rhs_closed_form(grid32, params):
     x1, _ = grid32.x
     c = 2.0
-    st = FluidState(forward(grid32, np.full((32, 32), c)),
-                    forward(grid32, np.stack([np.sin(x1),
-                                              np.zeros_like(x1)])))
+    st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), c)),
+                    SpectralField.from_values(
+                        grid32, np.stack([np.sin(x1), np.zeros_like(x1)])))
     rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
     expect = -c * (params.gamma - 1.0) / 2.0 * np.cos(x1)
     assert np.max(np.abs(rhs.values()[0] - expect)) < 1e-12
@@ -65,9 +66,9 @@ def test_continuity_rhs_closed_form(grid32, params):
 
 def test_continuity_rhs_cutoff_support(grid32, params):
     x1, _ = grid32.x
-    st = FluidState(forward(grid32, np.full((32, 32), 2.0)),
-                    forward(grid32, np.stack([np.sin(x1),
-                                              np.zeros_like(x1)])))
+    st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), 2.0)),
+                    SpectralField.from_values(
+                        grid32, np.stack([np.sin(x1), np.zeros_like(x1)])))
     # |u|_{2,inf} of (sin, 0) is about sqrt(5); a cutoff below it scales the
     # rhs by phi_R, far above it leaves the rhs untouched
     free = fluid_rhs(st, None, None, params,
@@ -95,8 +96,8 @@ def test_momentum_rhs_stress_divergence(grid32, params):
     x1, x2 = grid32.x
     c = 1.5
     st = constant_state(grid32, r_to_density(c, params), params)
-    stress = forward(grid32, np.stack([np.sin(x1), 0.3 * np.sin(x1 + x2),
-                                       np.cos(x2)]))
+    stress = SpectralField.from_values(grid32, np.stack(
+        [np.sin(x1), 0.3 * np.sin(x1 + x2), np.cos(x2)]))
     rhs = fluid_rhs(st, stress, None, params, FluidStepConfig(dt=1e-3))[1]
     g = stress_divergence(stress).values()
     d = 1.0 / r_to_density(c, params)
@@ -107,9 +108,9 @@ def test_momentum_rhs_viscous_closed_form(grid32):
     p = ModelParams(mu_s=1.0, mu_b=0.0)
     _, x2 = grid32.x
     c = 2.0
-    st = FluidState(forward(grid32, np.full((32, 32), c)),
-                    forward(grid32, np.stack([np.sin(x2),
-                                              np.zeros_like(x2)])))
+    st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), c)),
+                    SpectralField.from_values(
+                        grid32, np.stack([np.sin(x2), np.zeros_like(x2)])))
     rhs = fluid_rhs(st, None, None, p, FluidStepConfig(dt=1e-3))[1]
     d = 1.0 / r_to_density(c, p)
     assert np.max(np.abs(rhs.values()[0] + d * np.sin(x2))) < 1e-12
@@ -120,7 +121,8 @@ def random_fluid_input(grid, params, seed):
     """Band-limited positive r, u, a stress and a forcing."""
     rng = np.random.default_rng(seed)
     n = grid.n_points
-    r = forward(grid, np.full((n, n), density_to_r(1.0, params))) \
+    r = SpectralField.from_values(
+        grid, np.full((n, n), density_to_r(1.0, params))) \
         + random_band_limited(grid, rng, scale=0.02)
     u = random_band_limited(grid, rng, components=2, scale=0.3)
     stress = random_band_limited(grid, rng, components=3, scale=0.1)
@@ -203,9 +205,8 @@ def test_viscous_divergence_formula(grid32):
 
 def test_step_equilibrium_fixed_point(grid32, params):
     st = constant_state(grid32, 1.0, params)
-    stress = forward(grid32, np.stack([np.ones((32, 32)),
-                                       np.zeros((32, 32)),
-                                       np.ones((32, 32))]))
+    stress = SpectralField.from_values(grid32, np.stack(
+        [np.ones((32, 32)), np.zeros((32, 32)), np.ones((32, 32))]))
     cfg = FluidStepConfig(dt=1e-3)
     cur = st
     for _ in range(10):
@@ -218,9 +219,9 @@ def test_step_conservation(grid32, params):
     x1, x2 = grid32.x
     rho0 = 1.0 + 0.01 * np.cos(x1) * np.cos(x2)
     st = FluidState(
-        forward(grid32, density_to_r(rho0, params)),
-        forward(grid32, np.stack([0.1 + 0.02 * np.sin(x2),
-                                  0.01 * np.sin(x1)])))
+        SpectralField.from_values(grid32, density_to_r(rho0, params)),
+        SpectralField.from_values(grid32, np.stack([0.1 + 0.02 * np.sin(x2),
+                                                    0.01 * np.sin(x1)])))
     cfg = FluidStepConfig(dt=1e-3)
     area = grid32.cell_area()
 
@@ -249,8 +250,9 @@ def test_one_step_conserves_mass_and_momentum(n, seed, amplitude):
                                 components=3).values()
     noise *= amplitude / np.max(np.abs(noise))
     state = FluidState(
-        forward(grid, density_to_r(1.0 + noise[0], params)),
-        forward(grid, noise[1:]))
+        SpectralField.from_values(grid,
+                                  density_to_r(1.0 + noise[0], params)),
+        SpectralField.from_values(grid, noise[1:]))
     area = grid.cell_area()
 
     def invariants(s):
@@ -269,8 +271,10 @@ def test_one_step_conserves_mass_and_momentum(n, seed, amplitude):
 def test_cutoff_inactive_is_bitwise_identical(grid32, params):
     x1, x2 = grid32.x
     st = FluidState(
-        forward(grid32, density_to_r(1.0 + 0.01 * np.cos(x1), params)),
-        forward(grid32, np.stack([0.05 * np.sin(x2), np.zeros_like(x1)])))
+        SpectralField.from_values(
+            grid32, density_to_r(1.0 + 0.01 * np.cos(x1), params)),
+        SpectralField.from_values(
+            grid32, np.stack([0.05 * np.sin(x2), np.zeros_like(x1)])))
     plain_cfg = FluidStepConfig(dt=1e-3)
     big_r_cfg = FluidStepConfig(dt=1e-3, cutoff_R=1e6)
     a, b = st, st
@@ -285,8 +289,9 @@ def test_step_self_convergence_third_order(grid32, params):
     x1, x2 = grid32.x
     rho0 = 1.0 + 0.05 * np.cos(x1)
     st = FluidState(
-        forward(grid32, density_to_r(rho0, params)),
-        forward(grid32, np.stack([0.2 * np.sin(x2), 0.1 * np.sin(x1)])))
+        SpectralField.from_values(grid32, density_to_r(rho0, params)),
+        SpectralField.from_values(
+            grid32, np.stack([0.2 * np.sin(x2), 0.1 * np.sin(x1)])))
     horizon = 0.02
 
     def solve(dt):
@@ -308,10 +313,11 @@ def test_step_self_convergence_third_order(grid32, params):
 
 def test_step_raises_cfl(grid32, params):
     x1, x2 = grid32.x
-    st = FluidState(forward(grid32, np.full((32, 32),
-                                            density_to_r(1.0, params))),
-                    forward(grid32, np.stack([5.0 + np.sin(x2),
-                                              np.zeros_like(x1)])))
+    st = FluidState(SpectralField.from_values(
+                        grid32, np.full((32, 32), density_to_r(1.0, params))),
+                    SpectralField.from_values(
+                        grid32, np.stack([5.0 + np.sin(x2),
+                                          np.zeros_like(x1)])))
     cfg = FluidStepConfig(dt=0.05)
     assert cfg.dt > cfl_bound(st, params)
     with pytest.raises(CFLViolation):
@@ -379,9 +385,10 @@ def test_ssprk3_third_order():
 def test_step_raises_positivity_loss(grid32):
     p = ModelParams(gamma=3.0)
     x1, _ = grid32.x
-    st = FluidState(forward(grid32, np.full((32, 32), 0.01)),
-                    forward(grid32, np.stack([60.0 * np.sin(x1),
-                                              np.zeros_like(x1)])),
+    st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), 0.01)),
+                    SpectralField.from_values(
+                        grid32, np.stack([60.0 * np.sin(x1),
+                                          np.zeros_like(x1)])),
                     check_positivity=False)
     cfg = FluidStepConfig(dt=0.05, cfl_safety=None)
     with pytest.raises(PositivityLoss):
@@ -402,7 +409,7 @@ def test_viscous_energy_decay(grid32, params):
     rng = np.random.default_rng(5)
     u = random_band_limited(grid32, rng, components=2, kmax=8, scale=0.3)
     rvals = np.full((32, 32), density_to_r(1.0, params))
-    D = forward(grid32, 1.0 / r_to_density(rvals, params))
+    D = SpectralField.from_values(grid32, 1.0 / r_to_density(rvals, params))
 
     def rhs(y, t):
         v = SpectralField(grid32, y[0])

@@ -20,7 +20,7 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
 from fene.model import ModelParams
 from fene.runner import resume
 from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
-    forward, sobolev_norm, to_modes, to_values
+    sobolev_norm, to_modes, to_values
 
 GRIDS = {n: TorusGrid(n) for n in (8, 16, 32)}
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -66,7 +66,8 @@ def test_sobolev_norm_matches_full_spectrum(case):
 def test_real_data_hermitian_in_self_mirrored_columns(case):
     n = case[0]
     rng = np.random.default_rng(case[1])
-    c = forward(GRIDS[n], rng.standard_normal((n, n))).coeffs[0]
+    c = SpectralField.from_values(GRIDS[n],
+                                  rng.standard_normal((n, n))).coeffs[0]
     # the block rows k1 = 0 .. K, -K .. -1 mirror like an FFT axis; only
     # the k2 = 0 column is its own mirror image
     mirror = (-np.arange(c.shape[0])) % c.shape[0]
@@ -90,7 +91,7 @@ def test_polymer_mass_is_grid_quadrature(basis16, n, seed):
 
 def random_state(grid, basis, seed):
     r = band_limited(grid.n_points, seed, 4)
-    r = forward(grid, 1.5 + 0.1 * r.values())
+    r = SpectralField.from_values(grid, 1.5 + 0.1 * r.values())
     u = band_limited(grid.n_points, seed + 1, 6, components=2)
     rng = np.random.default_rng(seed + 2)
     psi = PolymerField.from_coefficient_fields(

@@ -8,8 +8,7 @@ from fene.model import ForcingSpec, ModelParams, d_coefficient, \
 
 def test_params_reject_invalid():
     bad = [dict(a=0.0), dict(gamma=1.0), dict(mu_s=0.0), dict(mu_b=-0.1),
-           dict(epsilon=-1e-3), dict(a11=0.0), dict(lam=0.0), dict(b=2.0),
-           dict(dim=3)]
+           dict(epsilon=-1e-3), dict(a11=0.0), dict(lam=0.0), dict(b=2.0)]
     for kw in bad:
         with pytest.raises(ValueError):
             ModelParams(**kw)
@@ -162,7 +161,7 @@ def test_viscous_stress_symmetry_and_trace(params):
         assert abs(s[0, 1] - s[1, 0]) == 0.0
         trace = s[0, 0] + s[1, 1]
         assert trace == pytest.approx(
-            params.dim * params.mu_b * (g[0, 0] + g[1, 1]), abs=1e-13)
+            2 * params.mu_b * (g[0, 0] + g[1, 1]), abs=1e-13)
 
 
 def test_forcing_spec(grid16):
