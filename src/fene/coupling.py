@@ -14,12 +14,24 @@ other by the verification suite:
 
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
   (r, u, psi) together, re-evaluating the stress at every stage.  Each
-  stage makes one inverse transform, of fluid.rhs_factors followed by
+  stage reads one inverse transform, of fluid.rhs_factors followed by
   the coefficients of psi: fluid_rhs reads the fluid factors of that
   batch and op.tendency its velocity block (fluid.VELOCITY) and the
   coefficients, so both halves share every grid value.  The split
   solvers of fixed_point_map, fluid.step and fp_step, leave each half to
   make its own one call per stage and form the same products.
+
+Each CoupledState is sent to the grid once.  Its batch is the stage-1
+batch of a step from it (CoupledState.grid_values, under op.params); a
+step makes the batch of the state it returns, where the positivity of r
+first needs it, and the state carries it.  The next step's CFL check
+(fluid.check_cfl) and first stage read it, and so do the monitors:
+runner.record_state takes r, u, grad u and the coefficient fields for
+nonnegativity_report from it, and blowup_indicator the u, d1 u, d2 u rows
+of the W^{2,inf} stack.  States built from data or loaded from a
+checkpoint carry nothing until first asked.  Nothing in this package
+writes a state's coefficients in place, which would leave its carried
+values stale.
 
 Both routes integrate with the same fluid.ssprk3 step and take the
 Fokker-Planck operator (FokkerPlanckSolver, built for one grid) as an
@@ -44,17 +56,27 @@ import numpy as np
 
 from . import fluid as fluid_mod
 from .errors import BlowupCeiling
-from .fluid import N_FACTORS, VELOCITY, FluidState, FluidStepConfig, \
-    fluid_rhs, rhs_factors, ssprk3, state_from_coeffs, stress_divergence
+from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
+    check_positive, fluid_rhs, rhs_factors, ssprk3, state_from_coeffs, \
+    stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     fp_step
-from .torus import SpectralField, sup_norm_w2inf, to_values
+from .torus import W2_INDICES, SpectralField, derivative_stack, \
+    sup_norm_w2inf_values, to_values
 
 
 class CoupledState:
-    """The solution triple (r, u, psi) at one time instant."""
+    """The solution triple (r, u, psi) at one time instant.
 
-    __slots__ = ("fluid", "psi", "time")
+    A state transforms to the grid once: grid_values(params) computes the
+    batch of a coupled stage at this state on first use and keeps it.  A
+    state made here or loaded carries nothing until then; coupled_step
+    returns one that carries its batch, since the positivity check of r
+    needs it.  The carried values are those of the coefficients at that
+    moment: nothing in this package writes a state's coefficients in place.
+    """
+
+    __slots__ = ("fluid", "psi", "time", "_values")
 
     def __init__(self, fluid: FluidState, psi: PolymerField):
         if fluid.r.grid != psi.grid:
@@ -64,6 +86,19 @@ class CoupledState:
         self.fluid = fluid
         self.psi = psi
         self.time = fluid.time
+        self._values = None   # (params, batch) once computed
+
+    def grid_values(self, params):
+        """The stage-1 batch of coupled_step at this state under params:
+        the grid values of fluid.rhs_factors (the N_FACTORS fluid factors),
+        then those of the n_basis coefficient fields of psi.  Only the div S
+        + div T slices depend on params.  It serves the CFL check and the
+        first stage of the next step, the positivity check of this state and
+        the monitors of runner.record_state and blowup_indicator."""
+        if self._values is None or self._values[0] != params:
+            self._values = params, _grid_values(self.fluid, self.psi.basis,
+                                                self.psi.coeffs, params)
+        return self._values[1]
 
 
 @dataclass(frozen=True)
@@ -101,6 +136,15 @@ def stress_field(psi: PolymerField) -> SpectralField:
 def _stress_of(grid, basis, coeffs):
     return SpectralField(
         grid, np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0])))
+
+
+def _grid_values(fluid: FluidState, basis, coeffs, params):
+    """One transform of the fluid factors under the stress of coeffs, then
+    of coeffs: the batch that fluid_rhs and op.tendency read."""
+    grid = fluid.r.grid
+    stress = _stress_of(grid, basis, coeffs)
+    return to_values(np.concatenate([rhs_factors(fluid, stress, params),
+                                     coeffs]), grid.n_points)
 
 
 def xs_norm(traj, s):
@@ -233,35 +277,42 @@ def contraction_factor(iterates, s_prime):
 
 def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
                  fluid_cfg: FluidStepConfig) -> CoupledState:
-    """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress."""
+    """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress.
+
+    The CFL check and the first stage read state.grid_values; the new state
+    carries its own, from which r is checked positive."""
     p = op.params
     grid, basis = state.psi.grid, state.psi.basis
     op.check_step(state.psi, fluid_cfg.dt)
-    fluid_mod.check_cfl(state.fluid, p, fluid_cfg)
+    carried = state.grid_values(p)
+    fluid_mod.check_cfl(state.fluid, p, fluid_cfg, carried)
     force = fluid_mod.forcing_of_time(forcing, grid)
+    y0 = (state.fluid.r.coeffs, state.fluid.u.coeffs, state.psi.coeffs)
 
     def rhs(y, t):
         r, u, c = y
         st = state_from_coeffs(grid, r, u, t, check_positivity=False)
-        stress = _stress_of(grid, basis, c)
-        values = to_values(np.concatenate([rhs_factors(st, stress, p), c]),
-                           grid.n_points)
-        dr, du = fluid_rhs(st, stress, force(t), p, fluid_cfg, values)
+        values = carried if y is y0 else _grid_values(st, basis, c, p)
+        dr, du = fluid_rhs(st, None, force(t), p, fluid_cfg, values)
         dc = op.tendency(c, st.u, (values[VELOCITY], values[N_FACTORS:]))
         return dr.coeffs, du.coeffs, dc
 
     t1 = state.time + fluid_cfg.dt
-    r, u, c = ssprk3((state.fluid.r.coeffs, state.fluid.u.coeffs,
-                      state.psi.coeffs), rhs, state.time, fluid_cfg.dt)
-    return CoupledState(
-        state_from_coeffs(grid, r, u, t1),
+    r, u, c = ssprk3(y0, rhs, state.time, fluid_cfg.dt)
+    new = CoupledState(
+        state_from_coeffs(grid, r, u, t1, check_positivity=False),
         PolymerField(grid, basis, c, t1))
+    check_positive(new.grid_values(p)[R])
+    return new
 
 
 def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, forcing,
                        fluid_cfg: FluidStepConfig, steps, where=""):
     """Yield (k, state) after a coupled_step for each step number k in
-    steps; a non-finite r, u or psi raises BlowupCeiling at step k."""
+    steps; a non-finite r, u or psi raises BlowupCeiling at step k.  The
+    grid values of the first state are made before its step, so that every
+    step makes the same transforms, those of a step from a stepped state."""
+    state.grid_values(op.params)
     for k in steps:
         state = coupled_step(state, op, forcing, fluid_cfg)
         _check_finite((("r", state.fluid.r), ("u", state.fluid.u),
@@ -269,8 +320,18 @@ def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, forcing,
         yield k, state
 
 
-def blowup_indicator(state: CoupledState):
-    """Grid-sampled |u|_{W^{2,inf}} + sup_x |div_x T(psi)|."""
-    w2 = sup_norm_w2inf(state.fluid.u)
-    div_t = stress_divergence(stress_field(state.psi)).values()
+def blowup_indicator(state: CoupledState, params):
+    """Grid-sampled |u|_{W^{2,inf}} + sup_x |div_x T(psi)|.  The u, d1 u,
+    d2 u rows of the W^{2,inf} stack are state.grid_values(params); the
+    three second derivatives of u and div T take one transform."""
+    grid = state.psi.grid
+    n = grid.n_points
+    second = derivative_stack(state.fluid.u, W2_INDICES[3:]).reshape(
+        -1, *grid.spectral_shape)
+    div_t = stress_divergence(stress_field(state.psi)).coeffs
+    vals = to_values(np.concatenate([second, div_t]), n)
+    w2 = np.concatenate([state.grid_values(params)[VELOCITY],
+                         vals[:len(second)]])
+    w2 = sup_norm_w2inf_values(w2.reshape(len(W2_INDICES), 2, n, n))
+    div_t = vals[len(second):]
     return float(w2 + np.sqrt(np.sum(div_t ** 2, axis=0)).max())

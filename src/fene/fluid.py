@@ -19,8 +19,11 @@ Fokker-Planck half, which reads the velocity block (VELOCITY) of it.
 Only D(r) takes a round trip through P_K inside fluid_rhs, and the
 products come back in one transform, so every tendency lies in P_K.  Time
 stepping is explicit SSP-RK3 under a conservative CFL bound on the speeds
-|u| + c_s; positivity of r is
-monitored and its loss is an error, never silently repaired.  ssprk3, over
+|u| + c_s; positivity of r is monitored (check_positive) and its loss is
+an error, never silently repaired.  cfl_bound and check_positive read grid
+values of r and u: in coupling.coupled_step those of the batch a
+CoupledState carries (its R and VELOCITY slices), in fluid.step and
+FluidState their own transforms.  ssprk3, over
 tuples of coefficient arrays, is the package's one SSP-RK3 step:
 fluid.step, fokker_planck.fp_step and coupling.coupled_step all take it.
 """
@@ -47,12 +50,17 @@ class FluidState:
         if r.components != 1 or u.components != 2:
             raise ValueError("r must be scalar and u a 2-vector field")
         if check_positivity:
-            rmin = float(r.values().min())
-            if not rmin > 0.0:   # catches NaN as well
-                raise PositivityLoss(f"min r = {rmin:.3e} on the grid")
+            check_positive(r.values())
         self.r = r
         self.u = u
         self.time = time
+
+
+def check_positive(rvals):
+    """Raise PositivityLoss unless the grid values rvals of r are all > 0."""
+    rmin = float(rvals.min())
+    if not rmin > 0.0:   # catches NaN as well
+        raise PositivityLoss(f"min r = {rmin:.3e} on the grid")
 
 
 @dataclass(frozen=True)
@@ -181,13 +189,20 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
     return dr, SpectralField(grid, du)
 
 
-def cfl_bound(state: FluidState, p: ModelParams):
+def cfl_bound(state: FluidState, p: ModelParams, values=None):
     """Conservative explicit bound min(h / max(|u| + c_s),
     h^2 / (4 max D (mu_s + mu_b))); the characteristic speeds of the (r, u)
-    system are u.n +- c_s with sound speed c_s = sqrt((gamma-1)/2) r."""
+    system are u.n +- c_s with sound speed c_s = sqrt((gamma-1)/2) r.
+    values, when given, holds the grid values of rhs_factors(state, ...) in
+    its first N_FACTORS slices, as in fluid_rhs; otherwise r and u are
+    transformed here."""
     h = state.r.grid.spacing
-    uvals = state.u.values()
-    rvals = state.r.values()[0]
+    if values is None:
+        uvals = state.u.values()
+        rvals = state.r.values()[0]
+    else:
+        uvals = values[U1:U2 + 1]
+        rvals = values[R]
     speed = float((np.sqrt(np.sum(uvals ** 2, axis=0))
                    + np.sqrt(0.5 * (p.gamma - 1.0)) * np.abs(rvals)).max())
     dmax = float((1.0 / r_to_density(rvals, p)).max())
@@ -196,10 +211,12 @@ def cfl_bound(state: FluidState, p: ModelParams):
     return min(advective, viscous)
 
 
-def check_cfl(state: FluidState, p: ModelParams, cfg: FluidStepConfig):
-    """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound."""
+def check_cfl(state: FluidState, p: ModelParams, cfg: FluidStepConfig,
+              values=None):
+    """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound
+    (state, p, values)."""
     if cfg.cfl_safety is not None:
-        bound = cfg.cfl_safety * cfl_bound(state, p)
+        bound = cfg.cfl_safety * cfl_bound(state, p, values)
         if cfg.dt > bound:
             raise CFLViolation(
                 f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")

@@ -26,14 +26,14 @@ call.  check_step refuses a psi on another basis or grid, and a step whose
 largest diagonal rate leaves the SSP-RK3 stability interval.
 Positivity of psi is only monitored - the Galerkin truncation does not
 preserve it and clipping would corrupt the energy monitors.
-nonnegativity_report returns the minimum of the sampled psi: it bounds the
-samples of every q column over x and samples only the radial rings those
-bounds cannot clear of the minimum; on whole rings the GEMM rounds as on
-the full sample matrix, so the minimum is the full matrix's bit for bit at
-a fraction of its cost.
+nonnegativity_report returns the minimum of the sampled psi from the grid
+values of its coefficients: it bounds the samples of every q column over x
+and samples only the radial rings those bounds cannot clear of the minimum;
+on whole rings the GEMM rounds as on the full sample matrix, so the minimum
+is the full matrix's bit for bit at a fraction of its cost.
 The coefficients of psi form an (n_basis, 2K + 1, K + 1) tensor, one torus
 field per basis function in the Galerkin block of torus; fp_energy weights
-its columns by TorusGrid.multiplicity, like torus.sobolev_norm.
+its columns by TorusGrid.sobolev_weight, like torus.sobolev_norm.
 """
 
 import numpy as np
@@ -178,17 +178,19 @@ def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
     return PolymerField(psi.grid, psi.basis, new, psi.time + dt)
 
 
-def fp_energy(psi: PolymerField, s: int):
+def fp_energy(psi: PolymerField, s: int, power=None):
     """Squared mixed norms (|psi|^2_{W^{s,2}_x L^2_M}, |psi|^2_{W^{s,2}_x H^1_M}).
 
     Both are diagonal in the (mode, eigenfunction) representation: the
     L^2_M part weights coefficients by (1+|k|^2)^s, the H^1_M part
     additionally by the eigenvalue lambda_i; both sum over the full torus
-    spectrum (column weights in TorusGrid.multiplicity).
+    spectrum (TorusGrid.sobolev_weight).  power, when given, is |c|^2 of
+    psi.coeffs, formed once for several s.
     """
-    grid = psi.grid
-    weight = grid.multiplicity * (1.0 + grid.ksq) ** s
-    per_fn = np.sum(weight * np.abs(psi.coeffs) ** 2, axis=(1, 2))
+    weight = psi.grid.sobolev_weight(s)
+    if power is None:
+        power = np.abs(psi.coeffs) ** 2
+    per_fn = np.sum(weight * power, axis=(1, 2))
     return (SIDE ** 2 * float(per_fn.sum()),
             SIDE ** 2 * float(psi.basis.eigenvalues @ per_fn))
 
@@ -219,8 +221,9 @@ def _candidate_rings(cg, basis: ConfigBasis):
     return ~ruled_out.reshape(basis.values.shape[1:]).all(axis=1)
 
 
-def nonnegativity_report(psi: PolymerField):
-    """Minimum of the sampled psi over the grid x nodes.
+def nonnegativity_report(basis: ConfigBasis, cg):
+    """Minimum of the sampled psi over the grid x nodes, from the grid
+    values cg of its coefficient fields, shape (n_basis, n, n).
 
     Sampling happens on the configuration quadrature nodes; the scheme never
     enforces positivity, this is a monitor only.  Only the radial rings
@@ -236,9 +239,8 @@ def nonnegativity_report(psi: PolymerField):
     only at the end: M > 0 at every node and rounding is monotone, so
     min(s M) = min(s) M.
     """
-    basis = psi.basis
     nb = basis.n_basis
-    cg = psi.coefficient_values().reshape(nb, -1)
+    cg = cg.reshape(nb, -1)
     rings = _candidate_rings(cg, basis)
     phi = basis.values[:, rings].reshape(nb, -1)
     m = basis.quad.maxwellian[rings].reshape(-1)

@@ -20,9 +20,17 @@ from.  Drivers step over a horizon through coupling.coupled_trajectory,
 fluid_trajectory and fp_trajectory: a non-finite state raises
 BlowupCeiling at its step.  _EXITS maps every error class to its exit
 code and manifest reason.
+
+record_state makes no transform of its own for r, u, grad u or the
+coefficients of psi: it reads the grid values a CoupledState carries
+(coupling.CoupledState.grid_values), the batch the step that made the
+state already sent to the grid and the next step reads again.  A run
+removes the series.csv and snapshots/step*.fkp an earlier run left in its
+output directory before it starts, except the checkpoint it resumes from.
 """
 
 import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -43,7 +51,7 @@ from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     fp_trajectory, run_fixed_point, stress_field, xs_distance
 from .errors import BlowupCeiling, CFLViolation, ConfigError, FeneError, \
     PositivityLoss, StabilityViolation, VersionError
-from .fluid import FluidState, FluidStepConfig, fluid_energy
+from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
@@ -351,37 +359,49 @@ class TimeSeriesRecord:
             for f in fields(cls)})
 
 
+def _over_s(norm, field, top):
+    """norm(field, s, power) for s = 0 .. top, with power = |c|^2 of the
+    coefficients of field formed once."""
+    power = np.abs(field.coeffs) ** 2
+    return [norm(field, s, power) for s in range(top + 1)]
+
+
 def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
+    """The monitored row of state.  Its grid values of r, u, grad u and the
+    coefficients of psi are state.grid_values (carried from the step that
+    made the state); blowup_indicator makes one transform, and a forcing
+    or phi_R cut-off, where configured, one each."""
     params, grid = ctx.params, ctx.grid
-    rvals = state.fluid.r.values()[0]
+    n = grid.n_points
+    values = state.grid_values(params)
+    rvals = values[R]
     rho = r_to_density(rvals, params)
-    uv = state.fluid.u.values()
+    uv = values[VELOCITY][:2]
     area = grid.cell_area()
     mass = float(np.sum(rho) * area)
     mom = (float(np.sum(rho * uv[0]) * area),
            float(np.sum(rho * uv[1]) * area))
-    psi_min = nonnegativity_report(state.psi)
+    psi_min = nonnegativity_report(state.psi.basis, values[N_FACTORS:])
     stress = stress_field(state.psi)
     f_field = fluid_mod._forcing_field(ctx.forcing, grid, state.time)
     cutoff_active = int(
         fluid_mod._cutoff_value(state.fluid.u, ctx.fluid_cfg) < 1.0)
-    fl_e, u_sq, l2m, h1m, t_sq, f_sq = [], [], [], [], [], []
-    for s in range(S_RECORD + 1):
-        fl_e.append(fluid_energy(state.fluid, s))
-        le, he = fp_energy(state.psi, s)
-        l2m.append(le)
-        h1m.append(he)
-        t_sq.append(sobolev_norm(stress, s) ** 2)
-        f_sq.append(0.0 if f_field is None else sobolev_norm(f_field, s) ** 2)
-    for s in range(S_RECORD + 2):
-        u_sq.append(sobolev_norm(state.fluid.u, s) ** 2)
+    # fluid.fluid_energy(s) is |r|^2_s + |u|^2_s: the u norms serve both
+    u_sq = [x ** 2 for x in _over_s(sobolev_norm, state.fluid.u,
+                                    S_RECORD + 1)]
+    fl_e = [x ** 2 + y for x, y in
+            zip(_over_s(sobolev_norm, state.fluid.r, S_RECORD), u_sq)]
+    l2m, h1m = zip(*_over_s(fp_energy, state.psi, S_RECORD))
+    t_sq = [x ** 2 for x in _over_s(sobolev_norm, stress, S_RECORD)]
+    f_sq = [0.0] * (S_RECORD + 1) if f_field is None else \
+        [x ** 2 for x in _over_s(sobolev_norm, f_field, S_RECORD)]
     return TimeSeriesRecord(
         time=state.time, mass=mass, momentum_x=mom[0], momentum_y=mom[1],
         polymer_mass=polymer_mass(state.psi), min_r=float(rvals.min()),
         max_r=float(rvals.max()), min_psi_sample=psi_min,
-        blowup_indicator=blowup_indicator(state),
+        blowup_indicator=blowup_indicator(state, params),
         cutoff_active=cutoff_active,
-        grad_u_sup=grad_u_sup_norm(state.fluid.u),
+        grad_u_sup=grad_u_sup_norm(values[VELOCITY][2:].reshape(2, 2, n, n)),
         fluid_energy_s=tuple(fl_e), u_norm_sq_s=tuple(u_sq),
         fp_l2m_s=tuple(l2m), fp_h1m_s=tuple(h1m), stress_sq_s=tuple(t_sq),
         forcing_sq_s=tuple(f_sq))
@@ -556,11 +576,17 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     return {**outcome, **summarize(records, ctx.params)}
 
 
-def _remove_series(outdir):
-    """Remove the series.csv an earlier run left in outdir, so that the
-    one there is always this run's (only a stepping run writes one)."""
-    with suppress(FileNotFoundError):
-        os.remove(os.path.join(outdir, "series.csv"))
+def _remove_stale(outdir, keep=None):
+    """Remove the series.csv and snapshots/step*.fkp an earlier run left in
+    outdir, so that those there are always this run's (only a stepping run
+    writes them); keep is the checkpoint this run resumes from."""
+    keep = None if keep is None else os.path.realpath(keep)
+    stale = glob.glob(os.path.join(glob.escape(outdir), "snapshots",
+                                   "step*.fkp"))
+    for path in [os.path.join(outdir, "series.csv")] + stale:
+        if os.path.realpath(path) != keep:
+            with suppress(FileNotFoundError):
+                os.remove(path)
 
 
 def _flush_series(outdir, records):
@@ -765,7 +791,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
                      "config_hash": hashlib.sha256(text.encode()).hexdigest()}
         outdir = output or cfg["output"]
         os.makedirs(outdir, exist_ok=True)
-        _remove_series(outdir)
+        _remove_stale(outdir, resume_from)
         driver = SCENARIOS[cfg["scenario"]]
         if resume_from is not None:
             if driver is not _run_stepping:
@@ -785,7 +811,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         if outdir is None and isinstance(exc, ConfigError):
             outdir = output or _named_output(config_path)
             if outdir is not None:
-                _remove_series(outdir)
+                _remove_stale(outdir, resume_from)
         if outdir is not None:
             try:
                 os.makedirs(outdir, exist_ok=True)

@@ -83,6 +83,18 @@ class TorusGrid:
         """Copies of each stored column in the full spectrum."""
         return np.r_[1.0, np.full(self.dealias_cutoff, 2.0)]
 
+    def sobolev_weight(self, s):
+        """multiplicity * (1 + |k|^2)^s, the column weights of the squared
+        W^{s,2} norm, built once per grid for every s in [0, S_MAX]."""
+        if s < 0 or s > S_MAX:
+            raise ValueError(f"Sobolev index must lie in [0, {S_MAX}]")
+        return self._sobolev_weights[s]
+
+    @cached_property
+    def _sobolev_weights(self):
+        return np.stack([self.multiplicity * (1.0 + self.ksq) ** s
+                         for s in range(S_MAX + 1)])
+
     @cached_property
     def x(self):
         """Grid coordinates (x1, x2), each of shape (n, n)."""
@@ -213,39 +225,47 @@ def dealiased_product(f, g):
     return to_modes(f * g)
 
 
-def sobolev_norm(field: SpectralField, s: int):
+def sobolev_norm(field: SpectralField, s: int, power=None):
     """Bessel-potential Sobolev norm ((2pi)^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2)
     over the full spectrum (stored columns weighted by multiplicity).
 
     Vector fields contribute the sum of their component norms squared.
+    power, when given, is |c_k|^2 of field.coeffs, formed once for several s.
     """
-    if s < 0 or s > S_MAX:
-        raise ValueError(f"Sobolev index must lie in [0, {S_MAX}]")
-    g = field.grid
-    weight = g.multiplicity * (1.0 + g.ksq) ** s
-    total = np.sum(weight * np.abs(field.coeffs) ** 2)
-    return float(np.sqrt(SIDE ** 2 * total))
+    weight = field.grid.sobolev_weight(s)
+    if power is None:
+        power = np.abs(field.coeffs) ** 2
+    return float(np.sqrt(SIDE ** 2 * np.sum(weight * power)))
 
 
-_MULTI_INDICES_2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+# the multi-indices |alpha| <= 2 of the W^{2,inf} stack; the first three
+# are u, d1 u, d2 u, the order of fluid.velocity_factors
+W2_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _derivatives(field: SpectralField, multi_indices):
-    """Grid values of d^alpha field for each alpha, in one transform:
-    shape (len(multi_indices), components, n, n).  A sum over the leading
-    axis adds the alphas in order, as a loop over derivative() would."""
+def derivative_stack(field: SpectralField, multi_indices):
+    """Coefficients of d^alpha field for each alpha, stacked: shape
+    (len(multi_indices), components, 2K + 1, K + 1)."""
     g = field.grid
     mult = np.stack([g.ik1 ** a1 * g.ik2 ** a2 for a1, a2 in multi_indices])
-    return to_values(mult[:, None] * field.coeffs, g.n_points)
+    return mult[:, None] * field.coeffs
 
 
 def sup_norm_w2inf(field: SpectralField):
-    """Grid-sampled W^{2,inf} norm: max_x sum_{|alpha|<=2} |d^alpha u(x)|."""
-    vals = _derivatives(field, _MULTI_INDICES_2)
+    """Grid-sampled W^{2,inf} norm: max_x sum_{|alpha|<=2} |d^alpha u(x)|,
+    the six derivatives in one transform."""
+    return sup_norm_w2inf_values(to_values(
+        derivative_stack(field, W2_INDICES), field.grid.n_points))
+
+
+def sup_norm_w2inf_values(vals):
+    """sup_norm_w2inf from the grid values vals[i] of d^alpha u for
+    alpha = W2_INDICES[i], shape (6, components, n, n).  The sum over alpha
+    adds them in order, as a loop over derivative() would."""
     return float(np.sqrt(np.sum(vals ** 2, axis=1)).sum(axis=0).max())
 
 
-def grad_u_sup_norm(field: SpectralField):
-    """max_x sum_{a,b} |d_b u_a(x)|, the entrywise l1 gradient bound."""
-    vals = _derivatives(field, ((1, 0), (0, 1)))
-    return float(np.sum(np.abs(vals), axis=1).sum(axis=0).max())
+def grad_u_sup_norm(grad):
+    """max_x sum_{a,b} |d_b u_a(x)|, the entrywise l1 gradient bound, from
+    the grid values grad[b - 1, a] of d_b u_a, shape (2, 2, n, n)."""
+    return float(np.sum(np.abs(grad), axis=1).sum(axis=0).max())

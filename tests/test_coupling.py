@@ -1,20 +1,25 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from conftest import random_band_limited
 from fene import coupling, fluid, fokker_planck, torus
+from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.configspace import ConfDistribution, kramers_stress
+from fene.errors import CFLViolation, PositivityLoss
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, fixed_point_map, \
     run_fixed_point, stress_field, xs_distance, xs_norm
 from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
-    fluid_rhs, phi_r, step
+    fluid_rhs, phi_r, rhs_factors, step
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
 from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
+from fene.runner import RunContext, parse_config_text, record_state
 from fene.torus import SpectralField, sobolev_norm, \
-    sup_norm_w2inf, to_modes
+    sup_norm_w2inf, to_modes, to_values
 
 
 def equilibrium_state(grid, basis, params):
@@ -206,17 +211,18 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
 
 def test_blowup_indicator(grid32, basis32, params):
     st = equilibrium_state(grid32, basis32, params)
-    assert blowup_indicator(st) == 0.0
+    assert blowup_indicator(st, params) == 0.0
     x1, _ = grid32.x
     u = SpectralField.from_values(grid32,
                                   np.stack([np.sin(x1), np.zeros_like(x1)]))
     st_u = CoupledState(FluidState(st.fluid.r, u),
                         PolymerField.equilibrium(grid32, basis32))
     expect = sup_norm_w2inf(u)   # div T(M) = 0 for the constant stress
-    assert blowup_indicator(st_u) == pytest.approx(expect, rel=1e-12)
+    assert blowup_indicator(st_u, params) == pytest.approx(expect, rel=1e-12)
     st_2u = CoupledState(FluidState(st.fluid.r, 2.0 * u),
                          PolymerField.equilibrium(grid32, basis32))
-    assert blowup_indicator(st_2u) == pytest.approx(2 * expect, rel=1e-12)
+    assert blowup_indicator(st_2u, params) == \
+        pytest.approx(2 * expect, rel=1e-12)
 
 
 def test_steady_forcing_is_built_once_per_step(grid32, basis32, params, op32,
@@ -302,13 +308,9 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
     assert np.array_equal(dc, op.tendency(c, st.u))
 
 
-def test_coupled_step_transform_budget(grid32, basis32, params, op32,
-                                       fluid_cfg, monkeypatch):
-    # each torus transform is one scipy.fft call; per SSP-RK3 stage one
-    # inverse call of the 12 fluid factors and the 40 coefficient fields
-    # and one of D(r); forward D(r), the 11 fluid products and the 3 x 40
-    # FP products.  Once per step: u and r for the CFL bound, r for the
-    # positivity of the new state.
+def counted_transforms(monkeypatch):
+    """{name: slices per call} of every scipy.fft irfft2 / rfft2 call made
+    while monkeypatch is in force."""
     calls = {"irfft2": [], "rfft2": []}
 
     def counted(name):
@@ -319,11 +321,133 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
             return func(x, *args, **kwargs)
         return wrapper
 
-    state = perturbed_state(grid32, basis32, params)
     for name in calls:
         monkeypatch.setattr(scipy.fft, name, counted(name))
+    return calls
+
+
+def test_coupled_step_transform_budget(grid32, basis32, params, op32,
+                                       fluid_cfg, monkeypatch):
+    # each torus transform is one scipy.fft call; per SSP-RK3 stage one
+    # inverse call of the 12 fluid factors and the 40 coefficient fields
+    # and one of D(r); forward D(r), the 11 fluid products and the 3 x 40
+    # FP products.  A stepped state carries its stage-1 batch, which the
+    # CFL bound reads too; the new state's batch is made once, for the
+    # positivity of its r.
+    state = coupled_step(perturbed_state(grid32, basis32, params), op32,
+                         None, fluid_cfg)
+    calls = counted_transforms(monkeypatch)
     coupled_step(state, op32, None, fluid_cfg)
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
-    assert len(inverse) + len(forward_) <= 18      # 27 before sharing
-    assert sum(inverse) <= 163                     # 193
-    assert sum(forward_) <= 396                    # 399
+    assert len(inverse) + len(forward_) <= 15      # 18 before carrying
+    assert sum(inverse) <= 159                     # 163
+    assert sum(forward_) <= 396                    # 396
+
+
+def test_record_state_transform_budget(monkeypatch):
+    # r, u, grad u, the psi coefficient fields and the u, d1 u, d2 u rows
+    # of the W^{2,inf} stack are the carried batch: one call of the three
+    # second derivatives of u and div T (2 slices each) is left
+    ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"))
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
+    state = coupled_step(ctx.initial_state(), op, ctx.forcing, ctx.fluid_cfg)
+    calls = counted_transforms(monkeypatch)
+    record_state(state, ctx)
+    inverse, forward_ = calls["irfft2"], calls["rfft2"]
+    assert len(inverse) + len(forward_) <= 2       # 6 before carrying
+    assert sum(inverse) <= 8                       # 61
+
+
+def fresh_copy(state):
+    """A CoupledState around copies of the coefficients of state."""
+    grid = state.psi.grid
+    fl = FluidState(SpectralField(grid, state.fluid.r.coeffs.copy()),
+                    SpectralField(grid, state.fluid.u.coeffs.copy()),
+                    state.time)
+    return CoupledState(fl, state.psi.copy())
+
+
+def assert_same_state(a, b):
+    for x, y in ((a.fluid.r, b.fluid.r), (a.fluid.u, b.fluid.u),
+                 (a.psi, b.psi)):
+        assert np.array_equal(x.coeffs, y.coeffs)
+    assert a.time == b.time
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_carried_values_change_no_bit(n, request, params):
+    grid, basis = (request.getfixturevalue(f"{name}{n}")
+                   for name in ("grid", "basis"))
+    state = random_coupled_state(grid, basis, params, seed=n)
+    forcing = ForcingSpec("steady_field", 0.1, (1, 0))
+    op = FokkerPlanckSolver(basis, params, grid, n)
+    stepped = coupled_step(state, op, forcing, FluidStepConfig(dt=1e-4))
+    y = sup_norm_w2inf(stepped.fluid.u)
+    cfg = FluidStepConfig(dt=1e-4, cutoff_R=y - 0.4)
+    assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0
+    assert stepped._values is not None and state._values is not None
+    carried = stepped.grid_values(params)
+    assert np.array_equal(carried, to_values(np.concatenate(
+        [rhs_factors(stepped.fluid, stress_field(stepped.psi), params),
+         stepped.psi.coeffs]), grid.n_points))
+
+    fresh = fresh_copy(stepped)
+    assert fresh._values is None
+    assert_same_state(coupled_step(stepped, op, forcing, cfg),
+                      coupled_step(fresh, op, forcing, cfg))
+    ctx = SimpleNamespace(params=params, grid=grid, forcing=forcing,
+                          fluid_cfg=cfg)
+    row = record_state(stepped, ctx).row()
+    assert row[9] == 1   # cutoff_active
+    assert row == record_state(fresh_copy(stepped), ctx).row()
+    assert stepped.grid_values(params) is carried
+
+
+def test_loaded_and_initial_states_carry_nothing(tmp_path):
+    ctx = RunContext(parse_config_text(
+        "scenario = shear_perturbation\ngrid.n_points = 16\n"
+        "ball.n_radial = 8\nball.n_angular = 8\nball.n_basis = 10\n"))
+    state = ctx.initial_state()
+    assert state._values is None
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
+    stepped = coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
+    assert stepped._values is not None
+    path = str(tmp_path / "stepped.fkp")
+    checkpoint_save(stepped, path)
+    assert checkpoint_load(path, grid=ctx.grid, basis=ctx.basis)._values \
+        is None
+    # a batch made under other params is not reused
+    other = ModelParams(mu_s=2.0)
+    assert not np.array_equal(stepped.grid_values(other)[fluid.V1],
+                              coupling._grid_values(stepped.fluid, ctx.basis,
+                                                    stepped.psi.coeffs,
+                                                    ctx.params)[fluid.V1])
+
+
+def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
+                                       fluid_cfg, monkeypatch):
+    stepped = coupled_step(perturbed_state(grid32, basis32, params), op32,
+                           None, fluid_cfg)
+    # a too-large dt is refused before any stage, from the carried values
+    stages = []
+    real_rhs = coupling.fluid_rhs
+
+    def counted_rhs(*args):
+        stages.append(args)
+        return real_rhs(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "fluid_rhs", counted_rhs)
+        with pytest.raises(CFLViolation):
+            coupled_step(stepped, op32, None, FluidStepConfig(dt=0.05))
+    assert stages == []
+
+    # an r that is not positive after the step fails at that step
+    def negated_r(y, rhs, t, dt):
+        r, u, c = y
+        return -r, u, c
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "ssprk3", negated_r)
+        with pytest.raises(PositivityLoss, match=r"^min r = -.* on the grid$"):
+            coupled_step(stepped, op32, None, fluid_cfg)

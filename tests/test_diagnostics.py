@@ -2,6 +2,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import struct
 
 import numpy as np
@@ -413,6 +414,9 @@ def test_a_stopped_run_leaves_only_its_own_series(tmp_path):
                                        extra="snapshots.every = 2")
     assert run(cfg_path) == 0
     assert len(load_series(outdir)) == 5
+    # a checkpoint of that run kept outside outdir, which reruns clear
+    snap = str(tmp_path / "step000002.fkp")   # t = 0.002
+    shutil.copy(os.path.join(outdir, "snapshots", "step000002.fkp"), snap)
     # dt = 0.15 is refused at the first step, after the record at t = 0
     unstable = tmp_path / "unstable.cfg"
     unstable.write_text(open(cfg_path).read() + "\nfluid.dt = 0.15\n")
@@ -425,7 +429,6 @@ def test_a_stopped_run_leaves_only_its_own_series(tmp_path):
     # a resume refused before its first record leaves no series.csv
     other = tmp_path / "dt3.cfg"
     other.write_text(open(cfg_path).read() + "\nfluid.dt = 3e-3\n")
-    snap = os.path.join(outdir, "snapshots", "step000002.fkp")   # t = 0.002
     with open(os.devnull, "w") as devnull:
         assert resume(snap, str(other), stderr=devnull) == 6
     assert not os.path.exists(os.path.join(outdir, "series.csv"))
@@ -445,6 +448,38 @@ def test_a_stopped_run_leaves_only_its_own_series(tmp_path):
     assert "config" not in json.load(open(os.path.join(outdir,
                                                        "manifest.json")))
     assert not os.path.exists(os.path.join(outdir, "series.csv"))
+
+
+def snapshot_names(outdir):
+    snapdir = os.path.join(outdir, "snapshots")
+    return sorted(os.listdir(snapdir)) if os.path.isdir(snapdir) else []
+
+
+def test_a_rerun_clears_the_snapshots_of_an_earlier_run(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=4,
+                                       extra="snapshots.every = 2")
+    assert run(cfg_path) == 0
+    assert snapshot_names(outdir) == ["step000002.fkp", "step000004.fkp"]
+    unstable = tmp_path / "unstable.cfg"
+    unstable.write_text(open(cfg_path).read() + "\nfluid.dt = 0.15\n")
+    with open(os.devnull, "w") as devnull:
+        assert run(str(unstable), stderr=devnull) == 4
+    assert snapshot_names(outdir) == []
+    # a rerun refused while its config is parsed clears them too
+    assert run(cfg_path) == 0
+    typo = tmp_path / "typo.cfg"
+    typo.write_text(open(cfg_path).read() + "\nfluid.dtt = 1e-3\n")
+    with open(os.devnull, "w") as devnull:
+        assert run(str(typo), stderr=devnull) == 2
+    assert snapshot_names(outdir) == []
+    # a resume into the same directory keeps the checkpoint it starts from,
+    # named by any path, and writes the later ones afresh
+    assert run(cfg_path) == 0
+    snap = os.path.join(outdir, "snapshots", ".", "step000002.fkp")
+    assert resume(snap, cfg_path, max_steps=6) == 0
+    assert snapshot_names(outdir) == ["step000002.fkp", "step000004.fkp",
+                                      "step000006.fkp"]
+    assert [rec.time for rec in load_series(outdir)][0] == 0.002
 
 
 def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
