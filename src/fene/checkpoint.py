@@ -16,9 +16,12 @@ Galerkin block of torus (rows k1 = 0 .. K, -K .. -1, each k2 = 0 .. K),
 each complex128 as a (real, imaginary) binary64 pair: 40 + 16 (3 + n_basis)
 m bytes, 158,968 at n_points = 32 with 40 basis functions.  Files of
 versions 1 and 2 (full and half spectra) are refused with a VersionError
-naming the version.  Loading without an explicit basis rebuilds grid,
-quadrature and eigenbasis from the stored dimensions, which is
-deterministic, so save -> load -> save reproduces the file byte for byte.
+naming the version, and so is a header whose time or b is not finite or
+whose time is negative.  The coefficients are not checked here: the loop
+that steps a loaded state checks it first.  Loading without an explicit
+basis rebuilds grid, quadrature and eigenbasis from the stored
+dimensions, which is deterministic, so save -> load -> save reproduces
+the file byte for byte.
 """
 
 import os
@@ -29,9 +32,9 @@ import numpy as np
 from .configspace import build_quadrature, eigen_basis
 from .coupling import CoupledState
 from .errors import VersionError
-from .fluid import FluidState
+from .fluid import state_from_coeffs
 from .fokker_planck import PolymerField
-from .torus import SpectralField, TorusGrid
+from .torus import TorusGrid
 
 MAGIC = b"FKPD"
 VERSION = 3
@@ -65,6 +68,9 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
     if version != VERSION:
         raise VersionError(f"{path}: unsupported format version {version} "
                            f"(this build reads version {VERSION})")
+    if not (0 <= time < np.inf and abs(b) < np.inf):   # refuses NaN too
+        raise VersionError(f"{path}: header time {time!r} or b {b!r} is not "
+                           "finite, or the time is negative")
     if grid is None:
         try:
             grid = TorusGrid(n_points)
@@ -90,6 +96,5 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
     # r, u1, u2 and the psi coefficients, one field after the other
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size) \
         .astype(complex).reshape(3 + n_basis, *shape)
-    fluid = FluidState(SpectralField(grid, coeffs[0]),
-                       SpectralField(grid, coeffs[1:3]), time)
+    fluid = state_from_coeffs(grid, coeffs[0], coeffs[1:3], time)
     return CoupledState(fluid, PolymerField(grid, basis, coeffs[3:], time))

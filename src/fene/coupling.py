@@ -21,17 +21,10 @@ other by the verification suite:
   solvers of fixed_point_map, fluid.step and fp_step, leave each half to
   make its own one call per stage and form the same products.
 
-Each CoupledState is sent to the grid once.  Its batch is the stage-1
-batch of a step from it (CoupledState.grid_values, under op.params); a
-step makes the batch of the state it returns, where the positivity of r
-first needs it, and the state carries it.  The next step's CFL check
-(fluid.check_cfl) and first stage read it, and so do the monitors:
-runner.record_state takes r, u, grad u and the coefficient fields for
-nonnegativity_report from it, and blowup_indicator the u, d1 u, d2 u rows
-of the W^{2,inf} stack.  States built from data or loaded from a
-checkpoint carry nothing until first asked.  Nothing in this package
-writes a state's coefficients in place, which would leave its carried
-values stale.
+Each CoupledState is sent to the grid once (CoupledState.grid_values):
+the batch a step makes of the state it returns serves that state's
+checks, the next step's CFL check and first stage, and the monitors of
+runner.record_state and blowup_indicator.
 
 Both routes integrate with the same fluid.ssprk3 step and take the
 Fokker-Planck operator (FokkerPlanckSolver, built for one grid) as an
@@ -39,11 +32,14 @@ argument: op.check_step guards each step and op.tendency is the FP half of
 every stage.  The scenario drivers in runner build it once per run.
 
 Stepping over a horizon happens only in fluid_trajectory and
-fp_trajectory, which fixed_point_map and the stress_difference scenario
-share, and in coupled_trajectory, which the stepping scenarios and the
-monolithic reference share.  All three check every new step for
-non-finite coefficients and raise BlowupCeiling naming the field and the
-step.
+fp_trajectory (fixed_point_map, the stress_difference scenario) and in
+coupled_trajectory (the stepping scenarios, the monolithic reference).
+A step checks only what must hold before it runs (op.check_step, the CFL
+bound, D(r) in each stage).  The loop checks every state it hands out,
+the first one included, in one order (_check_state): non-finite
+coefficients raise BlowupCeiling, then an r that is not positive on the
+grid PositivityLoss, each message ending in the loop's where and "at
+step k".
 
 The X^s trajectory norm is sup-in-time of the W^{s,2}_x L^2_M norm plus
 the time integral (trapezoid rule on the stored samples) of the
@@ -71,9 +67,9 @@ class CoupledState:
     A state transforms to the grid once: grid_values(params) computes the
     batch of a coupled stage at this state on first use and keeps it.  A
     state made here or loaded carries nothing until then; coupled_step
-    returns one that carries its batch, since the positivity check of r
-    needs it.  The carried values are those of the coefficients at that
-    moment: nothing in this package writes a state's coefficients in place.
+    returns one that carries its batch.  The carried values are those of
+    the coefficients at that moment: nothing in this package writes a
+    state's coefficients in place.
     """
 
     __slots__ = ("fluid", "psi", "time", "_values")
@@ -191,34 +187,40 @@ def _linear_interpolant(samples, t0, dt):
     return at
 
 
-def _check_finite(fields, where):
-    """Raise BlowupCeiling naming the first field that is not finite."""
+def _check_state(fields, rvals, where, k):
+    """Raise BlowupCeiling naming the first of fields (name, field) that is
+    not finite, then PositivityLoss unless the grid values rvals of r (None
+    for psi alone) are > 0."""
+    where = f"{where} at step {k}".lstrip()
     for name, f in fields:
         if not np.isfinite(f.coeffs).all():
             raise BlowupCeiling(f"non-finite {name} coefficients {where}")
+    if rvals is not None:
+        check_positive(rvals, where)
 
 
 def fluid_trajectory(fluid0: FluidState, stress, forcing, params,
                      cfg: FluidStepConfig, n_steps):
-    """The n_steps + 1 fluid states from fluid0 under a given stress (a
-    field or a callable of time), one fluid.step of cfg.dt apart."""
-    out = [fluid0]
-    for k in range(1, n_steps + 1):
-        fl = fluid_mod.step(out[-1], stress, forcing, params, cfg)
-        _check_finite((("r", fl.r), ("u", fl.u)),
-                      f"in the fluid half at step {k}")
+    """The n_steps + 1 checked fluid states from fluid0 under a given
+    stress (a field or a callable of time), one fluid.step apart."""
+    out = []
+    for k in range(n_steps + 1):
+        fl = fluid_mod.step(out[-1], stress, forcing, params, cfg) if out \
+            else fluid0
+        _check_state((("r", fl.r), ("u", fl.u)), fl.r.values(),
+                     "in the fluid half", k)
         out.append(fl)
     return out
 
 
 def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
                   n_steps):
-    """The n_steps + 1 polymer fields from psi0 under a given velocity (a
-    field or a callable of time), one fp_step of dt apart."""
-    out = [psi0]
-    for k in range(1, n_steps + 1):
-        psi = fp_step(out[-1], u, op, dt)
-        _check_finite((("psi", psi),), f"in the fp half at step {k}")
+    """The n_steps + 1 checked polymer fields from psi0 under a given
+    velocity (a field or a callable of time), one fp_step of dt apart."""
+    out = []
+    for k in range(n_steps + 1):
+        psi = fp_step(out[-1], u, op, dt) if out else psi0
+        _check_state((("psi", psi),), None, "in the fp half", k)
         out.append(psi)
     return out
 
@@ -280,7 +282,7 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress.
 
     The CFL check and the first stage read state.grid_values; the new state
-    carries its own, from which r is checked positive."""
+    carries its own, unchecked."""
     p = op.params
     grid, basis = state.psi.grid, state.psi.basis
     op.check_step(state.psi, fluid_cfg.dt)
@@ -291,7 +293,7 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
 
     def rhs(y, t):
         r, u, c = y
-        st = state_from_coeffs(grid, r, u, t, check_positivity=False)
+        st = state_from_coeffs(grid, r, u, t)
         values = carried if y is y0 else _grid_values(st, basis, c, p)
         dr, du = fluid_rhs(st, None, force(t), p, fluid_cfg, values)
         dc = op.tendency(c, st.u, (values[VELOCITY], values[N_FACTORS:]))
@@ -299,39 +301,40 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
 
     t1 = state.time + fluid_cfg.dt
     r, u, c = ssprk3(y0, rhs, state.time, fluid_cfg.dt)
-    new = CoupledState(
-        state_from_coeffs(grid, r, u, t1, check_positivity=False),
-        PolymerField(grid, basis, c, t1))
-    check_positive(new.grid_values(p)[R])
+    new = CoupledState(state_from_coeffs(grid, r, u, t1),
+                       PolymerField(grid, basis, c, t1))
+    new.grid_values(p)
     return new
 
 
 def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, forcing,
                        fluid_cfg: FluidStepConfig, steps, where=""):
-    """Yield (k, state) after a coupled_step for each step number k in
-    steps; a non-finite r, u or psi raises BlowupCeiling at step k.  The
-    grid values of the first state are made before its step, so that every
-    step makes the same transforms, those of a step from a stepped state."""
-    state.grid_values(op.params)
-    for k in steps:
-        state = coupled_step(state, op, forcing, fluid_cfg)
-        _check_finite((("r", state.fluid.r), ("u", state.fluid.u),
-                       ("psi", state.psi)), f"{where} at step {k}".lstrip())
+    """Yield (k, state) for each step number k in steps, the given state
+    first and then one coupled_step further each, checked (r on the R slice
+    of its carried batch, so every state's batch exists before its step)."""
+    for i, k in enumerate(steps):
+        if i:
+            state = coupled_step(state, op, forcing, fluid_cfg)
+        _check_state((("r", state.fluid.r), ("u", state.fluid.u),
+                      ("psi", state.psi)), state.grid_values(op.params)[R],
+                     where, k)
         yield k, state
 
 
-def blowup_indicator(state: CoupledState, params):
-    """Grid-sampled |u|_{W^{2,inf}} + sup_x |div_x T(psi)|.  The u, d1 u,
-    d2 u rows of the W^{2,inf} stack are state.grid_values(params); the
-    three second derivatives of u and div T take one transform."""
+def blowup_indicator(state: CoupledState, stress, params):
+    """(indicator, w2): the grid-sampled |u|_{W^{2,inf}} + sup_x |div_x T|,
+    with stress = stress_field(state.psi), and its first term w2 =
+    |u|_{W^{2,inf}}, which phi_R reads.  The u, d1 u, d2 u rows of the
+    W^{2,inf} stack are state.grid_values(params); the three second
+    derivatives of u and div T take one transform."""
     grid = state.psi.grid
     n = grid.n_points
     second = derivative_stack(state.fluid.u, W2_INDICES[3:]).reshape(
         -1, *grid.spectral_shape)
-    div_t = stress_divergence(stress_field(state.psi)).coeffs
+    div_t = stress_divergence(stress).coeffs
     vals = to_values(np.concatenate([second, div_t]), n)
     w2 = np.concatenate([state.grid_values(params)[VELOCITY],
                          vals[:len(second)]])
     w2 = sup_norm_w2inf_values(w2.reshape(len(W2_INDICES), 2, n, n))
     div_t = vals[len(second):]
-    return float(w2 + np.sqrt(np.sum(div_t ** 2, axis=0)).max())
+    return float(w2 + np.sqrt(np.sum(div_t ** 2, axis=0)).max()), w2

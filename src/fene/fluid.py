@@ -19,17 +19,17 @@ Fokker-Planck half, which reads the velocity block (VELOCITY) of it.
 Only D(r) takes a round trip through P_K inside fluid_rhs, and the
 products come back in one transform, so every tendency lies in P_K.  Time
 stepping is explicit SSP-RK3 under a conservative CFL bound on the speeds
-|u| + c_s; positivity of r is monitored (check_positive) and its loss is
-an error, never silently repaired.  cfl_bound and check_positive read grid
-values of r and u: in coupling.coupled_step those of the batch a
-CoupledState carries (its R and VELOCITY slices), in fluid.step and
-FluidState their own transforms.  ssprk3, over
-tuples of coefficient arrays, is the package's one SSP-RK3 step:
-fluid.step, fokker_planck.fp_step and coupling.coupled_step all take it.
+|u| + c_s (check_cfl: on the carried batch in coupling.coupled_step, on
+its own transforms in fluid.step).  A step checks only that and, in each
+stage, that D(r) is defined; FluidState is a plain holder.  The loops of
+coupling check the states a step makes: non-finite coefficients first,
+then r > 0 (check_positive, the one place PositivityLoss is raised; a
+loss is never repaired).  ssprk3, over tuples of coefficient arrays, is
+the package's one SSP-RK3 step: fluid.step, fokker_planck.fp_step and
+coupling.coupled_step all take it.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -41,35 +41,34 @@ from .torus import SpectralField, dealiased_product, sobolev_norm, \
 
 
 class FluidState:
-    """Transformed density r (> 0 on the grid) and velocity u at one time."""
+    """Transformed density r and velocity u at one time, unchecked."""
 
     __slots__ = ("r", "u", "time")
 
-    def __init__(self, r: SpectralField, u: SpectralField, time=0.0,
-                 check_positivity=True):
+    def __init__(self, r: SpectralField, u: SpectralField, time=0.0):
         if r.components != 1 or u.components != 2:
             raise ValueError("r must be scalar and u a 2-vector field")
-        if check_positivity:
-            check_positive(r.values())
         self.r = r
         self.u = u
         self.time = time
 
 
-def check_positive(rvals):
-    """Raise PositivityLoss unless the grid values rvals of r are all > 0."""
+def check_positive(rvals, where=""):
+    """Raise PositivityLoss, its message ending in where, unless the grid
+    values rvals of r are all > 0."""
     rmin = float(rvals.min())
     if not rmin > 0.0:   # catches NaN as well
-        raise PositivityLoss(f"min r = {rmin:.3e} on the grid")
+        raise PositivityLoss(f"min r = {rmin:.3e} on the grid {where}"
+                             .rstrip())
 
 
 @dataclass(frozen=True)
 class FluidStepConfig:
     """Time-step parameters for the fluid solver.
 
-    cutoff_R=None disables the phi_R regularization entirely.  cfl_safety
-    scales the CFL bound; None skips the check (the caller then owns
-    stability).
+    cutoff_R=None disables the phi_R regularization entirely.  cfl_safety,
+    a finite number > 0, scales the CFL bound; None skips the check (the
+    caller then owns stability).
     """
 
     dt: float
@@ -81,6 +80,10 @@ class FluidStepConfig:
             raise ValueError("dt must be positive")
         if self.cutoff_R is not None and not self.cutoff_R > 0:
             raise ValueError("cut-off threshold must be positive")
+        # written so that a NaN safety factor is refused too
+        if self.cfl_safety is not None and not 0 < self.cfl_safety < np.inf:
+            raise ValueError("the CFL safety factor must be a finite number "
+                             "> 0, or none")
 
 
 def phi_r(y, R):
@@ -93,12 +96,6 @@ def phi_r(y, R):
     s = np.clip(y - R, 0.0, 1.0)
     out = 1.0 - s * s * (3.0 - 2.0 * s)
     return out if np.ndim(out) else float(out)
-
-
-def _cutoff_value(u, cfg):
-    if cfg.cutoff_R is None:
-        return 1.0
-    return phi_r(sup_norm_w2inf(u), cfg.cutoff_R)
 
 
 def viscous_divergence(u: SpectralField, p: ModelParams) -> SpectralField:
@@ -165,7 +162,8 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
     r, D) times the rows of a 4 x 3 table less its empty slot, are one
     dealiased product."""
     grid = state.r.grid
-    cut = _cutoff_value(state.u, cfg)
+    cut = 1.0 if cfg.cutoff_R is None else \
+        phi_r(sup_norm_w2inf(state.u), cfg.cutoff_R)
     dr = SpectralField.zero(grid, 1)
     du = np.zeros_like(state.u.coeffs)
     if cut != 0.0:
@@ -173,8 +171,7 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
             values = torus.to_values(rhs_factors(state, stress, p),
                                      grid.n_points)
         rvals = values[R]
-        if not rvals.min() > 0:
-            raise PositivityLoss("D(r) undefined: r reached zero on the grid")
+        check_positive(rvals, "in a stage, where D(r) is undefined")
         dvals = torus.to_values(torus.to_modes(1.0 / r_to_density(rvals, p)),
                                 grid.n_points)
         factors = np.concatenate([values[:N_FACTORS], dvals[None]])
@@ -234,26 +231,24 @@ def ssprk3(y, rhs, t, dt):
     return tuple((a + 2.0 * (b + dt * c)) / 3.0 for a, b, c in zip(y, y2, k))
 
 
-def state_from_coeffs(grid, r, u, time, check_positivity=True):
+def state_from_coeffs(grid, r, u, time):
     """FluidState around coefficient arrays, taken as they are."""
-    return FluidState(SpectralField(grid, r), SpectralField(grid, u), time,
-                      check_positivity)
-
-
-def _forcing_field(forcing: ForcingSpec, grid, t):
-    if forcing is None or forcing.kind == "zero" or forcing.amplitude == 0.0:
-        return None
-    x1, x2 = grid.x
-    return SpectralField.from_values(grid, forcing.values(x1, x2, t))
+    return FluidState(SpectralField(grid, r), SpectralField(grid, u), time)
 
 
 def forcing_of_time(forcing: ForcingSpec, grid):
     """The forcing field (or None) as a callable of time: a steady field is
     built once here, a time-periodic one at every call."""
-    if forcing is not None and forcing.kind == "steady_field":
-        field = _forcing_field(forcing, grid, 0.0)
-        return lambda t: field
-    return partial(_forcing_field, forcing, grid)
+    if forcing is None or forcing.kind == "zero" or forcing.amplitude == 0.0:
+        return lambda t: None
+    x1, x2 = grid.x
+
+    def field(t):
+        return SpectralField.from_values(grid, forcing.values(x1, x2, t))
+    if forcing.kind == "steady_field":
+        steady = field(0.0)
+        return lambda t: steady
+    return field
 
 
 def step(state: FluidState, stress, forcing, p: ModelParams,
@@ -261,15 +256,18 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
     """One SSP-RK3 step; stress may be a field or a callable of time, and
     forcing a ForcingSpec; either may be None.
 
-    Raises CFLViolation when dt exceeds the configured bound and
-    PositivityLoss when the updated r is not positive on the grid.
+    Raises CFLViolation, before any stage, when dt exceeds the configured
+    bound, and PositivityLoss when a stage meets an r that is not positive
+    on the grid.  The state it returns is not checked here:
+    coupling.fluid_trajectory checks it for non-finite coefficients, then
+    for positivity of r.
     """
     check_cfl(state, p, cfg)
     grid = state.r.grid
     force = forcing_of_time(forcing, grid)
 
     def rhs(y, t):
-        st = state_from_coeffs(grid, *y, t, check_positivity=False)
+        st = state_from_coeffs(grid, *y, t)
         dr, du = fluid_rhs(st, stress(t) if callable(stress) else stress,
                            force(t), p, cfg)
         return dr.coeffs, du.coeffs

@@ -17,16 +17,17 @@ SCENARIOS maps each scenario name to its driver.  A driver is called as
 driver(ctx, outdir), writes its artifacts into outdir and returns the
 manifest's outcome; _run_stepping alone also takes a checkpoint to resume
 from.  Drivers step over a horizon through coupling.coupled_trajectory,
-fluid_trajectory and fp_trajectory: a non-finite state raises
-BlowupCeiling at its step.  _EXITS maps every error class to its exit
-code and manifest reason.
+fluid_trajectory and fp_trajectory, which check every state they hand
+out, the first one included (non-finite: BlowupCeiling, then r <= 0:
+PositivityLoss).  _run_stepping records the first state and those the
+record interval names, and checks each record against the blow-up
+ceiling.  _EXITS maps every error class to its exit code and reason.
 
-record_state makes no transform of its own for r, u, grad u or the
-coefficients of psi: it reads the grid values a CoupledState carries
-(coupling.CoupledState.grid_values), the batch the step that made the
-state already sent to the grid and the next step reads again.  A run
-removes the series.csv and snapshots/step*.fkp an earlier run left in its
-output directory before it starts, except the checkpoint it resumes from.
+record_state measures each quantity once, and transforms none of r, u,
+grad u or the coefficients of psi: it reads the batch a CoupledState
+carries (coupling.CoupledState.grid_values).  A run removes the
+series.csv and snapshots/step*.fkp an earlier run left in its output
+directory before it starts, except the checkpoint it resumes from.
 """
 
 import ctypes
@@ -42,7 +43,6 @@ from itertools import islice
 
 import numpy as np
 
-from . import fluid as fluid_mod
 from .checkpoint import checkpoint_load, checkpoint_save
 from .configspace import ConfDistribution, build_quadrature, \
     check_chi_index, eigen_basis, lemma_a1_check
@@ -51,7 +51,8 @@ from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     fp_trajectory, run_fixed_point, stress_field, xs_distance
 from .errors import BlowupCeiling, CFLViolation, ConfigError, FeneError, \
     PositivityLoss, StabilityViolation, VersionError
-from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig
+from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
+    forcing_of_time, phi_r
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
@@ -193,6 +194,18 @@ def _refusing(field):
         raise ConfigError(str(exc), field=field) from None
 
 
+# a time must be this close, relative, to a whole number of steps: k
+# additions of dt round by about k eps
+_STEP_RTOL = 1e-9
+
+
+def _whole_steps(t, dt):
+    """The number of steps of dt that the time t >= 0 spans, or None when
+    t is not a whole number of them."""
+    k = int(round(t / dt))
+    return k if abs(t - k * dt) <= _STEP_RTOL * t else None
+
+
 class RunContext:
     """Grid, basis and solver configs materialized from a config dict."""
 
@@ -243,10 +256,15 @@ class RunContext:
                     horizon_T=cfg["experiment.horizon"],
                     s_prime=cfg["fixed_point.s_prime"],
                     max_iters=cfg["fixed_point.max_iters"])
-            if self.fixed_point.n_steps(self.fluid_cfg.dt) < 2:
+            dt = self.fluid_cfg.dt
+            if self.fixed_point.n_steps(dt) < 2:
                 raise ConfigError(f"{name} needs at least two steps of this "
                                   "dt within experiment.horizon",
                                   field="fluid.dt")
+            if _whole_steps(cfg["experiment.horizon"], dt) is None:
+                raise ConfigError("the horizon must be a whole number of "
+                                  f"steps of fluid.dt = {dt!r}",
+                                  field="experiment.horizon")
         if name == "lemma_a1":
             if cfg["experiment.ensemble"] < 100:
                 raise ConfigError("lemma_a1 needs an ensemble of at least 100",
@@ -369,8 +387,8 @@ def _over_s(norm, field, top):
 def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
     """The monitored row of state.  Its grid values of r, u, grad u and the
     coefficients of psi are state.grid_values (carried from the step that
-    made the state); blowup_indicator makes one transform, and a forcing
-    or phi_R cut-off, where configured, one each."""
+    made the state); blowup_indicator makes one transform, of the stress
+    formed here, and a forcing, where configured, one more."""
     params, grid = ctx.params, ctx.grid
     n = grid.n_points
     values = state.grid_values(params)
@@ -383,9 +401,10 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
            float(np.sum(rho * uv[1]) * area))
     psi_min = nonnegativity_report(state.psi.basis, values[N_FACTORS:])
     stress = stress_field(state.psi)
-    f_field = fluid_mod._forcing_field(ctx.forcing, grid, state.time)
-    cutoff_active = int(
-        fluid_mod._cutoff_value(state.fluid.u, ctx.fluid_cfg) < 1.0)
+    indicator, w2 = blowup_indicator(state, stress, params)
+    cutoff_r = ctx.fluid_cfg.cutoff_R
+    cutoff_active = int(cutoff_r is not None and phi_r(w2, cutoff_r) < 1.0)
+    f_field = forcing_of_time(ctx.forcing, grid)(state.time)
     # fluid.fluid_energy(s) is |r|^2_s + |u|^2_s: the u norms serve both
     u_sq = [x ** 2 for x in _over_s(sobolev_norm, state.fluid.u,
                                     S_RECORD + 1)]
@@ -399,7 +418,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
         time=state.time, mass=mass, momentum_x=mom[0], momentum_y=mom[1],
         polymer_mass=polymer_mass(state.psi), min_r=float(rvals.min()),
         max_r=float(rvals.max()), min_psi_sample=psi_min,
-        blowup_indicator=blowup_indicator(state, params),
+        blowup_indicator=indicator,
         cutoff_active=cutoff_active,
         grad_u_sup=grad_u_sup_norm(values[VELOCITY][2:].reshape(2, 2, n, n)),
         fluid_energy_s=tuple(fl_e), u_norm_sq_s=tuple(u_sq),
@@ -515,17 +534,12 @@ def summarize(records, params):
 # ---------------------------------------------------------------------------
 # scenario drivers
 
-# a resumed time must be this close, relative, to a whole number of steps:
-# k additions of dt round by about k eps
-_STEP_RTOL = 1e-9
-
-
 def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     """Step from the initial state, or from the checkpoint resume_from, to
     max_steps; the outcome summarizes the recorded series.  A checkpoint
     whose time is not a whole number of steps of fluid.dt was written
     under another dt and is refused (VersionError).  A run that stops
-    with a FeneError still writes the rows it recorded."""
+    with a FeneError still writes the rows it recorded, if any."""
     cfg = ctx.cfg
     max_steps, ceiling = cfg["max_steps"], cfg["blowup_ceiling"]
     outcome, first_step = {}, 0
@@ -534,8 +548,8 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     else:
         state = checkpoint_load(resume_from, grid=ctx.grid, basis=ctx.basis)
         dt = ctx.fluid_cfg.dt
-        first_step = int(round(state.time / dt))
-        if abs(state.time - first_step * dt) > _STEP_RTOL * state.time:
+        first_step = _whole_steps(state.time, dt)
+        if first_step is None:
             raise VersionError(f"{resume_from}: time {state.time!r} is not "
                                f"a whole number of steps of fluid.dt = {dt!r}")
         if first_step >= max_steps:
@@ -548,29 +562,26 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     snap_every = cfg["snapshots.every"]
     if snap_every:
         os.makedirs(os.path.join(outdir, "snapshots"), exist_ok=True)
-    records = [record_state(state, ctx)]
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
+    records = []
     try:
-        # written not (x <= ceiling) so that a NaN indicator trips the guard
-        if not records[-1].blowup_indicator <= ceiling:
-            raise BlowupCeiling(f"blow-up indicator "
-                                f"{records[-1].blowup_indicator:.3e} at start")
-        op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid,
-                                ctx.chi_index)
         for k, state in coupled_trajectory(
                 state, op, ctx.forcing, ctx.fluid_cfg,
-                range(first_step + 1, max_steps + 1)):
-            if k % every == 0 or k == max_steps:
+                range(first_step, max_steps + 1)):
+            if k == first_step or k % every == 0 or k == max_steps:
                 rec = record_state(state, ctx)
                 records.append(rec)
+                # not (x <= ceiling), so that a NaN indicator trips the guard
                 if not rec.blowup_indicator <= ceiling:
                     raise BlowupCeiling(
                         f"blow-up indicator {rec.blowup_indicator:.3e} "
                         f"exceeded ceiling {ceiling:.3e} at step {k}")
-            if snap_every and k % snap_every == 0:
+            if snap_every and k > first_step and k % snap_every == 0:
                 checkpoint_save(state, os.path.join(
                     outdir, "snapshots", f"step{k:06d}.fkp"))
     except FeneError:
-        _flush_series(outdir, records)
+        if records:
+            _flush_series(outdir, records)
         raise
     _flush_series(outdir, records)
     return {**outcome, **summarize(records, ctx.params)}
@@ -655,8 +666,8 @@ def _run_contraction(ctx: RunContext, outdir):
     dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
 
     n_steps = fpc.n_steps(ctx.fluid_cfg.dt)
-    mono_traj = [state0.psi] + [mono.psi for _, mono in coupled_trajectory(
-        state0, op, ctx.forcing, ctx.fluid_cfg, range(1, n_steps + 1),
+    mono_traj = [mono.psi for _, mono in coupled_trajectory(
+        state0, op, ctx.forcing, ctx.fluid_cfg, range(n_steps + 1),
         "in the monolithic reference")]
     terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)
 
@@ -843,11 +854,16 @@ def load_series(run_dir):
 
 
 def report(run_dir, stream=None):
-    """Human summary of a finished run directory."""
+    """Human summary of a finished run directory; a directory without a
+    readable manifest.json (missing or not JSON) is an IOError (exit 1)."""
     stream = sys.stdout if stream is None else stream
     manifest_path = os.path.join(run_dir, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(json.dumps(_error_payload("IOError", exc)), file=sys.stderr)
+        return 1
     print(f"run: {run_dir}", file=stream)
     print(f"status: {manifest.get('status')}", file=stream)
     scenario = manifest.get("scenario", "?")

@@ -5,12 +5,13 @@ import pytest
 import scipy.fft
 
 from conftest import random_band_limited
-from fene import coupling, fluid, fokker_planck, torus
+from fene import coupling, fluid, fokker_planck, runner, torus
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.configspace import ConfDistribution, kramers_stress
 from fene.errors import CFLViolation, PositivityLoss
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
-    constant_trajectory, contraction_factor, coupled_step, fixed_point_map, \
+    constant_trajectory, contraction_factor, coupled_step, \
+    coupled_trajectory, fixed_point_map, \
     run_fixed_point, stress_field, xs_distance, xs_norm
 from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
     fluid_rhs, phi_r, rhs_factors, step
@@ -211,17 +212,19 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
 
 def test_blowup_indicator(grid32, basis32, params):
     st = equilibrium_state(grid32, basis32, params)
-    assert blowup_indicator(st, params) == 0.0
+    assert blowup_indicator(st, stress_field(st.psi), params) == (0.0, 0.0)
     x1, _ = grid32.x
     u = SpectralField.from_values(grid32,
                                   np.stack([np.sin(x1), np.zeros_like(x1)]))
     st_u = CoupledState(FluidState(st.fluid.r, u),
                         PolymerField.equilibrium(grid32, basis32))
     expect = sup_norm_w2inf(u)   # div T(M) = 0 for the constant stress
-    assert blowup_indicator(st_u, params) == pytest.approx(expect, rel=1e-12)
+    indicator, w2 = blowup_indicator(st_u, stress_field(st_u.psi), params)
+    assert indicator == pytest.approx(expect, rel=1e-12)
+    assert w2 == pytest.approx(expect, rel=1e-12)
     st_2u = CoupledState(FluidState(st.fluid.r, 2.0 * u),
                          PolymerField.equilibrium(grid32, basis32))
-    assert blowup_indicator(st_2u, params) == \
+    assert blowup_indicator(st_2u, stress_field(st_2u.psi), params)[0] == \
         pytest.approx(2 * expect, rel=1e-12)
 
 
@@ -358,6 +361,31 @@ def test_record_state_transform_budget(monkeypatch):
     assert sum(inverse) <= 8                       # 61
 
 
+def test_record_state_measures_each_quantity_once(monkeypatch):
+    # with phi_R configured, the cut-off reads the |u|_{W^{2,inf}} that
+    # blowup_indicator forms (2 calls of 20 inverse slices before), and the
+    # stress of psi is formed once (twice before)
+    ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"
+                                       "fluid.cutoff_r = 0.01\n"))
+    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
+    state = coupled_step(ctx.initial_state(), op, ctx.forcing, ctx.fluid_cfg)
+    stresses = []
+
+    def counted_stress(psi):
+        stresses.append(psi)
+        return stress_field(psi)
+
+    monkeypatch.setattr(runner, "stress_field", counted_stress)
+    monkeypatch.setattr(coupling, "stress_field", counted_stress)
+    calls = counted_transforms(monkeypatch)
+    rec = record_state(state, ctx)
+    inverse, forward_ = calls["irfft2"], calls["rfft2"]
+    assert len(inverse) + len(forward_) <= 1
+    assert sum(inverse) <= 8
+    assert len(stresses) == 1
+    assert rec.cutoff_active == 1
+
+
 def fresh_copy(state):
     """A CoupledState around copies of the coefficients of state."""
     grid = state.psi.grid
@@ -442,12 +470,18 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
             coupled_step(stepped, op32, None, FluidStepConfig(dt=0.05))
     assert stages == []
 
-    # an r that is not positive after the step fails at that step
+    # an r that is not positive after step k fails at step k, in the loop
+    # that keeps the states: the step checks nothing of the state it makes
     def negated_r(y, rhs, t, dt):
         r, u, c = y
         return -r, u, c
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "ssprk3", negated_r)
-        with pytest.raises(PositivityLoss, match=r"^min r = -.* on the grid$"):
-            coupled_step(stepped, op32, None, fluid_cfg)
+        assert coupled_step(stepped, op32, None, fluid_cfg).fluid.r.values() \
+            .max() < 0
+        with pytest.raises(PositivityLoss,
+                           match=r"^min r = -.* on the grid at step 4$"):
+            for _ in coupled_trajectory(stepped, op32, None, fluid_cfg,
+                                        range(3, 6)):
+                pass

@@ -2,13 +2,14 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from fene import coupling, runner
+from fene import coupling, fluid, runner
 from fene.checkpoint import MAGIC, VERSION, checkpoint_load, checkpoint_save
 from fene.cli import main as cli_main
 from fene.errors import ConfigError, VersionError
@@ -181,6 +182,14 @@ def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
                                 4.0, 0.0))
     with pytest.raises(VersionError):
         checkpoint_load(str(odd))
+    # a header b (at byte 24) or time (at byte 32) that no save writes
+    for offset, value in ((24, np.nan), (24, np.inf), (32, np.nan),
+                          (32, -np.inf), (32, -1e-3)):
+        patched = bytearray(open(path, "rb").read())
+        patched[offset:offset + 8] = struct.pack("<d", value)
+        odd.write_bytes(bytes(patched))
+        with pytest.raises(VersionError, match="header time"):
+            checkpoint_load(str(odd))
 
 
 def test_resume_matches_uninterrupted_bitwise(tmp_path):
@@ -337,7 +346,7 @@ def test_series_round_trips_through_load_series(tmp_path):
 
 
 def test_nan_in_resumed_state_trips_ceiling_at_start(tmp_path):
-    cfg_path, _ = small_shear_cfg(tmp_path, steps=5)
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=5)
     state = RunContext(parse_config(cfg_path)).initial_state()
     state.psi.coeffs[3, 1, 1] = np.nan
     snap = str(tmp_path / "nan.fkp")
@@ -348,7 +357,79 @@ def test_nan_in_resumed_state_trips_ceiling_at_start(tmp_path):
     assert code == 5
     payload = json.loads(stderr_path.read_text())
     assert payload["reason"] == "BlowupCeiling"
-    assert "at start" in payload["message"]
+    assert payload["message"] == "non-finite psi coefficients at step 0"
+    # the first state is checked before it is recorded
+    assert not os.path.exists(os.path.join(outdir, "series.csv"))
+
+
+@pytest.mark.parametrize("field, code, reason", [
+    ("r", 5, "BlowupCeiling"), ("u", 5, "BlowupCeiling"),
+    ("negative r", 3, "PositivityLoss")])
+def test_a_resumed_state_is_checked_before_its_first_record(
+        tmp_path, field, code, reason):
+    # a checkpoint holding a NaN r coefficient (or a negative r) loads, and
+    # the trajectory refuses it at its step, NaN before positivity
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=5)
+    ctx = RunContext(parse_config(cfg_path))
+    state = ctx.initial_state()
+    coeffs = {"r": state.fluid.r.coeffs, "u": state.fluid.u.coeffs,
+              "psi": state.psi.coeffs}
+    if field == "negative r":
+        state.fluid.r.coeffs[...] *= -1.0
+    else:
+        coeffs[field][0, 1, 1] = np.nan
+    state.time = state.fluid.time = state.psi.time = 2 * ctx.fluid_cfg.dt
+    snap = str(tmp_path / "poisoned.fkp")
+    checkpoint_save(state, snap)
+    stderr_path = tmp_path / "poisoned.json"
+    with open(stderr_path, "w") as fh:
+        assert resume(snap, cfg_path, stderr=fh) == code
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == reason
+    if field == "negative r":
+        assert re.fullmatch(r"min r = -\S+ on the grid at step 2",
+                            payload["message"])
+    else:
+        assert payload["message"] == \
+            f"non-finite {field} coefficients at step 2"
+    assert json.load(open(os.path.join(outdir, "manifest.json")))[
+        "reason"] == reason
+    # no record was made, so there is no series.csv; the report still runs
+    assert not os.path.exists(os.path.join(outdir, "series.csv"))
+    out = io.StringIO()
+    assert runner.report(outdir, stream=out) == 0
+    assert "status: error" in out.getvalue()
+
+
+def test_resume_refuses_a_header_time_that_is_not_finite(tmp_path):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=6,
+                                       extra="snapshots.every = 2")
+    assert run(cfg_path) == 0
+    raw = bytearray(open(os.path.join(outdir, "snapshots", "step000004.fkp"),
+                         "rb").read())
+    for value in (np.nan, np.inf):
+        raw[32:40] = struct.pack("<d", value)   # the f64 time of the header
+        snap = tmp_path / "patched.fkp"
+        snap.write_bytes(bytes(raw))
+        resumed = str(tmp_path / "resumed")
+        stderr_path = tmp_path / "patched.json"
+        with open(stderr_path, "w") as fh:
+            assert resume(str(snap), cfg_path, output=resumed,
+                          stderr=fh) == 6
+        assert json.loads(stderr_path.read_text())["reason"] == "VersionError"
+        manifest = json.load(open(os.path.join(resumed, "manifest.json")))
+        assert manifest["reason"] == "VersionError"
+        assert "header time" in manifest["message"]
+
+
+def test_report_without_a_manifest_is_an_io_error(tmp_path, capsys):
+    assert cli_main(["report", str(tmp_path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["reason"] == "IOError"
+    assert "manifest.json" in payload["message"]
+    (tmp_path / "manifest.json").write_text("{")   # cut short
+    assert cli_main(["report", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["reason"] == "IOError"
 
 
 @pytest.mark.parametrize("scenario",
@@ -508,6 +589,53 @@ def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
     assert runner.report(outdir, stream=out) == 0
     assert "status: error" in out.getvalue()
     assert "drift mass" in out.getvalue()
+
+
+def poison_r_at_call(monkeypatch, module, call):
+    """Make the SSP-RK3 step of module return a NaN r coefficient at its
+    call-th call; returns the list of calls made."""
+    real = module.ssprk3
+    calls = []
+
+    def poisoned(*args):
+        out = real(*args)
+        calls.append(out)
+        if len(calls) == call:
+            out[0][0, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(module, "ssprk3", poisoned)
+    return calls
+
+
+def test_nan_r_after_a_step_trips_at_its_step(tmp_path, monkeypatch):
+    # the non-finite check comes before positivity, which NaN also fails
+    calls = poison_r_at_call(monkeypatch, coupling, 3)
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=20,
+                                       extra="record_every = 10")
+    stderr_path = tmp_path / "nan.json"
+    with open(stderr_path, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 5
+    assert len(calls) == 3
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "BlowupCeiling"
+    assert payload["message"] == "non-finite r coefficients at step 3"
+    assert len(load_series(outdir)) == 1
+
+
+def test_nan_r_in_stress_difference_trips_at_its_step(tmp_path,
+                                                      monkeypatch):
+    calls = poison_r_at_call(monkeypatch, fluid, 3)
+    cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
+                            extra="experiment.horizon = 0.01")
+    stderr_path = tmp_path / "nan.json"
+    with open(stderr_path, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 5
+    assert len(calls) == 3
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "BlowupCeiling"
+    assert payload["message"] == \
+        "non-finite r coefficients in the fluid half at step 3"
 
 
 def test_fp_scheme_rejected_in_coupled_scenarios(tmp_path):
@@ -714,6 +842,12 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     # phi_R needs a positive threshold
     ("shear_perturbation", "fluid.cutoff_r = 0", "fluid"),
     ("shear_perturbation", "fluid.cutoff_r = -1", "fluid"),
+    # a CFL safety factor that is not a finite number > 0 (none is the
+    # switch that turns the check off)
+    ("density_bump", "fluid.cfl_safety = nan", "fluid"),
+    ("density_bump", "fluid.cfl_safety = inf", "fluid"),
+    ("density_bump", "fluid.cfl_safety = 0", "fluid"),
+    ("density_bump", "fluid.cfl_safety = -1", "fluid"),
     # the density transform needs rho > 0 on the grid
     ("equilibrium", "scenario.rho0 = 0", "scenario.rho0"),
     ("density_bump", "scenario.amplitude = 1.5", "scenario.amplitude"),
@@ -723,6 +857,11 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("contraction_study", "fixed_point.s_prime = -1", "fixed_point"),
     # round(0.0004 / 1e-3) = 0 steps: every distance would be 0
     ("contraction_study", "experiment.horizon = 0.0004", "fluid.dt"),
+    # round(12.5) = 12 steps would stop short of the horizon
+    ("contraction_study", "experiment.horizon = 0.0125",
+     "experiment.horizon"),
+    ("stress_difference", "experiment.horizon = 0.0125",
+     "experiment.horizon"),
     ("lemma_a1", "experiment.lemma_deltas =", "experiment.lemma_deltas"),
     ("lemma_a1", "experiment.lemma_deltas = 1.0, -1.0",
      "experiment.lemma_deltas"),
@@ -734,9 +873,12 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
         "max_steps=-1", "record_every=0", "snapshots_every=-1",
         "ceiling=-1", "ceiling=0", "ceiling=nan", "lemma_ceiling=-1",
-        "cutoff_r=0", "cutoff_r=-1", "rho0=0", "bump_amplitude=1.5",
+        "cutoff_r=0", "cutoff_r=-1", "cfl_safety=nan", "cfl_safety=inf",
+        "cfl_safety=0", "cfl_safety=-1", "rho0=0", "bump_amplitude=1.5",
         "shear_amplitude=2.5", "stress_difference_s_prime=-1",
-        "contraction_s_prime=-1", "contraction_zero_steps", "no_lemma_delta",
+        "contraction_s_prime=-1", "contraction_zero_steps",
+        "contraction_partial_step", "stress_difference_partial_step",
+        "no_lemma_delta",
         "negative_lemma_delta"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies
 
 from conftest import field_product, random_band_limited
 from fene import fluid, torus
+from fene.coupling import fluid_trajectory
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     fluid_energy, fluid_rhs, phi_r, ssprk3, step, stress_divergence, \
@@ -41,10 +42,14 @@ def test_phi_r_plateaus():
         phi_r(1.0, 0.0)
 
 
-def test_positivity_checked_on_construction(grid32):
+def test_positivity_checked_by_the_trajectory(grid32, params):
+    # FluidState holds what it is given; the loop that keeps the state
+    # checks it, the first one included
     r = SpectralField.from_values(grid32, np.full((32, 32), -0.5))
-    with pytest.raises(PositivityLoss):
-        FluidState(r, SpectralField.zero(grid32, 2))
+    st = FluidState(r, SpectralField.zero(grid32, 2))
+    with pytest.raises(PositivityLoss, match=r"^min r = -5\.000e-01 on the "
+                       r"grid in the fluid half at step 0$"):
+        fluid_trajectory(st, None, None, params, FluidStepConfig(dt=1e-3), 2)
 
 
 def test_continuity_rhs_zero_velocity(grid32, params):
@@ -388,16 +393,16 @@ def test_step_raises_positivity_loss(grid32):
     st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), 0.01)),
                     SpectralField.from_values(
                         grid32, np.stack([60.0 * np.sin(x1),
-                                          np.zeros_like(x1)])),
-                    check_positivity=False)
+                                          np.zeros_like(x1)])))
     cfg = FluidStepConfig(dt=0.05, cfl_safety=None)
-    with pytest.raises(PositivityLoss):
+    with pytest.raises(PositivityLoss, match="in a stage, where D\\(r\\) is "
+                       "undefined$"):
         step(st, None, None, p, cfg)
 
 
 def test_fluid_energy(grid32, params):
     zero = FluidState(SpectralField.zero(grid32, 1),
-                      SpectralField.zero(grid32, 2), check_positivity=False)
+                      SpectralField.zero(grid32, 2))
     assert fluid_energy(zero, 0) == 0.0
     st = constant_state(grid32, r_to_density(1.0, params), params)
     assert fluid_energy(st, 0) == pytest.approx(SIDE ** 2, rel=1e-13)
