@@ -14,12 +14,12 @@ other by the verification suite:
 
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
   (r, u, psi) together, re-evaluating the stress at every stage.  Each
-  stage reads one inverse transform, of fluid.rhs_factors followed by
+  stage makes one inverse transform, of fluid.rhs_factors followed by
   the coefficients of psi: fluid_rhs reads the fluid factors of that
   batch and op.tendency its velocity block (fluid.VELOCITY) and the
   coefficients, so both halves share every grid value.  The split
-  solvers of fixed_point_map, fluid.step and fp_step, leave each half to
-  make its own one call per stage and form the same products.
+  solvers of fixed_point_map, fluid.step and fp_step, hand the same
+  kernels a batch of their own half per stage.
 
 Each CoupledState is sent to the grid once (CoupledState.grid_values):
 the batch a step makes of the state it returns serves that state's
@@ -31,15 +31,14 @@ Fokker-Planck operator (FokkerPlanckSolver, built for one grid) as an
 argument: op.check_step guards each step and op.tendency is the FP half of
 every stage.  The scenario drivers in runner build it once per run.
 
-Stepping over a horizon happens only in fluid_trajectory and
-fp_trajectory (fixed_point_map, the stress_difference scenario) and in
-coupled_trajectory (the stepping scenarios, the monolithic reference).
-A step checks only what must hold before it runs (op.check_step, the CFL
-bound, D(r) in each stage).  The loop checks every state it hands out,
-the first one included, in one order (_check_state): non-finite
-coefficients raise BlowupCeiling, then an r that is not positive on the
-grid PositivityLoss, each message ending in the loop's where and "at
-step k".
+Stepping over a horizon happens only in _trajectory, behind
+fluid_trajectory, fp_trajectory and coupled_trajectory.  A step checks
+only what must hold before it runs (op.check_step, the CFL bound, D(r)
+in each stage).  The loop checks every state it hands out, the first one
+included, in one order: non-finite coefficients raise BlowupCeiling, then
+an r that is not positive on the grid PositivityLoss.  Those messages,
+and those of the CFLViolation, StabilityViolation or PositivityLoss a
+step raises, end in the loop's where and "at step k".
 
 The X^s trajectory norm is sup-in-time of the W^{s,2}_x L^2_M norm plus
 the time integral (trapezoid rule on the stored samples) of the
@@ -51,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fluid as fluid_mod
-from .errors import BlowupCeiling
+from .errors import BlowupCeiling, CFLViolation, PositivityLoss, \
+    StabilityViolation
 from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
     check_positive, fluid_rhs, rhs_factors, ssprk3, state_from_coeffs, \
     stress_divergence
@@ -187,42 +187,46 @@ def _linear_interpolant(samples, t0, dt):
     return at
 
 
-def _check_state(fields, rvals, where, k):
-    """Raise BlowupCeiling naming the first of fields (name, field) that is
-    not finite, then PositivityLoss unless the grid values rvals of r (None
-    for psi alone) are > 0."""
-    where = f"{where} at step {k}".lstrip()
-    for name, f in fields:
-        if not np.isfinite(f.coeffs).all():
-            raise BlowupCeiling(f"non-finite {name} coefficients {where}")
-    if rvals is not None:
-        check_positive(rvals, where)
+def _trajectory(state, advance, checked, where, steps):
+    """Yield (k, state) for each step number k in steps, the given state
+    first and then one advance(state) further each.  checked(state) gives
+    the (name, field) pairs that must be finite and the grid values of r
+    (None for psi alone)."""
+    for i, k in enumerate(steps):
+        at = f"{where} at step {k}".lstrip()
+        if i:
+            try:
+                state = advance(state)
+            except (CFLViolation, StabilityViolation, PositivityLoss) as exc:
+                exc.args = (f"{exc} {at}",)
+                raise
+        fields, rvals = checked(state)
+        for name, f in fields:
+            if not np.isfinite(f.coeffs).all():
+                raise BlowupCeiling(f"non-finite {name} coefficients {at}")
+        if rvals is not None:
+            check_positive(rvals, at)
+        yield k, state
 
 
 def fluid_trajectory(fluid0: FluidState, stress, forcing, params,
                      cfg: FluidStepConfig, n_steps):
     """The n_steps + 1 checked fluid states from fluid0 under a given
     stress (a field or a callable of time), one fluid.step apart."""
-    out = []
-    for k in range(n_steps + 1):
-        fl = fluid_mod.step(out[-1], stress, forcing, params, cfg) if out \
-            else fluid0
-        _check_state((("r", fl.r), ("u", fl.u)), fl.r.values(),
-                     "in the fluid half", k)
-        out.append(fl)
-    return out
+    return [fl for _, fl in _trajectory(
+        fluid0, lambda fl: fluid_mod.step(fl, stress, forcing, params, cfg),
+        lambda fl: ((("r", fl.r), ("u", fl.u)), fl.r.values()),
+        "in the fluid half", range(n_steps + 1))]
 
 
 def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
                   n_steps):
     """The n_steps + 1 checked polymer fields from psi0 under a given
     velocity (a field or a callable of time), one fp_step of dt apart."""
-    out = []
-    for k in range(n_steps + 1):
-        psi = fp_step(out[-1], u, op, dt) if out else psi0
-        _check_state((("psi", psi),), None, "in the fp half", k)
-        out.append(psi)
-    return out
+    return [psi for _, psi in _trajectory(
+        psi0, lambda psi: fp_step(psi, u, op, dt),
+        lambda psi: ((("psi", psi),), None), "in the fp half",
+        range(n_steps + 1))]
 
 
 def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
@@ -295,8 +299,8 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
         r, u, c = y
         st = state_from_coeffs(grid, r, u, t)
         values = carried if y is y0 else _grid_values(st, basis, c, p)
-        dr, du = fluid_rhs(st, None, force(t), p, fluid_cfg, values)
-        dc = op.tendency(c, st.u, (values[VELOCITY], values[N_FACTORS:]))
+        dr, du = fluid_rhs(st, force(t), p, fluid_cfg, values)
+        dc = op.tendency(c, values[VELOCITY], values[N_FACTORS:])
         return dr.coeffs, du.coeffs, dc
 
     t1 = state.time + fluid_cfg.dt
@@ -312,13 +316,10 @@ def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, forcing,
     """Yield (k, state) for each step number k in steps, the given state
     first and then one coupled_step further each, checked (r on the R slice
     of its carried batch, so every state's batch exists before its step)."""
-    for i, k in enumerate(steps):
-        if i:
-            state = coupled_step(state, op, forcing, fluid_cfg)
-        _check_state((("r", state.fluid.r), ("u", state.fluid.u),
-                      ("psi", state.psi)), state.grid_values(op.params)[R],
-                     where, k)
-        yield k, state
+    return _trajectory(
+        state, lambda st: coupled_step(st, op, forcing, fluid_cfg),
+        lambda st: ((("r", st.fluid.r), ("u", st.fluid.u), ("psi", st.psi)),
+                    st.grid_values(op.params)[R]), where, steps)
 
 
 def blowup_indicator(state: CoupledState, stress, params):

@@ -11,21 +11,21 @@ with an optional velocity cut-off phi_R(|u|_{2,inf}) that switches the
 nonlinear terms off for large velocities.  fluid_rhs evaluates the eleven
 quadratic terms of both equations in one 2/3-rule product per RK stage:
 left factors (u1, u2, r, D(r)) times the rows of a table, (d1 r, d1 u),
-(d2 r, d2 u), (div u, grad r) and div S + div T.  It reads the twelve
-distinct factors (rhs_factors) as grid values of one inverse transform:
-its own call when the fluid half is stepped on its own (fluid.step), made
-only if phi_R != 0, or the batch coupling.coupled_step shares with the
-Fokker-Planck half, which reads the velocity block (VELOCITY) of it.
+(d2 r, d2 u), (div u, grad r) and div S + div T.  Its one input is the
+grid batch of the twelve distinct factors (rhs_factors) that its step
+makes per stage: step its own, coupling.coupled_step one it shares with
+the Fokker-Planck half, which reads its velocity block (VELOCITY).  phi_R
+reads u, d1 u, d2 u there and transforms the second derivatives of u.
 Only D(r) takes a round trip through P_K inside fluid_rhs, and the
-products come back in one transform, so every tendency lies in P_K.  Time
-stepping is explicit SSP-RK3 under a conservative CFL bound on the speeds
-|u| + c_s (check_cfl: on the carried batch in coupling.coupled_step, on
-its own transforms in fluid.step).  A step checks only that and, in each
-stage, that D(r) is defined; FluidState is a plain holder.  The loops of
-coupling check the states a step makes: non-finite coefficients first,
-then r > 0 (check_positive, the one place PositivityLoss is raised; a
-loss is never repaired).  ssprk3, over tuples of coefficient arrays, is
-the package's one SSP-RK3 step: fluid.step, fokker_planck.fp_step and
+products come back in one transform, so every tendency lies in P_K.
+Time stepping is explicit SSP-RK3 under a conservative CFL bound on the
+speeds |u| + c_s, which check_cfl reads from the step's first batch.  A
+step checks only that and, in each stage, that D(r) is defined;
+FluidState is a plain holder.  The trajectories of coupling check the
+states a step makes: non-finite coefficients first, then r > 0
+(check_positive, the one place PositivityLoss is raised; a loss is never
+repaired).  ssprk3, over tuples of coefficient arrays, is the package's
+one SSP-RK3 step: fluid.step, fokker_planck.fp_step and
 coupling.coupled_step all take it.
 """
 
@@ -36,8 +36,8 @@ import numpy as np
 from . import torus
 from .errors import CFLViolation, PositivityLoss
 from .model import ForcingSpec, ModelParams, r_to_density
-from .torus import SpectralField, dealiased_product, sobolev_norm, \
-    sup_norm_w2inf
+from .torus import W2_INDICES, SpectralField, dealiased_product, \
+    derivative_stack, sobolev_norm, sup_norm_w2inf_values
 
 
 class FluidState:
@@ -53,23 +53,19 @@ class FluidState:
         self.time = time
 
 
-def check_positive(rvals, where=""):
+def check_positive(rvals, where):
     """Raise PositivityLoss, its message ending in where, unless the grid
     values rvals of r are all > 0."""
     rmin = float(rvals.min())
     if not rmin > 0.0:   # catches NaN as well
-        raise PositivityLoss(f"min r = {rmin:.3e} on the grid {where}"
-                             .rstrip())
+        raise PositivityLoss(f"min r = {rmin:.3e} on the grid {where}")
 
 
 @dataclass(frozen=True)
 class FluidStepConfig:
-    """Time-step parameters for the fluid solver.
-
-    cutoff_R=None disables the phi_R regularization entirely.  cfl_safety,
-    a finite number > 0, scales the CFL bound; None skips the check (the
-    caller then owns stability).
-    """
+    """Time-step parameters for the fluid solver: cutoff_R=None disables
+    the phi_R regularization, cfl_safety (finite, > 0) scales the CFL
+    bound."""
 
     dt: float
     cutoff_R: float = None
@@ -81,9 +77,8 @@ class FluidStepConfig:
         if self.cutoff_R is not None and not self.cutoff_R > 0:
             raise ValueError("cut-off threshold must be positive")
         # written so that a NaN safety factor is refused too
-        if self.cfl_safety is not None and not 0 < self.cfl_safety < np.inf:
-            raise ValueError("the CFL safety factor must be a finite number "
-                             "> 0, or none")
+        if not 0 < self.cfl_safety < np.inf:
+            raise ValueError("the CFL safety factor must be finite and > 0")
 
 
 def phi_r(y, R):
@@ -149,31 +144,31 @@ def rhs_factors(state: FluidState, stress, p: ModelParams):
                            total.coeffs, vel])
 
 
-def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
-              cfg: FluidStepConfig, values=None):
+def fluid_rhs(state: FluidState, forcing, p: ModelParams,
+              cfg: FluidStepConfig, values):
     """(dr, du): -phi_R [u . grad r + (gamma-1)/2 r div u] and
     -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, in P_K
-    by construction; stress and forcing may be None.
+    by construction; forcing may be None.
 
-    values, when given, holds the grid values of rhs_factors(state, stress,
-    p) in its first N_FACTORS slices; otherwise fluid_rhs transforms them
-    in one call, if phi_R != 0.  D(r) = 1 / rho(r) takes its P_K round trip
-    from the r slice, and the eleven quadratic terms, left factors (u1, u2,
-    r, D) times the rows of a 4 x 3 table less its empty slot, are one
-    dealiased product."""
+    values holds the grid values of rhs_factors(state, stress, p) in its
+    first N_FACTORS slices; phi_R reads u, d1 u, d2 u there.  D(r) =
+    1 / rho(r) takes its P_K round trip from the r slice, and the eleven
+    quadratic terms, left factors (u1, u2, r, D) times the rows of a 4 x 3
+    table less its empty slot, are one dealiased product."""
     grid = state.r.grid
-    cut = 1.0 if cfg.cutoff_R is None else \
-        phi_r(sup_norm_w2inf(state.u), cfg.cutoff_R)
+    n = grid.n_points
+    cut = 1.0
+    if cfg.cutoff_R is not None:
+        second = torus.to_values(derivative_stack(state.u, W2_INDICES[3:]), n)
+        cut = phi_r(sup_norm_w2inf_values(np.concatenate(
+            [values[VELOCITY].reshape(3, 2, n, n), second])), cfg.cutoff_R)
     dr = SpectralField.zero(grid, 1)
     du = np.zeros_like(state.u.coeffs)
     if cut != 0.0:
-        if values is None:
-            values = torus.to_values(rhs_factors(state, stress, p),
-                                     grid.n_points)
         rvals = values[R]
         check_positive(rvals, "in a stage, where D(r) is undefined")
         dvals = torus.to_values(torus.to_modes(1.0 / r_to_density(rvals, p)),
-                                grid.n_points)
+                                n)
         factors = np.concatenate([values[:N_FACTORS], dvals[None]])
         prod = dealiased_product(factors[_LEFT], factors[_RIGHT])
         adv_r = prod[0] + prod[3] + 0.5 * (p.gamma - 1.0) * prod[6]
@@ -186,20 +181,15 @@ def fluid_rhs(state: FluidState, stress, forcing, p: ModelParams,
     return dr, SpectralField(grid, du)
 
 
-def cfl_bound(state: FluidState, p: ModelParams, values=None):
+def cfl_bound(state: FluidState, p: ModelParams, values):
     """Conservative explicit bound min(h / max(|u| + c_s),
     h^2 / (4 max D (mu_s + mu_b))); the characteristic speeds of the (r, u)
     system are u.n +- c_s with sound speed c_s = sqrt((gamma-1)/2) r.
-    values, when given, holds the grid values of rhs_factors(state, ...) in
-    its first N_FACTORS slices, as in fluid_rhs; otherwise r and u are
-    transformed here."""
+    values holds the grid values of rhs_factors(state, ...) in its first
+    N_FACTORS slices, as in fluid_rhs."""
     h = state.r.grid.spacing
-    if values is None:
-        uvals = state.u.values()
-        rvals = state.r.values()[0]
-    else:
-        uvals = values[U1:U2 + 1]
-        rvals = values[R]
+    uvals = values[U1:U2 + 1]
+    rvals = values[R]
     speed = float((np.sqrt(np.sum(uvals ** 2, axis=0))
                    + np.sqrt(0.5 * (p.gamma - 1.0)) * np.abs(rvals)).max())
     dmax = float((1.0 / r_to_density(rvals, p)).max())
@@ -209,14 +199,12 @@ def cfl_bound(state: FluidState, p: ModelParams, values=None):
 
 
 def check_cfl(state: FluidState, p: ModelParams, cfg: FluidStepConfig,
-              values=None):
+              values):
     """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound
     (state, p, values)."""
-    if cfg.cfl_safety is not None:
-        bound = cfg.cfl_safety * cfl_bound(state, p, values)
-        if cfg.dt > bound:
-            raise CFLViolation(
-                f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
+    bound = cfg.cfl_safety * cfl_bound(state, p, values)
+    if cfg.dt > bound:
+        raise CFLViolation(f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
 
 
 def ssprk3(y, rhs, t, dt):
@@ -258,21 +246,26 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
 
     Raises CFLViolation, before any stage, when dt exceeds the configured
     bound, and PositivityLoss when a stage meets an r that is not positive
-    on the grid.  The state it returns is not checked here:
-    coupling.fluid_trajectory checks it for non-finite coefficients, then
-    for positivity of r.
+    on the grid.  coupling.fluid_trajectory checks the state it returns.
     """
-    check_cfl(state, p, cfg)
     grid = state.r.grid
     force = forcing_of_time(forcing, grid)
 
+    def batch(st):
+        st_stress = stress(st.time) if callable(stress) else stress
+        return torus.to_values(rhs_factors(st, st_stress, p), grid.n_points)
+
+    first = batch(state)
+    check_cfl(state, p, cfg, first)
+    y0 = (state.r.coeffs, state.u.coeffs)
+
     def rhs(y, t):
         st = state_from_coeffs(grid, *y, t)
-        dr, du = fluid_rhs(st, stress(t) if callable(stress) else stress,
-                           force(t), p, cfg)
+        dr, du = fluid_rhs(st, force(t), p, cfg,
+                           first if y is y0 else batch(st))
         return dr.coeffs, du.coeffs
 
-    r, u = ssprk3((state.r.coeffs, state.u.coeffs), rhs, state.time, cfg.dt)
+    r, u = ssprk3(y0, rhs, state.time, cfg.dt)
     return state_from_coeffs(grid, r, u, state.time + cfg.dt)
 
 

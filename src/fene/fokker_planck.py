@@ -18,11 +18,11 @@ rate of every coefficient; the scenario drivers build it once per run (a
 few milliseconds) and pass it to fp_step and coupling.coupled_step.  Its
 tendency is the only place the Fokker-Planck tendency is formed, and both
 routes advance psi by the shared fluid.ssprk3 step over it, explicit in
-all four terms.  The tendency reads the grid values of u, d1 u, d2 u and
-of the coefficients from one inverse transform: its own call when psi is
-stepped on its own (fp_step), or the batch coupling.coupled_step shares
-with the fluid half; it brings its 3 n_basis products back in one forward
-call.  check_step refuses a psi on another basis or grid, and a step whose
+all four terms.  Its one input mode is the grid values of u, d1 u, d2 u
+and of the coefficients from one inverse transform its step makes: fp_step
+its own per stage, coupling.coupled_step the batch it shares with the
+fluid half.  It brings its 3 n_basis products back in one forward call.
+check_step refuses a psi on another basis or grid, and a step whose
 largest diagonal rate leaves the SSP-RK3 stability interval.
 Positivity of psi is only monitored - the Galerkin truncation does not
 preserve it and clipping would corrupt the energy monitors.
@@ -42,7 +42,7 @@ from .configspace import ConfigBasis, chi_mass_matrix, drift_matrices
 from .errors import StabilityViolation
 from .fluid import ssprk3, velocity_factors
 from .model import ModelParams
-from .torus import SIDE, SpectralField, TorusGrid, to_modes, to_values
+from .torus import SIDE, TorusGrid, to_modes, to_values
 
 
 class PolymerField:
@@ -152,17 +152,10 @@ class FokkerPlanckSolver:
         w1_hat, w2_hat, drift_hat = to_modes(prod)
         return drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
 
-    def tendency(self, coeffs, u: SpectralField, values=None):
-        """The Fokker-Planck tendency of the coefficients under velocity u:
-        transport and drift, less relaxation and diffusion.  values, when
-        given, is the pair of grid values (uv, cg) of explicit_tendency;
-        otherwise both come from one transform."""
-        if values is None:
-            vel = velocity_factors(u)
-            both = to_values(np.concatenate([vel, coeffs]),
-                             self.grid.n_points)
-            values = both[:len(vel)], both[len(vel):]
-        return self.explicit_tendency(*values) - self.diag * coeffs
+    def tendency(self, coeffs, uv, cg):
+        """The Fokker-Planck tendency of coeffs: explicit_tendency(uv, cg)
+        less relaxation and diffusion."""
+        return self.explicit_tendency(uv, cg) - self.diag * coeffs
 
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
@@ -172,7 +165,9 @@ def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
     op.check_step(psi, dt)
 
     def rhs(y, t):
-        return (op.tendency(y[0], u(t) if callable(u) else u),)
+        vel = velocity_factors(u(t) if callable(u) else u)
+        both = to_values(np.concatenate([vel, y[0]]), psi.grid.n_points)
+        return (op.tendency(y[0], both[:len(vel)], both[len(vel):]),)
 
     new, = ssprk3((psi.coeffs,), rhs, psi.time, dt)
     return PolymerField(psi.grid, psi.basis, new, psi.time + dt)

@@ -131,7 +131,7 @@ CONFIG_SCHEMA = {
     "ball.chi_index": (_parse_chi, "auto"),
     "fluid.dt": (float, 1e-3),
     "fluid.cutoff_r": (_parse_opt_float, None),
-    "fluid.cfl_safety": (_parse_opt_float, 0.8),
+    "fluid.cfl_safety": (float, 0.8),
     "scenario.amplitude": (float, 1e-3),
     "scenario.mode": (int, 1),
     "scenario.mean_velocity": (float, 0.1),
@@ -724,8 +724,10 @@ SCENARIOS = {
 # ---------------------------------------------------------------------------
 # entry points shared by the CLI
 
-def _error_payload(code, exc):
-    return {"status": "error", "reason": code, "message": str(exc)}
+def _print_error(reason, exc, stderr):
+    payload = {"status": "error", "reason": reason, "message": str(exc)}
+    print(json.dumps(payload), file=stderr)
+    return payload
 
 
 # error class -> (exit code, manifest reason); the first match wins
@@ -817,8 +819,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
     except FeneError as exc:
         code, reason = next((code, reason) for cls, code, reason in _EXITS
                             if isinstance(exc, cls))
-        payload = _error_payload(reason, exc)
-        print(json.dumps(payload), file=stderr)
+        payload = _print_error(reason, exc, stderr)
         if outdir is None and isinstance(exc, ConfigError):
             outdir = output or _named_output(config_path)
             if outdir is not None:
@@ -831,7 +832,7 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
                 pass
         return code
     except OSError as exc:
-        print(json.dumps(_error_payload("IOError", exc)), file=stderr)
+        _print_error("IOError", exc, stderr)
         return 1
 
 
@@ -842,36 +843,46 @@ def resume(checkpoint_path, config_path, output=None, seed=None,
 
 
 def load_series(run_dir):
-    """Parse series.csv back into TimeSeriesRecord objects."""
+    """Parse series.csv back into TimeSeriesRecord objects; another column
+    layout, or a row of another length, is a VersionError."""
     path = os.path.join(run_dir, "series.csv")
+    header = TimeSeriesRecord.header()
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [list(map(float, line.strip().split(",")))
-                for line in fh if line.strip()]
-    if header != TimeSeriesRecord.header():
-        raise VersionError(f"{path}: unexpected column layout")
-    return [TimeSeriesRecord.from_row(row) for row in data]
+        if fh.readline().strip().split(",") != header:
+            raise VersionError(f"{path}: unexpected column layout")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise VersionError(f"{path}: row {i} has {len(row)} cells")
+    return [TimeSeriesRecord.from_row(list(map(float, row))) for row in rows]
 
 
 def report(run_dir, stream=None):
-    """Human summary of a finished run directory; a directory without a
-    readable manifest.json (missing or not JSON) is an IOError (exit 1)."""
+    """Human summary of a finished run directory; a manifest.json missing
+    or not JSON is an IOError (exit 1), a series.csv that load_series
+    refuses a VersionError (exit 6)."""
     stream = sys.stdout if stream is None else stream
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
-        print(json.dumps(_error_payload("IOError", exc)), file=sys.stderr)
+        _print_error("IOError", exc, sys.stderr)
         return 1
+    has_series = os.path.exists(os.path.join(run_dir, "series.csv"))
+    try:
+        records = load_series(run_dir) if has_series else None
+    except VersionError as exc:
+        _print_error("VersionError", exc, sys.stderr)
+        return EXIT_CHECKPOINT
     print(f"run: {run_dir}", file=stream)
     print(f"status: {manifest.get('status')}", file=stream)
     scenario = manifest.get("scenario", "?")
     print(f"scenario: {scenario}", file=stream)
     outcome = manifest.get("outcome", {})
-    if os.path.exists(os.path.join(run_dir, "series.csv")):
+    if records is not None:
         config = manifest["config"]
-        summary = summarize(load_series(run_dir), ModelParams(
+        summary = summarize(records, ModelParams(
             gamma=config["model.gamma"], b=config["model.b"]))
         print(f"steps recorded: {summary.pop('steps_recorded')}", file=stream)
         for name, val in summary.pop("drifts").items():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fene import torus
 from fene.configspace import build_quadrature, eigen_basis
+from fene.fluid import rhs_factors, velocity_factors
 from fene.model import ModelParams
 from fene.torus import SpectralField, TorusGrid, dealiased_product
 
@@ -54,3 +56,19 @@ def random_band_limited(grid, rng, components=1, kmax=None, scale=1.0):
 def field_product(f, g):
     """The dealiased product of two SpectralFields, as a SpectralField."""
     return SpectralField(f.grid, dealiased_product(f.values(), g.values()))
+
+
+def fluid_batch(state, stress, params):
+    """The grid batch of fluid.rhs_factors that fluid_rhs, cfl_bound and
+    check_cfl read, as a step makes it."""
+    return torus.to_values(rhs_factors(state, stress, params),
+                           state.r.grid.n_points)
+
+
+def fp_batch(u, coeffs):
+    """The grid values (uv, cg) of fluid.velocity_factors(u) and of coeffs
+    that FokkerPlanckSolver.tendency reads, from one transform, as fp_step
+    makes them."""
+    vel = velocity_factors(u)
+    both = torus.to_values(np.concatenate([vel, coeffs]), u.grid.n_points)
+    return both[:len(vel)], both[len(vel):]

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import random_band_limited
+from conftest import fluid_batch, fp_batch, random_band_limited
 from fene import coupling, fluid, fokker_planck, runner, torus
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.configspace import ConfDistribution, kramers_stress
-from fene.errors import CFLViolation, PositivityLoss
+from fene.errors import CFLViolation, PositivityLoss, StabilityViolation
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
-    coupled_trajectory, fixed_point_map, \
+    coupled_trajectory, fixed_point_map, fp_trajectory, \
     run_fixed_point, stress_field, xs_distance, xs_norm
 from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
     fluid_rhs, phi_r, rhs_factors, step
@@ -304,11 +304,11 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
 
     st, c = state.fluid, state.psi.coeffs
     force = fluid.forcing_of_time(forcing, grid)(state.time)
-    ref_r, ref_u = fluid_rhs(st, stress_field(state.psi), force, params,
-                             cfg)
+    ref_r, ref_u = fluid_rhs(st, force, params, cfg, fluid_batch(
+        st, stress_field(state.psi), params))
     assert np.array_equal(dr, ref_r.coeffs)
     assert np.array_equal(du, ref_u.coeffs)
-    assert np.array_equal(dc, op.tendency(c, st.u))
+    assert np.array_equal(dc, op.tendency(c, *fp_batch(st.u, c)))
 
 
 def counted_transforms(monkeypatch):
@@ -345,6 +345,32 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
     assert len(inverse) + len(forward_) <= 15      # 18 before carrying
     assert sum(inverse) <= 159                     # 163
     assert sum(forward_) <= 396                    # 396
+    # phi_R reads u, d1 u, d2 u from the batch: one call per stage of the
+    # three second derivatives of u (6 slices), where the whole W^{2,inf}
+    # stack took 12
+    for slices in calls.values():
+        slices.clear()
+    coupled_step(state, op32, None, FluidStepConfig(dt=1e-3, cutoff_R=0.01))
+    assert len(inverse) + len(forward_) <= 18
+    assert sum(inverse) <= 177                     # 195
+    assert sum(forward_) <= 396
+
+
+@pytest.mark.parametrize("cutoff_r, budget", [(None, (12, 39)),
+                                              (0.01, (15, 57))])
+def test_fluid_step_transform_budget(cutoff_r, budget, grid32, basis32,
+                                     params, monkeypatch):
+    # per SSP-RK3 stage one inverse call of the 12 fluid factors (the first
+    # also serves the CFL check) and one of D(r), forward D(r) and the 11
+    # products; phi_R adds the three second derivatives of u.  Before the
+    # batch was required: 14 calls and 42 inverse slices, 17 and 78 with
+    # phi_R
+    fl = perturbed_state(grid32, basis32, params).fluid
+    calls = counted_transforms(monkeypatch)
+    step(fl, None, None, params, FluidStepConfig(dt=1e-3, cutoff_R=cutoff_r))
+    inverse, forward_ = calls["irfft2"], calls["rfft2"]
+    assert len(inverse) + len(forward_) <= budget[0]
+    assert sum(inverse) <= budget[1]
 
 
 def test_record_state_transform_budget(monkeypatch):
@@ -485,3 +511,26 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
             for _ in coupled_trajectory(stepped, op32, None, fluid_cfg,
                                         range(3, 6)):
                 pass
+
+
+def test_errors_raised_in_a_step_name_the_step(grid16, basis16):
+    # strong compression of a thin density past the CFL bound (a safety
+    # factor of 1e6): the state at step 2 is positive, a stage of step 3
+    # is not
+    p = ModelParams(gamma=3.0)
+    x1, _ = grid16.x
+    fl = FluidState(SpectralField.from_values(grid16, np.full((16, 16), 0.01)),
+                    SpectralField.from_values(
+                        grid16, np.stack([60.0 * np.sin(x1),
+                                          np.zeros_like(x1)])))
+    state = CoupledState(fl, PolymerField.equilibrium(grid16, basis16))
+    op = FokkerPlanckSolver(basis16, p, grid16, 16)
+    with pytest.raises(PositivityLoss, match=r"^min r = -.* on the grid in "
+                       r"a stage, where D\(r\) is undefined at step 3$"):
+        for _ in coupled_trajectory(state, op, None,
+                                    FluidStepConfig(dt=0.05, cfl_safety=1e6),
+                                    range(2, 5)):
+            pass
+    with pytest.raises(StabilityViolation, match=r"stability interval in "
+                       r"the fp half at step 1$"):
+        fp_trajectory(state.psi, fl.u, op, 10.0, 2)

@@ -300,13 +300,14 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 
 def test_positivity_loss_exit_code(tmp_path):
-    # strong compression on a thin density with the CFL guard disabled
+    # strong compression on a thin density past the CFL bound (a safety
+    # factor of 1e6)
     cfg_path, _ = write_cfg(
         tmp_path, scenario="density_bump", steps=5, extra="\n".join([
             "scenario.amplitude = 0.98",
             "scenario.rho0 = 0.0001",
             "fluid.dt = 0.05",
-            "fluid.cfl_safety = none",
+            "fluid.cfl_safety = 1e6",
             "model.gamma = 3.0",
         ]))
     with open(os.devnull, "w") as devnull:
@@ -430,6 +431,29 @@ def test_report_without_a_manifest_is_an_io_error(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text("{")   # cut short
     assert cli_main(["report", str(tmp_path)]) == 1
     assert json.loads(capsys.readouterr().err)["reason"] == "IOError"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: ["time,mass"] + rows[1:], "unexpected column layout"),
+    # the last row cut by three cells
+    (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 3)[0]],
+     r"row 4 has \d+ cells$"),
+], ids=["other_header", "short_row"])
+def test_report_refuses_a_bad_series(tmp_path, capsys, edit, message):
+    cfg_path, outdir = write_cfg(tmp_path, steps=3)
+    assert run(cfg_path) == 0
+    path = os.path.join(outdir, "series.csv")
+    with open(path) as fh:
+        rows = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(rows)) + "\n")
+    capsys.readouterr()
+    assert cli_main(["report", outdir]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["reason"] == "VersionError"
+    assert re.search(message, payload["message"])
 
 
 @pytest.mark.parametrize("scenario",
@@ -842,12 +866,13 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     # phi_R needs a positive threshold
     ("shear_perturbation", "fluid.cutoff_r = 0", "fluid"),
     ("shear_perturbation", "fluid.cutoff_r = -1", "fluid"),
-    # a CFL safety factor that is not a finite number > 0 (none is the
-    # switch that turns the check off)
+    # a CFL safety factor that is not a finite number > 0
     ("density_bump", "fluid.cfl_safety = nan", "fluid"),
     ("density_bump", "fluid.cfl_safety = inf", "fluid"),
     ("density_bump", "fluid.cfl_safety = 0", "fluid"),
     ("density_bump", "fluid.cfl_safety = -1", "fluid"),
+    # the CFL check has no off switch
+    ("density_bump", "fluid.cfl_safety = none", "fluid.cfl_safety"),
     # the density transform needs rho > 0 on the grid
     ("equilibrium", "scenario.rho0 = 0", "scenario.rho0"),
     ("density_bump", "scenario.amplitude = 1.5", "scenario.amplitude"),
@@ -874,7 +899,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "max_steps=-1", "record_every=0", "snapshots_every=-1",
         "ceiling=-1", "ceiling=0", "ceiling=nan", "lemma_ceiling=-1",
         "cutoff_r=0", "cutoff_r=-1", "cfl_safety=nan", "cfl_safety=inf",
-        "cfl_safety=0", "cfl_safety=-1", "rho0=0", "bump_amplitude=1.5",
+        "cfl_safety=0", "cfl_safety=-1", "cfl_safety=none", "rho0=0",
+        "bump_amplitude=1.5",
         "shear_amplitude=2.5", "stress_difference_s_prime=-1",
         "contraction_s_prime=-1", "contraction_zero_steps",
         "contraction_partial_step", "stress_difference_partial_step",

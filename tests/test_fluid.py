@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import field_product, random_band_limited
-from fene import fluid, torus
+from conftest import field_product, fluid_batch, random_band_limited
+from fene import torus
 from fene.coupling import fluid_trajectory
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
@@ -54,7 +54,8 @@ def test_positivity_checked_by_the_trajectory(grid32, params):
 
 def test_continuity_rhs_zero_velocity(grid32, params):
     st = constant_state(grid32, 1.3, params)
-    rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
+    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
+                    fluid_batch(st, None, params))[0]
     assert np.max(np.abs(rhs.coeffs)) == 0.0
 
 
@@ -64,7 +65,8 @@ def test_continuity_rhs_closed_form(grid32, params):
     st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), c)),
                     SpectralField.from_values(
                         grid32, np.stack([np.sin(x1), np.zeros_like(x1)])))
-    rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
+    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
+                    fluid_batch(st, None, params))[0]
     expect = -c * (params.gamma - 1.0) / 2.0 * np.cos(x1)
     assert np.max(np.abs(rhs.values()[0] - expect)) < 1e-12
 
@@ -76,24 +78,26 @@ def test_continuity_rhs_cutoff_support(grid32, params):
                         grid32, np.stack([np.sin(x1), np.zeros_like(x1)])))
     # |u|_{2,inf} of (sin, 0) is about sqrt(5); a cutoff below it scales the
     # rhs by phi_R, far above it leaves the rhs untouched
-    free = fluid_rhs(st, None, None, params,
-                     FluidStepConfig(dt=1e-3, cutoff_R=50.0))[0]
-    plain = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[0]
+    values = fluid_batch(st, None, params)
+    free = fluid_rhs(st, None, params,
+                     FluidStepConfig(dt=1e-3, cutoff_R=50.0), values)[0]
+    plain = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3), values)[0]
     assert np.array_equal(free.coeffs, plain.coeffs)
-    dead = fluid_rhs(st, None, None, params,
-                     FluidStepConfig(dt=1e-3, cutoff_R=1.0))[0]
+    dead = fluid_rhs(st, None, params,
+                     FluidStepConfig(dt=1e-3, cutoff_R=1.0), values)[0]
     assert np.max(np.abs(dead.coeffs)) == 0.0
     from fene.torus import sup_norm_w2inf
     y = sup_norm_w2inf(st.u)
     mid_R = y - 0.5
-    mid = fluid_rhs(st, None, None, params,
-                    FluidStepConfig(dt=1e-3, cutoff_R=mid_R))[0]
+    mid = fluid_rhs(st, None, params,
+                    FluidStepConfig(dt=1e-3, cutoff_R=mid_R), values)[0]
     assert np.allclose(mid.coeffs, phi_r(y, mid_R) * plain.coeffs, rtol=1e-13)
 
 
 def test_momentum_rhs_equilibrium(grid32, params):
     st = constant_state(grid32, 1.0, params)
-    rhs = fluid_rhs(st, None, None, params, FluidStepConfig(dt=1e-3))[1]
+    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
+                    fluid_batch(st, None, params))[1]
     assert np.max(np.abs(rhs.coeffs)) == 0.0
 
 
@@ -103,7 +107,8 @@ def test_momentum_rhs_stress_divergence(grid32, params):
     st = constant_state(grid32, r_to_density(c, params), params)
     stress = SpectralField.from_values(grid32, np.stack(
         [np.sin(x1), 0.3 * np.sin(x1 + x2), np.cos(x2)]))
-    rhs = fluid_rhs(st, stress, None, params, FluidStepConfig(dt=1e-3))[1]
+    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
+                    fluid_batch(st, stress, params))[1]
     g = stress_divergence(stress).values()
     d = 1.0 / r_to_density(c, params)
     assert np.max(np.abs(rhs.values() - d * g)) < 1e-10
@@ -116,7 +121,8 @@ def test_momentum_rhs_viscous_closed_form(grid32):
     st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), c)),
                     SpectralField.from_values(
                         grid32, np.stack([np.sin(x2), np.zeros_like(x2)])))
-    rhs = fluid_rhs(st, None, None, p, FluidStepConfig(dt=1e-3))[1]
+    rhs = fluid_rhs(st, None, p, FluidStepConfig(dt=1e-3),
+                    fluid_batch(st, None, p))[1]
     d = 1.0 / r_to_density(c, p)
     assert np.max(np.abs(rhs.values()[0] + d * np.sin(x2))) < 1e-12
     assert np.max(np.abs(rhs.values()[1])) < 1e-13
@@ -160,7 +166,8 @@ def test_fluid_rhs_matches_per_term_products(grid32, params):
     y = sup_norm_w2inf(st.u)
     cfg = FluidStepConfig(dt=1e-3, cutoff_R=y - 0.4)
     assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0   # inside the cubic ramp
-    dr, du = fluid_rhs(st, stress, forcing, params, cfg)
+    dr, du = fluid_rhs(st, forcing, params, cfg,
+                       fluid_batch(st, stress, params))
     ref_r, ref_u = per_term_fluid_rhs(st, stress, forcing, params, cfg)
     assert np.array_equal(dr.coeffs, ref_r.coeffs)
     assert np.array_equal(du.coeffs, ref_u.coeffs)
@@ -168,31 +175,36 @@ def test_fluid_rhs_matches_per_term_products(grid32, params):
 
 def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
     st, stress, forcing = random_fluid_input(grid32, params, seed=12)
-    transforms, sup_norms, slices = [], [], {"to_modes": 0, "to_values": 0}
+    ramp = FluidStepConfig(dt=1e-3, cutoff_R=sup_norm_w2inf(st.u) - 0.4)
+    calls, slices = [], {"to_modes": 0, "to_values": 0}
 
-    def counted(func, log):
+    def counted(func):
         def wrapper(*args):
-            log.append(func.__name__)
-            if func.__name__ in slices:   # leading axes count the slices
-                slices[func.__name__] += int(np.prod(args[0].shape[:-2]))
+            calls.append(func.__name__)
+            # leading axes count the slices
+            slices[func.__name__] += int(np.prod(args[0].shape[:-2]))
             return func(*args)
         return wrapper
 
-    for name in ("to_modes", "to_values"):
-        monkeypatch.setattr(torus, name, counted(getattr(torus, name),
-                                                 transforms))
-    monkeypatch.setattr(fluid, "sup_norm_w2inf",
-                        counted(sup_norm_w2inf, sup_norms))
-    fluid_rhs(st, stress, forcing, params, FluidStepConfig(dt=1e-3))
-    assert len(transforms) <= 4
-    assert sup_norms == []
+    for name in slices:
+        monkeypatch.setattr(torus, name, counted(getattr(torus, name)))
+    # the batch is counted with the stage that reads it
+    fluid_rhs(st, forcing, params, FluidStepConfig(dt=1e-3),
+              fluid_batch(st, stress, params))
+    assert len(calls) <= 4
     # inverse: the 12 distinct factors, then D(r); forward: D(r) and the
     # 11 products
     assert slices["to_values"] <= 13
     assert slices["to_modes"] <= 12
-    fluid_rhs(st, stress, forcing, params,
-              FluidStepConfig(dt=1e-3, cutoff_R=sup_norm_w2inf(st.u) - 0.4))
-    assert len(sup_norms) == 1
+    # phi_R reads u, d1 u and d2 u from the batch: only the three second
+    # derivatives of u (6 slices) are transformed, where sup_norm_w2inf(u)
+    # transformed all 12
+    calls.clear()
+    slices.update(to_modes=0, to_values=0)
+    fluid_rhs(st, forcing, params, ramp, fluid_batch(st, stress, params))
+    assert len(calls) <= 5
+    assert slices["to_values"] <= 19               # 25
+    assert slices["to_modes"] <= 12
 
 
 def test_viscous_divergence_formula(grid32):
@@ -324,9 +336,13 @@ def test_step_raises_cfl(grid32, params):
                         grid32, np.stack([5.0 + np.sin(x2),
                                           np.zeros_like(x1)])))
     cfg = FluidStepConfig(dt=0.05)
-    assert cfg.dt > cfl_bound(st, params)
+    assert cfg.dt > cfl_bound(st, params, fluid_batch(st, None, params))
     with pytest.raises(CFLViolation):
         step(st, None, None, params, cfg)
+    # raised inside a step, it names the step
+    with pytest.raises(CFLViolation, match=r"^dt = 5\.000e-02 exceeds CFL "
+                       r"bound .* in the fluid half at step 1$"):
+        fluid_trajectory(st, None, None, params, cfg, 3)
 
 
 def test_cfl_bound_holds_sound_speed(grid32):
@@ -335,7 +351,7 @@ def test_cfl_bound_holds_sound_speed(grid32):
     p = ModelParams(mu_s=1e-6, mu_b=0.0)
     st = constant_state(grid32, 1.0, p)
     c_s = np.sqrt(0.5 * (p.gamma - 1.0)) * density_to_r(1.0, p)
-    bound = cfl_bound(st, p)
+    bound = cfl_bound(st, p, fluid_batch(st, None, p))
     assert bound == pytest.approx(grid32.spacing / c_s, rel=1e-12)
 
 
@@ -394,7 +410,7 @@ def test_step_raises_positivity_loss(grid32):
                     SpectralField.from_values(
                         grid32, np.stack([60.0 * np.sin(x1),
                                           np.zeros_like(x1)])))
-    cfg = FluidStepConfig(dt=0.05, cfl_safety=None)
+    cfg = FluidStepConfig(dt=0.05, cfl_safety=1e6)
     with pytest.raises(PositivityLoss, match="in a stage, where D\\(r\\) is "
                        "undefined$"):
         step(st, None, None, p, cfg)

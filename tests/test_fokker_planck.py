@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import field_product, random_band_limited
+from conftest import field_product, fp_batch, random_band_limited
 from fene.configspace import ConfDistribution, build_quadrature, \
     eigen_basis, h1m_seminorm
 from fene.coupling import coupled_trajectory
@@ -38,7 +38,8 @@ def test_equilibrium_is_steady(grid32, basis32, params):
     psi = PolymerField.equilibrium(grid32, basis32)
     u0 = SpectralField.zero(grid32, 2)
     op = FokkerPlanckSolver(basis32, params, grid32, 32)
-    tend = PolymerField(grid32, basis32, op.tendency(psi.coeffs, u0))
+    tend = PolymerField(grid32, basis32, op.tendency(
+        psi.coeffs, *fp_batch(u0, psi.coeffs)))
     assert np.max(np.abs(tend.coeffs)) < 1e-14
     cur = psi
     for _ in range(5):
@@ -71,7 +72,8 @@ def test_tendency_marginal_identity(grid32, basis32):
     op = FokkerPlanckSolver(basis32, params, grid32, None)
     psi = perturbed_field(grid32, basis32, amp=0.05)
     u = shear_velocity(grid32)
-    tend = PolymerField(grid32, basis32, op.tendency(psi.coeffs, u))
+    tend = PolymerField(grid32, basis32, op.tendency(
+        psi.coeffs, *fp_batch(u, psi.coeffs)))
 
     w = basis32.quad.weights * basis32.quad.maxwellian
     mass_vec = np.einsum("kl,ikl->i", w, basis32.values)

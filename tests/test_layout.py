@@ -9,7 +9,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_band_limited
+from conftest import fp_batch, random_band_limited
 from fene.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from fene.configspace import build_quadrature, eigen_basis
 from fene.coupling import CoupledState
@@ -191,7 +191,7 @@ def test_fp_rhs_conserves_polymer_mass(basis16, seed, chi_index, epsilon):
     u = random_band_limited(grid, rng, components=2)
     op = FokkerPlanckSolver(basis16, ModelParams(epsilon=epsilon), grid,
                             chi_index)
-    tend = op.tendency(psi.coeffs, u)
+    tend = op.tendency(psi.coeffs, *fp_batch(u, psi.coeffs))
     rate = basis16.mass_vector @ tend[:, 0, 0]
     assert abs(rate) < 1e-12 * np.max(np.abs(tend))
 
