@@ -13,13 +13,15 @@ other by the verification suite:
   the s = 2 of the energy estimates).
 
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
-  (r, u, psi) together, re-evaluating the stress at every stage.  Each
-  stage makes one inverse transform, of fluid.rhs_factors followed by
-  the coefficients of psi: fluid_rhs reads the fluid factors of that
-  batch and op.tendency its velocity block (fluid.VELOCITY) and the
-  coefficients, so both halves share every grid value.  The split
+  the coefficient arrays of (r, u, psi) together, re-evaluating the
+  stress at every stage.  Each stage makes one inverse transform
+  (_grid_values), of fluid.rhs_factors followed by the coefficients of
+  psi: fluid_rhs reads the fluid factors of that batch and op.tendency
+  its velocity block (fluid.VELOCITY) and the coefficients.  The split
   solvers of fixed_point_map, fluid.step and fp_step, hand the same
-  kernels a batch of their own half per stage.
+  kernels a batch of their own half per stage and take the stress and
+  the velocity as callables of time, linear interpolants of arrays.
+  Only the state a step returns is wrapped in fields.
 
 Each CoupledState is sent to the grid once (CoupledState.grid_values):
 the batch a step makes of the state it returns serves that state's
@@ -92,8 +94,9 @@ class CoupledState:
         first stage of the next step, the positivity check of this state and
         the monitors of runner.record_state and blowup_indicator."""
         if self._values is None or self._values[0] != params:
-            self._values = params, _grid_values(self.fluid, self.psi.basis,
-                                                self.psi.coeffs, params)
+            self._values = params, _grid_values(
+                self.psi.grid, self.fluid.r.coeffs, self.fluid.u.coeffs,
+                self.psi.basis, self.psi.coeffs, params)
         return self._values[1]
 
 
@@ -126,21 +129,19 @@ def stress_field(psi: PolymerField) -> SpectralField:
     The stress integral is linear in the basis coefficients, so it reduces
     to a contraction with the precomputed per-mode stress integrals and is
     exact in the torus modes."""
-    return _stress_of(psi.grid, psi.basis, psi.coeffs)
+    return SpectralField(psi.grid, _stress_of(psi.basis, psi.coeffs))
 
 
-def _stress_of(grid, basis, coeffs):
-    return SpectralField(
-        grid, np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0])))
+def _stress_of(basis, coeffs):
+    return np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0]))
 
 
-def _grid_values(fluid: FluidState, basis, coeffs, params):
-    """One transform of the fluid factors under the stress of coeffs, then
-    of coeffs: the batch that fluid_rhs and op.tendency read."""
-    grid = fluid.r.grid
-    stress = _stress_of(grid, basis, coeffs)
-    return to_values(np.concatenate([rhs_factors(fluid, stress, params),
-                                     coeffs]), grid.n_points)
+def _grid_values(grid, r, u, basis, c, params):
+    """One transform of the fluid factors of r, u under the stress of c,
+    then of c: the batch that fluid_rhs and op.tendency read."""
+    return to_values(np.concatenate([
+        rhs_factors(grid, r, u, _stress_of(basis, c), params), c]),
+        grid.n_points)
 
 
 def xs_norm(traj, s):
@@ -171,7 +172,7 @@ def constant_trajectory(psi0: PolymerField, n_steps, dt):
 
 
 def _linear_interpolant(samples, t0, dt):
-    """Piecewise-linear interpolation of a list of fields over time."""
+    """Piecewise-linear interpolation of coefficient arrays over time."""
 
     def at(t):
         x = (t - t0) / dt
@@ -211,8 +212,8 @@ def _trajectory(state, advance, checked, where, steps):
 
 def fluid_trajectory(fluid0: FluidState, stress, forcing, params,
                      cfg: FluidStepConfig, n_steps):
-    """The n_steps + 1 checked fluid states from fluid0 under a given
-    stress (a field or a callable of time), one fluid.step apart."""
+    """The n_steps + 1 checked fluid states from fluid0 under stress, a
+    callable of time, one fluid.step apart."""
     return [fl for _, fl in _trajectory(
         fluid0, lambda fl: fluid_mod.step(fl, stress, forcing, params, cfg),
         lambda fl: ((("r", fl.r), ("u", fl.u)), fl.r.values()),
@@ -221,8 +222,8 @@ def fluid_trajectory(fluid0: FluidState, stress, forcing, params,
 
 def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
                   n_steps):
-    """The n_steps + 1 checked polymer fields from psi0 under a given
-    velocity (a field or a callable of time), one fp_step of dt apart."""
+    """The n_steps + 1 checked polymer fields from psi0 under u, a
+    callable of time, one fp_step of dt apart."""
     return [psi for _, psi in _trajectory(
         psi0, lambda psi: fp_step(psi, u, op, dt),
         lambda psi: ((("psi", psi),), None), "in the fp half",
@@ -240,11 +241,11 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
     n_steps = len(psi_traj) - 1
     t0 = state0.time
 
-    stresses = [stress_field(ps) for ps in psi_traj]
+    stresses = [stress_field(ps).coeffs for ps in psi_traj]
     fluid_traj = fluid_trajectory(
         state0.fluid, _linear_interpolant(stresses, t0, dt), forcing,
         op.params, fluid_cfg, n_steps)
-    u_at = _linear_interpolant([fl.u for fl in fluid_traj], t0, dt)
+    u_at = _linear_interpolant([fl.u.coeffs for fl in fluid_traj], t0, dt)
     return fp_trajectory(state0.psi, u_at, op, dt, n_steps)
 
 
@@ -291,17 +292,16 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     grid, basis = state.psi.grid, state.psi.basis
     op.check_step(state.psi, fluid_cfg.dt)
     carried = state.grid_values(p)
-    fluid_mod.check_cfl(state.fluid, p, fluid_cfg, carried)
+    fluid_mod.check_cfl(carried, p, fluid_cfg)
     force = fluid_mod.forcing_of_time(forcing, grid)
     y0 = (state.fluid.r.coeffs, state.fluid.u.coeffs, state.psi.coeffs)
 
     def rhs(y, t):
         r, u, c = y
-        st = state_from_coeffs(grid, r, u, t)
-        values = carried if y is y0 else _grid_values(st, basis, c, p)
-        dr, du = fluid_rhs(st, force(t), p, fluid_cfg, values)
-        dc = op.tendency(c, values[VELOCITY], values[N_FACTORS:])
-        return dr.coeffs, du.coeffs, dc
+        values = carried if y is y0 else _grid_values(grid, r, u, basis, c,
+                                                      p)
+        dr, du = fluid_rhs(grid, u, force(t), p, fluid_cfg, values)
+        return dr, du, op.tendency(c, values[VELOCITY], values[N_FACTORS:])
 
     t1 = state.time + fluid_cfg.dt
     r, u, c = ssprk3(y0, rhs, state.time, fluid_cfg.dt)
@@ -330,9 +330,9 @@ def blowup_indicator(state: CoupledState, stress, params):
     derivatives of u and div T take one transform."""
     grid = state.psi.grid
     n = grid.n_points
-    second = derivative_stack(state.fluid.u, W2_INDICES[3:]).reshape(
-        -1, *grid.spectral_shape)
-    div_t = stress_divergence(stress).coeffs
+    second = derivative_stack(grid, state.fluid.u.coeffs,
+                              W2_INDICES[3:]).reshape(-1, *grid.spectral_shape)
+    div_t = stress_divergence(grid, stress.coeffs)
     vals = to_values(np.concatenate([second, div_t]), n)
     w2 = np.concatenate([state.grid_values(params)[VELOCITY],
                          vals[:len(second)]])

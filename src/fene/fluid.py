@@ -6,27 +6,21 @@ Advances
     du/dt + phi_R [ u . grad u + r grad r ]
           = phi_R D(r) [ div S(grad u) + div T ] + f,
 
-pseudo-spectrally in the Galerkin space P_K of torus (the stored block),
-with an optional velocity cut-off phi_R(|u|_{2,inf}) that switches the
-nonlinear terms off for large velocities.  fluid_rhs evaluates the eleven
-quadratic terms of both equations in one 2/3-rule product per RK stage:
-left factors (u1, u2, r, D(r)) times the rows of a table, (d1 r, d1 u),
-(d2 r, d2 u), (div u, grad r) and div S + div T.  Its one input is the
-grid batch of the twelve distinct factors (rhs_factors) that its step
-makes per stage: step its own, coupling.coupled_step one it shares with
-the Fokker-Planck half, which reads its velocity block (VELOCITY).  phi_R
-reads u, d1 u, d2 u there and transforms the second derivatives of u.
-Only D(r) takes a round trip through P_K inside fluid_rhs, and the
-products come back in one transform, so every tendency lies in P_K.
-Time stepping is explicit SSP-RK3 under a conservative CFL bound on the
-speeds |u| + c_s, which check_cfl reads from the step's first batch.  A
-step checks only that and, in each stage, that D(r) is defined;
-FluidState is a plain holder.  The trajectories of coupling check the
-states a step makes: non-finite coefficients first, then r > 0
-(check_positive, the one place PositivityLoss is raised; a loss is never
-repaired).  ssprk3, over tuples of coefficient arrays, is the package's
-one SSP-RK3 step: fluid.step, fokker_planck.fp_step and
-coupling.coupled_step all take it.
+pseudo-spectrally in the Galerkin space P_K of torus, with an optional
+velocity cut-off phi_R(|u|_{2,inf}) that switches the nonlinear terms off
+for large velocities.  Every kernel of a stage takes and returns arrays:
+rhs_factors stacks the twelve distinct spectral factors of the
+coefficients r, u and stress, and fluid_rhs and check_cfl read the grid
+batch of them that the step makes (coupling.coupled_step shares its batch
+with the Fokker-Planck half, which reads the VELOCITY block).  fluid_rhs
+forms the eleven quadratic terms in one 2/3-rule product, and only D(r)
+takes a round trip through P_K, so every tendency lies in P_K.  ssprk3,
+over tuples of coefficient arrays, is the package's one SSP-RK3 step.
+step takes its stress as a callable of time and wraps only the state it
+returns in a FluidState, a plain holder.  It checks only the CFL bound
+(on the speeds |u| + c_s) and, in each stage, that D(r) is defined; the
+trajectories of coupling check the states it makes (check_positive is the
+one place PositivityLoss is raised; a loss is never repaired).
 """
 
 from dataclasses import dataclass
@@ -36,7 +30,7 @@ import numpy as np
 from . import torus
 from .errors import CFLViolation, PositivityLoss
 from .model import ForcingSpec, ModelParams, r_to_density
-from .torus import W2_INDICES, SpectralField, dealiased_product, \
+from .torus import SIDE, W2_INDICES, SpectralField, dealiased_product, \
     derivative_stack, sobolev_norm, sup_norm_w2inf_values
 
 
@@ -93,28 +87,26 @@ def phi_r(y, R):
     return out if np.ndim(out) else float(out)
 
 
-def viscous_divergence(u: SpectralField, p: ModelParams) -> SpectralField:
-    """div S(grad u) = mu_s Lap(u) + mu_b grad(div u) in two dimensions."""
-    lap = SpectralField(u.grid, -u.grid.ksq * u.coeffs)
-    return p.mu_s * lap + p.mu_b * torus.gradient(torus.divergence(u))
+def viscous_divergence(grid, u, p: ModelParams):
+    """div S(grad u) = mu_s Lap(u) + mu_b grad(div u) in two dimensions, of
+    the coefficients u."""
+    div = grid.ik1 * u[0] + grid.ik2 * u[1]
+    return (-grid.ksq * u) * p.mu_s \
+        + (np.stack([grid.ik1, grid.ik2]) * div) * p.mu_b
 
 
-def stress_divergence(stress: SpectralField) -> SpectralField:
-    """Divergence of a symmetric tensor field stored as (T11, T12, T22)."""
-    if stress.components != 3:
-        raise ValueError("stress field must carry (T11, T12, T22)")
-    g = stress.grid
-    t11, t12, t22 = stress.coeffs
-    out = np.stack([g.ik1 * t11 + g.ik2 * t12,
-                    g.ik1 * t12 + g.ik2 * t22])
-    return SpectralField(g, out)
+def stress_divergence(grid, stress):
+    """Divergence of a symmetric tensor field, the coefficients
+    (T11, T12, T22)."""
+    t11, t12, t22 = stress
+    return np.stack([grid.ik1 * t11 + grid.ik2 * t12,
+                     grid.ik1 * t12 + grid.ik2 * t22])
 
 
-def velocity_factors(u: SpectralField):
-    """u, d1 u, d2 u as one (6, 2K + 1, K + 1) stack, the order
-    (3, 2, ...) of d_b u_a with b = 0 for u itself."""
-    g = u.grid
-    return np.concatenate([u.coeffs, g.ik1 * u.coeffs, g.ik2 * u.coeffs])
+def velocity_factors(grid, u):
+    """u, d1 u, d2 u of the coefficients u as one (6, 2K + 1, K + 1) stack,
+    the order (3, 2, ...) of d_b u_a with b = 0 for u itself."""
+    return np.concatenate([u, grid.ik1 * u, grid.ik2 * u])
 
 
 # The factors of fluid_rhs in the order of rhs_factors, and D(r) after them
@@ -130,40 +122,36 @@ _LEFT, _RIGHT = (list(side) for side in zip(
     (R, DIVU), (R, D1R), (R, D2R), (D, V1), (D, V2)))
 
 
-def rhs_factors(state: FluidState, stress, p: ModelParams):
-    """The N_FACTORS distinct spectral factors of fluid_rhs, stacked: r,
-    d1 r, d2 r, div u, div S + div T (2), then velocity_factors(u) as the
-    VELOCITY block; stress may be None."""
-    g = state.r.grid
-    rc = state.r.coeffs
-    visc = viscous_divergence(state.u, p)
-    total = visc if stress is None else visc + stress_divergence(stress)
-    vel = velocity_factors(state.u)
+def rhs_factors(grid, r, u, stress, p: ModelParams):
+    """The N_FACTORS distinct spectral factors of fluid_rhs, stacked, from
+    the coefficients r, u and stress: r, d1 r, d2 r, div u, div S + div T
+    (2), then velocity_factors(grid, u) as the VELOCITY block."""
+    total = viscous_divergence(grid, u, p) + stress_divergence(grid, stress)
+    vel = velocity_factors(grid, u)
     div_u = vel[2] + vel[5]   # d1 u1 + d2 u2
-    return np.concatenate([rc, g.ik1 * rc, g.ik2 * rc, div_u[None],
-                           total.coeffs, vel])
+    return np.concatenate([r, grid.ik1 * r, grid.ik2 * r, div_u[None],
+                           total, vel])
 
 
-def fluid_rhs(state: FluidState, forcing, p: ModelParams,
-              cfg: FluidStepConfig, values):
+def fluid_rhs(grid, u, forcing, p: ModelParams, cfg: FluidStepConfig,
+              values):
     """(dr, du): -phi_R [u . grad r + (gamma-1)/2 r div u] and
     -phi_R [u . grad u + r grad r] + phi_R D(r)[div S + div T] + f, in P_K
-    by construction; forcing may be None.
+    by construction, from the coefficients u and forcing (or None).
 
-    values holds the grid values of rhs_factors(state, stress, p) in its
-    first N_FACTORS slices; phi_R reads u, d1 u, d2 u there.  D(r) =
-    1 / rho(r) takes its P_K round trip from the r slice, and the eleven
-    quadratic terms, left factors (u1, u2, r, D) times the rows of a 4 x 3
-    table less its empty slot, are one dealiased product."""
-    grid = state.r.grid
+    values holds the grid values of rhs_factors in its first N_FACTORS
+    slices; phi_R reads u, d1 u, d2 u there.  D(r) = 1 / rho(r) takes its
+    P_K round trip from the r slice, and the eleven quadratic terms, left
+    factors (u1, u2, r, D) times the rows of a 4 x 3 table less its empty
+    slot, are one dealiased product."""
     n = grid.n_points
     cut = 1.0
     if cfg.cutoff_R is not None:
-        second = torus.to_values(derivative_stack(state.u, W2_INDICES[3:]), n)
+        second = torus.to_values(derivative_stack(grid, u, W2_INDICES[3:]), n)
         cut = phi_r(sup_norm_w2inf_values(np.concatenate(
             [values[VELOCITY].reshape(3, 2, n, n), second])), cfg.cutoff_R)
-    dr = SpectralField.zero(grid, 1)
-    du = np.zeros_like(state.u.coeffs)
+    dr = np.zeros_like(u[:1])
+    du = np.zeros_like(u)
     if cut != 0.0:
         rvals = values[R]
         check_positive(rvals, "in a stage, where D(r) is undefined")
@@ -172,22 +160,22 @@ def fluid_rhs(state: FluidState, forcing, p: ModelParams,
         factors = np.concatenate([values[:N_FACTORS], dvals[None]])
         prod = dealiased_product(factors[_LEFT], factors[_RIGHT])
         adv_r = prod[0] + prod[3] + 0.5 * (p.gamma - 1.0) * prod[6]
-        dr = SpectralField(grid, (-cut) * adv_r)
+        dr = (-cut) * adv_r[None]
         du = du + cut * prod[9:11]
         du = du - cut * (prod[1:3] + prod[4:6])
         du = du - cut * prod[7:9]
     if forcing is not None:
-        du = du + forcing.coeffs
-    return dr, SpectralField(grid, du)
+        du = du + forcing
+    return dr, du
 
 
-def cfl_bound(state: FluidState, p: ModelParams, values):
+def cfl_bound(values, p: ModelParams):
     """Conservative explicit bound min(h / max(|u| + c_s),
     h^2 / (4 max D (mu_s + mu_b))); the characteristic speeds of the (r, u)
     system are u.n +- c_s with sound speed c_s = sqrt((gamma-1)/2) r.
-    values holds the grid values of rhs_factors(state, ...) in its first
-    N_FACTORS slices, as in fluid_rhs."""
-    h = state.r.grid.spacing
+    values holds the grid values of rhs_factors in its first N_FACTORS
+    slices, as in fluid_rhs, and gives h = SIDE / n."""
+    h = SIDE / values.shape[-1]
     uvals = values[U1:U2 + 1]
     rvals = values[R]
     speed = float((np.sqrt(np.sum(uvals ** 2, axis=0))
@@ -198,11 +186,10 @@ def cfl_bound(state: FluidState, p: ModelParams, values):
     return min(advective, viscous)
 
 
-def check_cfl(state: FluidState, p: ModelParams, cfg: FluidStepConfig,
-              values):
+def check_cfl(values, p: ModelParams, cfg: FluidStepConfig):
     """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound
-    (state, p, values)."""
-    bound = cfg.cfl_safety * cfl_bound(state, p, values)
+    (values, p)."""
+    bound = cfg.cfl_safety * cfl_bound(values, p)
     if cfg.dt > bound:
         raise CFLViolation(f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
 
@@ -225,14 +212,14 @@ def state_from_coeffs(grid, r, u, time):
 
 
 def forcing_of_time(forcing: ForcingSpec, grid):
-    """The forcing field (or None) as a callable of time: a steady field is
-    built once here, a time-periodic one at every call."""
+    """The forcing coefficients (or None) as a callable of time: a steady
+    field is built once here, a time-periodic one at every call."""
     if forcing is None or forcing.kind == "zero" or forcing.amplitude == 0.0:
         return lambda t: None
     x1, x2 = grid.x
 
     def field(t):
-        return SpectralField.from_values(grid, forcing.values(x1, x2, t))
+        return torus.to_modes(forcing.values(x1, x2, t))
     if forcing.kind == "steady_field":
         steady = field(0.0)
         return lambda t: steady
@@ -241,8 +228,8 @@ def forcing_of_time(forcing: ForcingSpec, grid):
 
 def step(state: FluidState, stress, forcing, p: ModelParams,
          cfg: FluidStepConfig) -> FluidState:
-    """One SSP-RK3 step; stress may be a field or a callable of time, and
-    forcing a ForcingSpec; either may be None.
+    """One SSP-RK3 step under stress, a callable of time giving the stress
+    coefficients, and forcing, a ForcingSpec or None.
 
     Raises CFLViolation, before any stage, when dt exceeds the configured
     bound, and PositivityLoss when a stage meets an r that is not positive
@@ -251,19 +238,17 @@ def step(state: FluidState, stress, forcing, p: ModelParams,
     grid = state.r.grid
     force = forcing_of_time(forcing, grid)
 
-    def batch(st):
-        st_stress = stress(st.time) if callable(stress) else stress
-        return torus.to_values(rhs_factors(st, st_stress, p), grid.n_points)
+    def batch(r, u, t):
+        return torus.to_values(rhs_factors(grid, r, u, stress(t), p),
+                               grid.n_points)
 
-    first = batch(state)
-    check_cfl(state, p, cfg, first)
     y0 = (state.r.coeffs, state.u.coeffs)
+    first = batch(*y0, state.time)
+    check_cfl(first, p, cfg)
 
     def rhs(y, t):
-        st = state_from_coeffs(grid, *y, t)
-        dr, du = fluid_rhs(st, force(t), p, cfg,
-                           first if y is y0 else batch(st))
-        return dr.coeffs, du.coeffs
+        return fluid_rhs(grid, y[1], force(t), p, cfg,
+                         first if y is y0 else batch(*y, t))
 
     r, u = ssprk3(y0, rhs, state.time, cfg.dt)
     return state_from_coeffs(grid, r, u, state.time + cfg.dt)

@@ -18,10 +18,11 @@ rate of every coefficient; the scenario drivers build it once per run (a
 few milliseconds) and pass it to fp_step and coupling.coupled_step.  Its
 tendency is the only place the Fokker-Planck tendency is formed, and both
 routes advance psi by the shared fluid.ssprk3 step over it, explicit in
-all four terms.  Its one input mode is the grid values of u, d1 u, d2 u
-and of the coefficients from one inverse transform its step makes: fp_step
-its own per stage, coupling.coupled_step the batch it shares with the
-fluid half.  It brings its 3 n_basis products back in one forward call.
+all four terms.  It reads the coefficients and the grid values of u,
+d1 u, d2 u and of the coefficients from one inverse transform its step
+makes: fp_step its own per stage, from a u given as a callable of time,
+coupling.coupled_step the batch it shares with the fluid half.  It brings
+its 3 n_basis products back in one forward call.
 check_step refuses a psi on another basis or grid, and a step whose
 largest diagonal rate leaves the SSP-RK3 stability interval.
 Positivity of psi is only monitored - the Galerkin truncation does not
@@ -160,12 +161,12 @@ class FokkerPlanckSolver:
 
 def fp_step(psi: PolymerField, u, op: FokkerPlanckSolver,
             dt) -> PolymerField:
-    """Advance one SSP-RK3 step of length dt; u may be a field or a
-    callable of time (used for the RK stage values)."""
+    """Advance one SSP-RK3 step of length dt under u, a callable of time
+    giving the velocity coefficients at each RK stage."""
     op.check_step(psi, dt)
 
     def rhs(y, t):
-        vel = velocity_factors(u(t) if callable(u) else u)
+        vel = velocity_factors(psi.grid, u(t))
         both = to_values(np.concatenate([vel, y[0]]), psi.grid.n_points)
         return (op.tendency(y[0], both[:len(vel)], both[len(vel):]),)
 

@@ -56,7 +56,8 @@ from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
-from .torus import SpectralField, TorusGrid, grad_u_sup_norm, sobolev_norm
+from .torus import SpectralField, TorusGrid, grad_u_sup_norm, \
+    sobolev_norm, to_modes
 
 S_RECORD = 3  # Sobolev indices 0..S_RECORD appear as monitor columns
 
@@ -404,7 +405,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
     indicator, w2 = blowup_indicator(state, stress, params)
     cutoff_r = ctx.fluid_cfg.cutoff_R
     cutoff_active = int(cutoff_r is not None and phi_r(w2, cutoff_r) < 1.0)
-    f_field = forcing_of_time(ctx.forcing, grid)(state.time)
+    force = forcing_of_time(ctx.forcing, grid)(state.time)
     # fluid.fluid_energy(s) is |r|^2_s + |u|^2_s: the u norms serve both
     u_sq = [x ** 2 for x in _over_s(sobolev_norm, state.fluid.u,
                                     S_RECORD + 1)]
@@ -412,8 +413,9 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
             zip(_over_s(sobolev_norm, state.fluid.r, S_RECORD), u_sq)]
     l2m, h1m = zip(*_over_s(fp_energy, state.psi, S_RECORD))
     t_sq = [x ** 2 for x in _over_s(sobolev_norm, stress, S_RECORD)]
-    f_sq = [0.0] * (S_RECORD + 1) if f_field is None else \
-        [x ** 2 for x in _over_s(sobolev_norm, f_field, S_RECORD)]
+    f_sq = [0.0] * (S_RECORD + 1) if force is None else [
+        x ** 2 for x in _over_s(sobolev_norm, SpectralField(grid, force),
+                                S_RECORD)]
     return TimeSeriesRecord(
         time=state.time, mass=mass, momentum_x=mom[0], momentum_y=mom[1],
         polymer_mass=polymer_mass(state.psi), min_r=float(rvals.min()),
@@ -613,16 +615,14 @@ def _run_stress_difference(ctx: RunContext, outdir):
     n_steps = ctx.fixed_point.n_steps(ctx.fluid_cfg.dt)
     deltas = ctx.cfg["experiment.deltas"]
     state0 = ctx.initial_state()
-    grid = ctx.grid
-    x1, x2 = grid.x
+    x1, x2 = ctx.grid.x
     s_prime = ctx.fixed_point.s_prime
 
-    base_stress = stress_field(state0.psi)
-    pert = SpectralField.from_values(grid, np.stack(
-        [np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
+    base_stress = stress_field(state0.psi).coeffs
+    pert = to_modes(np.stack([np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
 
     def fluid_solve(stress):
-        return fluid_trajectory(state0.fluid, stress, ctx.forcing,
+        return fluid_trajectory(state0.fluid, lambda t: stress, ctx.forcing,
                                 ctx.params, ctx.fluid_cfg, n_steps)
 
     def fluid_distance(a, b):
@@ -635,13 +635,13 @@ def _run_stress_difference(ctx: RunContext, outdir):
     fluid_d = [fluid_distance(fluid_solve(base_stress + float(delta) * pert),
                               base_traj) for delta in deltas]
 
-    u_base = state0.fluid.u
-    u_pert = SpectralField.from_values(grid, np.stack(
-        [np.sin(x2), np.sin(x1)]))
+    u_base = state0.fluid.u.coeffs
+    u_pert = to_modes(np.stack([np.sin(x2), np.sin(x1)]))
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
 
     def fp_solve(u):
-        return fp_trajectory(state0.psi, u, op, ctx.fluid_cfg.dt, n_steps)
+        return fp_trajectory(state0.psi, lambda t: u, op, ctx.fluid_cfg.dt,
+                             n_steps)
 
     base_psi = fp_solve(u_base)
     fp_d = [xs_distance(fp_solve(u_base + float(delta) * u_pert), base_psi,
@@ -844,17 +844,24 @@ def resume(checkpoint_path, config_path, output=None, seed=None,
 
 def load_series(run_dir):
     """Parse series.csv back into TimeSeriesRecord objects; another column
-    layout, or a row of another length, is a VersionError."""
+    layout, no row, a row of another length or a cell that is not a number
+    is a VersionError."""
     path = os.path.join(run_dir, "series.csv")
     header = TimeSeriesRecord.header()
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().strip().split(",") != header:
             raise VersionError(f"{path}: unexpected column layout")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise VersionError(f"{path}: no rows")
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise VersionError(f"{path}: row {i} has {len(row)} cells")
-    return [TimeSeriesRecord.from_row(list(map(float, row))) for row in rows]
+    try:
+        return [TimeSeriesRecord.from_row(list(map(float, row)))
+                for row in rows]
+    except ValueError as exc:   # a cell that is not a number
+        raise VersionError(f"{path}: {exc}") from None
 
 
 def report(run_dir, stream=None):

@@ -157,19 +157,12 @@ class SpectralField:
             raise ValueError("value array does not match grid size")
         return cls(grid, to_modes(values))
 
-    @classmethod
-    def zero(cls, grid: TorusGrid, components=1):
-        return cls(grid, np.zeros((components, *grid.spectral_shape), complex))
-
     def values(self):
         """Real grid values, shape (components, n, n)."""
         return to_values(self.coeffs, self.grid.n_points)
 
     def copy(self):
         return SpectralField(self.grid, self.coeffs.copy())
-
-    def component(self, i):
-        return SpectralField(self.grid, self.coeffs[i][None])
 
     def _check_mate(self, other):
         if self.grid is not other.grid and self.grid != other.grid:
@@ -187,30 +180,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs)
-
-
-def derivative(field: SpectralField, alpha) -> SpectralField:
-    """Spectral partial derivative d^alpha for a 2-entry multi-index."""
-    a1, a2 = alpha
-    if a1 < 0 or a2 < 0 or a1 + a2 > 2 * S_MAX:
-        raise ValueError(f"multi-index order must lie in [0, {2 * S_MAX}]")
-    g = field.grid
-    return SpectralField(g, field.coeffs * (g.ik1 ** a1 * g.ik2 ** a2))
-
-
-def gradient(field: SpectralField) -> SpectralField:
-    """Gradient of a scalar field as a 2-component field."""
-    g = field.grid
-    return SpectralField(g, np.stack([g.ik1, g.ik2]) * field.coeffs[0])
-
-
-def divergence(field: SpectralField) -> SpectralField:
-    """Divergence of a 2-component field."""
-    g = field.grid
-    return SpectralField(g, g.ik1 * field.coeffs[0] + g.ik2 * field.coeffs[1])
 
 
 def dealiased_product(f, g):
@@ -243,25 +212,18 @@ def sobolev_norm(field: SpectralField, s: int, power=None):
 W2_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def derivative_stack(field: SpectralField, multi_indices):
-    """Coefficients of d^alpha field for each alpha, stacked: shape
-    (len(multi_indices), components, 2K + 1, K + 1)."""
-    g = field.grid
-    mult = np.stack([g.ik1 ** a1 * g.ik2 ** a2 for a1, a2 in multi_indices])
-    return mult[:, None] * field.coeffs
-
-
-def sup_norm_w2inf(field: SpectralField):
-    """Grid-sampled W^{2,inf} norm: max_x sum_{|alpha|<=2} |d^alpha u(x)|,
-    the six derivatives in one transform."""
-    return sup_norm_w2inf_values(to_values(
-        derivative_stack(field, W2_INDICES), field.grid.n_points))
+def derivative_stack(grid: TorusGrid, coeffs, multi_indices):
+    """d^alpha of the coefficients (components, 2K + 1, K + 1) for each
+    alpha, stacked: shape (len(multi_indices), components, 2K + 1, K + 1)."""
+    mult = np.stack([grid.ik1 ** a1 * grid.ik2 ** a2
+                     for a1, a2 in multi_indices])
+    return mult[:, None] * coeffs
 
 
 def sup_norm_w2inf_values(vals):
-    """sup_norm_w2inf from the grid values vals[i] of d^alpha u for
-    alpha = W2_INDICES[i], shape (6, components, n, n).  The sum over alpha
-    adds them in order, as a loop over derivative() would."""
+    """Grid-sampled W^{2,inf} norm max_x sum_{|alpha|<=2} |d^alpha u(x)|
+    from the grid values vals[i] of d^alpha u for alpha = W2_INDICES[i],
+    shape (6, components, n, n), summed over alpha in that order."""
     return float(np.sqrt(np.sum(vals ** 2, axis=1)).sum(axis=0).max())
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import fluid_batch, fp_batch, random_band_limited
+from conftest import constant, fluid_batch, fp_batch, no_stress, \
+    random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.configspace import ConfDistribution, kramers_stress
@@ -19,15 +20,14 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
 from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from fene.runner import RunContext, parse_config_text, record_state
-from fene.torus import SpectralField, sobolev_norm, \
-    sup_norm_w2inf, to_modes, to_values
+from fene.torus import SpectralField, sobolev_norm, to_modes, to_values
 
 
 def equilibrium_state(grid, basis, params):
     n = grid.n_points
     r = SpectralField.from_values(
         grid, np.full((n, n), density_to_r(1.0, params)))
-    u = SpectralField.zero(grid, 2)
+    u = zero_field(grid, 2)
     return CoupledState(FluidState(r, u),
                         PolymerField.equilibrium(grid, basis))
 
@@ -243,7 +243,8 @@ def test_steady_forcing_is_built_once_per_step(grid32, basis32, params, op32,
     monkeypatch.setattr(torus, "to_modes", counted(torus.to_modes))
     state = perturbed_state(grid32, basis32, params)
     for advance in (lambda f: coupled_step(state, op32, f, fluid_cfg),
-                    lambda f: step(state.fluid, None, f, params, fluid_cfg)):
+                    lambda f: step(state.fluid, no_stress(grid32), f, params,
+                                   fluid_cfg)):
         counts = {}
         for kind in ("zero", "steady_field", "time_periodic"):
             slices.clear()
@@ -304,7 +305,7 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
 
     st, c = state.fluid, state.psi.coeffs
     force = fluid.forcing_of_time(forcing, grid)(state.time)
-    ref_r, ref_u = fluid_rhs(st, force, params, cfg, fluid_batch(
+    ref_r, ref_u = rhs_fields(st, force, params, cfg, fluid_batch(
         st, stress_field(state.psi), params))
     assert np.array_equal(dr, ref_r.coeffs)
     assert np.array_equal(du, ref_u.coeffs)
@@ -367,10 +368,41 @@ def test_fluid_step_transform_budget(cutoff_r, budget, grid32, basis32,
     # phi_R
     fl = perturbed_state(grid32, basis32, params).fluid
     calls = counted_transforms(monkeypatch)
-    step(fl, None, None, params, FluidStepConfig(dt=1e-3, cutoff_R=cutoff_r))
+    step(fl, no_stress(grid32), None, params,
+         FluidStepConfig(dt=1e-3, cutoff_R=cutoff_r))
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= budget[0]
     assert sum(inverse) <= budget[1]
+
+
+def test_a_step_wraps_only_the_state_it_returns(grid16, basis16, params,
+                                                fluid_cfg, monkeypatch):
+    # every stage kernel takes and returns arrays: a step builds one
+    # FluidState, of two SpectralFields, and it is the state it returns.
+    # Before, every stage wrapped its arrays (4 FluidStates and 44 fields
+    # per coupled_step at n = 16)
+    made = {FluidState: [], SpectralField: []}
+    for cls, objs in made.items():
+        def counted(self, *args, real=cls.__init__, objs=objs):
+            objs.append(self)
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    state = perturbed_state(grid16, basis16, params)
+    stress = stress_field(state.psi)
+    op = FokkerPlanckSolver(basis16, params, grid16, 16)
+    for advance in (lambda: coupled_step(state, op, None, fluid_cfg).fluid,
+                    lambda: step(state.fluid, constant(stress), None, params,
+                                 fluid_cfg)):
+        for objs in made.values():
+            objs.clear()
+        new = advance()
+        assert len(made[FluidState]) == 1 and made[FluidState][0] is new
+        assert len(made[SpectralField]) == 2
+        assert made[SpectralField][0] is new.r
+        assert made[SpectralField][1] is new.u
+    dr, du = fluid_rhs(grid16, state.fluid.u.coeffs, None, params, fluid_cfg,
+                       fluid_batch(state.fluid, stress, params))
+    assert type(dr) is np.ndarray and type(du) is np.ndarray
 
 
 def test_record_state_transform_budget(monkeypatch):
@@ -442,7 +474,8 @@ def test_carried_values_change_no_bit(n, request, params):
     assert stepped._values is not None and state._values is not None
     carried = stepped.grid_values(params)
     assert np.array_equal(carried, to_values(np.concatenate(
-        [rhs_factors(stepped.fluid, stress_field(stepped.psi), params),
+        [rhs_factors(grid, stepped.fluid.r.coeffs, stepped.fluid.u.coeffs,
+                     stress_field(stepped.psi).coeffs, params),
          stepped.psi.coeffs]), grid.n_points))
 
     fresh = fresh_copy(stepped)
@@ -473,9 +506,10 @@ def test_loaded_and_initial_states_carry_nothing(tmp_path):
     # a batch made under other params is not reused
     other = ModelParams(mu_s=2.0)
     assert not np.array_equal(stepped.grid_values(other)[fluid.V1],
-                              coupling._grid_values(stepped.fluid, ctx.basis,
-                                                    stepped.psi.coeffs,
-                                                    ctx.params)[fluid.V1])
+                              coupling._grid_values(
+                                  ctx.grid, stepped.fluid.r.coeffs,
+                                  stepped.fluid.u.coeffs, ctx.basis,
+                                  stepped.psi.coeffs, ctx.params)[fluid.V1])
 
 
 def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
@@ -533,4 +567,4 @@ def test_errors_raised_in_a_step_name_the_step(grid16, basis16):
             pass
     with pytest.raises(StabilityViolation, match=r"stability interval in "
                        r"the fp half at step 1$"):
-        fp_trajectory(state.psi, fl.u, op, 10.0, 2)
+        fp_trajectory(state.psi, constant(fl.u), op, 10.0, 2)

@@ -433,12 +433,22 @@ def test_report_without_a_manifest_is_an_io_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["reason"] == "IOError"
 
 
+def word_in_row_2(rows):
+    """rows with the second cell of data row 2 replaced by a word."""
+    cells = rows[2].split(",")
+    cells[1] = "abc"
+    return rows[:2] + [",".join(cells)] + rows[3:]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: ["time,mass"] + rows[1:], "unexpected column layout"),
     # the last row cut by three cells
     (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 3)[0]],
      r"row 4 has \d+ cells$"),
-], ids=["other_header", "short_row"])
+    # the header alone
+    (lambda rows: rows[:1], "no rows$"),
+    (word_in_row_2, "could not convert string to float: 'abc'$"),
+], ids=["other_header", "short_row", "no_rows", "not_a_number"])
 def test_report_refuses_a_bad_series(tmp_path, capsys, edit, message):
     cfg_path, outdir = write_cfg(tmp_path, steps=3)
     assert run(cfg_path) == 0

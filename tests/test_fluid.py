@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import field_product, fluid_batch, random_band_limited
+from conftest import component, constant, derivative, divergence, \
+    field_product, fluid_batch, gradient, no_stress, random_band_limited, \
+    rhs_fields, sup_norm_w2inf, zero_field
 from fene import torus
 from fene.coupling import fluid_trajectory
 from fene.errors import CFLViolation, PositivityLoss
@@ -10,15 +12,14 @@ from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     fluid_energy, fluid_rhs, phi_r, ssprk3, step, stress_divergence, \
     viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
-from fene.torus import SIDE, SpectralField, TorusGrid, \
-    derivative, sobolev_norm, sup_norm_w2inf
+from fene.torus import SIDE, SpectralField, TorusGrid, sobolev_norm
 
 
 def constant_state(grid, rho, params, uvals=None):
     n = grid.n_points
     r = SpectralField.from_values(
         grid, np.full((n, n), density_to_r(rho, params)))
-    u = SpectralField.zero(grid, 2) if uvals is None \
+    u = zero_field(grid, 2) if uvals is None \
         else SpectralField.from_values(grid, uvals)
     return FluidState(r, u)
 
@@ -46,16 +47,17 @@ def test_positivity_checked_by_the_trajectory(grid32, params):
     # FluidState holds what it is given; the loop that keeps the state
     # checks it, the first one included
     r = SpectralField.from_values(grid32, np.full((32, 32), -0.5))
-    st = FluidState(r, SpectralField.zero(grid32, 2))
+    st = FluidState(r, zero_field(grid32, 2))
     with pytest.raises(PositivityLoss, match=r"^min r = -5\.000e-01 on the "
                        r"grid in the fluid half at step 0$"):
-        fluid_trajectory(st, None, None, params, FluidStepConfig(dt=1e-3), 2)
+        fluid_trajectory(st, no_stress(grid32), None, params,
+                         FluidStepConfig(dt=1e-3), 2)
 
 
 def test_continuity_rhs_zero_velocity(grid32, params):
     st = constant_state(grid32, 1.3, params)
-    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
-                    fluid_batch(st, None, params))[0]
+    rhs = rhs_fields(st, None, params, FluidStepConfig(dt=1e-3),
+                     fluid_batch(st, None, params))[0]
     assert np.max(np.abs(rhs.coeffs)) == 0.0
 
 
@@ -65,8 +67,8 @@ def test_continuity_rhs_closed_form(grid32, params):
     st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), c)),
                     SpectralField.from_values(
                         grid32, np.stack([np.sin(x1), np.zeros_like(x1)])))
-    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
-                    fluid_batch(st, None, params))[0]
+    rhs = rhs_fields(st, None, params, FluidStepConfig(dt=1e-3),
+                     fluid_batch(st, None, params))[0]
     expect = -c * (params.gamma - 1.0) / 2.0 * np.cos(x1)
     assert np.max(np.abs(rhs.values()[0] - expect)) < 1e-12
 
@@ -79,25 +81,24 @@ def test_continuity_rhs_cutoff_support(grid32, params):
     # |u|_{2,inf} of (sin, 0) is about sqrt(5); a cutoff below it scales the
     # rhs by phi_R, far above it leaves the rhs untouched
     values = fluid_batch(st, None, params)
-    free = fluid_rhs(st, None, params,
-                     FluidStepConfig(dt=1e-3, cutoff_R=50.0), values)[0]
-    plain = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3), values)[0]
+    free = rhs_fields(st, None, params,
+                      FluidStepConfig(dt=1e-3, cutoff_R=50.0), values)[0]
+    plain = rhs_fields(st, None, params, FluidStepConfig(dt=1e-3), values)[0]
     assert np.array_equal(free.coeffs, plain.coeffs)
-    dead = fluid_rhs(st, None, params,
-                     FluidStepConfig(dt=1e-3, cutoff_R=1.0), values)[0]
+    dead = rhs_fields(st, None, params,
+                      FluidStepConfig(dt=1e-3, cutoff_R=1.0), values)[0]
     assert np.max(np.abs(dead.coeffs)) == 0.0
-    from fene.torus import sup_norm_w2inf
     y = sup_norm_w2inf(st.u)
     mid_R = y - 0.5
-    mid = fluid_rhs(st, None, params,
-                    FluidStepConfig(dt=1e-3, cutoff_R=mid_R), values)[0]
+    mid = rhs_fields(st, None, params,
+                     FluidStepConfig(dt=1e-3, cutoff_R=mid_R), values)[0]
     assert np.allclose(mid.coeffs, phi_r(y, mid_R) * plain.coeffs, rtol=1e-13)
 
 
 def test_momentum_rhs_equilibrium(grid32, params):
     st = constant_state(grid32, 1.0, params)
-    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
-                    fluid_batch(st, None, params))[1]
+    rhs = rhs_fields(st, None, params, FluidStepConfig(dt=1e-3),
+                     fluid_batch(st, None, params))[1]
     assert np.max(np.abs(rhs.coeffs)) == 0.0
 
 
@@ -107,9 +108,9 @@ def test_momentum_rhs_stress_divergence(grid32, params):
     st = constant_state(grid32, r_to_density(c, params), params)
     stress = SpectralField.from_values(grid32, np.stack(
         [np.sin(x1), 0.3 * np.sin(x1 + x2), np.cos(x2)]))
-    rhs = fluid_rhs(st, None, params, FluidStepConfig(dt=1e-3),
-                    fluid_batch(st, stress, params))[1]
-    g = stress_divergence(stress).values()
+    rhs = rhs_fields(st, None, params, FluidStepConfig(dt=1e-3),
+                     fluid_batch(st, stress, params))[1]
+    g = torus.to_values(stress_divergence(grid32, stress.coeffs), 32)
     d = 1.0 / r_to_density(c, params)
     assert np.max(np.abs(rhs.values() - d * g)) < 1e-10
 
@@ -121,8 +122,8 @@ def test_momentum_rhs_viscous_closed_form(grid32):
     st = FluidState(SpectralField.from_values(grid32, np.full((32, 32), c)),
                     SpectralField.from_values(
                         grid32, np.stack([np.sin(x2), np.zeros_like(x2)])))
-    rhs = fluid_rhs(st, None, p, FluidStepConfig(dt=1e-3),
-                    fluid_batch(st, None, p))[1]
+    rhs = rhs_fields(st, None, p, FluidStepConfig(dt=1e-3),
+                     fluid_batch(st, None, p))[1]
     d = 1.0 / r_to_density(c, p)
     assert np.max(np.abs(rhs.values()[0] + d * np.sin(x2))) < 1e-12
     assert np.max(np.abs(rhs.values()[1])) < 1e-13
@@ -145,19 +146,20 @@ def per_term_fluid_rhs(st, stress, forcing, p, cfg):
     """One dealiased product per quadratic term, added in the order of the
     equations; cfg.cutoff_R must be set."""
     def dot_grad(u, f):
-        return field_product(u.component(0), derivative(f, (1, 0))) \
-            + field_product(u.component(1), derivative(f, (0, 1)))
+        return field_product(component(u, 0), derivative(f, (1, 0))) \
+            + field_product(component(u, 1), derivative(f, (0, 1)))
 
     grid = st.r.grid
     cut = phi_r(sup_norm_w2inf(st.u), cfg.cutoff_R)
     dr = (-cut) * (dot_grad(st.u, st.r) + 0.5 * (p.gamma - 1.0)
-                   * field_product(st.r, torus.divergence(st.u)))
+                   * field_product(st.r, divergence(st.u)))
     d = SpectralField.from_values(
         grid, 1.0 / r_to_density(st.r.values()[0], p))
-    total = viscous_divergence(st.u, p) + stress_divergence(stress)
-    du = SpectralField.zero(grid, 2) + cut * field_product(d, total) \
+    total = SpectralField(grid, viscous_divergence(grid, st.u.coeffs, p)
+                          + stress_divergence(grid, stress.coeffs))
+    du = zero_field(grid, 2) + cut * field_product(d, total) \
         - cut * dot_grad(st.u, st.u) \
-        - cut * field_product(st.r, torus.gradient(st.r)) + forcing
+        - cut * field_product(st.r, gradient(st.r)) + forcing
     return dr, du
 
 
@@ -166,8 +168,8 @@ def test_fluid_rhs_matches_per_term_products(grid32, params):
     y = sup_norm_w2inf(st.u)
     cfg = FluidStepConfig(dt=1e-3, cutoff_R=y - 0.4)
     assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0   # inside the cubic ramp
-    dr, du = fluid_rhs(st, forcing, params, cfg,
-                       fluid_batch(st, stress, params))
+    dr, du = rhs_fields(st, forcing.coeffs, params, cfg,
+                        fluid_batch(st, stress, params))
     ref_r, ref_u = per_term_fluid_rhs(st, stress, forcing, params, cfg)
     assert np.array_equal(dr.coeffs, ref_r.coeffs)
     assert np.array_equal(du.coeffs, ref_u.coeffs)
@@ -189,8 +191,8 @@ def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
     for name in slices:
         monkeypatch.setattr(torus, name, counted(getattr(torus, name)))
     # the batch is counted with the stage that reads it
-    fluid_rhs(st, forcing, params, FluidStepConfig(dt=1e-3),
-              fluid_batch(st, stress, params))
+    fluid_rhs(grid32, st.u.coeffs, forcing.coeffs, params,
+              FluidStepConfig(dt=1e-3), fluid_batch(st, stress, params))
     assert len(calls) <= 4
     # inverse: the 12 distinct factors, then D(r); forward: D(r) and the
     # 11 products
@@ -201,7 +203,8 @@ def test_fluid_rhs_transforms_each_factor_once(grid32, params, monkeypatch):
     # transformed all 12
     calls.clear()
     slices.update(to_modes=0, to_values=0)
-    fluid_rhs(st, forcing, params, ramp, fluid_batch(st, stress, params))
+    fluid_rhs(grid32, st.u.coeffs, forcing.coeffs, params, ramp,
+              fluid_batch(st, stress, params))
     assert len(calls) <= 5
     assert slices["to_values"] <= 19               # 25
     assert slices["to_modes"] <= 12
@@ -211,7 +214,7 @@ def test_viscous_divergence_formula(grid32):
     p = ModelParams(mu_s=0.7, mu_b=0.4)
     rng = np.random.default_rng(0)
     u = random_band_limited(grid32, rng, components=2, kmax=5)
-    div_s = viscous_divergence(u, p)
+    div_s = SpectralField(grid32, viscous_divergence(grid32, u.coeffs, p))
     lap = SpectralField(grid32, -grid32.ksq * u.coeffs)
     divc = 1j * grid32.k1 * u.coeffs[0] + 1j * grid32.k2 * u.coeffs[1]
     grad_div = SpectralField(grid32, np.stack([1j * grid32.k1 * divc,
@@ -227,7 +230,7 @@ def test_step_equilibrium_fixed_point(grid32, params):
     cfg = FluidStepConfig(dt=1e-3)
     cur = st
     for _ in range(10):
-        cur = step(cur, stress, None, params, cfg)
+        cur = step(cur, constant(stress), None, params, cfg)
         assert np.max(np.abs(cur.r.coeffs - st.r.coeffs)) < 1e-12
         assert np.max(np.abs(cur.u.coeffs)) < 1e-12
 
@@ -251,7 +254,7 @@ def test_step_conservation(grid32, params):
     start = invariants(st)
     cur = st
     for _ in range(1000):
-        cur = step(cur, None, None, params, cfg)
+        cur = step(cur, no_stress(grid32), None, params, cfg)
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
@@ -279,7 +282,7 @@ def test_one_step_conserves_mass_and_momentum(n, seed, amplitude):
                          np.sum(rho * uv[1])]) * area
 
     start = invariants(state)
-    after = invariants(step(state, None, None, params,
+    after = invariants(step(state, no_stress(grid), None, params,
                             FluidStepConfig(dt=1e-3)))
     drift = np.abs(after - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
@@ -296,8 +299,8 @@ def test_cutoff_inactive_is_bitwise_identical(grid32, params):
     big_r_cfg = FluidStepConfig(dt=1e-3, cutoff_R=1e6)
     a, b = st, st
     for _ in range(20):
-        a = step(a, None, None, params, plain_cfg)
-        b = step(b, None, None, params, big_r_cfg)
+        a = step(a, no_stress(grid32), None, params, plain_cfg)
+        b = step(b, no_stress(grid32), None, params, big_r_cfg)
     assert np.array_equal(a.r.coeffs, b.r.coeffs)
     assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
@@ -315,7 +318,7 @@ def test_step_self_convergence_third_order(grid32, params):
         cfg = FluidStepConfig(dt=dt)
         cur = st
         for _ in range(int(round(horizon / dt))):
-            cur = step(cur, None, None, params, cfg)
+            cur = step(cur, no_stress(grid32), None, params, cfg)
         return cur
 
     s1, s2, s3 = solve(2e-3), solve(1e-3), solve(5e-4)
@@ -336,13 +339,14 @@ def test_step_raises_cfl(grid32, params):
                         grid32, np.stack([5.0 + np.sin(x2),
                                           np.zeros_like(x1)])))
     cfg = FluidStepConfig(dt=0.05)
-    assert cfg.dt > cfl_bound(st, params, fluid_batch(st, None, params))
+    assert cfg.dt > cfl_bound(fluid_batch(st, None, params), params)
     with pytest.raises(CFLViolation):
-        step(st, None, None, params, cfg)
+        step(st, no_stress(grid32), None, params, cfg)
     # raised inside a step, it names the step
     with pytest.raises(CFLViolation, match=r"^dt = 5\.000e-02 exceeds CFL "
                        r"bound .* in the fluid half at step 1$"):
-        fluid_trajectory(st, None, None, params, cfg, 3)
+        fluid_trajectory(st, no_stress(grid32), None, params,
+                         cfg, 3)
 
 
 def test_cfl_bound_holds_sound_speed(grid32):
@@ -351,7 +355,7 @@ def test_cfl_bound_holds_sound_speed(grid32):
     p = ModelParams(mu_s=1e-6, mu_b=0.0)
     st = constant_state(grid32, 1.0, p)
     c_s = np.sqrt(0.5 * (p.gamma - 1.0)) * density_to_r(1.0, p)
-    bound = cfl_bound(st, p, fluid_batch(st, None, p))
+    bound = cfl_bound(fluid_batch(st, None, p), p)
     assert bound == pytest.approx(grid32.spacing / c_s, rel=1e-12)
 
 
@@ -413,12 +417,12 @@ def test_step_raises_positivity_loss(grid32):
     cfg = FluidStepConfig(dt=0.05, cfl_safety=1e6)
     with pytest.raises(PositivityLoss, match="in a stage, where D\\(r\\) is "
                        "undefined$"):
-        step(st, None, None, p, cfg)
+        step(st, no_stress(grid32), None, p, cfg)
 
 
 def test_fluid_energy(grid32, params):
-    zero = FluidState(SpectralField.zero(grid32, 1),
-                      SpectralField.zero(grid32, 2))
+    zero = FluidState(zero_field(grid32, 1),
+                      zero_field(grid32, 2))
     assert fluid_energy(zero, 0) == 0.0
     st = constant_state(grid32, r_to_density(1.0, params), params)
     assert fluid_energy(st, 0) == pytest.approx(SIDE ** 2, rel=1e-13)
@@ -434,7 +438,8 @@ def test_viscous_energy_decay(grid32, params):
 
     def rhs(y, t):
         v = SpectralField(grid32, y[0])
-        return (field_product(D, viscous_divergence(v, params)).coeffs,)
+        return (field_product(D, SpectralField(grid32, viscous_divergence(
+            grid32, v.coeffs, params))).coeffs,)
 
     energies = [sobolev_norm(u, 0) ** 2]
     y = (u.coeffs,)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import field_product, fp_batch, random_band_limited
+from conftest import constant, derivative, field_product, fp_batch, \
+    random_band_limited, zero_field
 from fene.configspace import ConfDistribution, build_quadrature, \
     eigen_basis, h1m_seminorm
 from fene.coupling import coupled_trajectory
@@ -14,8 +15,7 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     _candidate_rings, fp_energy, fp_step, nonnegativity_report, polymer_mass
 from fene.model import ModelParams
 from fene.runner import RunContext, parse_config_text
-from fene.torus import SIDE, SpectralField, TorusGrid, \
-    derivative, to_modes
+from fene.torus import SIDE, SpectralField, TorusGrid, to_modes
 
 GRIDS = {n: TorusGrid(n) for n in (16, 32)}
 
@@ -36,19 +36,19 @@ def perturbed_field(grid, basis, amp=0.01, mode=1):
 
 def test_equilibrium_is_steady(grid32, basis32, params):
     psi = PolymerField.equilibrium(grid32, basis32)
-    u0 = SpectralField.zero(grid32, 2)
+    u0 = zero_field(grid32, 2)
     op = FokkerPlanckSolver(basis32, params, grid32, 32)
     tend = PolymerField(grid32, basis32, op.tendency(
         psi.coeffs, *fp_batch(u0, psi.coeffs)))
     assert np.max(np.abs(tend.coeffs)) < 1e-14
     cur = psi
     for _ in range(5):
-        cur = fp_step(cur, u0, op, 1e-3)
+        cur = fp_step(cur, constant(u0), op, 1e-3)
         assert np.max(np.abs(cur.coeffs - psi.coeffs)) < 1e-12
 
 
 def test_pure_relaxation_matches_exponential(grid16, basis16, params):
-    u0 = SpectralField.zero(grid16, 2)
+    u0 = zero_field(grid16, 2)
     mode = 2
     coeffs = np.zeros((basis16.n_basis, *grid16.spectral_shape), dtype=complex)
     coeffs[0, 0, 0] = 1.0
@@ -60,7 +60,7 @@ def test_pure_relaxation_matches_exponential(grid16, basis16, params):
     # third-order explicit scheme against the scalar ODE solution
     cur = psi
     for _ in range(1000):
-        cur = fp_step(cur, u0, op, 1e-3)
+        cur = fp_step(cur, constant(u0), op, 1e-3)
     exact = 0.5 * np.exp(-mu)
     assert abs(cur.coeffs[mode, 0, 0].real - exact) < 1e-6
 
@@ -96,7 +96,7 @@ def test_polymer_mass_conserved(grid32, basis32, params):
     op = FokkerPlanckSolver(basis32, params, grid32, 32)
     cur = psi
     for _ in range(1000):
-        cur = fp_step(cur, u, op, 1e-3)
+        cur = fp_step(cur, constant(u), op, 1e-3)
     assert abs(polymer_mass(cur) - m0) / abs(m0) < 1e-8
 
 
@@ -106,26 +106,30 @@ def test_epsilon_zero_and_positive_paths(grid32, basis32):
     u = shear_velocity(grid32)
     p0 = ModelParams(epsilon=0.0)
     p1 = ModelParams(epsilon=0.01)
-    via_model = fp_step(psi, u, FokkerPlanckSolver(basis32, p1, grid32, 32), 1e-3)
-    plain = fp_step(psi, u, FokkerPlanckSolver(basis32, p0, grid32, 32), 1e-3)
+    via_model = fp_step(psi, constant(u),
+                        FokkerPlanckSolver(basis32, p1, grid32, 32), 1e-3)
+    plain = fp_step(psi, constant(u),
+                    FokkerPlanckSolver(basis32, p0, grid32, 32), 1e-3)
     assert not np.array_equal(plain.coeffs, via_model.coeffs)
 
 
 def test_rk3_stability_guard(grid16, basis16):
     p = ModelParams(lam=1e-3)   # huge relaxation rate
     psi = PolymerField.equilibrium(grid16, basis16)
-    u = SpectralField.zero(grid16, 2)
+    u = zero_field(grid16, 2)
     with pytest.raises(StabilityViolation):
-        fp_step(psi, u, FokkerPlanckSolver(basis16, p, grid16, 16), 1e-2)
+        fp_step(psi, constant(u), FokkerPlanckSolver(basis16, p, grid16, 16),
+                1e-2)
 
 
 def test_check_step_refuses_other_grid_or_basis(grid16, grid32, basis16,
                                                  basis32, params):
     op = FokkerPlanckSolver(basis16, params, grid16, 16)
     op.check_step(PolymerField.equilibrium(grid16, basis16), 1e-3)
-    u = SpectralField.zero(grid32, 2)
+    u = zero_field(grid32, 2)
     with pytest.raises(ValueError, match="different grids"):
-        fp_step(PolymerField.equilibrium(grid32, basis16), u, op, 1e-3)
+        fp_step(PolymerField.equilibrium(grid32, basis16), constant(u), op,
+                1e-3)
     with pytest.raises(ValueError, match="different bases"):
         op.check_step(PolymerField.equilibrium(grid16, basis32), 1e-3)
 
@@ -270,7 +274,7 @@ def test_nonnegativity_stable_under_x_refinement(grid16, grid32, basis32):
 def test_relaxation_dissipates_without_flow(grid16, basis16, params):
     # L^2_M distance to the projected equilibrium M eta-bar is nonincreasing
     rng = np.random.default_rng(1)
-    u0 = SpectralField.zero(grid16, 2)
+    u0 = zero_field(grid16, 2)
     op = FokkerPlanckSolver(basis16, params, grid16, 16)
     n = grid16.n_points
     for _ in range(20):
@@ -288,7 +292,7 @@ def test_relaxation_dissipates_without_flow(grid16, basis16, params):
         e = deviation_energy(psi)
         cur = psi
         for _ in range(10):
-            cur = fp_step(cur, u0, op, 2e-3)
+            cur = fp_step(cur, constant(u0), op, 2e-3)
             e_new = deviation_energy(cur)
             assert e_new <= e + 1e-15
             e = e_new
