@@ -3,7 +3,7 @@
 Two routes to the coupled dynamics are provided and played against each
 other by the verification suite:
 
-* fixed_point_map(psi_traj, state0, op, forcing, fluid_cfg): the
+* fixed_point_map(psi_traj, state0, op, force, fluid_cfg): the
   constructive route.  Given a candidate polymer trajectory, build its
   elastic stress, solve the fluid system with that stress over the
   horizon, then solve the Fokker-Planck equation with the resulting
@@ -19,9 +19,9 @@ other by the verification suite:
   psi: fluid_rhs reads the fluid factors of that batch and op.tendency
   its velocity block (fluid.VELOCITY) and the coefficients.  The split
   solvers of fixed_point_map, fluid.step and fp_step, hand the same
-  kernels a batch of their own half per stage and take the stress and
-  the velocity as callables of time, linear interpolants of arrays.
-  Only the state a step returns is wrapped in fields.
+  kernels a batch of their own half per stage.  The stress and velocity
+  they take, linear interpolants, and the force of every step, built once
+  per run, are callables of time; a step wraps only the state it returns.
 
 Each CoupledState is sent to the grid once (CoupledState.grid_values):
 the batch a step makes of the state it returns serves that state's
@@ -109,8 +109,8 @@ class FixedPointConfig:
     max_iters: int = 5
 
     def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
+        if not 0 < self.horizon_T < np.inf:
+            raise ValueError("horizon_T must be finite and > 0")
         if not 0 <= self.s_prime <= 1:
             raise ValueError("contraction index must satisfy "
                              "0 <= s_prime <= 1")
@@ -210,12 +210,12 @@ def _trajectory(state, advance, checked, where, steps):
         yield k, state
 
 
-def fluid_trajectory(fluid0: FluidState, stress, forcing, params,
+def fluid_trajectory(fluid0: FluidState, stress, force, params,
                      cfg: FluidStepConfig, n_steps):
-    """The n_steps + 1 checked fluid states from fluid0 under stress, a
-    callable of time, one fluid.step apart."""
+    """The n_steps + 1 checked fluid states from fluid0 under stress and
+    force, callables of time, one fluid.step apart."""
     return [fl for _, fl in _trajectory(
-        fluid0, lambda fl: fluid_mod.step(fl, stress, forcing, params, cfg),
+        fluid0, lambda fl: fluid_mod.step(fl, stress, force, params, cfg),
         lambda fl: ((("r", fl.r), ("u", fl.u)), fl.r.values()),
         "in the fluid half", range(n_steps + 1))]
 
@@ -231,7 +231,7 @@ def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
 
 
 def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
-                    forcing, fluid_cfg: FluidStepConfig):
+                    force, fluid_cfg: FluidStepConfig):
     """One application of the stress -> fluid -> Fokker-Planck map.
 
     psi_traj must span the horizon with the uniform step fluid_cfg.dt,
@@ -243,13 +243,13 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
 
     stresses = [stress_field(ps).coeffs for ps in psi_traj]
     fluid_traj = fluid_trajectory(
-        state0.fluid, _linear_interpolant(stresses, t0, dt), forcing,
+        state0.fluid, _linear_interpolant(stresses, t0, dt), force,
         op.params, fluid_cfg, n_steps)
     u_at = _linear_interpolant([fl.u.coeffs for fl in fluid_traj], t0, dt)
     return fp_trajectory(state0.psi, u_at, op, dt, n_steps)
 
 
-def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
+def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, force,
                     fluid_cfg: FluidStepConfig, cfg: FixedPointConfig):
     """Iterate the map max_iters times from the constant-in-time seed;
     returns the iterates (seed first) so distances and ratios can be
@@ -257,7 +257,7 @@ def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, forcing,
     iterates = [constant_trajectory(state0.psi, cfg.n_steps(fluid_cfg.dt),
                                     fluid_cfg.dt)]
     for _ in range(cfg.max_iters):
-        iterates.append(fixed_point_map(iterates[-1], state0, op, forcing,
+        iterates.append(fixed_point_map(iterates[-1], state0, op, force,
                                         fluid_cfg))
     return iterates
 
@@ -282,7 +282,7 @@ def contraction_factor(iterates, s_prime):
     return dists, ratios, False
 
 
-def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
+def coupled_step(state: CoupledState, op: FokkerPlanckSolver, force,
                  fluid_cfg: FluidStepConfig) -> CoupledState:
     """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress.
 
@@ -293,7 +293,6 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     op.check_step(state.psi, fluid_cfg.dt)
     carried = state.grid_values(p)
     fluid_mod.check_cfl(carried, p, fluid_cfg)
-    force = fluid_mod.forcing_of_time(forcing, grid)
     y0 = (state.fluid.r.coeffs, state.fluid.u.coeffs, state.psi.coeffs)
 
     def rhs(y, t):
@@ -311,13 +310,13 @@ def coupled_step(state: CoupledState, op: FokkerPlanckSolver, forcing,
     return new
 
 
-def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, forcing,
+def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, force,
                        fluid_cfg: FluidStepConfig, steps, where=""):
     """Yield (k, state) for each step number k in steps, the given state
     first and then one coupled_step further each, checked (r on the R slice
     of its carried batch, so every state's batch exists before its step)."""
     return _trajectory(
-        state, lambda st: coupled_step(st, op, forcing, fluid_cfg),
+        state, lambda st: coupled_step(st, op, force, fluid_cfg),
         lambda st: ((("r", st.fluid.r), ("u", st.fluid.u), ("psi", st.psi)),
                     st.grid_values(op.params)[R]), where, steps)
 

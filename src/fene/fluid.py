@@ -16,11 +16,11 @@ with the Fokker-Planck half, which reads the VELOCITY block).  fluid_rhs
 forms the eleven quadratic terms in one 2/3-rule product, and only D(r)
 takes a round trip through P_K, so every tendency lies in P_K.  ssprk3,
 over tuples of coefficient arrays, is the package's one SSP-RK3 step.
-step takes its stress as a callable of time and wraps only the state it
-returns in a FluidState, a plain holder.  It checks only the CFL bound
-(on the speeds |u| + c_s) and, in each stage, that D(r) is defined; the
-trajectories of coupling check the states it makes (check_positive is the
-one place PositivityLoss is raised; a loss is never repaired).
+step takes its stress and its forcing as callables of time and wraps
+only the state it returns in a FluidState, a plain holder.  It checks
+only the CFL bound (on the speeds |u| + c_s) and, in each stage, that
+D(r) is defined; the trajectories of coupling check the states it makes
+(check_positive alone raises PositivityLoss; a loss is never repaired).
 """
 
 from dataclasses import dataclass
@@ -57,20 +57,20 @@ def check_positive(rvals, where):
 
 @dataclass(frozen=True)
 class FluidStepConfig:
-    """Time-step parameters for the fluid solver: cutoff_R=None disables
-    the phi_R regularization, cfl_safety (finite, > 0) scales the CFL
-    bound."""
+    """Time-step parameters for the fluid solver: dt (finite, > 0),
+    cutoff_R=None disables the phi_R regularization, cfl_safety (finite,
+    > 0) scales the CFL bound."""
 
     dt: float
     cutoff_R: float = None
     cfl_safety: float = 0.8
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # each written not (x <= 0), so that NaN is refused too
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and > 0")
         if self.cutoff_R is not None and not self.cutoff_R > 0:
             raise ValueError("cut-off threshold must be positive")
-        # written so that a NaN safety factor is refused too
         if not 0 < self.cfl_safety < np.inf:
             raise ValueError("the CFL safety factor must be finite and > 0")
 
@@ -212,9 +212,9 @@ def state_from_coeffs(grid, r, u, time):
 
 
 def forcing_of_time(forcing: ForcingSpec, grid):
-    """The forcing coefficients (or None) as a callable of time: a steady
-    field is built once here, a time-periodic one at every call."""
-    if forcing is None or forcing.kind == "zero" or forcing.amplitude == 0.0:
+    """The forcing coefficients (or None) as a callable of time; RunContext
+    builds it once per run, so a steady field is transformed once."""
+    if forcing.kind == "zero" or forcing.amplitude == 0.0:
         return lambda t: None
     x1, x2 = grid.x
 
@@ -226,17 +226,16 @@ def forcing_of_time(forcing: ForcingSpec, grid):
     return field
 
 
-def step(state: FluidState, stress, forcing, p: ModelParams,
+def step(state: FluidState, stress, force, p: ModelParams,
          cfg: FluidStepConfig) -> FluidState:
-    """One SSP-RK3 step under stress, a callable of time giving the stress
-    coefficients, and forcing, a ForcingSpec or None.
+    """One SSP-RK3 step under stress and force, callables of time giving
+    the stress coefficients and the forcing coefficients (or None).
 
     Raises CFLViolation, before any stage, when dt exceeds the configured
     bound, and PositivityLoss when a stage meets an r that is not positive
     on the grid.  coupling.fluid_trajectory checks the state it returns.
     """
     grid = state.r.grid
-    force = forcing_of_time(forcing, grid)
 
     def batch(r, u, t):
         return torus.to_values(rhs_factors(grid, r, u, stress(t), p),

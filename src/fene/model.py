@@ -80,6 +80,8 @@ class ForcingSpec:
             raise ValueError(f"unknown forcing kind {self.kind!r}")
         if len(self.mode) != 2 or any(m != int(m) for m in self.mode):
             raise ValueError("forcing mode must be a pair of integers")
+        if not np.isfinite(self.amplitude):
+            raise ValueError("forcing amplitude must be finite")
 
     def values(self, x1, x2, t):
         """Force components on the grid points (x1, x2) at time t."""

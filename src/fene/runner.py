@@ -23,11 +23,11 @@ PositivityLoss).  _run_stepping records the first state and those the
 record interval names, and checks each record against the blow-up
 ceiling.  _EXITS maps every error class to its exit code and reason.
 
-record_state measures each quantity once, and transforms none of r, u,
-grad u or the coefficients of psi: it reads the batch a CoupledState
-carries (coupling.CoupledState.grid_values).  A run removes the
-series.csv and snapshots/step*.fkp an earlier run left in its output
-directory before it starts, except the checkpoint it resumes from.
+record_state measures each quantity once and transforms none of r, u,
+grad u, psi or a steady forcing: it reads the batch a CoupledState
+carries (CoupledState.grid_values) and ctx.force, built once per run.
+A run first removes the series.csv and snapshots/step*.fkp an earlier
+run left in its output directory, except the checkpoint it resumes from.
 """
 
 import ctypes
@@ -243,14 +243,15 @@ class RunContext:
         name = cfg["scenario"]
         if name == "stress_difference":
             deltas = cfg["experiment.deltas"]
-            if len(set(deltas)) < 2 or min(deltas) <= 0:
+            if len(set(deltas)) < 2 or not all(0 < d < np.inf
+                                               for d in deltas):
                 raise ConfigError("the log-log slope needs at least two "
-                                  "distinct positive deltas",
+                                  "distinct deltas, each finite and > 0",
                                   field="experiment.deltas")
         self.fixed_point = None
         if name in ("stress_difference", "contraction_study"):
-            if not cfg["experiment.horizon"] > 0:
-                raise ConfigError("the horizon must be positive",
+            if not 0 < cfg["experiment.horizon"] < np.inf:
+                raise ConfigError("the horizon must be finite and > 0",
                                   field="experiment.horizon")
             with _refusing("fixed_point"):
                 self.fixed_point = FixedPointConfig(
@@ -271,14 +272,16 @@ class RunContext:
                 raise ConfigError("lemma_a1 needs an ensemble of at least 100",
                                   field="experiment.ensemble")
             deltas = cfg["experiment.lemma_deltas"]
-            if not deltas or min(deltas) <= 0:
-                raise ConfigError("lemma_a1 needs at least one delta, each "
-                                  "positive", field="experiment.lemma_deltas")
-        self.forcing = ForcingSpec(kind=cfg["forcing.kind"],
-                                   amplitude=cfg["forcing.amplitude"],
-                                   mode=cfg["forcing.mode"])
-        if self.forcing.kind != "zero" and self.forcing.amplitude != 0.0:
-            _check_retained(self.grid, self.forcing.mode, "forcing.mode")
+            if not deltas or not all(0 < d < np.inf for d in deltas):
+                raise ConfigError("lemma_a1 needs deltas, each finite and > 0",
+                                  field="experiment.lemma_deltas")
+        with _refusing("forcing"):
+            spec = ForcingSpec(kind=cfg["forcing.kind"],
+                               amplitude=cfg["forcing.amplitude"],
+                               mode=cfg["forcing.mode"])
+        if spec.kind != "zero" and spec.amplitude != 0.0:
+            _check_retained(self.grid, spec.mode, "forcing.mode")
+        self.force = forcing_of_time(spec, self.grid)
         self.seed = cfg["seed"]
 
     def initial_state(self) -> CoupledState:
@@ -389,7 +392,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
     """The monitored row of state.  Its grid values of r, u, grad u and the
     coefficients of psi are state.grid_values (carried from the step that
     made the state); blowup_indicator makes one transform, of the stress
-    formed here, and a forcing, where configured, one more."""
+    formed here, and ctx.force one more if it is time-periodic."""
     params, grid = ctx.params, ctx.grid
     n = grid.n_points
     values = state.grid_values(params)
@@ -405,7 +408,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
     indicator, w2 = blowup_indicator(state, stress, params)
     cutoff_r = ctx.fluid_cfg.cutoff_R
     cutoff_active = int(cutoff_r is not None and phi_r(w2, cutoff_r) < 1.0)
-    force = forcing_of_time(ctx.forcing, grid)(state.time)
+    force = ctx.force(state.time)
     # fluid.fluid_energy(s) is |r|^2_s + |u|^2_s: the u norms serve both
     u_sq = [x ** 2 for x in _over_s(sobolev_norm, state.fluid.u,
                                     S_RECORD + 1)]
@@ -568,7 +571,7 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     records = []
     try:
         for k, state in coupled_trajectory(
-                state, op, ctx.forcing, ctx.fluid_cfg,
+                state, op, ctx.force, ctx.fluid_cfg,
                 range(first_step, max_steps + 1)):
             if k == first_step or k % every == 0 or k == max_steps:
                 rec = record_state(state, ctx)
@@ -622,7 +625,7 @@ def _run_stress_difference(ctx: RunContext, outdir):
     pert = to_modes(np.stack([np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
 
     def fluid_solve(stress):
-        return fluid_trajectory(state0.fluid, lambda t: stress, ctx.forcing,
+        return fluid_trajectory(state0.fluid, lambda t: stress, ctx.force,
                                 ctx.params, ctx.fluid_cfg, n_steps)
 
     def fluid_distance(a, b):
@@ -662,12 +665,12 @@ def _run_contraction(ctx: RunContext, outdir):
     fpc = ctx.fixed_point
     state0 = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    iterates = run_fixed_point(state0, op, ctx.forcing, ctx.fluid_cfg, fpc)
+    iterates = run_fixed_point(state0, op, ctx.force, ctx.fluid_cfg, fpc)
     dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
 
     n_steps = fpc.n_steps(ctx.fluid_cfg.dt)
     mono_traj = [mono.psi for _, mono in coupled_trajectory(
-        state0, op, ctx.forcing, ctx.fluid_cfg, range(n_steps + 1),
+        state0, op, ctx.force, ctx.fluid_cfg, range(n_steps + 1),
         "in the monolithic reference")]
     terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)
 

@@ -110,6 +110,11 @@ def no_stress(grid):
     return constant(zero_field(grid, 3))
 
 
+def no_force(t):
+    """The zero forcing as the callable of time that the steps take."""
+    return None
+
+
 def fluid_batch(state, stress, params):
     """The grid batch of fluid.rhs_factors under stress (a field, or None
     for zero) that fluid_rhs, cfl_bound and check_cfl read, as a step makes

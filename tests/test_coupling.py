@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import constant, fluid_batch, fp_batch, no_stress, \
-    random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
+from conftest import constant, fluid_batch, fp_batch, no_force, \
+    no_stress, random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
 from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.configspace import ConfDistribution, kramers_stress
@@ -64,8 +64,9 @@ def test_coupled_state_validates_time(grid32, basis32, params):
 def test_fixed_point_config_validates():
     with pytest.raises(ValueError):
         FixedPointConfig(horizon_T=0.1, s_prime=2)
-    with pytest.raises(ValueError):
-        FixedPointConfig(horizon_T=-1.0)
+    for horizon in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            FixedPointConfig(horizon_T=horizon)
 
 
 def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
@@ -113,7 +114,7 @@ def test_fixed_point_equilibrium_invariant(grid32, basis32, params,
                                            fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
     traj = constant_trajectory(st.psi, 20, fluid_cfg.dt)
-    out = fixed_point_map(traj, st, op32, None, fluid_cfg)
+    out = fixed_point_map(traj, st, op32, no_force, fluid_cfg)
     assert xs_distance(out, traj, 1) < 1e-10
 
 
@@ -141,7 +142,7 @@ def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
                                        op32):
     st = perturbed_state(grid32, basis32, params)
     fpc = FixedPointConfig(horizon_T=0.05, s_prime=1, max_iters=5)
-    iterates = run_fixed_point(st, op32, None, fluid_cfg, fpc)
+    iterates = run_fixed_point(st, op32, no_force, fluid_cfg, fpc)
     _, ratios, _ = contraction_factor(iterates, 1)
     assert len(ratios) >= 3
     assert all(r < 1.0 for r in ratios)
@@ -154,7 +155,7 @@ def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     firsts = []
     for horizon in (0.1, 0.05, 0.025):
         fpc = FixedPointConfig(horizon_T=horizon, s_prime=1, max_iters=2)
-        iterates = run_fixed_point(st, op, None, fluid_cfg, fpc)
+        iterates = run_fixed_point(st, op, no_force, fluid_cfg, fpc)
         _, ratios, _ = contraction_factor(iterates, 1)
         firsts.append(ratios[0])
     assert firsts[0] > firsts[1] > firsts[2]
@@ -164,7 +165,7 @@ def test_coupled_step_equilibrium(grid32, basis32, params, fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
     cur = st
     for _ in range(10):
-        cur = coupled_step(cur, op32, None, fluid_cfg)
+        cur = coupled_step(cur, op32, no_force, fluid_cfg)
         assert np.max(np.abs(cur.fluid.r.coeffs - st.fluid.r.coeffs)) < 1e-12
         assert np.max(np.abs(cur.fluid.u.coeffs)) < 1e-12
         assert np.max(np.abs(cur.psi.coeffs - st.psi.coeffs)) < 1e-12
@@ -184,7 +185,7 @@ def test_coupled_step_conserves_everything(grid32, basis32, params,
     start = invariants(st)
     cur = st
     for _ in range(100):
-        cur = coupled_step(cur, op32, None, fluid_cfg)
+        cur = coupled_step(cur, op32, no_force, fluid_cfg)
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
@@ -202,10 +203,10 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
         mono = [st]
         cur = st
         for _ in range(n_steps):
-            cur = coupled_step(cur, op32, None, fluid_cfg)
+            cur = coupled_step(cur, op32, no_force, fluid_cfg)
             mono.append(cur)
         mono_psi = [s.psi for s in mono]
-        once = fixed_point_map(mono_psi, st, op32, None, fluid_cfg)
+        once = fixed_point_map(mono_psi, st, op32, no_force, fluid_cfg)
         gaps.append(xs_distance(once, mono_psi, 1))
     assert gaps[1] < gaps[0] / 3.0
 
@@ -228,8 +229,12 @@ def test_blowup_indicator(grid32, basis32, params):
         pytest.approx(2 * expect, rel=1e-12)
 
 
-def test_steady_forcing_is_built_once_per_step(grid32, basis32, params, op32,
-                                               fluid_cfg, monkeypatch):
+def test_steady_forcing_is_built_once_per_run(grid32, basis32, params, op32,
+                                              fluid_cfg, monkeypatch):
+    forces = {kind: fluid.forcing_of_time(ForcingSpec(kind, 0.1, (1, 0)),
+                                          grid32)
+              for kind in ("steady_field", "time_periodic")}
+    forces["zero"] = no_force
     slices = []
 
     def counted(func):
@@ -242,18 +247,24 @@ def test_steady_forcing_is_built_once_per_step(grid32, basis32, params, op32,
                         counted(fokker_planck.to_modes))
     monkeypatch.setattr(torus, "to_modes", counted(torus.to_modes))
     state = perturbed_state(grid32, basis32, params)
-    for advance in (lambda f: coupled_step(state, op32, f, fluid_cfg),
-                    lambda f: step(state.fluid, no_stress(grid32), f, params,
-                                   fluid_cfg)):
+    # a time-periodic force takes one 2-slice transform per SSP-RK3 stage
+    # and per record, a steady one none: it was built with the force
+    for advance, periodic in (
+            (lambda f: coupled_step(state, op32, f, fluid_cfg), 3),
+            (lambda f: step(state.fluid, no_stress(grid32), f, params,
+                            fluid_cfg), 3),
+            (lambda f: record_state(state, SimpleNamespace(
+                params=params, grid=grid32, force=f, fluid_cfg=fluid_cfg)),
+             1)):
         counts = {}
-        for kind in ("zero", "steady_field", "time_periodic"):
+        for kind, force in forces.items():
             slices.clear()
-            advance(ForcingSpec(kind, 0.1, (1, 0)))
+            advance(force)
             counts[kind] = (len(slices), sum(slices))
         calls, total = counts["zero"]
-        # one 2-slice transform per step, against one per SSP-RK3 stage
-        assert counts["steady_field"] == (calls + 1, total + 2)
-        assert counts["time_periodic"] == (calls + 3, total + 6)
+        assert counts["steady_field"] == (calls, total)
+        assert counts["time_periodic"] == (calls + periodic,
+                                           total + 2 * periodic)
 
 
 def random_coupled_state(grid, basis, params, seed):
@@ -270,7 +281,7 @@ def random_coupled_state(grid, basis, params, seed):
     return CoupledState(FluidState(r, u), psi)
 
 
-def first_stage(state, op, forcing, cfg, monkeypatch):
+def first_stage(state, op, force, cfg, monkeypatch):
     """(dr, du, dc) of the first SSP-RK3 stage of coupled_step."""
     stages = []
 
@@ -280,7 +291,7 @@ def first_stage(state, op, forcing, cfg, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "ssprk3", one_stage)
-        coupled_step(state, op, forcing, cfg)
+        coupled_step(state, op, force, cfg)
     return stages[0]
 
 
@@ -292,20 +303,21 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
                    for name in ("grid", "basis"))
     state = random_coupled_state(grid, basis, params, seed=n)
     y = sup_norm_w2inf(state.fluid.u)
-    cutoff, forcing = {"ramp": (y - 0.4, None), "dead": (y - 1.5, None),
-                       "steady_field": (None, ForcingSpec(
-                           "steady_field", 0.1, (1, 0)))}[case]
+    cutoff, force = {"ramp": (y - 0.4, no_force),
+                     "dead": (y - 1.5, no_force),
+                     "steady_field": (None, fluid.forcing_of_time(
+                         ForcingSpec("steady_field", 0.1, (1, 0)),
+                         grid))}[case]
     if case == "ramp":
         assert 0.0 < phi_r(y, cutoff) < 1.0
     if case == "dead":
         assert cutoff > 0.0 and phi_r(y, cutoff) == 0.0
     cfg = FluidStepConfig(dt=1e-4, cutoff_R=cutoff)
     op = FokkerPlanckSolver(basis, params, grid, n)
-    dr, du, dc = first_stage(state, op, forcing, cfg, monkeypatch)
+    dr, du, dc = first_stage(state, op, force, cfg, monkeypatch)
 
     st, c = state.fluid, state.psi.coeffs
-    force = fluid.forcing_of_time(forcing, grid)(state.time)
-    ref_r, ref_u = rhs_fields(st, force, params, cfg, fluid_batch(
+    ref_r, ref_u = rhs_fields(st, force(state.time), params, cfg, fluid_batch(
         st, stress_field(state.psi), params))
     assert np.array_equal(dr, ref_r.coeffs)
     assert np.array_equal(du, ref_u.coeffs)
@@ -339,9 +351,9 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
     # CFL bound reads too; the new state's batch is made once, for the
     # positivity of its r.
     state = coupled_step(perturbed_state(grid32, basis32, params), op32,
-                         None, fluid_cfg)
+                         no_force, fluid_cfg)
     calls = counted_transforms(monkeypatch)
-    coupled_step(state, op32, None, fluid_cfg)
+    coupled_step(state, op32, no_force, fluid_cfg)
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= 15      # 18 before carrying
     assert sum(inverse) <= 159                     # 163
@@ -351,7 +363,8 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
     # stack took 12
     for slices in calls.values():
         slices.clear()
-    coupled_step(state, op32, None, FluidStepConfig(dt=1e-3, cutoff_R=0.01))
+    coupled_step(state, op32, no_force,
+                 FluidStepConfig(dt=1e-3, cutoff_R=0.01))
     assert len(inverse) + len(forward_) <= 18
     assert sum(inverse) <= 177                     # 195
     assert sum(forward_) <= 396
@@ -368,7 +381,7 @@ def test_fluid_step_transform_budget(cutoff_r, budget, grid32, basis32,
     # phi_R
     fl = perturbed_state(grid32, basis32, params).fluid
     calls = counted_transforms(monkeypatch)
-    step(fl, no_stress(grid32), None, params,
+    step(fl, no_stress(grid32), no_force, params,
          FluidStepConfig(dt=1e-3, cutoff_R=cutoff_r))
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= budget[0]
@@ -390,9 +403,10 @@ def test_a_step_wraps_only_the_state_it_returns(grid16, basis16, params,
     state = perturbed_state(grid16, basis16, params)
     stress = stress_field(state.psi)
     op = FokkerPlanckSolver(basis16, params, grid16, 16)
-    for advance in (lambda: coupled_step(state, op, None, fluid_cfg).fluid,
-                    lambda: step(state.fluid, constant(stress), None, params,
-                                 fluid_cfg)):
+    for advance in (lambda: coupled_step(state, op, no_force,
+                                         fluid_cfg).fluid,
+                    lambda: step(state.fluid, constant(stress), no_force,
+                                 params, fluid_cfg)):
         for objs in made.values():
             objs.clear()
         new = advance()
@@ -411,7 +425,7 @@ def test_record_state_transform_budget(monkeypatch):
     # second derivatives of u and div T (2 slices each) is left
     ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"))
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    state = coupled_step(ctx.initial_state(), op, ctx.forcing, ctx.fluid_cfg)
+    state = coupled_step(ctx.initial_state(), op, ctx.force, ctx.fluid_cfg)
     calls = counted_transforms(monkeypatch)
     record_state(state, ctx)
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
@@ -426,7 +440,7 @@ def test_record_state_measures_each_quantity_once(monkeypatch):
     ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"
                                        "fluid.cutoff_r = 0.01\n"))
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    state = coupled_step(ctx.initial_state(), op, ctx.forcing, ctx.fluid_cfg)
+    state = coupled_step(ctx.initial_state(), op, ctx.force, ctx.fluid_cfg)
     stresses = []
 
     def counted_stress(psi):
@@ -465,9 +479,10 @@ def test_carried_values_change_no_bit(n, request, params):
     grid, basis = (request.getfixturevalue(f"{name}{n}")
                    for name in ("grid", "basis"))
     state = random_coupled_state(grid, basis, params, seed=n)
-    forcing = ForcingSpec("steady_field", 0.1, (1, 0))
+    force = fluid.forcing_of_time(ForcingSpec("steady_field", 0.1, (1, 0)),
+                                  grid)
     op = FokkerPlanckSolver(basis, params, grid, n)
-    stepped = coupled_step(state, op, forcing, FluidStepConfig(dt=1e-4))
+    stepped = coupled_step(state, op, force, FluidStepConfig(dt=1e-4))
     y = sup_norm_w2inf(stepped.fluid.u)
     cfg = FluidStepConfig(dt=1e-4, cutoff_R=y - 0.4)
     assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0
@@ -480,9 +495,9 @@ def test_carried_values_change_no_bit(n, request, params):
 
     fresh = fresh_copy(stepped)
     assert fresh._values is None
-    assert_same_state(coupled_step(stepped, op, forcing, cfg),
-                      coupled_step(fresh, op, forcing, cfg))
-    ctx = SimpleNamespace(params=params, grid=grid, forcing=forcing,
+    assert_same_state(coupled_step(stepped, op, force, cfg),
+                      coupled_step(fresh, op, force, cfg))
+    ctx = SimpleNamespace(params=params, grid=grid, force=force,
                           fluid_cfg=cfg)
     row = record_state(stepped, ctx).row()
     assert row[9] == 1   # cutoff_active
@@ -497,7 +512,7 @@ def test_loaded_and_initial_states_carry_nothing(tmp_path):
     state = ctx.initial_state()
     assert state._values is None
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    stepped = coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
+    stepped = coupled_step(state, op, ctx.force, ctx.fluid_cfg)
     assert stepped._values is not None
     path = str(tmp_path / "stepped.fkp")
     checkpoint_save(stepped, path)
@@ -515,7 +530,7 @@ def test_loaded_and_initial_states_carry_nothing(tmp_path):
 def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
                                        fluid_cfg, monkeypatch):
     stepped = coupled_step(perturbed_state(grid32, basis32, params), op32,
-                           None, fluid_cfg)
+                           no_force, fluid_cfg)
     # a too-large dt is refused before any stage, from the carried values
     stages = []
     real_rhs = coupling.fluid_rhs
@@ -527,7 +542,7 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "fluid_rhs", counted_rhs)
         with pytest.raises(CFLViolation):
-            coupled_step(stepped, op32, None, FluidStepConfig(dt=0.05))
+            coupled_step(stepped, op32, no_force, FluidStepConfig(dt=0.05))
     assert stages == []
 
     # an r that is not positive after step k fails at step k, in the loop
@@ -538,11 +553,11 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "ssprk3", negated_r)
-        assert coupled_step(stepped, op32, None, fluid_cfg).fluid.r.values() \
-            .max() < 0
+        assert coupled_step(stepped, op32, no_force,
+                            fluid_cfg).fluid.r.values().max() < 0
         with pytest.raises(PositivityLoss,
                            match=r"^min r = -.* on the grid at step 4$"):
-            for _ in coupled_trajectory(stepped, op32, None, fluid_cfg,
+            for _ in coupled_trajectory(stepped, op32, no_force, fluid_cfg,
                                         range(3, 6)):
                 pass
 
@@ -561,7 +576,7 @@ def test_errors_raised_in_a_step_name_the_step(grid16, basis16):
     op = FokkerPlanckSolver(basis16, p, grid16, 16)
     with pytest.raises(PositivityLoss, match=r"^min r = -.* on the grid in "
                        r"a stage, where D\(r\) is undefined at step 3$"):
-        for _ in coupled_trajectory(state, op, None,
+        for _ in coupled_trajectory(state, op, no_force,
                                     FluidStepConfig(dt=0.05, cfl_safety=1e6),
                                     range(2, 5)):
             pass

@@ -900,6 +900,18 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("lemma_a1", "experiment.lemma_deltas =", "experiment.lemma_deltas"),
     ("lemma_a1", "experiment.lemma_deltas = 1.0, -1.0",
      "experiment.lemma_deltas"),
+    # a step or horizon that is not a finite number > 0
+    ("shear_perturbation", "fluid.dt = nan", "fluid"),
+    ("shear_perturbation", "fluid.dt = inf", "fluid"),
+    ("contraction_study", "fluid.dt = nan", "fluid"),
+    ("contraction_study", "experiment.horizon = inf", "experiment.horizon"),
+    # a NaN setting is refused, not met later as a physics error
+    ("shear_perturbation", "forcing.kind = steady_field\n"
+     "forcing.amplitude = nan", "forcing"),
+    ("stress_difference", "experiment.deltas = 1e-3, nan",
+     "experiment.deltas"),
+    ("lemma_a1", "experiment.lemma_deltas = 1.0, nan",
+     "experiment.lemma_deltas"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
@@ -915,7 +927,9 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "contraction_s_prime=-1", "contraction_zero_steps",
         "contraction_partial_step", "stress_difference_partial_step",
         "no_lemma_delta",
-        "negative_lemma_delta"])
+        "negative_lemma_delta", "dt=nan", "dt=inf", "contraction_dt=nan",
+        "horizon=inf", "forcing_amplitude=nan", "nan_delta",
+        "nan_lemma_delta"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"
@@ -943,7 +957,7 @@ def test_coupled_steps_reuse_the_heap():
     faults = []
     for _ in range(12):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        state = coupling.coupled_step(state, op, ctx.forcing, ctx.fluid_cfg)
+        state = coupling.coupled_step(state, op, ctx.force, ctx.fluid_cfg)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
     assert np.median(faults[4:]) < 50

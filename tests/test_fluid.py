@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from conftest import component, constant, derivative, divergence, \
-    field_product, fluid_batch, gradient, no_stress, random_band_limited, \
-    rhs_fields, sup_norm_w2inf, zero_field
+    field_product, fluid_batch, gradient, no_force, no_stress, \
+    random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
 from fene import torus
 from fene.coupling import fluid_trajectory
 from fene.errors import CFLViolation, PositivityLoss
@@ -50,7 +50,7 @@ def test_positivity_checked_by_the_trajectory(grid32, params):
     st = FluidState(r, zero_field(grid32, 2))
     with pytest.raises(PositivityLoss, match=r"^min r = -5\.000e-01 on the "
                        r"grid in the fluid half at step 0$"):
-        fluid_trajectory(st, no_stress(grid32), None, params,
+        fluid_trajectory(st, no_stress(grid32), no_force, params,
                          FluidStepConfig(dt=1e-3), 2)
 
 
@@ -230,7 +230,7 @@ def test_step_equilibrium_fixed_point(grid32, params):
     cfg = FluidStepConfig(dt=1e-3)
     cur = st
     for _ in range(10):
-        cur = step(cur, constant(stress), None, params, cfg)
+        cur = step(cur, constant(stress), no_force, params, cfg)
         assert np.max(np.abs(cur.r.coeffs - st.r.coeffs)) < 1e-12
         assert np.max(np.abs(cur.u.coeffs)) < 1e-12
 
@@ -254,7 +254,7 @@ def test_step_conservation(grid32, params):
     start = invariants(st)
     cur = st
     for _ in range(1000):
-        cur = step(cur, no_stress(grid32), None, params, cfg)
+        cur = step(cur, no_stress(grid32), no_force, params, cfg)
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
@@ -282,7 +282,7 @@ def test_one_step_conserves_mass_and_momentum(n, seed, amplitude):
                          np.sum(rho * uv[1])]) * area
 
     start = invariants(state)
-    after = invariants(step(state, no_stress(grid), None, params,
+    after = invariants(step(state, no_stress(grid), no_force, params,
                             FluidStepConfig(dt=1e-3)))
     drift = np.abs(after - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
@@ -299,8 +299,8 @@ def test_cutoff_inactive_is_bitwise_identical(grid32, params):
     big_r_cfg = FluidStepConfig(dt=1e-3, cutoff_R=1e6)
     a, b = st, st
     for _ in range(20):
-        a = step(a, no_stress(grid32), None, params, plain_cfg)
-        b = step(b, no_stress(grid32), None, params, big_r_cfg)
+        a = step(a, no_stress(grid32), no_force, params, plain_cfg)
+        b = step(b, no_stress(grid32), no_force, params, big_r_cfg)
     assert np.array_equal(a.r.coeffs, b.r.coeffs)
     assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
@@ -318,7 +318,7 @@ def test_step_self_convergence_third_order(grid32, params):
         cfg = FluidStepConfig(dt=dt)
         cur = st
         for _ in range(int(round(horizon / dt))):
-            cur = step(cur, no_stress(grid32), None, params, cfg)
+            cur = step(cur, no_stress(grid32), no_force, params, cfg)
         return cur
 
     s1, s2, s3 = solve(2e-3), solve(1e-3), solve(5e-4)
@@ -341,11 +341,11 @@ def test_step_raises_cfl(grid32, params):
     cfg = FluidStepConfig(dt=0.05)
     assert cfg.dt > cfl_bound(fluid_batch(st, None, params), params)
     with pytest.raises(CFLViolation):
-        step(st, no_stress(grid32), None, params, cfg)
+        step(st, no_stress(grid32), no_force, params, cfg)
     # raised inside a step, it names the step
     with pytest.raises(CFLViolation, match=r"^dt = 5\.000e-02 exceeds CFL "
                        r"bound .* in the fluid half at step 1$"):
-        fluid_trajectory(st, no_stress(grid32), None, params,
+        fluid_trajectory(st, no_stress(grid32), no_force, params,
                          cfg, 3)
 
 
@@ -417,7 +417,7 @@ def test_step_raises_positivity_loss(grid32):
     cfg = FluidStepConfig(dt=0.05, cfl_safety=1e6)
     with pytest.raises(PositivityLoss, match="in a stage, where D\\(r\\) is "
                        "undefined$"):
-        step(st, no_stress(grid32), None, p, cfg)
+        step(st, no_stress(grid32), no_force, p, cfg)
 
 
 def test_fluid_energy(grid32, params):

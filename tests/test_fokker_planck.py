@@ -250,7 +250,7 @@ def test_near_equilibrium_psi_samples_at_most_two_rings():
     state = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
     states = [s for _, s in coupled_trajectory(
-        state, op, ctx.forcing, ctx.fluid_cfg, range(5))]
+        state, op, ctx.force, ctx.fluid_cfg, range(5))]
     for st_k in states:
         psi = st_k.psi
         cg = psi.coefficient_values().reshape(psi.basis.n_basis, -1)
