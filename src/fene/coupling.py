@@ -23,10 +23,10 @@ other by the verification suite:
   they take, linear interpolants, and the force of every step, built once
   per run, are callables of time; a step wraps only the state it returns.
 
-Each CoupledState is sent to the grid once (CoupledState.grid_values):
-the batch a step makes of the state it returns serves that state's
-checks, the next step's CFL check and first stage, and the monitors of
-runner.record_state and blowup_indicator.
+Each state goes to the grid once: coupled_step and fluid.step take a
+state and its stage-1 batch and return the new state and its batch, which
+the trajectory loop hands to that state's checks, the next step and
+runner.record_state.  fp_step carries none: its stage 1 needs u at t + dt.
 
 Both routes integrate with the same fluid.ssprk3 step and take the
 Fokker-Planck operator (FokkerPlanckSolver, built for one grid) as an
@@ -55,8 +55,8 @@ from . import fluid as fluid_mod
 from .errors import BlowupCeiling, CFLViolation, PositivityLoss, \
     StabilityViolation
 from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
-    check_positive, fluid_rhs, rhs_factors, ssprk3, state_from_coeffs, \
-    stress_divergence
+    check_positive, fluid_rhs, rhs_batch, rhs_factors, ssprk3, \
+    state_from_coeffs, stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     fp_step
 from .torus import W2_INDICES, SpectralField, derivative_stack, \
@@ -64,17 +64,11 @@ from .torus import W2_INDICES, SpectralField, derivative_stack, \
 
 
 class CoupledState:
-    """The solution triple (r, u, psi) at one time instant.
+    """The solution triple (r, u, psi) at one time instant, unchecked.  It
+    holds coefficients only: its grid batch (grid_values) travels beside it
+    through coupled_step and coupled_trajectory."""
 
-    A state transforms to the grid once: grid_values(params) computes the
-    batch of a coupled stage at this state on first use and keeps it.  A
-    state made here or loaded carries nothing until then; coupled_step
-    returns one that carries its batch.  The carried values are those of
-    the coefficients at that moment: nothing in this package writes a
-    state's coefficients in place.
-    """
-
-    __slots__ = ("fluid", "psi", "time", "_values")
+    __slots__ = ("fluid", "psi", "time")
 
     def __init__(self, fluid: FluidState, psi: PolymerField):
         if fluid.r.grid != psi.grid:
@@ -84,20 +78,6 @@ class CoupledState:
         self.fluid = fluid
         self.psi = psi
         self.time = fluid.time
-        self._values = None   # (params, batch) once computed
-
-    def grid_values(self, params):
-        """The stage-1 batch of coupled_step at this state under params:
-        the grid values of fluid.rhs_factors (the N_FACTORS fluid factors),
-        then those of the n_basis coefficient fields of psi.  Only the div S
-        + div T slices depend on params.  It serves the CFL check and the
-        first stage of the next step, the positivity check of this state and
-        the monitors of runner.record_state and blowup_indicator."""
-        if self._values is None or self._values[0] != params:
-            self._values = params, _grid_values(
-                self.psi.grid, self.fluid.r.coeffs, self.fluid.u.coeffs,
-                self.psi.basis, self.psi.coeffs, params)
-        return self._values[1]
 
 
 @dataclass(frozen=True)
@@ -144,6 +124,15 @@ def _grid_values(grid, r, u, basis, c, params):
         grid.n_points)
 
 
+def grid_values(state: CoupledState, params):
+    """The stage-1 batch of coupled_step at state under params: the grid
+    values of fluid.rhs_factors (the N_FACTORS fluid factors), then those
+    of the n_basis coefficient fields of psi."""
+    return _grid_values(state.psi.grid, state.fluid.r.coeffs,
+                        state.fluid.u.coeffs, state.psi.basis,
+                        state.psi.coeffs, params)
+
+
 def xs_norm(traj, s):
     """Trajectory norm of X^s from dense-in-time samples."""
     if not traj:
@@ -188,46 +177,46 @@ def _linear_interpolant(samples, t0, dt):
     return at
 
 
-def _trajectory(state, advance, checked, where, steps):
-    """Yield (k, state) for each step number k in steps, the given state
-    first and then one advance(state) further each.  checked(state) gives
-    the (name, field) pairs that must be finite and the grid values of r
-    (None for psi alone)."""
+def _trajectory(state, values, advance, fields, where, steps):
+    """Yield (k, state, values) for each step number k in steps, the given
+    state and its grid batch first, then one (state, values) = advance(state,
+    values) further each.  fields(state) are the (name, field) pairs that
+    must be finite; r must be positive on values[R] (no batch: psi alone)."""
     for i, k in enumerate(steps):
         at = f"{where} at step {k}".lstrip()
         if i:
             try:
-                state = advance(state)
+                state, values = advance(state, values)
             except (CFLViolation, StabilityViolation, PositivityLoss) as exc:
                 exc.args = (f"{exc} {at}",)
                 raise
-        fields, rvals = checked(state)
-        for name, f in fields:
+        for name, f in fields(state):
             if not np.isfinite(f.coeffs).all():
                 raise BlowupCeiling(f"non-finite {name} coefficients {at}")
-        if rvals is not None:
-            check_positive(rvals, at)
-        yield k, state
+        if values is not None:
+            check_positive(values[R], at)
+        yield k, state, values
 
 
 def fluid_trajectory(fluid0: FluidState, stress, force, params,
                      cfg: FluidStepConfig, n_steps):
     """The n_steps + 1 checked fluid states from fluid0 under stress and
     force, callables of time, one fluid.step apart."""
-    return [fl for _, fl in _trajectory(
-        fluid0, lambda fl: fluid_mod.step(fl, stress, force, params, cfg),
-        lambda fl: ((("r", fl.r), ("u", fl.u)), fl.r.values()),
-        "in the fluid half", range(n_steps + 1))]
+    return [fl for _, fl, _ in _trajectory(
+        fluid0, rhs_batch(fluid0.r.grid, fluid0.r.coeffs, fluid0.u.coeffs,
+                          stress(fluid0.time), params),
+        lambda fl, v: fluid_mod.step(fl, v, stress, force, params, cfg),
+        lambda fl: (("r", fl.r), ("u", fl.u)), "in the fluid half",
+        range(n_steps + 1))]
 
 
 def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
                   n_steps):
     """The n_steps + 1 checked polymer fields from psi0 under u, a
     callable of time, one fp_step of dt apart."""
-    return [psi for _, psi in _trajectory(
-        psi0, lambda psi: fp_step(psi, u, op, dt),
-        lambda psi: ((("psi", psi),), None), "in the fp half",
-        range(n_steps + 1))]
+    return [psi for _, psi, _ in _trajectory(
+        psi0, None, lambda psi, _: (fp_step(psi, u, op, dt), None),
+        lambda psi: (("psi", psi),), "in the fp half", range(n_steps + 1))]
 
 
 def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
@@ -282,59 +271,55 @@ def contraction_factor(iterates, s_prime):
     return dists, ratios, False
 
 
-def coupled_step(state: CoupledState, op: FokkerPlanckSolver, force,
-                 fluid_cfg: FluidStepConfig) -> CoupledState:
-    """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress.
-
-    The CFL check and the first stage read state.grid_values; the new state
-    carries its own, unchecked."""
+def coupled_step(state: CoupledState, values, op: FokkerPlanckSolver,
+                 force, fluid_cfg: FluidStepConfig):
+    """Monolithic SSP-RK3 step of (r, u, psi) with per-stage stress, from
+    state and its batch values (grid_values).  The CFL check and the first
+    stage read values; returns the new state, unchecked, and its batch."""
     p = op.params
     grid, basis = state.psi.grid, state.psi.basis
     op.check_step(state.psi, fluid_cfg.dt)
-    carried = state.grid_values(p)
-    fluid_mod.check_cfl(carried, p, fluid_cfg)
+    fluid_mod.check_cfl(values, p, fluid_cfg)
     y0 = (state.fluid.r.coeffs, state.fluid.u.coeffs, state.psi.coeffs)
 
     def rhs(y, t):
         r, u, c = y
-        values = carried if y is y0 else _grid_values(grid, r, u, basis, c,
-                                                      p)
-        dr, du = fluid_rhs(grid, u, force(t), p, fluid_cfg, values)
-        return dr, du, op.tendency(c, values[VELOCITY], values[N_FACTORS:])
+        batch = values if y is y0 else _grid_values(grid, r, u, basis, c, p)
+        dr, du = fluid_rhs(grid, u, force(t), p, fluid_cfg, batch)
+        return dr, du, op.tendency(c, batch[VELOCITY], batch[N_FACTORS:])
 
     t1 = state.time + fluid_cfg.dt
     r, u, c = ssprk3(y0, rhs, state.time, fluid_cfg.dt)
-    new = CoupledState(state_from_coeffs(grid, r, u, t1),
-                       PolymerField(grid, basis, c, t1))
-    new.grid_values(p)
-    return new
+    return (CoupledState(state_from_coeffs(grid, r, u, t1),
+                         PolymerField(grid, basis, c, t1)),
+            _grid_values(grid, r, u, basis, c, p))
 
 
 def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, force,
                        fluid_cfg: FluidStepConfig, steps, where=""):
-    """Yield (k, state) for each step number k in steps, the given state
-    first and then one coupled_step further each, checked (r on the R slice
-    of its carried batch, so every state's batch exists before its step)."""
+    """Yield (k, state, values) for each step number k in steps, the given
+    state and its grid_values first, then one coupled_step further each,
+    checked (r on the R slice of values)."""
     return _trajectory(
-        state, lambda st: coupled_step(st, op, force, fluid_cfg),
-        lambda st: ((("r", st.fluid.r), ("u", st.fluid.u), ("psi", st.psi)),
-                    st.grid_values(op.params)[R]), where, steps)
+        state, grid_values(state, op.params),
+        lambda st, v: coupled_step(st, v, op, force, fluid_cfg),
+        lambda st: (("r", st.fluid.r), ("u", st.fluid.u), ("psi", st.psi)),
+        where, steps)
 
 
-def blowup_indicator(state: CoupledState, stress, params):
+def blowup_indicator(state: CoupledState, stress, velocity):
     """(indicator, w2): the grid-sampled |u|_{W^{2,inf}} + sup_x |div_x T|,
     with stress = stress_field(state.psi), and its first term w2 =
-    |u|_{W^{2,inf}}, which phi_R reads.  The u, d1 u, d2 u rows of the
-    W^{2,inf} stack are state.grid_values(params); the three second
-    derivatives of u and div T take one transform."""
+    |u|_{W^{2,inf}}, which phi_R reads.  velocity is the VELOCITY block of
+    the state's batch, the u, d1 u, d2 u rows of the W^{2,inf} stack; the
+    three second derivatives of u and div T take one transform."""
     grid = state.psi.grid
     n = grid.n_points
     second = derivative_stack(grid, state.fluid.u.coeffs,
                               W2_INDICES[3:]).reshape(-1, *grid.spectral_shape)
     div_t = stress_divergence(grid, stress.coeffs)
     vals = to_values(np.concatenate([second, div_t]), n)
-    w2 = np.concatenate([state.grid_values(params)[VELOCITY],
-                         vals[:len(second)]])
+    w2 = np.concatenate([velocity, vals[:len(second)]])
     w2 = sup_norm_w2inf_values(w2.reshape(len(W2_INDICES), 2, n, n))
     div_t = vals[len(second):]
     return float(w2 + np.sqrt(np.sum(div_t ** 2, axis=0)).max()), w2

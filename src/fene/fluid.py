@@ -10,14 +10,14 @@ pseudo-spectrally in the Galerkin space P_K of torus, with an optional
 velocity cut-off phi_R(|u|_{2,inf}) that switches the nonlinear terms off
 for large velocities.  Every kernel of a stage takes and returns arrays:
 rhs_factors stacks the twelve distinct spectral factors of the
-coefficients r, u and stress, and fluid_rhs and check_cfl read the grid
-batch of them that the step makes (coupling.coupled_step shares its batch
-with the Fokker-Planck half, which reads the VELOCITY block).  fluid_rhs
-forms the eleven quadratic terms in one 2/3-rule product, and only D(r)
-takes a round trip through P_K, so every tendency lies in P_K.  ssprk3,
-over tuples of coefficient arrays, is the package's one SSP-RK3 step.
-step takes its stress and its forcing as callables of time and wraps
-only the state it returns in a FluidState, a plain holder.  It checks
+coefficients r, u and stress, and fluid_rhs and check_cfl read their grid
+values, rhs_batch (coupling.coupled_step shares its batch with the
+Fokker-Planck half, which reads the VELOCITY block).  fluid_rhs forms the
+eleven quadratic terms in one 2/3-rule product, and only D(r) takes a
+round trip through P_K, so every tendency lies in P_K.  ssprk3, over
+tuples of coefficient arrays, is the package's one SSP-RK3 step.  step
+takes a state, its batch and its stress and forcing as callables of time,
+and returns the new FluidState (a plain holder) and its batch.  It checks
 only the CFL bound (on the speeds |u| + c_s) and, in each stage, that
 D(r) is defined; the trajectories of coupling check the states it makes
 (check_positive alone raises PositivityLoss; a loss is never repaired).
@@ -226,31 +226,34 @@ def forcing_of_time(forcing: ForcingSpec, grid):
     return field
 
 
-def step(state: FluidState, stress, force, p: ModelParams,
-         cfg: FluidStepConfig) -> FluidState:
-    """One SSP-RK3 step under stress and force, callables of time giving
-    the stress coefficients and the forcing coefficients (or None).
+def rhs_batch(grid, r, u, stress, p: ModelParams):
+    """The grid values of rhs_factors(grid, r, u, stress, p), one transform:
+    the batch that fluid_rhs and check_cfl read."""
+    return torus.to_values(rhs_factors(grid, r, u, stress, p), grid.n_points)
+
+
+def step(state: FluidState, values, stress, force, p: ModelParams,
+         cfg: FluidStepConfig):
+    """One SSP-RK3 step from state and its rhs_batch values under stress
+    and force, callables of time giving the stress coefficients and the
+    forcing coefficients (or None); returns the new state and its batch.
 
     Raises CFLViolation, before any stage, when dt exceeds the configured
     bound, and PositivityLoss when a stage meets an r that is not positive
     on the grid.  coupling.fluid_trajectory checks the state it returns.
     """
     grid = state.r.grid
-
-    def batch(r, u, t):
-        return torus.to_values(rhs_factors(grid, r, u, stress(t), p),
-                               grid.n_points)
-
+    check_cfl(values, p, cfg)
     y0 = (state.r.coeffs, state.u.coeffs)
-    first = batch(*y0, state.time)
-    check_cfl(first, p, cfg)
 
     def rhs(y, t):
-        return fluid_rhs(grid, y[1], force(t), p, cfg,
-                         first if y is y0 else batch(*y, t))
+        return fluid_rhs(grid, y[1], force(t), p, cfg, values if y is y0
+                         else rhs_batch(grid, *y, stress(t), p))
 
+    t1 = state.time + cfg.dt
     r, u = ssprk3(y0, rhs, state.time, cfg.dt)
-    return state_from_coeffs(grid, r, u, state.time + cfg.dt)
+    return (state_from_coeffs(grid, r, u, t1),
+            rhs_batch(grid, r, u, stress(t1), p))
 
 
 def fluid_energy(state: FluidState, s: int):

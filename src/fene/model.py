@@ -8,14 +8,14 @@ D(r) = 1/rho(r) that multiplies the viscous and elastic forces in the
 transformed momentum equation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants of the coupled model.
+    """Physical constants of the coupled model, each finite.
 
     a       pressure coefficient (> 0)
     gamma   adiabatic exponent (> 1)
@@ -37,6 +37,9 @@ class ModelParams:
     b: float = 4.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"ModelParams: {f.name} must be finite")
         checks = [
             (self.a > 0, "a > 0"),
             (self.gamma > 1, "gamma > 1"),

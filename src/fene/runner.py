@@ -12,6 +12,8 @@ line number).  Every run writes into its output directory:
 All randomness is drawn from one seeded generator, and all schemes are
 deterministic, so identical config + seed reproduces every artifact
 byte for byte.  Files are written to a temporary name and renamed.
+manifest.json is strict JSON: a non-finite number in it is the string
+"nan", "inf" or "-inf".
 
 SCENARIOS maps each scenario name to its driver.  A driver is called as
 driver(ctx, outdir), writes its artifacts into outdir and returns the
@@ -24,8 +26,9 @@ record interval names, and checks each record against the blow-up
 ceiling.  _EXITS maps every error class to its exit code and reason.
 
 record_state measures each quantity once and transforms none of r, u,
-grad u, psi or a steady forcing: it reads the batch a CoupledState
-carries (CoupledState.grid_values) and ctx.force, built once per run.
+grad u, psi or a steady forcing: it reads the grid batch that
+coupled_trajectory hands out with each state (coupling.grid_values) and
+ctx.force, built once per run.
 A run first removes the series.csv and snapshots/step*.fkp an earlier
 run left in its output directory, except the checkpoint it resumes from.
 """
@@ -286,6 +289,9 @@ class RunContext:
 
     def initial_state(self) -> CoupledState:
         cfg = self.cfg
+        for key in ("scenario.rho0", "scenario.mean_velocity"):
+            if not np.isfinite(cfg[key]):
+                raise ConfigError("must be finite", field=key)
         name = cfg["scenario"]
         x1, x2 = self.grid.x
         amp = cfg["scenario.amplitude"]
@@ -388,14 +394,15 @@ def _over_s(norm, field, top):
     return [norm(field, s, power) for s in range(top + 1)]
 
 
-def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
+def record_state(state: CoupledState, values,
+                 ctx: RunContext) -> TimeSeriesRecord:
     """The monitored row of state.  Its grid values of r, u, grad u and the
-    coefficients of psi are state.grid_values (carried from the step that
-    made the state); blowup_indicator makes one transform, of the stress
-    formed here, and ctx.force one more if it is time-periodic."""
+    coefficients of psi are values, the state's batch (coupling.grid_values,
+    handed out by coupled_trajectory); blowup_indicator makes one transform,
+    of the stress formed here, and ctx.force one more if it is
+    time-periodic."""
     params, grid = ctx.params, ctx.grid
     n = grid.n_points
-    values = state.grid_values(params)
     rvals = values[R]
     rho = r_to_density(rvals, params)
     uv = values[VELOCITY][:2]
@@ -405,7 +412,7 @@ def record_state(state: CoupledState, ctx: RunContext) -> TimeSeriesRecord:
            float(np.sum(rho * uv[1]) * area))
     psi_min = nonnegativity_report(state.psi.basis, values[N_FACTORS:])
     stress = stress_field(state.psi)
-    indicator, w2 = blowup_indicator(state, stress, params)
+    indicator, w2 = blowup_indicator(state, stress, values[VELOCITY])
     cutoff_r = ctx.fluid_cfg.cutoff_R
     cutoff_active = int(cutoff_r is not None and phi_r(w2, cutoff_r) < 1.0)
     force = ctx.force(state.time)
@@ -444,11 +451,24 @@ def write_csv(path, header, rows):
     os.replace(tmp, path)
 
 
+def _strict_json(x):
+    """x with each non-finite float as the string "nan", "inf" or "-inf",
+    which strict JSON (RFC 8259) can hold."""
+    if isinstance(x, float) and not np.isfinite(x):
+        return str(x)
+    if isinstance(x, dict):
+        return {key: _strict_json(val) for key, val in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(val) for val in x]
+    return x
+
+
 def write_manifest(outdir, payload):
     path = os.path.join(outdir, "manifest.json")
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -570,11 +590,11 @@ def _run_stepping(ctx: RunContext, outdir, resume_from=None):
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
     records = []
     try:
-        for k, state in coupled_trajectory(
+        for k, state, values in coupled_trajectory(
                 state, op, ctx.force, ctx.fluid_cfg,
                 range(first_step, max_steps + 1)):
             if k == first_step or k % every == 0 or k == max_steps:
-                rec = record_state(state, ctx)
+                rec = record_state(state, values, ctx)
                 records.append(rec)
                 # not (x <= ceiling), so that a NaN indicator trips the guard
                 if not rec.blowup_indicator <= ceiling:
@@ -669,7 +689,7 @@ def _run_contraction(ctx: RunContext, outdir):
     dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
 
     n_steps = fpc.n_steps(ctx.fluid_cfg.dt)
-    mono_traj = [mono.psi for _, mono in coupled_trajectory(
+    mono_traj = [mono.psi for _, mono, _ in coupled_trajectory(
         state0, op, ctx.force, ctx.fluid_cfg, range(n_steps + 1),
         "in the monolithic reference")]
     terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)

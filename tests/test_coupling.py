@@ -7,13 +7,12 @@ import scipy.fft
 from conftest import constant, fluid_batch, fp_batch, no_force, \
     no_stress, random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
-from fene.checkpoint import checkpoint_load, checkpoint_save
 from fene.configspace import ConfDistribution, kramers_stress
 from fene.errors import CFLViolation, PositivityLoss, StabilityViolation
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
-    coupled_trajectory, fixed_point_map, fp_trajectory, \
-    run_fixed_point, stress_field, xs_distance, xs_norm
+    coupled_trajectory, fixed_point_map, fluid_trajectory, fp_trajectory, \
+    grid_values, run_fixed_point, stress_field, xs_distance, xs_norm
 from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
     fluid_rhs, phi_r, rhs_factors, step
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
@@ -163,9 +162,9 @@ def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
 
 def test_coupled_step_equilibrium(grid32, basis32, params, fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
-    cur = st
+    cur, values = st, grid_values(st, params)
     for _ in range(10):
-        cur = coupled_step(cur, op32, no_force, fluid_cfg)
+        cur, values = coupled_step(cur, values, op32, no_force, fluid_cfg)
         assert np.max(np.abs(cur.fluid.r.coeffs - st.fluid.r.coeffs)) < 1e-12
         assert np.max(np.abs(cur.fluid.u.coeffs)) < 1e-12
         assert np.max(np.abs(cur.psi.coeffs - st.psi.coeffs)) < 1e-12
@@ -183,9 +182,10 @@ def test_coupled_step_conserves_everything(grid32, basis32, params,
                          np.sum(rho * uv[1]) * area, polymer_mass(s.psi)])
 
     start = invariants(st)
-    cur = st
+    cur = st, grid_values(st, params)
     for _ in range(100):
-        cur = coupled_step(cur, op32, no_force, fluid_cfg)
+        cur = coupled_step(*cur, op32, no_force, fluid_cfg)
+    cur = cur[0]
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
@@ -201,10 +201,10 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
         fluid_cfg = FluidStepConfig(dt=dt)
         n_steps = int(round(horizon / dt))
         mono = [st]
-        cur = st
+        cur = st, grid_values(st, params)
         for _ in range(n_steps):
-            cur = coupled_step(cur, op32, no_force, fluid_cfg)
-            mono.append(cur)
+            cur = coupled_step(*cur, op32, no_force, fluid_cfg)
+            mono.append(cur[0])
         mono_psi = [s.psi for s in mono]
         once = fixed_point_map(mono_psi, st, op32, no_force, fluid_cfg)
         gaps.append(xs_distance(once, mono_psi, 1))
@@ -213,19 +213,26 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
 
 def test_blowup_indicator(grid32, basis32, params):
     st = equilibrium_state(grid32, basis32, params)
-    assert blowup_indicator(st, stress_field(st.psi), params) == (0.0, 0.0)
+
+    def velocity(s):
+        return grid_values(s, params)[fluid.VELOCITY]
+
+    assert blowup_indicator(st, stress_field(st.psi),
+                            velocity(st)) == (0.0, 0.0)
     x1, _ = grid32.x
     u = SpectralField.from_values(grid32,
                                   np.stack([np.sin(x1), np.zeros_like(x1)]))
     st_u = CoupledState(FluidState(st.fluid.r, u),
                         PolymerField.equilibrium(grid32, basis32))
     expect = sup_norm_w2inf(u)   # div T(M) = 0 for the constant stress
-    indicator, w2 = blowup_indicator(st_u, stress_field(st_u.psi), params)
+    indicator, w2 = blowup_indicator(st_u, stress_field(st_u.psi),
+                                     velocity(st_u))
     assert indicator == pytest.approx(expect, rel=1e-12)
     assert w2 == pytest.approx(expect, rel=1e-12)
     st_2u = CoupledState(FluidState(st.fluid.r, 2.0 * u),
                          PolymerField.equilibrium(grid32, basis32))
-    assert blowup_indicator(st_2u, stress_field(st_2u.psi), params)[0] == \
+    assert blowup_indicator(st_2u, stress_field(st_2u.psi),
+                            velocity(st_2u))[0] == \
         pytest.approx(2 * expect, rel=1e-12)
 
 
@@ -247,13 +254,14 @@ def test_steady_forcing_is_built_once_per_run(grid32, basis32, params, op32,
                         counted(fokker_planck.to_modes))
     monkeypatch.setattr(torus, "to_modes", counted(torus.to_modes))
     state = perturbed_state(grid32, basis32, params)
+    values = grid_values(state, params)
     # a time-periodic force takes one 2-slice transform per SSP-RK3 stage
     # and per record, a steady one none: it was built with the force
     for advance, periodic in (
-            (lambda f: coupled_step(state, op32, f, fluid_cfg), 3),
-            (lambda f: step(state.fluid, no_stress(grid32), f, params,
-                            fluid_cfg), 3),
-            (lambda f: record_state(state, SimpleNamespace(
+            (lambda f: coupled_step(state, values, op32, f, fluid_cfg), 3),
+            (lambda f: step(state.fluid, values[:fluid.N_FACTORS],
+                            no_stress(grid32), f, params, fluid_cfg), 3),
+            (lambda f: record_state(state, values, SimpleNamespace(
                 params=params, grid=grid32, force=f, fluid_cfg=fluid_cfg)),
              1)):
         counts = {}
@@ -291,7 +299,7 @@ def first_stage(state, op, force, cfg, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "ssprk3", one_stage)
-        coupled_step(state, op, force, cfg)
+        coupled_step(state, grid_values(state, op.params), op, force, cfg)
     return stages[0]
 
 
@@ -347,13 +355,14 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
     # each torus transform is one scipy.fft call; per SSP-RK3 stage one
     # inverse call of the 12 fluid factors and the 40 coefficient fields
     # and one of D(r); forward D(r), the 11 fluid products and the 3 x 40
-    # FP products.  A stepped state carries its stage-1 batch, which the
-    # CFL bound reads too; the new state's batch is made once, for the
-    # positivity of its r.
-    state = coupled_step(perturbed_state(grid32, basis32, params), op32,
-                         no_force, fluid_cfg)
+    # FP products.  The step takes its state's stage-1 batch, which the
+    # CFL bound reads too, and makes the new state's once, for the
+    # positivity of its r and the next step.
+    start = perturbed_state(grid32, basis32, params)
+    state = coupled_step(start, grid_values(start, params), op32, no_force,
+                         fluid_cfg)
     calls = counted_transforms(monkeypatch)
-    coupled_step(state, op32, no_force, fluid_cfg)
+    coupled_step(*state, op32, no_force, fluid_cfg)
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= 15      # 18 before carrying
     assert sum(inverse) <= 159                     # 163
@@ -363,7 +372,7 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
     # stack took 12
     for slices in calls.values():
         slices.clear()
-    coupled_step(state, op32, no_force,
+    coupled_step(*state, op32, no_force,
                  FluidStepConfig(dt=1e-3, cutoff_R=0.01))
     assert len(inverse) + len(forward_) <= 18
     assert sum(inverse) <= 177                     # 195
@@ -375,17 +384,32 @@ def test_coupled_step_transform_budget(grid32, basis32, params, op32,
 def test_fluid_step_transform_budget(cutoff_r, budget, grid32, basis32,
                                      params, monkeypatch):
     # per SSP-RK3 stage one inverse call of the 12 fluid factors (the first
-    # also serves the CFL check) and one of D(r), forward D(r) and the 11
+    # is passed in and serves the CFL check too; the step makes the new
+    # state's) and one of D(r), forward D(r) and the 11
     # products; phi_R adds the three second derivatives of u.  Before the
     # batch was required: 14 calls and 42 inverse slices, 17 and 78 with
     # phi_R
     fl = perturbed_state(grid32, basis32, params).fluid
+    values = fluid_batch(fl, None, params)
     calls = counted_transforms(monkeypatch)
-    step(fl, no_stress(grid32), no_force, params,
+    step(fl, values, no_stress(grid32), no_force, params,
          FluidStepConfig(dt=1e-3, cutoff_R=cutoff_r))
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= budget[0]
     assert sum(inverse) <= budget[1]
+
+
+def test_fluid_trajectory_carries_each_batch(grid32, basis32, params,
+                                            monkeypatch):
+    # each fluid.step returns its state's batch, which serves that state's
+    # positivity check and the next step's CFL check and first stage: one
+    # batch of the first state, then 12 calls per step.  53 calls when the
+    # check transformed r once more per state
+    fl = perturbed_state(grid32, basis32, params).fluid
+    calls = counted_transforms(monkeypatch)
+    fluid_trajectory(fl, no_stress(grid32), no_force, params,
+                     FluidStepConfig(dt=1e-3), 4)
+    assert len(calls["irfft2"]) + len(calls["rfft2"]) <= 49
 
 
 def test_a_step_wraps_only_the_state_it_returns(grid16, basis16, params,
@@ -403,10 +427,12 @@ def test_a_step_wraps_only_the_state_it_returns(grid16, basis16, params,
     state = perturbed_state(grid16, basis16, params)
     stress = stress_field(state.psi)
     op = FokkerPlanckSolver(basis16, params, grid16, 16)
-    for advance in (lambda: coupled_step(state, op, no_force,
-                                         fluid_cfg).fluid,
-                    lambda: step(state.fluid, constant(stress), no_force,
-                                 params, fluid_cfg)):
+    values = grid_values(state, params)
+    for advance in (lambda: coupled_step(state, values, op, no_force,
+                                         fluid_cfg)[0].fluid,
+                    lambda: step(state.fluid, values[:fluid.N_FACTORS],
+                                 constant(stress), no_force, params,
+                                 fluid_cfg)[0]):
         for objs in made.values():
             objs.clear()
         new = advance()
@@ -425,9 +451,11 @@ def test_record_state_transform_budget(monkeypatch):
     # second derivatives of u and div T (2 slices each) is left
     ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"))
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    state = coupled_step(ctx.initial_state(), op, ctx.force, ctx.fluid_cfg)
+    start = ctx.initial_state()
+    state = coupled_step(start, grid_values(start, ctx.params), op,
+                         ctx.force, ctx.fluid_cfg)
     calls = counted_transforms(monkeypatch)
-    record_state(state, ctx)
+    record_state(*state, ctx)
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= 2       # 6 before carrying
     assert sum(inverse) <= 8                       # 61
@@ -440,7 +468,9 @@ def test_record_state_measures_each_quantity_once(monkeypatch):
     ctx = RunContext(parse_config_text("scenario = shear_perturbation\n"
                                        "fluid.cutoff_r = 0.01\n"))
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    state = coupled_step(ctx.initial_state(), op, ctx.force, ctx.fluid_cfg)
+    start = ctx.initial_state()
+    state = coupled_step(start, grid_values(start, ctx.params), op,
+                         ctx.force, ctx.fluid_cfg)
     stresses = []
 
     def counted_stress(psi):
@@ -450,7 +480,7 @@ def test_record_state_measures_each_quantity_once(monkeypatch):
     monkeypatch.setattr(runner, "stress_field", counted_stress)
     monkeypatch.setattr(coupling, "stress_field", counted_stress)
     calls = counted_transforms(monkeypatch)
-    rec = record_state(state, ctx)
+    rec = record_state(*state, ctx)
     inverse, forward_ = calls["irfft2"], calls["rfft2"]
     assert len(inverse) + len(forward_) <= 1
     assert sum(inverse) <= 8
@@ -476,61 +506,54 @@ def assert_same_state(a, b):
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_carried_values_change_no_bit(n, request, params):
+    # the batch each step returns is a fresh batch of the state it returns,
+    # so the steps and records that read it are those of a fresh batch
     grid, basis = (request.getfixturevalue(f"{name}{n}")
                    for name in ("grid", "basis"))
     state = random_coupled_state(grid, basis, params, seed=n)
     force = fluid.forcing_of_time(ForcingSpec("steady_field", 0.1, (1, 0)),
                                   grid)
     op = FokkerPlanckSolver(basis, params, grid, n)
-    stepped = coupled_step(state, op, force, FluidStepConfig(dt=1e-4))
+    stepped, carried = coupled_step(state, grid_values(state, params), op,
+                                    force, FluidStepConfig(dt=1e-4))
     y = sup_norm_w2inf(stepped.fluid.u)
     cfg = FluidStepConfig(dt=1e-4, cutoff_R=y - 0.4)
     assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0
-    assert stepped._values is not None and state._values is not None
-    carried = stepped.grid_values(params)
-    assert np.array_equal(carried, to_values(np.concatenate(
-        [rhs_factors(grid, stepped.fluid.r.coeffs, stepped.fluid.u.coeffs,
-                     stress_field(stepped.psi).coeffs, params),
-         stepped.psi.coeffs]), grid.n_points))
+    for _, st, values in coupled_trajectory(stepped, op, force, cfg,
+                                            range(3)):
+        assert np.array_equal(values, to_values(np.concatenate(
+            [rhs_factors(grid, st.fluid.r.coeffs, st.fluid.u.coeffs,
+                         stress_field(st.psi).coeffs, params),
+             st.psi.coeffs]), grid.n_points))
+    # the fluid half's batch is taken under the stress at the new time
+    stress = stress_field(stepped.psi).coeffs
+
+    def ramp(t):
+        return (1.0 + t) * stress
+
+    fl, values = stepped.fluid, fluid_batch(
+        stepped.fluid, SpectralField(grid, ramp(stepped.time)), params)
+    for _ in range(2):
+        fl, values = step(fl, values, ramp, force, params, cfg)
+        assert np.array_equal(values, fluid_batch(
+            fl, SpectralField(grid, ramp(fl.time)), params))
 
     fresh = fresh_copy(stepped)
-    assert fresh._values is None
-    assert_same_state(coupled_step(stepped, op, force, cfg),
-                      coupled_step(fresh, op, force, cfg))
+    assert_same_state(coupled_step(stepped, carried, op, force, cfg)[0],
+                      coupled_step(fresh, grid_values(fresh, params), op,
+                                   force, cfg)[0])
     ctx = SimpleNamespace(params=params, grid=grid, force=force,
                           fluid_cfg=cfg)
-    row = record_state(stepped, ctx).row()
+    row = record_state(stepped, carried, ctx).row()
     assert row[9] == 1   # cutoff_active
-    assert row == record_state(fresh_copy(stepped), ctx).row()
-    assert stepped.grid_values(params) is carried
-
-
-def test_loaded_and_initial_states_carry_nothing(tmp_path):
-    ctx = RunContext(parse_config_text(
-        "scenario = shear_perturbation\ngrid.n_points = 16\n"
-        "ball.n_radial = 8\nball.n_angular = 8\nball.n_basis = 10\n"))
-    state = ctx.initial_state()
-    assert state._values is None
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    stepped = coupled_step(state, op, ctx.force, ctx.fluid_cfg)
-    assert stepped._values is not None
-    path = str(tmp_path / "stepped.fkp")
-    checkpoint_save(stepped, path)
-    assert checkpoint_load(path, grid=ctx.grid, basis=ctx.basis)._values \
-        is None
-    # a batch made under other params is not reused
-    other = ModelParams(mu_s=2.0)
-    assert not np.array_equal(stepped.grid_values(other)[fluid.V1],
-                              coupling._grid_values(
-                                  ctx.grid, stepped.fluid.r.coeffs,
-                                  stepped.fluid.u.coeffs, ctx.basis,
-                                  stepped.psi.coeffs, ctx.params)[fluid.V1])
+    assert row == record_state(fresh, grid_values(fresh, params), ctx).row()
 
 
 def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
                                        fluid_cfg, monkeypatch):
-    stepped = coupled_step(perturbed_state(grid32, basis32, params), op32,
-                           no_force, fluid_cfg)
+    start = perturbed_state(grid32, basis32, params)
+    stepped, values = coupled_step(start, grid_values(start, params), op32,
+                                   no_force, fluid_cfg)
     # a too-large dt is refused before any stage, from the carried values
     stages = []
     real_rhs = coupling.fluid_rhs
@@ -542,7 +565,8 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "fluid_rhs", counted_rhs)
         with pytest.raises(CFLViolation):
-            coupled_step(stepped, op32, no_force, FluidStepConfig(dt=0.05))
+            coupled_step(stepped, values, op32, no_force,
+                         FluidStepConfig(dt=0.05))
     assert stages == []
 
     # an r that is not positive after step k fails at step k, in the loop
@@ -553,8 +577,8 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "ssprk3", negated_r)
-        assert coupled_step(stepped, op32, no_force,
-                            fluid_cfg).fluid.r.values().max() < 0
+        assert coupled_step(stepped, values, op32, no_force,
+                            fluid_cfg)[0].fluid.r.values().max() < 0
         with pytest.raises(PositivityLoss,
                            match=r"^min r = -.* on the grid at step 4$"):
             for _ in coupled_trajectory(stepped, op32, no_force, fluid_cfg,

@@ -603,9 +603,9 @@ def test_nan_between_records_trips_at_its_step(tmp_path, monkeypatch):
 
     def poisoned(state, *args):
         out = real_step(state, *args)
-        taken.append(out.time)
+        taken.append(out[0].time)
         if len(taken) == 3:
-            out.psi.coeffs[3, 1, 1] = np.nan
+            out[0].psi.coeffs[3, 1, 1] = np.nan
         return out
 
     monkeypatch.setattr(coupling, "coupled_step", poisoned)
@@ -787,7 +787,7 @@ def small_contraction_cfg(tmp_path):
     # step 3 of the last iterate's FP half: call 43 of 5 x 10
     ("fp_step", 43, lambda out: out, "in the fp half at step 3"),
     # the last of the ten monolithic steps
-    ("coupled_step", 10, lambda out: out.psi,
+    ("coupled_step", 10, lambda out: out[0].psi,
      "in the monolithic reference at step 10"),
 ], ids=["fixed_point", "monolithic"])
 def test_nan_in_contraction_study_trips_at_its_step(tmp_path, monkeypatch,
@@ -798,7 +798,7 @@ def test_nan_in_contraction_study_trips_at_its_step(tmp_path, monkeypatch,
 
     def poisoned(*args):
         out = real_step(*args)
-        taken.append(out.time)
+        taken.append(psi_of(out).time)
         if len(taken) == calls:
             psi_of(out).coeffs[3, 1, 1] = np.nan
         return out
@@ -912,6 +912,19 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
      "experiment.deltas"),
     ("lemma_a1", "experiment.lemma_deltas = 1.0, nan",
      "experiment.lemma_deltas"),
+    # an infinite setting is refused, not run as physics: before, these
+    # exited 5 (BlowupCeiling at step 0), 4, or 0 with no relaxation
+    ("shear_perturbation", "model.gamma = inf", "model"),
+    ("shear_perturbation", "model.a = inf", "model"),
+    ("shear_perturbation", "model.epsilon = inf", "model"),
+    ("shear_perturbation", "model.a11 = inf", "model"),
+    ("shear_perturbation", "model.mu_s = inf", "model"),
+    ("shear_perturbation", "model.mu_b = inf", "model"),
+    ("shear_perturbation", "model.lambda = inf", "model"),
+    ("shear_perturbation", "model.b = inf", "model"),
+    ("shear_perturbation", "scenario.rho0 = inf", "scenario.rho0"),
+    ("shear_perturbation", "scenario.mean_velocity = inf",
+     "scenario.mean_velocity"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
@@ -929,7 +942,9 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "no_lemma_delta",
         "negative_lemma_delta", "dt=nan", "dt=inf", "contraction_dt=nan",
         "horizon=inf", "forcing_amplitude=nan", "nan_delta",
-        "nan_lemma_delta"])
+        "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
+        "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
+        "mean_velocity=inf"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"
@@ -943,6 +958,25 @@ def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("line", ["fluid.dt = nan", "model.gamma = inf"])
+def test_error_manifests_are_strict_json(tmp_path, line):
+    # the config echo writes a non-finite setting as a string, where
+    # json.dump wrote a bare NaN or Infinity that RFC 8259 parsers reject
+    cfg_path, outdir = write_cfg(tmp_path, scenario="contraction_study",
+                                 extra=line)
+    with open(os.devnull, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 2
+
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in manifest.json")
+
+    with open(os.path.join(outdir, "manifest.json")) as fh:
+        manifest = json.load(fh, parse_constant=refuse)
+    key, _, value = line.partition(" = ")
+    assert manifest["reason"] == "ConfigError"
+    assert manifest["config"][key] == value
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="heap thresholds are set through glibc mallopt")
 def test_coupled_steps_reuse_the_heap():
@@ -954,10 +988,11 @@ def test_coupled_steps_reuse_the_heap():
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid,
                             ctx.chi_index)
     state = ctx.initial_state()
+    state = state, coupling.grid_values(state, ctx.params)
     faults = []
     for _ in range(12):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        state = coupling.coupled_step(state, op, ctx.force, ctx.fluid_cfg)
+        state = coupling.coupled_step(*state, op, ctx.force, ctx.fluid_cfg)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
     assert np.median(faults[4:]) < 50

@@ -228,9 +228,10 @@ def test_step_equilibrium_fixed_point(grid32, params):
     stress = SpectralField.from_values(grid32, np.stack(
         [np.ones((32, 32)), np.zeros((32, 32)), np.ones((32, 32))]))
     cfg = FluidStepConfig(dt=1e-3)
-    cur = st
+    cur, values = st, fluid_batch(st, stress, params)
     for _ in range(10):
-        cur = step(cur, constant(stress), no_force, params, cfg)
+        cur, values = step(cur, values, constant(stress), no_force, params,
+                           cfg)
         assert np.max(np.abs(cur.r.coeffs - st.r.coeffs)) < 1e-12
         assert np.max(np.abs(cur.u.coeffs)) < 1e-12
 
@@ -252,9 +253,10 @@ def test_step_conservation(grid32, params):
                          np.sum(rho * uv[1])]) * area
 
     start = invariants(st)
-    cur = st
+    cur, values = st, fluid_batch(st, None, params)
     for _ in range(1000):
-        cur = step(cur, no_stress(grid32), no_force, params, cfg)
+        cur, values = step(cur, values, no_stress(grid32), no_force, params,
+                           cfg)
     drift = np.abs(invariants(cur) - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
@@ -282,8 +284,9 @@ def test_one_step_conserves_mass_and_momentum(n, seed, amplitude):
                          np.sum(rho * uv[1])]) * area
 
     start = invariants(state)
-    after = invariants(step(state, no_stress(grid), no_force, params,
-                            FluidStepConfig(dt=1e-3)))
+    after = invariants(step(state, fluid_batch(state, None, params),
+                            no_stress(grid), no_force, params,
+                            FluidStepConfig(dt=1e-3))[0])
     drift = np.abs(after - start) / np.maximum(np.abs(start), 1.0)
     assert np.max(drift) < 1e-8
 
@@ -297,10 +300,11 @@ def test_cutoff_inactive_is_bitwise_identical(grid32, params):
             grid32, np.stack([0.05 * np.sin(x2), np.zeros_like(x1)])))
     plain_cfg = FluidStepConfig(dt=1e-3)
     big_r_cfg = FluidStepConfig(dt=1e-3, cutoff_R=1e6)
-    a, b = st, st
+    a = b = st, fluid_batch(st, None, params)
     for _ in range(20):
-        a = step(a, no_stress(grid32), no_force, params, plain_cfg)
-        b = step(b, no_stress(grid32), no_force, params, big_r_cfg)
+        a = step(*a, no_stress(grid32), no_force, params, plain_cfg)
+        b = step(*b, no_stress(grid32), no_force, params, big_r_cfg)
+    a, b = a[0], b[0]
     assert np.array_equal(a.r.coeffs, b.r.coeffs)
     assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
@@ -316,10 +320,10 @@ def test_step_self_convergence_third_order(grid32, params):
 
     def solve(dt):
         cfg = FluidStepConfig(dt=dt)
-        cur = st
+        cur = st, fluid_batch(st, None, params)
         for _ in range(int(round(horizon / dt))):
-            cur = step(cur, no_stress(grid32), no_force, params, cfg)
-        return cur
+            cur = step(*cur, no_stress(grid32), no_force, params, cfg)
+        return cur[0]
 
     s1, s2, s3 = solve(2e-3), solve(1e-3), solve(5e-4)
 
@@ -341,7 +345,8 @@ def test_step_raises_cfl(grid32, params):
     cfg = FluidStepConfig(dt=0.05)
     assert cfg.dt > cfl_bound(fluid_batch(st, None, params), params)
     with pytest.raises(CFLViolation):
-        step(st, no_stress(grid32), no_force, params, cfg)
+        step(st, fluid_batch(st, None, params), no_stress(grid32), no_force,
+             params, cfg)
     # raised inside a step, it names the step
     with pytest.raises(CFLViolation, match=r"^dt = 5\.000e-02 exceeds CFL "
                        r"bound .* in the fluid half at step 1$"):
@@ -417,7 +422,8 @@ def test_step_raises_positivity_loss(grid32):
     cfg = FluidStepConfig(dt=0.05, cfl_safety=1e6)
     with pytest.raises(PositivityLoss, match="in a stage, where D\\(r\\) is "
                        "undefined$"):
-        step(st, no_stress(grid32), no_force, p, cfg)
+        step(st, fluid_batch(st, None, p), no_stress(grid32), no_force, p,
+             cfg)
 
 
 def test_fluid_energy(grid32, params):

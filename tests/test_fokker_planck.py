@@ -249,7 +249,7 @@ def test_near_equilibrium_psi_samples_at_most_two_rings():
     ctx = RunContext(parse_config_text("scenario = shear_perturbation"))
     state = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    states = [s for _, s in coupled_trajectory(
+    states = [s for _, s, _ in coupled_trajectory(
         state, op, ctx.force, ctx.fluid_cfg, range(5))]
     for st_k in states:
         psi = st_k.psi

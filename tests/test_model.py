@@ -12,6 +12,12 @@ def test_params_reject_invalid():
     for kw in bad:
         with pytest.raises(ValueError):
             ModelParams(**kw)
+    # each field must be finite: inf passes every x > 0 rule
+    for name in ("a", "gamma", "mu_s", "mu_b", "epsilon", "a11", "lam", "b"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^ModelParams: {name} "
+                               "must be finite$"):
+                ModelParams(**{name: value})
 
 
 def test_potential_values(params):
