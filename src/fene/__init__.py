@@ -2,8 +2,8 @@
 
 from .model import ForcingSpec, ModelParams
 from .torus import SpectralField, TorusGrid
-from .configspace import ConfDistribution, ConfigBasis, ConfigQuadrature, \
-    build_quadrature, eigen_basis
+from .configspace import ConfigBasis, ConfigQuadrature, build_quadrature, \
+    eigen_basis
 from .fluid import FluidState, FluidStepConfig
 from .fokker_planck import PolymerField
 from .coupling import CoupledState, FixedPointConfig
@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ForcingSpec", "ModelParams", "SpectralField", "TorusGrid",
-    "ConfDistribution", "ConfigBasis", "ConfigQuadrature",
-    "build_quadrature", "eigen_basis", "FluidState", "FluidStepConfig",
-    "PolymerField", "CoupledState", "FixedPointConfig", "__version__",
+    "ConfigBasis", "ConfigQuadrature", "build_quadrature", "eigen_basis",
+    "FluidState", "FluidStepConfig", "PolymerField", "CoupledState",
+    "FixedPointConfig", "__version__",
 ]

@@ -24,17 +24,16 @@ a(.,.) identically, which pins the lowest eigenvalue to zero and encodes
 the zero-flux boundary condition naturally (M vanishes on the boundary,
 so no essential condition is imposed).
 
-The per-mode blocks of both forms use one Gauss-Jacobi rule in t
-(radial_rule), exact for every b > 2.  The Jacobi tables come from one
-pass of the three-term recurrence (jacobi_table), bitwise equal to scipy's
-eval_jacobi: one pass serves that rule for every angular mode, and one
-more the radial nodes of the modes eigen_basis keeps.
+operator_blocks assembles both forms per mode on one Gauss-Jacobi rule
+in t (radial_rule), exact for every b > 2.  The Jacobi tables come from
+one pass of the three-term recurrence (jacobi_table), bitwise equal to
+scipy's eval_jacobi: one pass serves that rule for every angular mode, and
+one more the radial nodes of the modes eigen_basis keeps.
 
-Norms, stress and lemma_a1_check take node values of phi (and grad_q phi),
-which a ConfDistribution supplies; chi_of_radius is the one cut-off chi_n.
+phi at one spatial point is a coefficient vector; ConfigBasis.node_values
+and node_grads give the node values of phi and grad_q phi that the norms,
+the stress and lemma_a1_check take.  chi_of_radius is the one cut-off.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
@@ -88,25 +87,6 @@ class ConfigQuadrature:
 
 def build_quadrature(b, n_radial, n_angular) -> ConfigQuadrature:
     return ConfigQuadrature(b, n_radial, n_angular)
-
-
-@dataclass
-class ConfDistribution:
-    """Coefficients of phi = psi/M in a ConfigBasis at one spatial point."""
-
-    basis: "ConfigBasis"
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.basis.n_basis,):
-            raise ValueError("coefficient count must equal n_basis")
-
-    def node_values(self):
-        return np.tensordot(self.coeffs, self.basis.values, axes=1)
-
-    def node_grads(self):
-        return np.tensordot(self.coeffs, self.basis.grads, axes=1)
 
 
 def l2m_norm(values, quad: ConfigQuadrature):
@@ -177,64 +157,36 @@ def radial_rule(n, b):
     return t, w * 2.0 ** -(a + 1.0) / (1.0 - t) ** a
 
 
-class OperatorBlocks:
+def operator_blocks(b, n_modal, m_max):
     """Weak forms of the relaxation operator, one block per angular mode.
 
-    stiffness[m], mass[m] are symmetric matrices of the forms a and m on
-    the Jacobi trial space of angular mode m described in the module
-    docstring.  Each block integrand is (1 - t)^(b/2 - 1) times a
-    polynomial of degree <= 2 n_modal - 1 + m_max in t, so one radial_rule
-    of n_modal + ceil(m_max / 2) nodes assembles all of them exactly at
-    every b > 2.  quad's own Gauss-Legendre nodes, on which radial_tables
-    evaluates the profiles, are exact only at even b.
+    Returns (stiffness, mass): entry m of each is the symmetric matrix of
+    a(.,.), resp. m(.,.), on the Jacobi trial space of angular mode m
+    described in the module docstring, for m = 0 .. m_max.  Each block
+    integrand is (1 - t)^(b/2 - 1) times a polynomial of degree
+    <= 2 n_modal - 1 + m_max in t, so one radial_rule of
+    n_modal + ceil(m_max / 2) nodes assembles all of them exactly at
+    every b > 2.
     """
-
-    def __init__(self, quad: ConfigQuadrature, n_modal, m_max):
-        self.quad = quad
-        self.n_modal = n_modal
-        self.m_max = m_max
-        self.stiffness, self.mass = [], []
-        b, alpha = quad.b, quad.b / 2.0
-        t, w = radial_rule(n_modal + (m_max + 1) // 2, b)
-        rho = np.sqrt(t)
-        meas = (b / 2.0) * w * ((1.0 - t) ** alpha / maxwellian_normalizer(b))
-        P_all, dP_all = _jacobi_values(
-            n_modal, alpha, np.arange(m_max + 1.0)[:, None], t)
-        for m in range(m_max + 1):
-            P, dP = P_all[:, m], dP_all[:, m]
-            F = rho ** m * P
-            dF = (m * np.where(m > 0, rho ** max(m - 1, 0), 0.0) * P
-                  + 2.0 * rho ** (m + 1) * dP) / np.sqrt(b)
-            B = np.einsum("k,ik,jk->ij", meas, F, F)
-            A = np.einsum("k,ik,jk->ij", meas, dF, dF)
-            if m > 0:
-                A += m * m * np.einsum("k,ik,jk->ij", meas / (b * t), F, F)
-            self.stiffness.append(0.5 * (A + A.T))
-            self.mass.append(0.5 * (B + B.T))
-
-    def radial_tables(self, modes):
-        """{m: (P, dP)} on the stored radial nodes for each m in modes,
-        from one jacobi_table pass over the distinct modes."""
-        modes = sorted(set(modes))
-        P, dP = _jacobi_values(self.n_modal, self.quad.b / 2.0,
-                               np.array(modes, float)[:, None], self.quad.t)
-        return {m: (P[:, i], dP[:, i]) for i, m in enumerate(modes)}
-
-    def radial_profiles(self, m, coeffs, table):
-        """Node values (f, df/dr) on the stored radial nodes for mode m,
-        from its entry (P, dP) of radial_tables."""
-        quad = self.quad
-        rho = quad.rho
-        P, dP = table
-        base = coeffs @ P
-        dbase = coeffs @ dP
-        f = rho ** m * base
+    alpha = b / 2.0
+    t, w = radial_rule(n_modal + (m_max + 1) // 2, b)
+    rho = np.sqrt(t)
+    meas = (b / 2.0) * w * ((1.0 - t) ** alpha / maxwellian_normalizer(b))
+    P_all, dP_all = _jacobi_values(
+        n_modal, alpha, np.arange(m_max + 1.0)[:, None], t)
+    stiffness, mass = [], []
+    for m in range(m_max + 1):
+        P, dP = P_all[:, m], dP_all[:, m]
+        F = rho ** m * P
+        dF = (m * np.where(m > 0, rho ** max(m - 1, 0), 0.0) * P
+              + 2.0 * rho ** (m + 1) * dP) / np.sqrt(b)
+        B = np.einsum("k,ik,jk->ij", meas, F, F)
+        A = np.einsum("k,ik,jk->ij", meas, dF, dF)
         if m > 0:
-            df = (m * rho ** (m - 1) * base
-                  + 2.0 * rho ** (m + 1) * dbase) / np.sqrt(quad.b)
-        else:
-            df = 2.0 * rho * dbase / np.sqrt(quad.b)
-        return f, df
+            A += m * m * np.einsum("k,ik,jk->ij", meas / (b * t), F, F)
+        stiffness.append(0.5 * (A + A.T))
+        mass.append(0.5 * (B + B.T))
+    return stiffness, mass
 
 
 class ConfigBasis:
@@ -270,6 +222,20 @@ class ConfigBasis:
             for qa, qb in ((quad.q1, quad.q1), (quad.q1, quad.q2),
                            (quad.q2, quad.q2))])
 
+    def node_values(self, coeffs):
+        """phi = sum_i coeffs[i] phi_i at the nodes."""
+        return np.tensordot(self._checked(coeffs), self.values, axes=1)
+
+    def node_grads(self, coeffs):
+        """grad_q phi at the nodes, shape (2, n_radial, n_angular)."""
+        return np.tensordot(self._checked(coeffs), self.grads, axes=1)
+
+    def _checked(self, coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (self.n_basis,):
+            raise ValueError("coefficient count must equal n_basis")
+        return coeffs
+
     def gram_matrix(self):
         w = self.quad.weights * self.quad.maxwellian
         return np.einsum("kl,ikl,jkl->ij", w, self.values, self.values)
@@ -283,25 +249,26 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     """Solve the decoupled radial eigenproblems and collect the n_basis
     lowest modes (cos/sin branches of m >= 1 counted separately).
 
-    Every mode block is solved and the (eigenvalue, m, kind, k) keys are
-    sorted; only the n_basis kept eigenpairs are sign-normalized, get a
-    residual and are evaluated on the nodes.  An n_basis that would keep a
-    cos branch without its sin partner is refused: such a span is not
-    invariant under rotations of q."""
+    Every block of operator_blocks is solved and the (eigenvalue, m, kind,
+    k) keys are sorted; only the n_basis kept eigenpairs are sign-normalized,
+    get a residual and are evaluated on quad's nodes (exact only at even b),
+    from one _jacobi_values pass over their modes.  An n_basis that would
+    keep a cos branch without its sin partner is refused: such a span is
+    not invariant under rotations of q."""
     if n_basis < 1:
         raise ValueError("n_basis must be at least 1")
-    blocks = OperatorBlocks(quad, quad.n_radial, quad.n_angular // 2 - 1)
-    n_modal = blocks.n_modal
-    capacity = n_modal * (2 * blocks.m_max + 1)
+    n_modal, m_max = quad.n_radial, quad.n_angular // 2 - 1
+    stiffness, mass = operator_blocks(quad.b, n_modal, m_max)
+    capacity = n_modal * (2 * m_max + 1)
     if n_basis > capacity:
         raise ValueError(
             f"n_basis={n_basis} exceeds assembled dimension {capacity}")
 
     vectors = []
     keys = []
-    for m in range(blocks.m_max + 1):
+    for m in range(m_max + 1):
         try:
-            lam, vec = eigh(blocks.stiffness[m], blocks.mass[m])
+            lam, vec = eigh(stiffness[m], mass[m])
         except LinAlgError as exc:
             raise EigenSolverError("generalized eigensolver failed for "
                                    f"angular mode {m}") from exc
@@ -315,10 +282,12 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     if m > 0 and kind == "cos":
         raise ValueError(f"n_basis={n_basis} keeps ({m}, cos, {k}) without "
                          f"its sin partner; take one mode fewer or more")
-    tables = blocks.radial_tables(m for _, m, _, _ in keys)
+    modes = sorted({m for _, m, _, _ in keys})
+    P, dP = _jacobi_values(n_modal, quad.b / 2.0,
+                           np.array(modes, float)[:, None], quad.t)
 
     nr, na = quad.n_radial, quad.n_angular
-    theta = quad.angles
+    theta, rho = quad.angles, quad.rho
     values = np.zeros((n_basis, nr, na))
     grads = np.zeros((n_basis, 2, nr, na))
     eigenvalues = np.zeros(n_basis)
@@ -327,14 +296,21 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     e_r = np.stack([np.cos(theta), np.sin(theta)])       # (2, na)
     e_t = np.stack([-np.sin(theta), np.cos(theta)])
     for i, (lam_i, m, kind, k) in enumerate(keys):
-        A, B = blocks.stiffness[m], blocks.mass[m]
+        A, B = stiffness[m], mass[m]
         v = vectors[m][:, k]
         j = int(np.argmax(np.abs(v)))
         if v[j] < 0:
             v = -v
         scale = np.linalg.norm(A, "fro") + np.linalg.norm(B, "fro")
         res = np.linalg.norm(A @ v - lam_i * (B @ v)) / scale
-        f, df = blocks.radial_profiles(m, v, tables[m])
+        col = modes.index(m)
+        base, dbase = v @ P[:, col], v @ dP[:, col]
+        f = rho ** m * base
+        if m > 0:
+            df = (m * rho ** (m - 1) * base
+                  + 2.0 * rho ** (m + 1) * dbase) / np.sqrt(quad.b)
+        else:
+            df = 2.0 * rho * dbase / np.sqrt(quad.b)
         if m == 0:
             ang = np.full(na, 1.0 / np.sqrt(2.0 * np.pi))
             dang = np.zeros(na)
@@ -355,12 +331,12 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
                        residuals)
 
 
-def project_pi_qn(phi_values, basis: ConfigBasis) -> ConfDistribution:
-    """M-weighted orthogonal projection of node values onto the basis span."""
+def project_pi_qn(phi_values, basis: ConfigBasis):
+    """Coefficients of the M-weighted orthogonal projection of node values
+    onto the basis span."""
     values = np.asarray(phi_values, dtype=float)
     w = basis.quad.weights * basis.quad.maxwellian
-    coeffs = np.einsum("kl,ikl->i", w * values, basis.values)
-    return ConfDistribution(basis, coeffs)
+    return np.einsum("kl,ikl->i", w * values, basis.values)
 
 
 def check_chi_index(n, b):

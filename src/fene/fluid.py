@@ -58,8 +58,8 @@ def check_positive(rvals, where):
 @dataclass(frozen=True)
 class FluidStepConfig:
     """Time-step parameters for the fluid solver: dt (finite, > 0),
-    cutoff_R=None disables the phi_R regularization, cfl_safety (finite,
-    > 0) scales the CFL bound."""
+    cutoff_R (finite, > 0) is the phi_R threshold, None disables phi_R,
+    cfl_safety (finite, > 0) scales the CFL bound."""
 
     dt: float
     cutoff_R: float = None
@@ -69,8 +69,8 @@ class FluidStepConfig:
         # each written not (x <= 0), so that NaN is refused too
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be finite and > 0")
-        if self.cutoff_R is not None and not self.cutoff_R > 0:
-            raise ValueError("cut-off threshold must be positive")
+        if self.cutoff_R is not None and not 0 < self.cutoff_R < np.inf:
+            raise ValueError("cut-off threshold must be finite and > 0")
         if not 0 < self.cfl_safety < np.inf:
             raise ValueError("the CFL safety factor must be finite and > 0")
 

@@ -47,8 +47,8 @@ from itertools import islice
 import numpy as np
 
 from .checkpoint import checkpoint_load, checkpoint_save
-from .configspace import ConfDistribution, build_quadrature, \
-    check_chi_index, eigen_basis, lemma_a1_check
+from .configspace import build_quadrature, check_chi_index, eigen_basis, \
+    lemma_a1_check
 from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     contraction_factor, coupled_trajectory, fluid_trajectory, \
     fp_trajectory, run_fixed_point, stress_field, xs_distance
@@ -289,7 +289,8 @@ class RunContext:
 
     def initial_state(self) -> CoupledState:
         cfg = self.cfg
-        for key in ("scenario.rho0", "scenario.mean_velocity"):
+        for key in ("scenario.rho0", "scenario.mean_velocity",
+                    "scenario.amplitude"):
             if not np.isfinite(cfg[key]):
                 raise ConfigError("must be finite", field=key)
         name = cfg["scenario"]
@@ -712,11 +713,10 @@ def _run_lemma_a1(ctx: RunContext, outdir):
     n_ensemble = cfg["experiment.ensemble"]
     rng = np.random.default_rng(ctx.seed)
     deltas = cfg["experiment.lemma_deltas"]
-    samples = [ConfDistribution(ctx.basis,
-                                rng.standard_normal(ctx.basis.n_basis))
-               for _ in range(n_ensemble)]
-    parts = [lemma_a1_check(dist.node_values(), dist.node_grads(), ctx.quad)
-             for dist in samples]
+    basis = ctx.basis
+    samples = [rng.standard_normal(basis.n_basis) for _ in range(n_ensemble)]
+    parts = [lemma_a1_check(basis.node_values(c), basis.node_grads(c),
+                            ctx.quad) for c in samples]
     results = {}
     for delta in deltas:
         best = -np.inf

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 from scipy.special import eval_jacobi, gamma, roots_jacobi
 
-from fene.configspace import ConfDistribution, ConfigBasis, OperatorBlocks, \
-    build_quadrature, chi_mass_matrix, chi_of_radius, drift_matrices, \
-    eigen_basis, h1m_seminorm, jacobi_table, kramers_stress, l2m_norm, \
-    lemma_a1_check, project_pi_qn
+from fene.configspace import ConfigBasis, build_quadrature, \
+    chi_mass_matrix, chi_of_radius, drift_matrices, eigen_basis, \
+    h1m_seminorm, jacobi_table, kramers_stress, l2m_norm, lemma_a1_check, \
+    operator_blocks, project_pi_qn
 from fene.model import ModelParams, maxwellian, maxwellian_normalizer
 
 
@@ -52,27 +52,24 @@ def test_l2m_of_q1_closed_form(quad32):
 def test_l2m_homogeneity_triangle(quad32, basis32):
     rng = np.random.default_rng(0)
     for _ in range(10):
-        a = ConfDistribution(basis32, rng.standard_normal(40))
-        b = ConfDistribution(basis32, rng.standard_normal(40))
-        na = l2m_norm(a.node_values(), quad32)
-        scaled = ConfDistribution(basis32, 3.0 * a.coeffs)
-        assert l2m_norm(scaled.node_values(), quad32) \
+        a = rng.standard_normal(40)
+        b = rng.standard_normal(40)
+        na = l2m_norm(basis32.node_values(a), quad32)
+        assert l2m_norm(basis32.node_values(3.0 * a), quad32) \
             == pytest.approx(3.0 * na, rel=1e-12)
-        total = ConfDistribution(basis32, a.coeffs + b.coeffs)
-        nsum = l2m_norm(total.node_values(), quad32)
-        assert nsum <= na + l2m_norm(b.node_values(), quad32) + 1e-12
+        nsum = l2m_norm(basis32.node_values(a + b), quad32)
+        assert nsum <= na + l2m_norm(basis32.node_values(b), quad32) + 1e-12
 
 
 def test_assemble_operator_structure(quad32):
-    blocks = OperatorBlocks(quad32, 16, 4)
-    for A, B in zip(blocks.stiffness, blocks.mass):
+    stiffness, mass = operator_blocks(quad32.b, 16, 4)
+    for A, B in zip(stiffness, mass):
         assert np.max(np.abs(A - A.T)) < 1e-12
         assert np.max(np.abs(B - B.T)) < 1e-12
         assert np.all(np.linalg.eigvalsh(B) > 0)
     # constants are annihilated: first row/column of the m=0 form vanish
-    assert np.max(np.abs(blocks.stiffness[0][0, :])) < 1e-14
-    from scipy.linalg import eigh
-    lam = eigh(blocks.stiffness[0], blocks.mass[0], eigvals_only=True)
+    assert np.max(np.abs(stiffness[0][0, :])) < 1e-14
+    lam = eigh(stiffness[0], mass[0], eigvals_only=True)
     assert abs(lam[0]) < 1e-8
 
 
@@ -106,9 +103,8 @@ def test_eigen_basis_capacity(quad32):
 def test_projection_reproduces_span(quad32, basis32):
     rng = np.random.default_rng(1)
     c = rng.standard_normal(40)
-    dist = ConfDistribution(basis32, c)
-    back = project_pi_qn(dist.node_values(), basis32)
-    assert np.max(np.abs(back.coeffs - c)) < 1e-10
+    back = project_pi_qn(basis32.node_values(c), basis32)
+    assert np.max(np.abs(back - c)) < 1e-10
 
 
 def test_projection_bessel_and_idempotent(quad32, basis32):
@@ -116,12 +112,12 @@ def test_projection_bessel_and_idempotent(quad32, basis32):
     for _ in range(50):
         values = rng.standard_normal((32, 32))
         proj = project_pi_qn(values, basis32)
-        assert l2m_norm(proj.node_values(), quad32) \
+        assert l2m_norm(basis32.node_values(proj), quad32) \
             <= l2m_norm(values, quad32) + 1e-12
     values = rng.standard_normal((32, 32))
     once = project_pi_qn(values, basis32)
-    twice = project_pi_qn(once.node_values(), basis32)
-    assert np.max(np.abs(twice.coeffs - once.coeffs)) < 1e-12
+    twice = project_pi_qn(basis32.node_values(once), basis32)
+    assert np.max(np.abs(twice - once)) < 1e-12
 
 
 def test_chi_cutoff_shape():
@@ -172,8 +168,7 @@ def test_stress_representation_consistency(quad32, basis32):
     # int_B psi dq by quadrature vs the phi_0 coefficient inner product
     rng = np.random.default_rng(3)
     c = rng.standard_normal(40)
-    dist = ConfDistribution(basis32, c)
-    quad_mass = quad32.integrate_weighted(dist.node_values())
+    quad_mass = quad32.integrate_weighted(basis32.node_values(c))
     w = quad32.weights * quad32.maxwellian
     coeff_mass = float(c @ np.einsum("kl,ikl->i", w, basis32.values))
     assert abs(quad_mass - coeff_mass) < 1e-10
@@ -191,16 +186,43 @@ def test_drift_and_chi_mass_structure(basis32):
     assert np.max(np.abs(g_chi[:, :, 0, :])) < 1e-12
 
 
+@pytest.mark.parametrize("b, n_radial, n_angular, n_basis", [
+    (4.0, 32, 32, 40), (6.0, 16, 16, 12), (10.0, 32, 32, 40)])
+def test_drift_against_the_ground_mode_is_stress_less_mass(b, n_radial,
+                                                           n_angular,
+                                                           n_basis):
+    # by parts, with phi_0 = 1, chi off, M = 0 on the boundary and
+    # d_a M = -M q_a / (1 - t):
+    #   int_B M q_b d_a(phi_i) dq
+    #     = int_B M q_a q_b / (1 - t) phi_i dq - delta_ab int_B M phi_i dq.
+    # Only even b: the node rule in t is exact there and nowhere else
+    basis = eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
+    drift = drift_matrices(basis, None)
+    stress = basis.stress_vectors
+    tol = 1e-13 * np.max(np.abs(stress))
+    for a, c, row in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2)):
+        want = stress[row] - (a == c) * basis.mass_vector
+        assert np.max(np.abs(drift[a, c, :, 0] - want)) < tol, (a, c)
+
+
+@pytest.mark.parametrize("n", [39, 41])
+def test_node_values_refuse_a_wrong_coefficient_count(basis32, n):
+    with pytest.raises(ValueError, match="must equal n_basis"):
+        basis32.node_values(np.ones(n))
+    with pytest.raises(ValueError, match="must equal n_basis"):
+        basis32.node_grads(np.ones(n))
+
+
 def test_lemma_a1_check(quad32, basis32):
-    eq = ConfDistribution(basis32, np.eye(40)[0])
-    lhs, h1, l2 = lemma_a1_check(eq.node_values(), eq.node_grads(), quad32)
+    eq = np.eye(40)[0]
+    lhs, h1, l2 = lemma_a1_check(basis32.node_values(eq),
+                                 basis32.node_grads(eq), quad32)
     assert np.isfinite(lhs) and lhs > 0
     assert h1 < 1e-12
     assert l2 == pytest.approx(1.0, rel=1e-10)
     # homogeneity: all three squares scale with c^2
-    scaled = ConfDistribution(basis32, 3.0 * eq.coeffs)
-    lhs2, _, l22 = lemma_a1_check(scaled.node_values(), scaled.node_grads(),
-                                  quad32)
+    lhs2, _, l22 = lemma_a1_check(basis32.node_values(3.0 * eq),
+                                  basis32.node_grads(3.0 * eq), quad32)
     assert lhs2 == pytest.approx(9.0 * lhs, rel=1e-12)
     assert l22 == pytest.approx(9.0 * l2, rel=1e-12)
 
@@ -209,9 +231,9 @@ def test_lemma_a1_ensemble_finite(quad32, basis32):
     rng = np.random.default_rng(4)
     best = -np.inf
     for _ in range(200):
-        dist = ConfDistribution(basis32, rng.standard_normal(40))
-        lhs, h1, l2 = lemma_a1_check(dist.node_values(), dist.node_grads(),
-                                     quad32)
+        c = rng.standard_normal(40)
+        lhs, h1, l2 = lemma_a1_check(basis32.node_values(c),
+                                     basis32.node_grads(c), quad32)
         best = max(best, (lhs - 0.1 * h1) / l2)
     assert np.isfinite(best)
     assert best > 0
@@ -337,9 +359,9 @@ def test_eigen_basis_refuses_split_pair(quad32, n_basis):
 def test_operator_mass_blocks_match_jacobi_norms(b):
     # mass[m]_ij = (b / 2Z) int_0^1 (1 - t)^(b/2) t^m P_i P_j dt, with
     # P_j = P_j^{(b/2, m)}(2t - 1): delta_ij times the closed-form norm
-    blocks = OperatorBlocks(build_quadrature(b, 32, 32), 32, 15)
-    alpha, j = b / 2.0, np.arange(blocks.n_modal)
-    for m, B in enumerate(blocks.mass):
+    _, mass = operator_blocks(b, 32, 15)
+    alpha, j = b / 2.0, np.arange(32)
+    for m, B in enumerate(mass):
         norm = (b / (2.0 * maxwellian_normalizer(b))) \
             * gamma(j + alpha + 1) * gamma(j + m + 1) \
             / ((2 * j + alpha + m + 1) * gamma(j + alpha + m + 1)

@@ -7,7 +7,7 @@ import scipy.fft
 from conftest import constant, fluid_batch, fp_batch, no_force, \
     no_stress, random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
-from fene.configspace import ConfDistribution, kramers_stress
+from fene.configspace import kramers_stress
 from fene.errors import CFLViolation, PositivityLoss, StabilityViolation
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
@@ -78,8 +78,7 @@ def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
     field_vals = stress_field(psi).values()
     cg = psi.coefficient_values()
     for ix, iy in ((0, 0), (3, 7), (10, 2)):
-        dist = ConfDistribution(basis16, cg[:, ix, iy])
-        direct = kramers_stress(dist.node_values(), quad16)
+        direct = kramers_stress(basis16.node_values(cg[:, ix, iy]), quad16)
         assert abs(field_vals[0, ix, iy] - direct[0, 0]) < 1e-10
         assert abs(field_vals[1, ix, iy] - direct[0, 1]) < 1e-10
         assert abs(field_vals[2, ix, iy] - direct[1, 1]) < 1e-10

@@ -5,6 +5,7 @@ import platform
 import re
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -873,9 +874,10 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "blowup_ceiling = 0", "blowup_ceiling"),
     ("shear_perturbation", "blowup_ceiling = nan", "blowup_ceiling"),
     ("lemma_a1", "blowup_ceiling = -1", "blowup_ceiling"),
-    # phi_R needs a positive threshold
+    # phi_R needs a finite positive threshold: inf ran as no cut-off
     ("shear_perturbation", "fluid.cutoff_r = 0", "fluid"),
     ("shear_perturbation", "fluid.cutoff_r = -1", "fluid"),
+    ("shear_perturbation", "fluid.cutoff_r = inf", "fluid"),
     # a CFL safety factor that is not a finite number > 0
     ("density_bump", "fluid.cfl_safety = nan", "fluid"),
     ("density_bump", "fluid.cfl_safety = inf", "fluid"),
@@ -933,7 +935,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
         "max_steps=-1", "record_every=0", "snapshots_every=-1",
         "ceiling=-1", "ceiling=0", "ceiling=nan", "lemma_ceiling=-1",
-        "cutoff_r=0", "cutoff_r=-1", "cfl_safety=nan", "cfl_safety=inf",
+        "cutoff_r=0", "cutoff_r=-1", "cutoff_r=inf", "cfl_safety=nan",
+        "cfl_safety=inf",
         "cfl_safety=0", "cfl_safety=-1", "cfl_safety=none", "rho0=0",
         "bump_amplitude=1.5",
         "shear_amplitude=2.5", "stress_difference_s_prime=-1",
@@ -956,6 +959,21 @@ def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     with pytest.raises(ConfigError) as err:
         RunContext(parse_config(cfg_path)).initial_state()
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("scenario", ["shear_perturbation", "density_bump"])
+def test_infinite_amplitude_is_refused_before_any_arithmetic(tmp_path,
+                                                             scenario):
+    # inf * cos(x) at a node where cos vanishes is NaN: the density check
+    # refused it, but only after numpy's "invalid value" RuntimeWarning
+    cfg_path, _ = write_cfg(tmp_path, scenario=scenario,
+                            extra="scenario.amplitude = inf")
+    ctx = RunContext(parse_config(cfg_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="must be finite") as err:
+            ctx.initial_state()
+    assert err.value.field == "scenario.amplitude"
 
 
 @pytest.mark.parametrize("line", ["fluid.dt = nan", "model.gamma = inf"])

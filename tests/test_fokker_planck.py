@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import constant, derivative, field_product, fp_batch, \
     random_band_limited, zero_field
-from fene.configspace import ConfDistribution, build_quadrature, \
-    eigen_basis, h1m_seminorm
+from fene.configspace import build_quadrature, eigen_basis, h1m_seminorm
 from fene.coupling import coupled_trajectory
 from fene.errors import StabilityViolation
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
@@ -89,6 +88,17 @@ def test_tendency_marginal_identity(grid32, basis32):
     assert resid < 1e-8
 
 
+def test_relaxation_rate_is_a11_over_4_lambda(grid16, basis16):
+    # the FP relaxation prefactor A11 / (4 lambda), and op.diag the rate
+    # relaxation_rate * lambda_i + epsilon |k|^2 of every coefficient
+    params = ModelParams(a11=3.0, lam=2.0, epsilon=0.1)
+    assert params.relaxation_rate == 3.0 / 8.0
+    op = FokkerPlanckSolver(basis16, params, grid16)
+    want = 0.375 * basis16.eigenvalues[:, None, None] \
+        + 0.1 * grid16.ksq[None]
+    np.testing.assert_allclose(op.diag, want, rtol=1e-15, atol=0)
+
+
 def test_polymer_mass_conserved(grid32, basis32, params):
     psi = perturbed_field(grid32, basis32)
     u = shear_velocity(grid32)
@@ -158,8 +168,8 @@ def test_fp_energy_quadrature_consistency(grid16, basis16):
     total = 0.0
     for ix in range(n):
         for iy in range(n):
-            dist = ConfDistribution(basis16, cg[:, ix, iy])
-            total += h1m_seminorm(dist.node_grads(), basis16.quad) ** 2
+            grads = basis16.node_grads(cg[:, ix, iy])
+            total += h1m_seminorm(grads, basis16.quad) ** 2
     total *= grid16.cell_area()
     assert h1m == pytest.approx(total, rel=1e-8)
 
