@@ -1,7 +1,7 @@
 """Compressible Navier-Stokes / Fokker-Planck FENE dumbbell simulator."""
 
 from .model import ForcingSpec, ModelParams
-from .torus import SpectralField, TorusGrid
+from .torus import TorusGrid
 from .configspace import ConfigBasis, ConfigQuadrature, build_quadrature, \
     eigen_basis
 from .fluid import FluidState, FluidStepConfig
@@ -11,7 +11,7 @@ from .coupling import CoupledState, FixedPointConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "ForcingSpec", "ModelParams", "SpectralField", "TorusGrid",
+    "ForcingSpec", "ModelParams", "TorusGrid",
     "ConfigBasis", "ConfigQuadrature", "build_quadrature", "eigen_basis",
     "FluidState", "FluidStepConfig", "PolymerField", "CoupledState",
     "FixedPointConfig", "__version__",

@@ -32,7 +32,7 @@ import numpy as np
 from .configspace import build_quadrature, eigen_basis
 from .coupling import CoupledState
 from .errors import VersionError
-from .fluid import state_from_coeffs
+from .fluid import FluidState
 from .fokker_planck import PolymerField
 from .torus import TorusGrid
 
@@ -43,14 +43,14 @@ _HEADER = struct.Struct("<4sIIIIIdd")
 
 def checkpoint_save(state: CoupledState, path):
     """Write the state atomically (write-then-rename)."""
-    grid = state.fluid.r.grid
+    grid = state.fluid.grid
     quad = state.psi.basis.quad
     header = _HEADER.pack(MAGIC, VERSION, grid.n_points, quad.n_radial,
                           quad.n_angular, state.psi.basis.n_basis, quad.b,
                           state.time)
     blob = header + b"".join(
         c.astype("<c16").tobytes() for c in
-        (state.fluid.r.coeffs[0], state.fluid.u.coeffs, state.psi.coeffs))
+        (state.fluid.r[0], state.fluid.u, state.psi.coeffs))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
@@ -96,5 +96,5 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
     # r, u1, u2 and the psi coefficients, one field after the other
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size) \
         .astype(complex).reshape(3 + n_basis, *shape)
-    fluid = state_from_coeffs(grid, coeffs[0], coeffs[1:3], time)
-    return CoupledState(fluid, PolymerField(grid, basis, coeffs[3:], time))
+    return CoupledState(FluidState(grid, coeffs[:1], coeffs[1:3], time),
+                        PolymerField(grid, basis, coeffs[3:], time))

@@ -23,6 +23,10 @@ other by the verification suite:
   they take, linear interpolants, and the force of every step, built once
   per run, are callables of time; a step wraps only the state it returns.
 
+Fields are coefficient arrays: CoupledState holds a FluidState (the arrays
+r and u) and a PolymerField on the same grid at the same time, and
+stress_field returns the coefficients (T11, T12, T22).
+
 Each state goes to the grid once: coupled_step and fluid.step take a
 state and its stage-1 batch and return the new state and its batch, which
 the trajectory loop hands to that state's checks, the next step and
@@ -56,11 +60,11 @@ from .errors import BlowupCeiling, CFLViolation, PositivityLoss, \
     StabilityViolation
 from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
     check_positive, fluid_rhs, rhs_batch, rhs_factors, ssprk3, \
-    state_from_coeffs, stress_divergence
+    stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     fp_step
-from .torus import W2_INDICES, SpectralField, derivative_stack, \
-    sup_norm_w2inf_values, to_values
+from .torus import W2_INDICES, derivative_stack, sup_norm_w2inf_values, \
+    to_values
 
 
 class CoupledState:
@@ -71,7 +75,7 @@ class CoupledState:
     __slots__ = ("fluid", "psi", "time")
 
     def __init__(self, fluid: FluidState, psi: PolymerField):
-        if fluid.r.grid != psi.grid:
+        if fluid.grid != psi.grid:
             raise ValueError("fluid and polymer fields use different grids")
         if abs(fluid.time - psi.time) > 1e-12:
             raise ValueError("fluid and polymer time stamps disagree")
@@ -103,13 +107,14 @@ class FixedPointConfig:
         return int(round(self.horizon_T / dt))
 
 
-def stress_field(psi: PolymerField) -> SpectralField:
-    """Kramers stress of psi as a symmetric tensor field (T11, T12, T22).
+def stress_field(psi: PolymerField):
+    """Kramers stress of psi, the coefficients (T11, T12, T22) of a
+    symmetric tensor field.
 
     The stress integral is linear in the basis coefficients, so it reduces
     to a contraction with the precomputed per-mode stress integrals and is
     exact in the torus modes."""
-    return SpectralField(psi.grid, _stress_of(psi.basis, psi.coeffs))
+    return _stress_of(psi.basis, psi.coeffs)
 
 
 def _stress_of(basis, coeffs):
@@ -128,9 +133,8 @@ def grid_values(state: CoupledState, params):
     """The stage-1 batch of coupled_step at state under params: the grid
     values of fluid.rhs_factors (the N_FACTORS fluid factors), then those
     of the n_basis coefficient fields of psi."""
-    return _grid_values(state.psi.grid, state.fluid.r.coeffs,
-                        state.fluid.u.coeffs, state.psi.basis,
-                        state.psi.coeffs, params)
+    return _grid_values(state.psi.grid, state.fluid.r, state.fluid.u,
+                        state.psi.basis, state.psi.coeffs, params)
 
 
 def xs_norm(traj, s):
@@ -180,8 +184,9 @@ def _linear_interpolant(samples, t0, dt):
 def _trajectory(state, values, advance, fields, where, steps):
     """Yield (k, state, values) for each step number k in steps, the given
     state and its grid batch first, then one (state, values) = advance(state,
-    values) further each.  fields(state) are the (name, field) pairs that
-    must be finite; r must be positive on values[R] (no batch: psi alone)."""
+    values) further each.  fields(state) are the (name, coefficients) pairs
+    that must be finite; r must be positive on values[R] (no batch: psi
+    alone)."""
     for i, k in enumerate(steps):
         at = f"{where} at step {k}".lstrip()
         if i:
@@ -190,8 +195,8 @@ def _trajectory(state, values, advance, fields, where, steps):
             except (CFLViolation, StabilityViolation, PositivityLoss) as exc:
                 exc.args = (f"{exc} {at}",)
                 raise
-        for name, f in fields(state):
-            if not np.isfinite(f.coeffs).all():
+        for name, c in fields(state):
+            if not np.isfinite(c).all():
                 raise BlowupCeiling(f"non-finite {name} coefficients {at}")
         if values is not None:
             check_positive(values[R], at)
@@ -203,7 +208,7 @@ def fluid_trajectory(fluid0: FluidState, stress, force, params,
     """The n_steps + 1 checked fluid states from fluid0 under stress and
     force, callables of time, one fluid.step apart."""
     return [fl for _, fl, _ in _trajectory(
-        fluid0, rhs_batch(fluid0.r.grid, fluid0.r.coeffs, fluid0.u.coeffs,
+        fluid0, rhs_batch(fluid0.grid, fluid0.r, fluid0.u,
                           stress(fluid0.time), params),
         lambda fl, v: fluid_mod.step(fl, v, stress, force, params, cfg),
         lambda fl: (("r", fl.r), ("u", fl.u)), "in the fluid half",
@@ -216,7 +221,8 @@ def fp_trajectory(psi0: PolymerField, u, op: FokkerPlanckSolver, dt,
     callable of time, one fp_step of dt apart."""
     return [psi for _, psi, _ in _trajectory(
         psi0, None, lambda psi, _: (fp_step(psi, u, op, dt), None),
-        lambda psi: (("psi", psi),), "in the fp half", range(n_steps + 1))]
+        lambda psi: (("psi", psi.coeffs),), "in the fp half",
+        range(n_steps + 1))]
 
 
 def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
@@ -230,11 +236,11 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
     n_steps = len(psi_traj) - 1
     t0 = state0.time
 
-    stresses = [stress_field(ps).coeffs for ps in psi_traj]
+    stresses = [stress_field(ps) for ps in psi_traj]
     fluid_traj = fluid_trajectory(
         state0.fluid, _linear_interpolant(stresses, t0, dt), force,
         op.params, fluid_cfg, n_steps)
-    u_at = _linear_interpolant([fl.u.coeffs for fl in fluid_traj], t0, dt)
+    u_at = _linear_interpolant([fl.u for fl in fluid_traj], t0, dt)
     return fp_trajectory(state0.psi, u_at, op, dt, n_steps)
 
 
@@ -280,7 +286,7 @@ def coupled_step(state: CoupledState, values, op: FokkerPlanckSolver,
     grid, basis = state.psi.grid, state.psi.basis
     op.check_step(state.psi, fluid_cfg.dt)
     fluid_mod.check_cfl(values, p, fluid_cfg)
-    y0 = (state.fluid.r.coeffs, state.fluid.u.coeffs, state.psi.coeffs)
+    y0 = (state.fluid.r, state.fluid.u, state.psi.coeffs)
 
     def rhs(y, t):
         r, u, c = y
@@ -290,7 +296,7 @@ def coupled_step(state: CoupledState, values, op: FokkerPlanckSolver,
 
     t1 = state.time + fluid_cfg.dt
     r, u, c = ssprk3(y0, rhs, state.time, fluid_cfg.dt)
-    return (CoupledState(state_from_coeffs(grid, r, u, t1),
+    return (CoupledState(FluidState(grid, r, u, t1),
                          PolymerField(grid, basis, c, t1)),
             _grid_values(grid, r, u, basis, c, p))
 
@@ -303,7 +309,8 @@ def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, force,
     return _trajectory(
         state, grid_values(state, op.params),
         lambda st, v: coupled_step(st, v, op, force, fluid_cfg),
-        lambda st: (("r", st.fluid.r), ("u", st.fluid.u), ("psi", st.psi)),
+        lambda st: (("r", st.fluid.r), ("u", st.fluid.u),
+                    ("psi", st.psi.coeffs)),
         where, steps)
 
 
@@ -315,9 +322,9 @@ def blowup_indicator(state: CoupledState, stress, velocity):
     three second derivatives of u and div T take one transform."""
     grid = state.psi.grid
     n = grid.n_points
-    second = derivative_stack(grid, state.fluid.u.coeffs,
+    second = derivative_stack(grid, state.fluid.u,
                               W2_INDICES[3:]).reshape(-1, *grid.spectral_shape)
-    div_t = stress_divergence(grid, stress.coeffs)
+    div_t = stress_divergence(grid, stress)
     vals = to_values(np.concatenate([second, div_t]), n)
     w2 = np.concatenate([velocity, vals[:len(second)]])
     w2 = sup_norm_w2inf_values(w2.reshape(len(W2_INDICES), 2, n, n))

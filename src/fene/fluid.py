@@ -17,10 +17,12 @@ eleven quadratic terms in one 2/3-rule product, and only D(r) takes a
 round trip through P_K, so every tendency lies in P_K.  ssprk3, over
 tuples of coefficient arrays, is the package's one SSP-RK3 step.  step
 takes a state, its batch and its stress and forcing as callables of time,
-and returns the new FluidState (a plain holder) and its batch.  It checks
-only the CFL bound (on the speeds |u| + c_s) and, in each stage, that
-D(r) is defined; the trajectories of coupling check the states it makes
-(check_positive alone raises PositivityLoss; a loss is never repaired).
+and returns the new FluidState and its batch.  A FluidState holds the grid
+and the coefficient arrays r (1 component) and u (2), refusing any other
+shape: no class wraps a field (torus).  A step checks only the CFL bound
+(on the speeds |u| + c_s) and, in each stage, that D(r) is defined; the
+trajectories of coupling check the states it makes (check_positive alone
+raises PositivityLoss; a loss is never repaired).
 """
 
 from dataclasses import dataclass
@@ -30,18 +32,23 @@ import numpy as np
 from . import torus
 from .errors import CFLViolation, PositivityLoss
 from .model import ForcingSpec, ModelParams, r_to_density
-from .torus import SIDE, W2_INDICES, SpectralField, dealiased_product, \
+from .torus import SIDE, W2_INDICES, TorusGrid, dealiased_product, \
     derivative_stack, sobolev_norm, sup_norm_w2inf_values
 
 
 class FluidState:
-    """Transformed density r and velocity u at one time, unchecked."""
+    """The coefficient arrays of the transformed density r, (1, 2K + 1,
+    K + 1), and of the velocity u, (2, 2K + 1, K + 1), on grid at one time;
+    their values are not checked."""
 
-    __slots__ = ("r", "u", "time")
+    __slots__ = ("grid", "r", "u", "time")
 
-    def __init__(self, r: SpectralField, u: SpectralField, time=0.0):
-        if r.components != 1 or u.components != 2:
-            raise ValueError("r must be scalar and u a 2-vector field")
+    def __init__(self, grid: TorusGrid, r, u, time=0.0):
+        if np.shape(r) != (1, *grid.spectral_shape) or \
+                np.shape(u) != (2, *grid.spectral_shape):
+            raise ValueError("r must be scalar and u a 2-vector field of "
+                             "coefficients (2K + 1, K + 1) on the grid")
+        self.grid = grid
         self.r = r
         self.u = u
         self.time = time
@@ -206,11 +213,6 @@ def ssprk3(y, rhs, t, dt):
     return tuple((a + 2.0 * (b + dt * c)) / 3.0 for a, b, c in zip(y, y2, k))
 
 
-def state_from_coeffs(grid, r, u, time):
-    """FluidState around coefficient arrays, taken as they are."""
-    return FluidState(SpectralField(grid, r), SpectralField(grid, u), time)
-
-
 def forcing_of_time(forcing: ForcingSpec, grid):
     """The forcing coefficients (or None) as a callable of time; RunContext
     builds it once per run, so a steady field is transformed once."""
@@ -242,9 +244,9 @@ def step(state: FluidState, values, stress, force, p: ModelParams,
     bound, and PositivityLoss when a stage meets an r that is not positive
     on the grid.  coupling.fluid_trajectory checks the state it returns.
     """
-    grid = state.r.grid
+    grid = state.grid
     check_cfl(values, p, cfg)
-    y0 = (state.r.coeffs, state.u.coeffs)
+    y0 = (state.r, state.u)
 
     def rhs(y, t):
         return fluid_rhs(grid, y[1], force(t), p, cfg, values if y is y0
@@ -252,10 +254,11 @@ def step(state: FluidState, values, stress, force, p: ModelParams,
 
     t1 = state.time + cfg.dt
     r, u = ssprk3(y0, rhs, state.time, cfg.dt)
-    return (state_from_coeffs(grid, r, u, t1),
+    return (FluidState(grid, r, u, t1),
             rhs_batch(grid, r, u, stress(t1), p))
 
 
 def fluid_energy(state: FluidState, s: int):
     """Squared W^{s,2} norm of the pair (r, u)."""
-    return sobolev_norm(state.r, s) ** 2 + sobolev_norm(state.u, s) ** 2
+    return sobolev_norm(state.grid, state.r, s) ** 2 \
+        + sobolev_norm(state.grid, state.u, s) ** 2

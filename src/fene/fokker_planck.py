@@ -77,10 +77,6 @@ class PolymerField:
             coeffs[i] = to_modes(np.asarray(vals, dtype=float))
         return cls(grid, basis, coeffs, time)
 
-    def coefficient_values(self):
-        """Real grid values of all coefficient fields, shape (n_basis, n, n)."""
-        return to_values(self.coeffs, self.grid.n_points)
-
     def copy(self):
         return PolymerField(self.grid, self.basis, self.coeffs.copy(),
                             self.time)

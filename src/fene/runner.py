@@ -28,7 +28,8 @@ ceiling.  _EXITS maps every error class to its exit code and reason.
 record_state measures each quantity once and transforms none of r, u,
 grad u, psi or a steady forcing: it reads the grid batch that
 coupled_trajectory hands out with each state (coupling.grid_values) and
-ctx.force, built once per run.
+ctx.force, built once per run, and its Sobolev norms read the coefficient
+arrays of r, u, the stress and the forcing.
 A run first removes the series.csv and snapshots/step*.fkp an earlier
 run left in its output directory, except the checkpoint it resumes from.
 """
@@ -59,8 +60,7 @@ from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
-from .torus import SpectralField, TorusGrid, grad_u_sup_norm, \
-    sobolev_norm, to_modes
+from .torus import TorusGrid, grad_u_sup_norm, sobolev_norm, to_modes
 
 S_RECORD = 3  # Sobolev indices 0..S_RECORD appear as monitor columns
 
@@ -100,6 +100,8 @@ def _parse_str(*choices):
     def parse(text):
         if choices and text not in choices:
             raise ValueError(f"expected one of {choices}, got {text!r}")
+        if not text:
+            raise ValueError("expected a value, got none")
         return text
     return parse
 
@@ -235,7 +237,7 @@ class RunContext:
             self.fluid_cfg = FluidStepConfig(
                 dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
                 cfl_safety=cfg["fluid.cfl_safety"])
-        for key, least in (("max_steps", 0), ("record_every", 1),
+        for key, least in (("seed", 0), ("max_steps", 0), ("record_every", 1),
                            ("snapshots.every", 0)):
             if cfg[key] < least:
                 raise ConfigError(f"must be at least {least}", field=key)
@@ -327,9 +329,8 @@ class RunContext:
             raise ConfigError("the initial density must be positive on the "
                               "grid", field="scenario.amplitude" if rho0 > 0
                               else "scenario.rho0")
-        r = SpectralField.from_values(self.grid, density_to_r(rho, self.params))
-        u = SpectralField.from_values(self.grid, uvals)
-        return CoupledState(FluidState(r, u), psi)
+        r = to_modes(density_to_r(rho, self.params)[None])
+        return CoupledState(FluidState(self.grid, r, to_modes(uvals)), psi)
 
 
 def _sobolev_block(top):
@@ -388,11 +389,11 @@ class TimeSeriesRecord:
             for f in fields(cls)})
 
 
-def _over_s(norm, field, top):
-    """norm(field, s, power) for s = 0 .. top, with power = |c|^2 of the
-    coefficients of field formed once."""
-    power = np.abs(field.coeffs) ** 2
-    return [norm(field, s, power) for s in range(top + 1)]
+def _sobolev_sq(grid, coeffs, top=S_RECORD):
+    """sobolev_norm(grid, coeffs, s) ** 2 for s = 0 .. top, with |coeffs|^2
+    formed once."""
+    power = np.abs(coeffs) ** 2
+    return [sobolev_norm(grid, coeffs, s, power) ** 2 for s in range(top + 1)]
 
 
 def record_state(state: CoupledState, values,
@@ -418,15 +419,14 @@ def record_state(state: CoupledState, values,
     cutoff_active = int(cutoff_r is not None and phi_r(w2, cutoff_r) < 1.0)
     force = ctx.force(state.time)
     # fluid.fluid_energy(s) is |r|^2_s + |u|^2_s: the u norms serve both
-    u_sq = [x ** 2 for x in _over_s(sobolev_norm, state.fluid.u,
-                                    S_RECORD + 1)]
-    fl_e = [x ** 2 + y for x, y in
-            zip(_over_s(sobolev_norm, state.fluid.r, S_RECORD), u_sq)]
-    l2m, h1m = zip(*_over_s(fp_energy, state.psi, S_RECORD))
-    t_sq = [x ** 2 for x in _over_s(sobolev_norm, stress, S_RECORD)]
-    f_sq = [0.0] * (S_RECORD + 1) if force is None else [
-        x ** 2 for x in _over_s(sobolev_norm, SpectralField(grid, force),
-                                S_RECORD)]
+    u_sq = _sobolev_sq(grid, state.fluid.u, S_RECORD + 1)
+    fl_e = [x + y for x, y in zip(_sobolev_sq(grid, state.fluid.r), u_sq)]
+    power = np.abs(state.psi.coeffs) ** 2
+    l2m, h1m = zip(*(fp_energy(state.psi, s, power)
+                     for s in range(S_RECORD + 1)))
+    t_sq = _sobolev_sq(grid, stress)
+    f_sq = [0.0] * (S_RECORD + 1) if force is None \
+        else _sobolev_sq(grid, force)
     return TimeSeriesRecord(
         time=state.time, mass=mass, momentum_x=mom[0], momentum_y=mom[1],
         polymer_mass=polymer_mass(state.psi), min_r=float(rvals.min()),
@@ -642,7 +642,7 @@ def _run_stress_difference(ctx: RunContext, outdir):
     x1, x2 = ctx.grid.x
     s_prime = ctx.fixed_point.s_prime
 
-    base_stress = stress_field(state0.psi).coeffs
+    base_stress = stress_field(state0.psi)
     pert = to_modes(np.stack([np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
 
     def fluid_solve(stress):
@@ -651,15 +651,15 @@ def _run_stress_difference(ctx: RunContext, outdir):
 
     def fluid_distance(a, b):
         return max(np.sqrt(
-            sobolev_norm(x.r - y.r, s_prime) ** 2 +
-            sobolev_norm(x.u - y.u, s_prime) ** 2)
+            sobolev_norm(ctx.grid, x.r - y.r, s_prime) ** 2 +
+            sobolev_norm(ctx.grid, x.u - y.u, s_prime) ** 2)
             for x, y in zip(a, b))
 
     base_traj = fluid_solve(base_stress)
     fluid_d = [fluid_distance(fluid_solve(base_stress + float(delta) * pert),
                               base_traj) for delta in deltas]
 
-    u_base = state0.fluid.u.coeffs
+    u_base = state0.fluid.u
     u_pert = to_modes(np.stack([np.sin(x2), np.sin(x1)]))
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
 
@@ -888,14 +888,17 @@ def load_series(run_dir):
 
 
 def report(run_dir, stream=None):
-    """Human summary of a finished run directory; a manifest.json missing
-    or not JSON is an IOError (exit 1), a series.csv that load_series
-    refuses a VersionError (exit 6)."""
+    """Human summary of a finished run directory; a manifest.json missing,
+    not a JSON object or, beside a series.csv, without the model config is
+    an IOError (exit 1), a series.csv that load_series refuses a
+    VersionError (exit 6)."""
     stream = sys.stdout if stream is None else stream
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{manifest_path}: not a JSON object")
     except (OSError, ValueError) as exc:
         _print_error("IOError", exc, sys.stderr)
         return 1
@@ -905,15 +908,23 @@ def report(run_dir, stream=None):
     except VersionError as exc:
         _print_error("VersionError", exc, sys.stderr)
         return EXIT_CHECKPOINT
+    if records is not None:
+        try:
+            config = manifest["config"]
+            params = ModelParams(gamma=config["model.gamma"],
+                                 b=config["model.b"])
+        except (KeyError, TypeError, ValueError) as exc:
+            _print_error("IOError", ValueError(
+                f"{manifest_path}: no model config for its series.csv "
+                f"({type(exc).__name__}: {exc})"), sys.stderr)
+            return 1
     print(f"run: {run_dir}", file=stream)
     print(f"status: {manifest.get('status')}", file=stream)
     scenario = manifest.get("scenario", "?")
     print(f"scenario: {scenario}", file=stream)
     outcome = manifest.get("outcome", {})
     if records is not None:
-        config = manifest["config"]
-        summary = summarize(records, ModelParams(
-            gamma=config["model.gamma"], b=config["model.b"]))
+        summary = summarize(records, params)
         print(f"steps recorded: {summary.pop('steps_recorded')}", file=stream)
         for name, val in summary.pop("drifts").items():
             print(f"drift {name}: {val:.3e}", file=stream)

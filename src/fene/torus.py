@@ -1,11 +1,13 @@
 """Fourier representation of real fields on the flat 2-torus [0, 2pi)^2.
 
-Fields hold only the modes max(|k1|, |k2|) <= K, K = n // 3 (the 2/3
-rule): an array (..., 2K + 1, K + 1) of rows k1 = 0 .. K, -K .. -1 and
-columns k2 = 0 .. K, f(x) = sum_k c_k exp(i k.x), with the k2 < 0 half,
-c(-k) = conj(c(k)), implied, so fields are real by construction.  to_modes
-(rfft2, n^2 normalization, keep the block: the projection P_K) and
-to_values (zero padding, irfft2) are the package's only transforms.
+A field is its coefficient array (components, 2K + 1, K + 1): it holds
+only the modes max(|k1|, |k2|) <= K, K = n // 3 (the 2/3 rule), in rows
+k1 = 0 .. K, -K .. -1 and columns k2 = 0 .. K, f(x) = sum_k c_k exp(i k.x),
+with the k2 < 0 half, c(-k) = conj(c(k)), implied, so fields are real by
+construction.  No class wraps the array: to_modes (rfft2, n^2
+normalization, keep the block: the projection P_K) makes it from grid
+values and to_values (zero padding, irfft2) gives its grid values back,
+and they are the package's only transforms.
 Products use the padding form of the 2/3 rule (Orszag 1971; Canuto et al.,
 Spectral Methods, 2006, sec. 3.2): the factors go to the n x n grid and the
 product comes back as its block, which no alias reaches.  Full-spectrum
@@ -130,58 +132,6 @@ def to_values(coeffs, n):
     return scipy.fft.irfft2(full, norm="forward")
 
 
-class SpectralField:
-    """Real scalar (1 component) or vector/tensor field in Fourier space."""
-
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid: TorusGrid, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim == 2:
-            coeffs = coeffs[None]
-        if coeffs.shape[-2:] != grid.spectral_shape:
-            raise ValueError("coefficient array does not match grid size")
-        self.grid = grid
-        self.coeffs = coeffs
-
-    @property
-    def components(self):
-        return self.coeffs.shape[0]
-
-    @classmethod
-    def from_values(cls, grid: TorusGrid, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 2:
-            values = values[None]
-        if values.shape[-2:] != (grid.n_points, grid.n_points):
-            raise ValueError("value array does not match grid size")
-        return cls(grid, to_modes(values))
-
-    def values(self):
-        """Real grid values, shape (components, n, n)."""
-        return to_values(self.coeffs, self.grid.n_points)
-
-    def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def _check_mate(self, other):
-        if self.grid is not other.grid and self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-
-    def __add__(self, other):
-        self._check_mate(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_mate(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
 def dealiased_product(f, g):
     """Block coefficients of the product of two fields of P_K given by their
     grid values (to_values of block coefficients): quadratic aliasing never
@@ -194,16 +144,17 @@ def dealiased_product(f, g):
     return to_modes(f * g)
 
 
-def sobolev_norm(field: SpectralField, s: int, power=None):
+def sobolev_norm(grid: TorusGrid, coeffs, s: int, power=None):
     """Bessel-potential Sobolev norm ((2pi)^2 sum_k (1+|k|^2)^s |c_k|^2)^(1/2)
-    over the full spectrum (stored columns weighted by multiplicity).
+    of the coefficients (components, 2K + 1, K + 1) on grid, over the full
+    spectrum (stored columns weighted by multiplicity).
 
     Vector fields contribute the sum of their component norms squared.
-    power, when given, is |c_k|^2 of field.coeffs, formed once for several s.
+    power, when given, is |c_k|^2 of coeffs, formed once for several s.
     """
-    weight = field.grid.sobolev_weight(s)
+    weight = grid.sobolev_weight(s)
     if power is None:
-        power = np.abs(field.coeffs) ** 2
+        power = np.abs(coeffs) ** 2
     return float(np.sqrt(SIDE ** 2 * np.sum(weight * power)))
 
 

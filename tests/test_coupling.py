@@ -19,15 +19,14 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
 from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from fene.runner import RunContext, parse_config_text, record_state
-from fene.torus import SpectralField, sobolev_norm, to_modes, to_values
+from fene.torus import sobolev_norm, to_modes, to_values
 
 
 def equilibrium_state(grid, basis, params):
     n = grid.n_points
-    r = SpectralField.from_values(
-        grid, np.full((n, n), density_to_r(1.0, params)))
+    r = to_modes(np.full((1, n, n), density_to_r(1.0, params)))
     u = zero_field(grid, 2)
-    return CoupledState(FluidState(r, u),
+    return CoupledState(FluidState(grid, r, u),
                         PolymerField.equilibrium(grid, basis))
 
 
@@ -35,12 +34,11 @@ def perturbed_state(grid, basis, params, amp=1e-3):
     x1, x2 = grid.x
     n = grid.n_points
     rho = 1.0 + 0.5 * amp * np.cos(x1)
-    r = SpectralField.from_values(grid, density_to_r(rho, params))
-    u = SpectralField.from_values(grid, np.stack([0.1 + amp * np.sin(x2),
-                                                  0.5 * amp * np.sin(x1)]))
+    r = to_modes(density_to_r(rho, params)[None])
+    u = to_modes(np.stack([0.1 + amp * np.sin(x2), 0.5 * amp * np.sin(x1)]))
     psi = PolymerField.from_coefficient_fields(
         grid, basis, {0: np.ones((n, n)), 1: amp * np.cos(x2)})
-    return CoupledState(FluidState(r, u), psi)
+    return CoupledState(FluidState(grid, r, u), psi)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +58,23 @@ def test_coupled_state_validates_time(grid32, basis32, params):
         CoupledState(st.fluid, bad_psi)
 
 
+def test_coupled_state_refuses_disagreeing_time_stamps(grid16, basis16,
+                                                       params):
+    fl = equilibrium_state(grid16, basis16, params).fluid
+    late = FluidState(grid16, fl.r, fl.u, 0.5)
+    with pytest.raises(ValueError, match="^fluid and polymer time stamps "
+                       "disagree$"):
+        CoupledState(late, PolymerField.equilibrium(grid16, basis16))
+
+
+def test_coupled_state_refuses_fields_on_different_grids(grid16, grid32,
+                                                         basis16, params):
+    fluid16 = equilibrium_state(grid16, basis16, params).fluid
+    with pytest.raises(ValueError, match="^fluid and polymer fields use "
+                       "different grids$"):
+        CoupledState(fluid16, PolymerField.equilibrium(grid32, basis16))
+
+
 def test_fixed_point_config_validates():
     with pytest.raises(ValueError):
         FixedPointConfig(horizon_T=0.1, s_prime=2)
@@ -75,8 +90,8 @@ def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
     for i in range(basis16.n_basis):
         coeffs[i] = to_modes(rng.standard_normal((n, n)) * 0.1)
     psi = PolymerField(grid16, basis16, coeffs)
-    field_vals = stress_field(psi).values()
-    cg = psi.coefficient_values()
+    field_vals = to_values(stress_field(psi), n)
+    cg = to_values(psi.coeffs, n)
     for ix, iy in ((0, 0), (3, 7), (10, 2)):
         direct = kramers_stress(basis16.node_values(cg[:, ix, iy]), quad16)
         assert abs(field_vals[0, ix, iy] - direct[0, 0]) < 1e-10
@@ -164,8 +179,8 @@ def test_coupled_step_equilibrium(grid32, basis32, params, fluid_cfg, op32):
     cur, values = st, grid_values(st, params)
     for _ in range(10):
         cur, values = coupled_step(cur, values, op32, no_force, fluid_cfg)
-        assert np.max(np.abs(cur.fluid.r.coeffs - st.fluid.r.coeffs)) < 1e-12
-        assert np.max(np.abs(cur.fluid.u.coeffs)) < 1e-12
+        assert np.max(np.abs(cur.fluid.r - st.fluid.r)) < 1e-12
+        assert np.max(np.abs(cur.fluid.u)) < 1e-12
         assert np.max(np.abs(cur.psi.coeffs - st.psi.coeffs)) < 1e-12
 
 
@@ -175,8 +190,8 @@ def test_coupled_step_conserves_everything(grid32, basis32, params,
     area = grid32.cell_area()
 
     def invariants(s):
-        rho = r_to_density(s.fluid.r.values()[0], params)
-        uv = s.fluid.u.values()
+        rho = r_to_density(to_values(s.fluid.r, 32)[0], params)
+        uv = to_values(s.fluid.u, 32)
         return np.array([np.sum(rho) * area, np.sum(rho * uv[0]) * area,
                          np.sum(rho * uv[1]) * area, polymer_mass(s.psi)])
 
@@ -219,16 +234,15 @@ def test_blowup_indicator(grid32, basis32, params):
     assert blowup_indicator(st, stress_field(st.psi),
                             velocity(st)) == (0.0, 0.0)
     x1, _ = grid32.x
-    u = SpectralField.from_values(grid32,
-                                  np.stack([np.sin(x1), np.zeros_like(x1)]))
-    st_u = CoupledState(FluidState(st.fluid.r, u),
+    u = to_modes(np.stack([np.sin(x1), np.zeros_like(x1)]))
+    st_u = CoupledState(FluidState(grid32, st.fluid.r, u),
                         PolymerField.equilibrium(grid32, basis32))
-    expect = sup_norm_w2inf(u)   # div T(M) = 0 for the constant stress
+    expect = sup_norm_w2inf(grid32, u)   # div T(M) = 0 for the constant stress
     indicator, w2 = blowup_indicator(st_u, stress_field(st_u.psi),
                                      velocity(st_u))
     assert indicator == pytest.approx(expect, rel=1e-12)
     assert w2 == pytest.approx(expect, rel=1e-12)
-    st_2u = CoupledState(FluidState(st.fluid.r, 2.0 * u),
+    st_2u = CoupledState(FluidState(grid32, st.fluid.r, 2.0 * u),
                          PolymerField.equilibrium(grid32, basis32))
     assert blowup_indicator(st_2u, stress_field(st_2u.psi),
                             velocity(st_2u))[0] == \
@@ -278,14 +292,13 @@ def random_coupled_state(grid, basis, params, seed):
     """Band-limited positive r, u and a perturbed equilibrium psi."""
     rng = np.random.default_rng(seed)
     n = grid.n_points
-    r = SpectralField.from_values(
-        grid, np.full((n, n), density_to_r(1.0, params))) \
+    r = to_modes(np.full((1, n, n), density_to_r(1.0, params))) \
         + random_band_limited(grid, rng, scale=0.02)
     u = random_band_limited(grid, rng, components=2, scale=0.3)
     psi = PolymerField.equilibrium(grid, basis)
     psi.coeffs += random_band_limited(grid, rng, components=basis.n_basis,
-                                      scale=1e-3).coeffs
-    return CoupledState(FluidState(r, u), psi)
+                                      scale=1e-3)
+    return CoupledState(FluidState(grid, r, u), psi)
 
 
 def first_stage(state, op, force, cfg, monkeypatch):
@@ -309,7 +322,7 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
     grid, basis = (request.getfixturevalue(f"{name}{n}")
                    for name in ("grid", "basis"))
     state = random_coupled_state(grid, basis, params, seed=n)
-    y = sup_norm_w2inf(state.fluid.u)
+    y = sup_norm_w2inf(grid, state.fluid.u)
     cutoff, force = {"ramp": (y - 0.4, no_force),
                      "dead": (y - 1.5, no_force),
                      "steady_field": (None, fluid.forcing_of_time(
@@ -326,9 +339,9 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
     st, c = state.fluid, state.psi.coeffs
     ref_r, ref_u = rhs_fields(st, force(state.time), params, cfg, fluid_batch(
         st, stress_field(state.psi), params))
-    assert np.array_equal(dr, ref_r.coeffs)
-    assert np.array_equal(du, ref_u.coeffs)
-    assert np.array_equal(dc, op.tendency(c, *fp_batch(st.u, c)))
+    assert np.array_equal(dr, ref_r)
+    assert np.array_equal(du, ref_u)
+    assert np.array_equal(dc, op.tendency(c, *fp_batch(grid, st.u, c)))
 
 
 def counted_transforms(monkeypatch):
@@ -414,15 +427,15 @@ def test_fluid_trajectory_carries_each_batch(grid32, basis32, params,
 def test_a_step_wraps_only_the_state_it_returns(grid16, basis16, params,
                                                 fluid_cfg, monkeypatch):
     # every stage kernel takes and returns arrays: a step builds one
-    # FluidState, of two SpectralFields, and it is the state it returns.
-    # Before, every stage wrapped its arrays (4 FluidStates and 44 fields
-    # per coupled_step at n = 16)
-    made = {FluidState: [], SpectralField: []}
-    for cls, objs in made.items():
-        def counted(self, *args, real=cls.__init__, objs=objs):
-            objs.append(self)
-            real(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted)
+    # FluidState, and it is the state it returns.  Before, every stage
+    # wrapped its arrays (4 FluidStates and 44 fields per coupled_step at
+    # n = 16)
+    made = []
+
+    def counted(self, *args, real=FluidState.__init__):
+        made.append(self)
+        real(self, *args)
+    monkeypatch.setattr(FluidState, "__init__", counted)
     state = perturbed_state(grid16, basis16, params)
     stress = stress_field(state.psi)
     op = FokkerPlanckSolver(basis16, params, grid16, 16)
@@ -432,14 +445,10 @@ def test_a_step_wraps_only_the_state_it_returns(grid16, basis16, params,
                     lambda: step(state.fluid, values[:fluid.N_FACTORS],
                                  constant(stress), no_force, params,
                                  fluid_cfg)[0]):
-        for objs in made.values():
-            objs.clear()
+        made.clear()
         new = advance()
-        assert len(made[FluidState]) == 1 and made[FluidState][0] is new
-        assert len(made[SpectralField]) == 2
-        assert made[SpectralField][0] is new.r
-        assert made[SpectralField][1] is new.u
-    dr, du = fluid_rhs(grid16, state.fluid.u.coeffs, None, params, fluid_cfg,
+        assert len(made) == 1 and made[0] is new
+    dr, du = fluid_rhs(grid16, state.fluid.u, None, params, fluid_cfg,
                        fluid_batch(state.fluid, stress, params))
     assert type(dr) is np.ndarray and type(du) is np.ndarray
 
@@ -489,17 +498,15 @@ def test_record_state_measures_each_quantity_once(monkeypatch):
 
 def fresh_copy(state):
     """A CoupledState around copies of the coefficients of state."""
-    grid = state.psi.grid
-    fl = FluidState(SpectralField(grid, state.fluid.r.coeffs.copy()),
-                    SpectralField(grid, state.fluid.u.coeffs.copy()),
-                    state.time)
+    fl = FluidState(state.fluid.grid, state.fluid.r.copy(),
+                    state.fluid.u.copy(), state.time)
     return CoupledState(fl, state.psi.copy())
 
 
 def assert_same_state(a, b):
     for x, y in ((a.fluid.r, b.fluid.r), (a.fluid.u, b.fluid.u),
-                 (a.psi, b.psi)):
-        assert np.array_equal(x.coeffs, y.coeffs)
+                 (a.psi.coeffs, b.psi.coeffs)):
+        assert np.array_equal(x, y)
     assert a.time == b.time
 
 
@@ -515,27 +522,26 @@ def test_carried_values_change_no_bit(n, request, params):
     op = FokkerPlanckSolver(basis, params, grid, n)
     stepped, carried = coupled_step(state, grid_values(state, params), op,
                                     force, FluidStepConfig(dt=1e-4))
-    y = sup_norm_w2inf(stepped.fluid.u)
+    y = sup_norm_w2inf(grid, stepped.fluid.u)
     cfg = FluidStepConfig(dt=1e-4, cutoff_R=y - 0.4)
     assert 0.0 < phi_r(y, cfg.cutoff_R) < 1.0
     for _, st, values in coupled_trajectory(stepped, op, force, cfg,
                                             range(3)):
         assert np.array_equal(values, to_values(np.concatenate(
-            [rhs_factors(grid, st.fluid.r.coeffs, st.fluid.u.coeffs,
-                         stress_field(st.psi).coeffs, params),
+            [rhs_factors(grid, st.fluid.r, st.fluid.u, stress_field(st.psi),
+                         params),
              st.psi.coeffs]), grid.n_points))
     # the fluid half's batch is taken under the stress at the new time
-    stress = stress_field(stepped.psi).coeffs
+    stress = stress_field(stepped.psi)
 
     def ramp(t):
         return (1.0 + t) * stress
 
-    fl, values = stepped.fluid, fluid_batch(
-        stepped.fluid, SpectralField(grid, ramp(stepped.time)), params)
+    fl, values = stepped.fluid, fluid_batch(stepped.fluid,
+                                            ramp(stepped.time), params)
     for _ in range(2):
         fl, values = step(fl, values, ramp, force, params, cfg)
-        assert np.array_equal(values, fluid_batch(
-            fl, SpectralField(grid, ramp(fl.time)), params))
+        assert np.array_equal(values, fluid_batch(fl, ramp(fl.time), params))
 
     fresh = fresh_copy(stepped)
     assert_same_state(coupled_step(stepped, carried, op, force, cfg)[0],
@@ -576,8 +582,8 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "ssprk3", negated_r)
-        assert coupled_step(stepped, values, op32, no_force,
-                            fluid_cfg)[0].fluid.r.values().max() < 0
+        assert to_values(coupled_step(stepped, values, op32, no_force,
+                                      fluid_cfg)[0].fluid.r, 32).max() < 0
         with pytest.raises(PositivityLoss,
                            match=r"^min r = -.* on the grid at step 4$"):
             for _ in coupled_trajectory(stepped, op32, no_force, fluid_cfg,
@@ -591,10 +597,8 @@ def test_errors_raised_in_a_step_name_the_step(grid16, basis16):
     # is not
     p = ModelParams(gamma=3.0)
     x1, _ = grid16.x
-    fl = FluidState(SpectralField.from_values(grid16, np.full((16, 16), 0.01)),
-                    SpectralField.from_values(
-                        grid16, np.stack([60.0 * np.sin(x1),
-                                          np.zeros_like(x1)])))
+    fl = FluidState(grid16, to_modes(np.full((1, 16, 16), 0.01)),
+                    to_modes(np.stack([60.0 * np.sin(x1), np.zeros_like(x1)])))
     state = CoupledState(fl, PolymerField.equilibrium(grid16, basis16))
     op = FokkerPlanckSolver(basis16, p, grid16, 16)
     with pytest.raises(PositivityLoss, match=r"^min r = -.* on the grid in "

@@ -160,7 +160,7 @@ def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
     checkpoint_save(state, path)
     loaded = checkpoint_load(path, grid=ctx.grid, basis=ctx.basis)
     assert loaded.time == state.time
-    assert np.array_equal(loaded.fluid.r.coeffs, state.fluid.r.coeffs)
+    assert np.array_equal(loaded.fluid.r, state.fluid.r)
     assert np.array_equal(loaded.psi.coeffs, state.psi.coeffs)
     # byte-identical re-save
     path2 = str(tmp_path / "state2.fkp")
@@ -273,6 +273,34 @@ def test_bad_ceiling_override_is_a_config_error(tmp_path, capsys):
     assert "[blowup_ceiling]" in manifest["message"]
 
 
+@pytest.mark.parametrize("scenario", ["lemma_a1", "equilibrium"])
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys,
+                                                  scenario):
+    cfg_path, outdir = write_cfg(tmp_path, scenario=scenario)
+    assert cli_main(["run", cfg_path, "--seed", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["reason"] == "ConfigError"
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["reason"] == "ConfigError"
+    assert manifest["message"] == "[seed] must be at least 0"
+
+
+def test_empty_output_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # "output =" parsed to "", and os.makedirs("") ended the run as an
+    # IOError (exit 1)
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = write_cfg(tmp_path, extra="output =")
+    assert cli_main(["run", cfg_path]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["reason"] == "ConfigError"
+    lineno = open(cfg_path).read().splitlines().index("output =") + 1
+    assert payload["message"] == (f"line {lineno}: [output] expected a "
+                                  "value, got none")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("output =   \n")
+    assert (err.value.line, err.value.field) == (1, "output")
+
+
 def test_cfl_guard_holds_sound_speed(tmp_path):
     # with almost no viscosity the acoustic speed sets the CFL bound (about
     # 0.12 here); dt = 0.15 must be refused before the first step
@@ -374,10 +402,10 @@ def test_a_resumed_state_is_checked_before_its_first_record(
     cfg_path, outdir = small_shear_cfg(tmp_path, steps=5)
     ctx = RunContext(parse_config(cfg_path))
     state = ctx.initial_state()
-    coeffs = {"r": state.fluid.r.coeffs, "u": state.fluid.u.coeffs,
+    coeffs = {"r": state.fluid.r, "u": state.fluid.u,
               "psi": state.psi.coeffs}
     if field == "negative r":
-        state.fluid.r.coeffs[...] *= -1.0
+        state.fluid.r[...] *= -1.0
     else:
         coeffs[field][0, 1, 1] = np.nan
     state.time = state.fluid.time = state.psi.time = 2 * ctx.fluid_cfg.dt
@@ -432,6 +460,33 @@ def test_report_without_a_manifest_is_an_io_error(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text("{")   # cut short
     assert cli_main(["report", str(tmp_path)]) == 1
     assert json.loads(capsys.readouterr().err)["reason"] == "IOError"
+
+
+def test_report_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("[]\n")
+    assert cli_main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["reason"] == "IOError"
+    assert payload["message"].endswith("manifest.json: not a JSON object")
+
+
+def test_report_refuses_a_series_without_its_config(tmp_path, capsys):
+    cfg_path, outdir = write_cfg(tmp_path, steps=3)
+    assert run(cfg_path) == 0
+    path = os.path.join(outdir, "manifest.json")
+    manifest = json.load(open(path))
+    del manifest["config"]
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli_main(["report", outdir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["reason"] == "IOError"
+    assert "no model config for its series.csv" in payload["message"]
 
 
 def word_in_row_2(rows):
@@ -927,6 +982,10 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "scenario.rho0 = inf", "scenario.rho0"),
     ("shear_perturbation", "scenario.mean_velocity = inf",
      "scenario.mean_velocity"),
+    # a negative seed is refused, where numpy's generator raised a
+    # ValueError (exit 1, no manifest) in lemma_a1
+    ("lemma_a1", "seed = -1", "seed"),
+    ("shear_perturbation", "seed = -1", "seed"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
@@ -947,7 +1006,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "horizon=inf", "forcing_amplitude=nan", "nan_delta",
         "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
-        "mean_velocity=inf"])
+        "mean_velocity=inf", "lemma_seed=-1", "seed=-1"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"

@@ -14,15 +14,14 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     _candidate_rings, fp_energy, fp_step, nonnegativity_report, polymer_mass
 from fene.model import ModelParams
 from fene.runner import RunContext, parse_config_text
-from fene.torus import SIDE, SpectralField, TorusGrid, to_modes
+from fene.torus import SIDE, TorusGrid, to_modes, to_values
 
 GRIDS = {n: TorusGrid(n) for n in (16, 32)}
 
 
 def shear_velocity(grid, amp=0.1, mean=0.05):
     x1, x2 = grid.x
-    return SpectralField.from_values(grid, np.stack([mean + amp * np.sin(x2),
-                                                     amp * np.sin(x1)]))
+    return to_modes(np.stack([mean + amp * np.sin(x2), amp * np.sin(x1)]))
 
 
 def perturbed_field(grid, basis, amp=0.01, mode=1):
@@ -37,9 +36,8 @@ def test_equilibrium_is_steady(grid32, basis32, params):
     psi = PolymerField.equilibrium(grid32, basis32)
     u0 = zero_field(grid32, 2)
     op = FokkerPlanckSolver(basis32, params, grid32, 32)
-    tend = PolymerField(grid32, basis32, op.tendency(
-        psi.coeffs, *fp_batch(u0, psi.coeffs)))
-    assert np.max(np.abs(tend.coeffs)) < 1e-14
+    tend = op.tendency(psi.coeffs, *fp_batch(grid32, u0, psi.coeffs))
+    assert np.max(np.abs(tend)) < 1e-14
     cur = psi
     for _ in range(5):
         cur = fp_step(cur, constant(u0), op, 1e-3)
@@ -71,19 +69,19 @@ def test_tendency_marginal_identity(grid32, basis32):
     op = FokkerPlanckSolver(basis32, params, grid32, None)
     psi = perturbed_field(grid32, basis32, amp=0.05)
     u = shear_velocity(grid32)
-    tend = PolymerField(grid32, basis32, op.tendency(
-        psi.coeffs, *fp_batch(u, psi.coeffs)))
+    tend = op.tendency(psi.coeffs, *fp_batch(grid32, u, psi.coeffs))
 
     w = basis32.quad.weights * basis32.quad.maxwellian
     mass_vec = np.einsum("kl,ikl->i", w, basis32.values)
-    eta_dot = np.tensordot(mass_vec, tend.coefficient_values(), axes=1)
+    eta_dot = np.tensordot(mass_vec, to_values(tend, 32), axes=1)
 
-    eta = SpectralField(grid32, np.tensordot(mass_vec, psi.coeffs, axes=1))
-    flux1 = field_product(SpectralField(grid32, u.coeffs[0]), eta)
-    flux2 = field_product(SpectralField(grid32, u.coeffs[1]), eta)
-    div = derivative(flux1, (1, 0)) + derivative(flux2, (0, 1))
-    lap = SpectralField(grid32, -grid32.ksq * eta.coeffs)
-    expect = (-1.0 * div + params.epsilon * lap).values()[0]
+    eta = np.tensordot(mass_vec, psi.coeffs, axes=1)[None]
+    flux1 = field_product(grid32, u[:1], eta)
+    flux2 = field_product(grid32, u[1:], eta)
+    div = derivative(grid32, flux1, (1, 0)) \
+        + derivative(grid32, flux2, (0, 1))
+    lap = -grid32.ksq * eta
+    expect = to_values(-1.0 * div + params.epsilon * lap, 32)[0]
     resid = np.sqrt(np.sum((eta_dot - expect) ** 2) * grid32.cell_area())
     assert resid < 1e-8
 
@@ -164,7 +162,7 @@ def test_fp_energy_quadrature_consistency(grid16, basis16):
         coeffs[i] = to_modes(rng.standard_normal((n, n)))
     psi = PolymerField(grid16, basis16, coeffs)
     _, h1m = fp_energy(psi, 0)
-    cg = psi.coefficient_values()
+    cg = to_values(psi.coeffs, psi.grid.n_points)
     total = 0.0
     for ix in range(n):
         for iy in range(n):
@@ -176,7 +174,8 @@ def test_fp_energy_quadrature_consistency(grid16, basis16):
 
 def sampled_min(psi):
     """nonnegativity_report of psi from its coefficient grid values."""
-    return nonnegativity_report(psi.basis, psi.coefficient_values())
+    return nonnegativity_report(psi.basis,
+                                to_values(psi.coeffs, psi.grid.n_points))
 
 
 def test_nonnegativity_report(grid32, basis32):
@@ -192,7 +191,8 @@ def test_nonnegativity_report_matches_full_sample_matrix(grid32, basis32):
     def full_matrix_report(psi):
         # every (x node, q node) sample at once, scaled by M before the min
         basis = psi.basis
-        cg = psi.coefficient_values().reshape(basis.n_basis, -1)
+        cg = to_values(psi.coeffs, psi.grid.n_points).reshape(
+            basis.n_basis, -1)
         samples = cg.T @ basis.values.reshape(basis.n_basis, -1)
         samples *= basis.quad.maxwellian.reshape(1, -1)
         return float(samples.min())
@@ -201,7 +201,7 @@ def test_nonnegativity_report_matches_full_sample_matrix(grid32, basis32):
     negative = 0
     for amp in (0.0, 1e-3, 0.3, 1.5):
         coeffs = random_band_limited(grid32, rng, components=basis32.n_basis,
-                                     kmax=6, scale=amp).coeffs
+                                     kmax=6, scale=amp)
         coeffs[0, 0, 0] = 1.0
         psi = PolymerField(grid32, basis32, coeffs)
         mn = sampled_min(psi)
@@ -214,7 +214,8 @@ def test_nonnegativity_report_matches_full_sample_matrix(grid32, basis32):
 def full_sample_report(psi):
     """Minimum of every (x node, q node) sample at once."""
     basis = psi.basis
-    cg = psi.coefficient_values().reshape(basis.n_basis, -1)
+    cg = to_values(psi.coeffs, psi.grid.n_points).reshape(basis.n_basis,
+                                                          -1)
     samples = cg.T @ basis.values.reshape(basis.n_basis, -1)
     samples *= basis.quad.maxwellian.reshape(1, -1)
     return float(samples.min())
@@ -242,7 +243,7 @@ def test_pruned_report_is_the_full_sample_matrix(ball, n, amp, kmax, seed,
     grid = GRIDS[n]
     rng = np.random.default_rng(seed)
     coeffs = random_band_limited(grid, rng, components=basis.n_basis,
-                                 kmax=kmax, scale=amp).coeffs
+                                 kmax=kmax, scale=amp)
     coeffs[0, 0, 0] = 1.0
     if with_nan:
         coeffs[rng.integers(basis.n_basis), 1, 1] = np.nan
@@ -263,7 +264,8 @@ def test_near_equilibrium_psi_samples_at_most_two_rings():
         state, op, ctx.force, ctx.fluid_cfg, range(5))]
     for st_k in states:
         psi = st_k.psi
-        cg = psi.coefficient_values().reshape(psi.basis.n_basis, -1)
+        cg = to_values(psi.coeffs, psi.grid.n_points).reshape(
+            psi.basis.n_basis, -1)
         rings = _candidate_rings(cg, psi.basis)
         assert rings.shape == (32,)
         assert 1 <= rings.sum() <= 2

@@ -19,8 +19,8 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     polymer_mass
 from fene.model import ModelParams
 from fene.runner import resume
-from fene.torus import SIDE, SpectralField, TorusGrid, dealiased_product, \
-    sobolev_norm, to_modes, to_values
+from fene.torus import SIDE, TorusGrid, dealiased_product, sobolev_norm, \
+    to_modes, to_values
 
 GRIDS = {n: TorusGrid(n) for n in (8, 16, 32)}
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -28,7 +28,8 @@ FEW = settings(derandomize=True, deadline=None, max_examples=10)
 
 
 def band_limited(n, seed, kmax, components=1):
-    """A random real field on the n-grid with modes max(|k|) <= kmax."""
+    """Coefficients of a random real field on the n-grid with modes
+    max(|k|) <= kmax."""
     grid = GRIDS[n]
     return random_band_limited(grid, np.random.default_rng(seed),
                                components=components,
@@ -43,7 +44,7 @@ fields = st.tuples(st.sampled_from(sorted(GRIDS)),
 @given(fields)
 def test_values_modes_values_roundtrip(case):
     f = band_limited(*case, components=2)
-    vals = f.values()
+    vals = to_values(f, case[0])
     assert vals.shape == (2, case[0], case[0])
     assert np.max(np.abs(to_values(to_modes(vals), case[0]) - vals)) < 1e-12
 
@@ -53,12 +54,12 @@ def test_values_modes_values_roundtrip(case):
 def test_sobolev_norm_matches_full_spectrum(case):
     n = case[0]
     f = band_limited(*case)
-    full = np.fft.fft2(f.values()[0]) / n ** 2
+    full = np.fft.fft2(to_values(f, n)[0]) / n ** 2
     k = np.fft.fftfreq(n, 1.0 / n)
     ksq = k[:, None] ** 2 + k[None, :] ** 2
     for s in range(4):
         ref = np.sqrt(SIDE ** 2 * np.sum((1.0 + ksq) ** s * np.abs(full) ** 2))
-        assert sobolev_norm(f, s) == pytest.approx(ref, rel=1e-12)
+        assert sobolev_norm(GRIDS[n], f, s) == pytest.approx(ref, rel=1e-12)
 
 
 @PROPERTY
@@ -66,8 +67,7 @@ def test_sobolev_norm_matches_full_spectrum(case):
 def test_real_data_hermitian_in_self_mirrored_columns(case):
     n = case[0]
     rng = np.random.default_rng(case[1])
-    c = SpectralField.from_values(GRIDS[n],
-                                  rng.standard_normal((n, n))).coeffs[0]
+    c = to_modes(rng.standard_normal((n, n)))
     # the block rows k1 = 0 .. K, -K .. -1 mirror like an FFT axis; only
     # the k2 = 0 column is its own mirror image
     mirror = (-np.arange(c.shape[0])) % c.shape[0]
@@ -83,7 +83,7 @@ def test_polymer_mass_is_grid_quadrature(basis16, n, seed):
     psi = PolymerField.from_coefficient_fields(grid, basis16, cvals)
     quad = basis16.quad
     # psi(x, q) = M(q) sum_i c_i(x) phi_i(q) on the ball and torus nodes
-    samples = np.einsum("ixy,ikl->xykl", psi.coefficient_values(),
+    samples = np.einsum("ixy,ikl->xykl", to_values(psi.coeffs, n),
                         basis16.values) * quad.maxwellian
     direct = grid.cell_area() * np.sum(samples * quad.weights)
     assert polymer_mass(psi) == pytest.approx(direct, rel=1e-10, abs=1e-10)
@@ -91,13 +91,13 @@ def test_polymer_mass_is_grid_quadrature(basis16, n, seed):
 
 def random_state(grid, basis, seed):
     r = band_limited(grid.n_points, seed, 4)
-    r = SpectralField.from_values(grid, 1.5 + 0.1 * r.values())
+    r = to_modes(1.5 + 0.1 * to_values(r, grid.n_points))
     u = band_limited(grid.n_points, seed + 1, 6, components=2)
     rng = np.random.default_rng(seed + 2)
     psi = PolymerField.from_coefficient_fields(
         grid, basis, {i: rng.standard_normal(grid.x[0].shape)
                       for i in range(basis.n_basis)})
-    return CoupledState(FluidState(r, u), psi)
+    return CoupledState(FluidState(grid, r, u), psi)
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
@@ -116,7 +116,7 @@ def test_checkpoint_save_load_save_byte_identical(basis16, n, seed):
     k = n // 3
     assert len(blob) == 40 + 16 * (3 + basis16.n_basis) * (2 * k + 1) * (k + 1)
     assert np.array_equal(loaded.psi.coeffs, state.psi.coeffs)
-    assert np.array_equal(loaded.fluid.u.coeffs, state.fluid.u.coeffs)
+    assert np.array_equal(loaded.fluid.u, state.fluid.u)
 
 
 def test_version_one_checkpoint_refused(tmp_path):
@@ -187,11 +187,11 @@ def test_fp_rhs_conserves_polymer_mass(basis16, seed, chi_index, epsilon):
     grid = GRIDS[16]
     rng = np.random.default_rng(seed)
     psi = PolymerField(grid, basis16, random_band_limited(
-        grid, rng, components=basis16.n_basis).coeffs)
+        grid, rng, components=basis16.n_basis))
     u = random_band_limited(grid, rng, components=2)
     op = FokkerPlanckSolver(basis16, ModelParams(epsilon=epsilon), grid,
                             chi_index)
-    tend = op.tendency(psi.coeffs, *fp_batch(u, psi.coeffs))
+    tend = op.tendency(psi.coeffs, *fp_batch(grid, u, psi.coeffs))
     rate = basis16.mass_vector @ tend[:, 0, 0]
     assert abs(rate) < 1e-12 * np.max(np.abs(tend))
 
