@@ -24,11 +24,16 @@ a(.,.) identically, which pins the lowest eigenvalue to zero and encodes
 the zero-flux boundary condition naturally (M vanishes on the boundary,
 so no essential condition is imposed).
 
-operator_blocks assembles both forms per mode on one Gauss-Jacobi rule
-in t (radial_rule), exact for every b > 2.  The Jacobi tables come from
-one pass of the three-term recurrence (jacobi_table), bitwise equal to
-scipy's eval_jacobi: one pass serves that rule for every angular mode, and
-one more the radial nodes of the modes eigen_basis keeps.
+mode_blocks assembles both forms one mode at a time on one Gauss-Jacobi
+rule in t (radial_rule), exact for every b > 2; operator_blocks lists all
+of them.  Every eigenvalue of block m is at least m^2 / b, since a(.,.)
+contains m^2 int M phi^2 / (b t) dq and t < 1 at every node, so
+eigen_basis solves the blocks in increasing m and stops at the first m
+whose bound lies above the n_basis-th eigenvalue found so far.  The
+Jacobi tables come from one pass of the three-term recurrence
+(jacobi_table), bitwise equal to scipy's eval_jacobi: one pass serves that
+rule for every angular mode, and one more the radial nodes of the modes
+eigen_basis keeps.
 
 phi at one spatial point is a coefficient vector; ConfigBasis.node_values
 and node_grads give the node values of phi and grad_q phi that the norms,
@@ -112,7 +117,9 @@ def jacobi_table(n, alpha, beta, x):
     eval_jacobi at the same degree, alpha, beta and x, for O(n) rather
     than O(n^2) work per node (that kernel reruns the recurrence for each
     degree).  beta may be an array broadcasting against x
-    (one angular mode per node), so one pass serves every mode.
+    (one angular mode per node), so one pass serves every mode.  The
+    recurrence coefficients of all degrees are formed before the pass, by
+    the kernel's elementwise operations in its order.
     """
     beta = np.asarray(beta, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -122,14 +129,17 @@ def jacobi_table(n, alpha, beta, x):
     xm1 = x - 1
     d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
     p = d + 1
-    for j in range(2, n):
-        k = j - 1.0
-        t = 2 * k + alpha + beta
-        d = ((t * (t + 1) * (t + 2)) * xm1 * p
-             + 2 * k * (k + beta) * (t + 2) * d) \
-            / (2 * (k + alpha + 1) * (k + alpha + beta + 1) * t)
+    # degree j = k + 1 of the update, one coefficient row per degree
+    k = np.arange(1.0, n - 1).reshape((-1,) + (1,) * beta.ndim)
+    t = 2 * k + alpha + beta
+    c_p = t * (t + 1) * (t + 2)
+    c_d = 2 * k * (k + beta) * (t + 2)
+    den = 2 * (k + alpha + 1) * (k + alpha + beta + 1) * t
+    norm = binom(k + 1 + alpha, k + 1)
+    for i in range(n - 2):
+        d = (c_p[i] * xm1 * p + c_d[i] * d) / den[i]
         p = d + p
-        out[j] = binom(j + alpha, j) * p
+        np.multiply(norm[i], p, out=out[i + 2])
     return out
 
 
@@ -142,8 +152,8 @@ def _jacobi_values(n_modal, alpha, beta, t):
     P = jacobi_table(n_modal, alpha, beta, x)
     dP = np.zeros_like(P)
     dP[1:] = jacobi_table(n_modal - 1, alpha + 1.0, beta + 1.0, x)
-    for j in range(1, n_modal):     # in place: no more table-sized arrays
-        dP[j] *= j + alpha + beta + 1.0
+    j = np.arange(1.0, n_modal).reshape((-1,) + (1,) * (P.ndim - 1))
+    dP[1:] *= j + alpha + beta + 1.0     # in place: no table-sized temporary
     return P, dP
 
 
@@ -157,16 +167,16 @@ def radial_rule(n, b):
     return t, w * 2.0 ** -(a + 1.0) / (1.0 - t) ** a
 
 
-def operator_blocks(b, n_modal, m_max):
-    """Weak forms of the relaxation operator, one block per angular mode.
+def mode_blocks(b, n_modal, m_max):
+    """Yield the (stiffness, mass) block of each angular mode m = 0 ..
+    m_max in turn: the symmetric matrices of a(.,.) and m(.,.) on the
+    Jacobi trial space of mode m described in the module docstring.
 
-    Returns (stiffness, mass): entry m of each is the symmetric matrix of
-    a(.,.), resp. m(.,.), on the Jacobi trial space of angular mode m
-    described in the module docstring, for m = 0 .. m_max.  Each block
-    integrand is (1 - t)^(b/2 - 1) times a polynomial of degree
+    Each block integrand is (1 - t)^(b/2 - 1) times a polynomial of degree
     <= 2 n_modal - 1 + m_max in t, so one radial_rule of
     n_modal + ceil(m_max / 2) nodes assembles all of them exactly at
-    every b > 2.
+    every b > 2; one _jacobi_values pass tabulates that rule for every
+    mode.  A block is assembled only when it is asked for.
     """
     alpha = b / 2.0
     t, w = radial_rule(n_modal + (m_max + 1) // 2, b)
@@ -174,7 +184,6 @@ def operator_blocks(b, n_modal, m_max):
     meas = (b / 2.0) * w * ((1.0 - t) ** alpha / maxwellian_normalizer(b))
     P_all, dP_all = _jacobi_values(
         n_modal, alpha, np.arange(m_max + 1.0)[:, None], t)
-    stiffness, mass = [], []
     for m in range(m_max + 1):
         P, dP = P_all[:, m], dP_all[:, m]
         F = rho ** m * P
@@ -184,9 +193,17 @@ def operator_blocks(b, n_modal, m_max):
         A = np.einsum("k,ik,jk->ij", meas, dF, dF)
         if m > 0:
             A += m * m * np.einsum("k,ik,jk->ij", meas / (b * t), F, F)
-        stiffness.append(0.5 * (A + A.T))
-        mass.append(0.5 * (B + B.T))
-    return stiffness, mass
+        yield 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+
+def operator_blocks(b, n_modal, m_max):
+    """Weak forms of the relaxation operator, one block per angular mode.
+
+    Returns (stiffness, mass): entry m of each is the mode_blocks block of
+    a(.,.), resp. m(.,.), for m = 0 .. m_max.
+    """
+    blocks = list(mode_blocks(b, n_modal, m_max))
+    return [A for A, _ in blocks], [B for _, B in blocks]
 
 
 class ConfigBasis:
@@ -249,35 +266,42 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     """Solve the decoupled radial eigenproblems and collect the n_basis
     lowest modes (cos/sin branches of m >= 1 counted separately).
 
-    Every block of operator_blocks is solved and the (eigenvalue, m, kind,
-    k) keys are sorted; only the n_basis kept eigenpairs are sign-normalized,
-    get a residual and are evaluated on quad's nodes (exact only at even b),
-    from one _jacobi_values pass over their modes.  An n_basis that would
-    keep a cos branch without its sin partner is refused: such a span is
-    not invariant under rotations of q."""
+    The blocks of mode_blocks are solved in increasing m, and the solves
+    stop at the first m whose bound m^2 / b exceeds the n_basis-th smallest
+    eigenvalue found so far by a relative margin of 1e-9.  The bound holds
+    for the assembled blocks: a(.,.) contains m^2 int M phi^2 / (b t) dq
+    with t < 1 at every node, so v^T A v >= (m^2 / b) v^T B v, and no
+    eigenvalue of block m or of a later block can be kept; the margin
+    covers the solver's rounding.  The (eigenvalue, m, kind, k) keys are
+    sorted; only the n_basis kept eigenpairs are sign-normalized, get a
+    residual and are evaluated on quad's nodes (exact only at even b), from
+    one _jacobi_values pass over their modes, one mode at a time.  An
+    n_basis that would keep a cos branch without its sin partner is
+    refused: such a span is not invariant under rotations of q."""
     if n_basis < 1:
         raise ValueError("n_basis must be at least 1")
     n_modal, m_max = quad.n_radial, quad.n_angular // 2 - 1
-    stiffness, mass = operator_blocks(quad.b, n_modal, m_max)
     capacity = n_modal * (2 * m_max + 1)
     if n_basis > capacity:
         raise ValueError(
             f"n_basis={n_basis} exceeds assembled dimension {capacity}")
 
-    vectors = []
-    keys = []
-    for m in range(m_max + 1):
+    solved, keys = [], []
+    for m, (A, B) in enumerate(mode_blocks(quad.b, n_modal, m_max)):
+        if len(keys) >= n_basis \
+                and keys[n_basis - 1][0] < (1.0 - 1e-9) * m * m / quad.b:
+            break
         try:
-            lam, vec = eigh(stiffness[m], mass[m])
+            lam, vec = eigh(A, B)
         except LinAlgError as exc:
             raise EigenSolverError("generalized eigensolver failed for "
                                    f"angular mode {m}") from exc
-        vectors.append(vec)
+        solved.append((A, B, vec))
         kinds = ("cos",) if m == 0 else ("cos", "sin")
-        keys.extend((lam[k], m, kind, k)
-                    for k in range(n_modal) for kind in kinds)
-    keys.sort()
-    keys = keys[:n_basis]
+        keys.extend((lam_k, m, kind, k)
+                    for k, lam_k in enumerate(lam.tolist()) for kind in kinds)
+        keys.sort()
+        del keys[n_basis:]
     _, m, kind, k = keys[-1]
     if m > 0 and kind == "cos":
         raise ValueError(f"n_basis={n_basis} keeps ({m}, cos, {k}) without "
@@ -287,46 +311,50 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
                            np.array(modes, float)[:, None], quad.t)
 
     nr, na = quad.n_radial, quad.n_angular
-    theta, rho = quad.angles, quad.rho
+    theta, rho, sqrt_b = quad.angles, quad.rho, np.sqrt(quad.b)
     values = np.zeros((n_basis, nr, na))
     grads = np.zeros((n_basis, 2, nr, na))
-    eigenvalues = np.zeros(n_basis)
+    eigenvalues = np.array([key[0] for key in keys])
     residuals = np.zeros(n_basis)
-    labels = []
+    labels = [key[1:] for key in keys]
     e_r = np.stack([np.cos(theta), np.sin(theta)])       # (2, na)
     e_t = np.stack([-np.sin(theta), np.cos(theta)])
-    for i, (lam_i, m, kind, k) in enumerate(keys):
-        A, B = stiffness[m], mass[m]
-        v = vectors[m][:, k]
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            v = -v
+    for col, m in enumerate(modes):
+        A, B, vec = solved[m]
         scale = np.linalg.norm(A, "fro") + np.linalg.norm(B, "fro")
-        res = np.linalg.norm(A @ v - lam_i * (B @ v)) / scale
-        col = modes.index(m)
-        base, dbase = v @ P[:, col], v @ dP[:, col]
-        f = rho ** m * base
-        if m > 0:
-            df = (m * rho ** (m - 1) * base
-                  + 2.0 * rho ** (m + 1) * dbase) / np.sqrt(quad.b)
-        else:
-            df = 2.0 * rho * dbase / np.sqrt(quad.b)
+        rho_m, rho_up = rho ** m, 2.0 * rho ** (m + 1)
+        rho_down = m * rho ** (m - 1) if m > 0 else None
         if m == 0:
-            ang = np.full(na, 1.0 / np.sqrt(2.0 * np.pi))
-            dang = np.zeros(na)
-        elif kind == "cos":
-            ang = np.cos(m * theta) / np.sqrt(np.pi)
-            dang = -m * np.sin(m * theta) / np.sqrt(np.pi)
+            angular = {"cos": (np.full(na, 1.0 / np.sqrt(2.0 * np.pi)),
+                               np.zeros(na))}
         else:
-            ang = np.sin(m * theta) / np.sqrt(np.pi)
-            dang = m * np.cos(m * theta) / np.sqrt(np.pi)
-        values[i] = f[:, None] * ang[None, :]
-        f_over_r = f / quad.radii
-        grads[i] = (df[:, None] * ang[None, :]) * e_r[:, None, :] \
-            + (f_over_r[:, None] * dang[None, :]) * e_t[:, None, :]
-        eigenvalues[i] = lam_i
-        residuals[i] = res
-        labels.append((m, kind, k))
+            cos_m, sin_m = np.cos(m * theta), np.sin(m * theta)
+            angular = {"cos": (cos_m / np.sqrt(np.pi),
+                               -m * sin_m / np.sqrt(np.pi)),
+                       "sin": (sin_m / np.sqrt(np.pi),
+                               m * cos_m / np.sqrt(np.pi))}
+        profiles = {}
+        for i, (lam_i, m_i, kind, k) in enumerate(keys):
+            if m_i != m:
+                continue
+            if k not in profiles:
+                v = vec[:, k]
+                if v[int(np.argmax(np.abs(v)))] < 0:
+                    v = -v
+                res = np.linalg.norm(A @ v - lam_i * (B @ v)) / scale
+                base, dbase = v @ P[:, col], v @ dP[:, col]
+                f = rho_m * base
+                if m > 0:
+                    df = (rho_down * base + rho_up * dbase) / sqrt_b
+                else:
+                    df = rho_up * dbase / sqrt_b
+                profiles[k] = res, f, df, f / quad.radii
+            res, f, df, f_over_r = profiles[k]
+            ang, dang = angular[kind]
+            values[i] = f[:, None] * ang[None, :]
+            grads[i] = (df[:, None] * ang[None, :]) * e_r[:, None, :] \
+                + (f_over_r[:, None] * dang[None, :]) * e_t[:, None, :]
+            residuals[i] = res
     return ConfigBasis(quad, n_basis, eigenvalues, values, grads, labels,
                        residuals)
 

@@ -889,9 +889,9 @@ def load_series(run_dir):
 
 def report(run_dir, stream=None):
     """Human summary of a finished run directory; a manifest.json missing,
-    not a JSON object or, beside a series.csv, without the model config is
-    an IOError (exit 1), a series.csv that load_series refuses a
-    VersionError (exit 6)."""
+    not a JSON object, with an outcome that is not a JSON object or, beside
+    a series.csv, without the model config is an IOError (exit 1), a
+    series.csv that load_series refuses a VersionError (exit 6)."""
     stream = sys.stdout if stream is None else stream
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
@@ -899,6 +899,8 @@ def report(run_dir, stream=None):
             manifest = json.load(fh)
         if not isinstance(manifest, dict):
             raise ValueError(f"{manifest_path}: not a JSON object")
+        if not isinstance(manifest.get("outcome", {}), dict):
+            raise ValueError(f"{manifest_path}: outcome is not a JSON object")
     except (OSError, ValueError) as exc:
         _print_error("IOError", exc, sys.stderr)
         return 1

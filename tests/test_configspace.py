@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 from scipy.special import eval_jacobi, gamma, roots_jacobi
 
+from fene import configspace
 from fene.configspace import ConfigBasis, build_quadrature, \
     chi_mass_matrix, chi_of_radius, drift_matrices, eigen_basis, \
     h1m_seminorm, jacobi_table, kramers_stress, l2m_norm, lemma_a1_check, \
@@ -243,18 +244,22 @@ def test_lemma_a1_ensemble_finite(quad32, basis32):
 @given(st.floats(2.5, 20.0, exclude_min=True, exclude_max=True),
        st.integers(0, 24), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_jacobi_table_matches_scipy_bitwise(b, m, shifted, seed):
-    # the (alpha + 1, m + 1) tables are the ones behind the t-derivatives
+    # the (alpha + 1, m + 1) tables are the ones behind the t-derivatives;
+    # n = 1, 2, 3 are the edges of the recurrence coefficient arrays
     alpha, beta = b / 2.0 + shifted, m + shifted
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, 17)
-    table = jacobi_table(48, alpha, beta, x)
-    for j in range(48):
-        assert np.array_equal(table[j], eval_jacobi(j, alpha, beta, x))
-    # one pass with a per-node beta equals the per-mode tables
     betas = np.arange(25.0)
     nodes = np.repeat(x[None, :3], 25, axis=0)
-    mixed = jacobi_table(48, alpha, betas[:, None], nodes)
-    for k in range(25):
-        assert np.array_equal(mixed[:, k], jacobi_table(48, alpha, k, x[:3]))
+    for n in (1, 2, 3, 48):
+        table = jacobi_table(n, alpha, beta, x)
+        assert table.shape == (n, 17)
+        for j in range(n):
+            assert np.array_equal(table[j], eval_jacobi(j, alpha, beta, x))
+        # one pass with a per-node beta equals the per-mode tables
+        mixed = jacobi_table(n, alpha, betas[:, None], nodes)
+        for k in range(25):
+            assert np.array_equal(mixed[:, k],
+                                  jacobi_table(n, alpha, k, x[:3]))
 
 
 def _reference_eigen_basis(quad, n_basis):
@@ -336,7 +341,8 @@ def _reference_eigen_basis(quad, n_basis):
 
 @pytest.mark.parametrize("b, n_radial, n_angular, n_basis", [
     (4.0, 32, 32, 40), (4.0, 16, 16, 12), (2.51, 32, 32, 40),
-    (10.0, 16, 8, 40), (4.0, 64, 64, 40), (7.3, 8, 8, 10)])
+    (10.0, 16, 8, 40), (4.0, 64, 64, 40), (7.3, 8, 8, 10), (4.0, 8, 8, 1),
+    (20.0, 16, 16, 30)])
 def test_eigen_basis_matches_direct_construction_bitwise(b, n_radial,
                                                          n_angular, n_basis):
     quad = build_quadrature(b, n_radial, n_angular)
@@ -346,6 +352,35 @@ def test_eigen_basis_matches_direct_construction_bitwise(b, n_radial,
     for name in ("eigenvalues", "residuals", "values", "grads", "mass_vector",
                  "stress_vectors"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("b", [2.51, 4.0, 10.0, 20.0])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_operator_block_eigenvalues_obey_the_angular_bound(b, n):
+    # a(.,.) holds m^2 int M phi^2 / (b t) dq with t < 1 at every node, so
+    # every eigenvalue of block m is at least m^2 / b: eigen_basis stops
+    # its solves on this bound
+    stiffness, mass = operator_blocks(b, n, n // 2 - 1)
+    for m, (A, B) in enumerate(zip(stiffness, mass)):
+        lam = eigh(A, B, eigvals_only=True)
+        assert lam[0] >= m * m / b, m
+
+
+@pytest.mark.parametrize("b, n_radial, n_angular, n_basis, solves", [
+    (4.0, 32, 32, 40, 13), (4.0, 64, 64, 40, 13), (10.0, 16, 8, 40, 4)])
+def test_eigen_basis_solves_only_blocks_below_the_bound(
+        monkeypatch, b, n_radial, n_angular, n_basis, solves):
+    # blocks 13 .. n_angular/2 - 1 of the b = 4 balls cannot hold one of
+    # the 40 lowest eigenvalues (the 40th is 42.09 < 13^2 / 4)
+    calls = []
+
+    def counting_eigh(A, B):
+        calls.append(A.shape)
+        return eigh(A, B)
+
+    monkeypatch.setattr(configspace, "eigh", counting_eigh)
+    eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
+    assert calls == [(n_radial, n_radial)] * solves
 
 
 @pytest.mark.parametrize("n_basis", [39, 41])

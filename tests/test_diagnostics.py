@@ -463,13 +463,22 @@ def test_report_without_a_manifest_is_an_io_error(tmp_path, capsys):
 
 
 def test_report_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys):
-    (tmp_path / "manifest.json").write_text("[]\n")
-    assert cli_main(["report", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    payload = json.loads(captured.err)
-    assert payload["reason"] == "IOError"
-    assert payload["message"].endswith("manifest.json: not a JSON object")
+    # so is an outcome that is not an object, whose keys report looks up
+    for text, ending in (
+            ("[]\n", "manifest.json: not a JSON object"),
+            ('{"status": "ok", "outcome": 5}\n',
+             "outcome is not a JSON object"),
+            ('{"status": "ok", "outcome": "c_delta"}\n',
+             "outcome is not a JSON object"),
+            ('{"status": "ok", "outcome": [1, 2]}\n',
+             "outcome is not a JSON object")):
+        (tmp_path / "manifest.json").write_text(text)
+        assert cli_main(["report", str(tmp_path)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        payload = json.loads(captured.err)
+        assert payload["reason"] == "IOError", text
+        assert payload["message"].endswith(ending), text
 
 
 def test_report_refuses_a_series_without_its_config(tmp_path, capsys):
