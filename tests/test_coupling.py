@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import constant, fluid_batch, fp_batch, no_force, \
-    no_stress, random_band_limited, rhs_fields, sup_norm_w2inf, zero_field
+from conftest import constant, divergence, field_product, fluid_batch, \
+    fp_batch, no_force, no_stress, random_band_limited, rhs_fields, \
+    sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
-from fene.configspace import kramers_stress
 from fene.errors import CFLViolation, PositivityLoss, StabilityViolation
 from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
     coupled_trajectory, fixed_point_map, fluid_trajectory, fp_trajectory, \
     grid_values, run_fixed_point, stress_field, xs_distance, xs_norm
-from fene.fluid import FluidState, FluidStepConfig, fluid_energy, \
-    fluid_rhs, phi_r, rhs_factors, step
+from fene.fluid import FluidState, FluidStepConfig, fluid_rhs, phi_r, \
+    rhs_batch, rhs_factors, step
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
 from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
 from fene.runner import RunContext, parse_config_text, record_state
 from fene.torus import sobolev_norm, to_modes, to_values
+from oracle import d_coefficient, kramers_stress, weak_drift
 
 
 def equilibrium_state(grid, basis, params):
@@ -97,6 +98,70 @@ def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
         assert abs(field_vals[0, ix, iy] - direct[0, 0]) < 1e-10
         assert abs(field_vals[1, ix, iy] - direct[0, 1]) < 1e-10
         assert abs(field_vals[2, ix, iy] - direct[1, 1]) < 1e-10
+
+
+def kramers_field(cg, basis):
+    """Coefficients (T11, T12, T22) of the pointwise Kramers stress of the
+    coefficient fields with grid values cg, one grid point at a time."""
+    n = cg.shape[-1]
+    t = np.empty((3, n, n))
+    for ix in range(n):
+        for iy in range(n):
+            tk = kramers_stress(basis.node_values(cg[:, ix, iy]), basis.quad)
+            t[:, ix, iy] = tk[0, 0], tk[0, 1], tk[1, 1]
+    return to_modes(t)
+
+
+def test_polymer_stress_enters_momentum_as_d_times_its_divergence(
+        grid16, basis16, params):
+    # du at psi less du at psi = M, with the same r and u, is the dealiased
+    # product of P_K D(r) with div(T(psi) - T(M)), T the Kramers stress
+    rng = np.random.default_rng(17)
+    n = grid16.n_points
+    x1, x2 = grid16.x
+    rho = 1.0 + 0.3 * np.cos(x1) * np.sin(2.0 * x2)
+    r = to_modes(density_to_r(rho, params)[None])
+    u = random_band_limited(grid16, rng, components=2, kmax=3, scale=0.5)
+    eq = PolymerField.equilibrium(grid16, basis16).coeffs
+    coeffs = eq + random_band_limited(grid16, rng, basis16.n_basis, kmax=4)
+    cg, cg_eq = to_values(coeffs, n), to_values(eq, n)
+    assert np.ptp(cg[0]) > 0.5   # the polymer mass depends on x
+    cfg = FluidStepConfig(dt=1e-3)
+
+    def du(c):
+        stress = stress_field(PolymerField(grid16, basis16, c))
+        values = rhs_batch(grid16, r, u, stress, params)
+        return fluid_rhs(grid16, u, None, params, cfg, values)[1]
+
+    t = kramers_field(cg, basis16) - kramers_field(cg_eq, basis16)
+    div_t = np.concatenate([divergence(grid16, t[[0, 1]]),
+                            divergence(grid16, t[[1, 2]])])
+    d = to_modes(d_coefficient(to_values(r, n), params))
+    expected = field_product(grid16, d, div_t)
+    assert np.max(np.abs(expected)) > 0.1
+    assert np.max(np.abs(du(coeffs) - du(eq) - expected)) < 1e-10
+
+
+def test_drift_reads_grad_u_as_the_convected_derivative(grid16, basis16,
+                                                         params):
+    # u = (a sin x2, 0) is divergence free and psi is uniform in x, so with
+    # chi off only the drift is left: a cos x2 int M phi q2 d_q1 phi_i dq
+    rng = np.random.default_rng(23)
+    n = grid16.n_points
+    x2 = grid16.x[1]
+    a = 0.7
+    u = to_modes(np.stack([a * np.sin(x2), np.zeros((n, n))]))
+    c = rng.standard_normal(basis16.n_basis)
+    coeffs = zero_field(grid16, basis16.n_basis)
+    coeffs[:, 0, 0] = c
+    shear = np.array([[0.0, 1.0], [0.0, 0.0]])   # d2 u1 = 1
+    drift = weak_drift(basis16, shear, c)
+    # psi tells the shear from its transpose: the ground mode would not
+    assert np.max(np.abs(drift - weak_drift(basis16, shear.T, c))) > 0.1
+    op = FokkerPlanckSolver(basis16, params, grid16)
+    got = to_values(op.explicit_tendency(*fp_batch(grid16, u, coeffs)), n)
+    expected = drift[:, None, None] * (a * np.cos(x2))
+    assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_xs_norm_equilibrium(grid32, basis32):
