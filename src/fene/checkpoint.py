@@ -16,10 +16,11 @@ Galerkin block of torus (rows k1 = 0 .. K, -K .. -1, each k2 = 0 .. K),
 each complex128 as a (real, imaginary) binary64 pair: 40 + 16 (3 + n_basis)
 m bytes, 158,968 at n_points = 32 with 40 basis functions.  Files of
 versions 1 and 2 (full and half spectra) are refused with a VersionError
-naming the version, and so is a header whose time or b is not finite or
-whose time is negative.  The coefficients are not checked here: the loop
-that steps a loaded state checks it first.  Loading without an explicit
-basis rebuilds grid, quadrature and eigenbasis from the stored
+naming the version, and so is a header whose time or b is not finite,
+whose time is negative, or whose grid or ball fields no TorusGrid,
+quadrature or eigenbasis accepts.  The coefficients are not checked here:
+the loop that steps a loaded state checks it first.  Loading without an
+explicit basis rebuilds grid, quadrature and eigenbasis from the stored
 dimensions, which is deterministic, so save -> load -> save reproduces
 the file byte for byte.
 """
@@ -85,7 +86,11 @@ def checkpoint_load(path, grid=None, basis=None) -> CoupledState:
         raise VersionError(f"{path}: truncated or padded checkpoint "
                            f"({len(raw)} bytes, expected {expected})")
     if basis is None:
-        basis = eigen_basis(build_quadrature(b, n_radial, n_angular), n_basis)
+        try:
+            basis = eigen_basis(build_quadrature(b, n_radial, n_angular),
+                                n_basis)
+        except ValueError as exc:   # ball fields no version ever wrote
+            raise VersionError(f"{path}: {exc}") from None
     else:
         quad = basis.quad
         if (quad.n_radial, quad.n_angular, basis.n_basis) != \

@@ -8,9 +8,12 @@ other by the verification suite:
   elastic stress, solve the fluid system with that stress over the
   horizon, then solve the Fokker-Planck equation with the resulting
   velocity; both halves take the one step fluid_cfg.dt.  Iterating this
-  map from a seed trajectory converges on short horizons; the contraction
-  is measured in the weaker X^{s'} norm with s' <= 1 (s' <= s - 1 for
-  the s = 2 of the energy estimates).
+  map from a seed trajectory (run_fixed_point(state0, op, force,
+  fluid_cfg, n_steps, max_iters)) converges on short horizons; the
+  contraction is measured in the weaker X^{s'} norm with s' <= 1
+  (s' <= s - 1 for the s = 2 of the energy estimates).  The horizon, its
+  step count, s' and max_iters are run settings, checked and read in
+  runner.RunContext.
 
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
   the coefficient arrays of (r, u, psi) together, re-evaluating the
@@ -51,8 +54,6 @@ the time integral (trapezoid rule on the stored samples) of the
 W^{s,2}_x H^1_M norm, square-rooted.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fluid as fluid_mod
@@ -82,29 +83,6 @@ class CoupledState:
         self.fluid = fluid
         self.psi = psi
         self.time = fluid.time
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    """Horizon and norms for the fixed-point iteration."""
-
-    horizon_T: float
-    s_prime: int = 1
-    max_iters: int = 5
-
-    def __post_init__(self):
-        if not 0 < self.horizon_T < np.inf:
-            raise ValueError("horizon_T must be finite and > 0")
-        if not 0 <= self.s_prime <= 1:
-            raise ValueError("contraction index must satisfy "
-                             "0 <= s_prime <= 1")
-        if self.max_iters < 2:
-            raise ValueError("max_iters must be at least 2: a contraction "
-                             "ratio needs three iterates")
-
-    def n_steps(self, dt):
-        """Steps of length dt that span the horizon."""
-        return int(round(self.horizon_T / dt))
 
 
 def stress_field(psi: PolymerField):
@@ -245,13 +223,12 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
 
 
 def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, force,
-                    fluid_cfg: FluidStepConfig, cfg: FixedPointConfig):
-    """Iterate the map max_iters times from the constant-in-time seed;
-    returns the iterates (seed first) so distances and ratios can be
-    inspected."""
-    iterates = [constant_trajectory(state0.psi, cfg.n_steps(fluid_cfg.dt),
-                                    fluid_cfg.dt)]
-    for _ in range(cfg.max_iters):
+                    fluid_cfg: FluidStepConfig, n_steps, max_iters):
+    """Iterate the map max_iters times from the constant-in-time seed over
+    n_steps steps of fluid_cfg.dt; returns the iterates (seed first) so
+    distances and ratios can be inspected."""
+    iterates = [constant_trajectory(state0.psi, n_steps, fluid_cfg.dt)]
+    for _ in range(max_iters):
         iterates.append(fixed_point_map(iterates[-1], state0, op, force,
                                         fluid_cfg))
     return iterates

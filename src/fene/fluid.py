@@ -17,7 +17,10 @@ eleven quadratic terms in one 2/3-rule product, and only D(r) takes a
 round trip through P_K, so every tendency lies in P_K.  ssprk3, over
 tuples of coefficient arrays, is the package's one SSP-RK3 step.  step
 takes a state, its batch and its stress and forcing as callables of time,
-and returns the new FluidState and its batch.  A FluidState holds the grid
+and returns the new FluidState and its batch.  forcing_of_time is the one
+definition of the force f: it refuses a kind not in FORCING_KINDS (the
+list the forcing.kind setting is parsed against) or an amplitude that is
+not finite, and builds f once per run.  A FluidState holds the grid
 and the coefficient arrays r (1 component) and u (2), refusing any other
 shape: no class wraps a field (torus).  A step checks only the CFL bound
 (on the speeds |u| + c_s) and, in each stage, that D(r) is defined; the
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import torus
 from .errors import CFLViolation, PositivityLoss
-from .model import ForcingSpec, ModelParams, r_to_density
+from .model import ModelParams, r_to_density
 from .torus import SIDE, W2_INDICES, TorusGrid, dealiased_product, \
     derivative_stack, sobolev_norm, sup_norm_w2inf_values
 
@@ -213,16 +216,30 @@ def ssprk3(y, rhs, t, dt):
     return tuple((a + 2.0 * (b + dt * c)) / 3.0 for a, b, c in zip(y, y2, k))
 
 
-def forcing_of_time(forcing: ForcingSpec, grid):
-    """The forcing coefficients (or None) as a callable of time; RunContext
-    builds it once per run, so a steady field is transformed once."""
-    if forcing.kind == "zero" or forcing.amplitude == 0.0:
+FORCING_KINDS = ("zero", "steady_field", "time_periodic")
+
+
+def forcing_of_time(kind, amplitude, mode, grid):
+    """The force f = amplitude (sin m.x, cos m.x) on grid, m = mode a pair
+    of integers, times cos t when kind is time_periodic, as a callable of
+    time giving its coefficients, or None for kind zero or amplitude 0.
+    RunContext builds it once per run, so a steady field is transformed
+    once.  A kind not in FORCING_KINDS or an amplitude that is not finite
+    is a ValueError."""
+    if kind not in FORCING_KINDS:
+        raise ValueError(f"unknown forcing kind {kind!r}")
+    if not np.isfinite(amplitude):
+        raise ValueError("forcing amplitude must be finite")
+    if kind == "zero" or amplitude == 0.0:
         return lambda t: None
     x1, x2 = grid.x
+    phase = mode[0] * x1 + mode[1] * x2
 
     def field(t):
-        return torus.to_modes(forcing.values(x1, x2, t))
-    if forcing.kind == "steady_field":
+        amp = amplitude * np.cos(t) if kind == "time_periodic" else amplitude
+        return torus.to_modes(np.stack([amp * np.sin(phase),
+                                        amp * np.cos(phase)]))
+    if kind == "steady_field":
         steady = field(0.0)
         return lambda t: steady
     return field

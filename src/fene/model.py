@@ -1,10 +1,11 @@
 """Parameters and closed forms of the FENE dumbbell / isentropic fluid model.
 
-ModelParams holds the physical constants and ForcingSpec the external
-force.  The functions are pure: the normalizer of the equilibrium
-Maxwellian on the ball B(0, sqrt(b)), and the symmetric hyperbolic density
-transform r <-> rho, whose inverse gives the coefficient D(r) = 1/rho(r) of
-the viscous and elastic forces in the transformed momentum equation.
+ModelParams holds the physical constants (the external force is
+fluid.forcing_of_time).  The functions are pure: the normalizer of the
+equilibrium Maxwellian on the ball B(0, sqrt(b)), and the symmetric
+hyperbolic density transform r <-> rho, whose inverse gives the
+coefficient D(r) = 1/rho(r) of the viscous and elastic forces in the
+transformed momentum equation.
 
 A run uses the Warner spring potential U(s) = -(b/2) log(1 - 2s/b), its
 force F(q) = b q / (b - |q|^2), the Maxwellian, the pressure law
@@ -68,39 +69,6 @@ class ModelParams:
     def relaxation_rate(self):
         """A11 / (4 lambda), the prefactor of the configuration relaxation."""
         return self.a11 / (4.0 * self.lam)
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
-    """External volume force, restricted to trigonometric polynomials.
-
-    kind is one of "zero", "steady_field" or "time_periodic".  The spatial
-    profile is amplitude * (sin(m.x), cos(m.x)) with integer wave vector m;
-    the time-periodic variant modulates it by cos(t).
-    """
-
-    kind: str = "zero"
-    amplitude: float = 0.0
-    mode: tuple = (1, 0)
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "steady_field", "time_periodic"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
-        if len(self.mode) != 2 or any(m != int(m) for m in self.mode):
-            raise ValueError("forcing mode must be a pair of integers")
-        if not np.isfinite(self.amplitude):
-            raise ValueError("forcing amplitude must be finite")
-
-    def values(self, x1, x2, t):
-        """Force components on the grid points (x1, x2) at time t."""
-        if self.kind == "zero" or self.amplitude == 0.0:
-            shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-            return np.zeros((2,) + shape)
-        phase = self.mode[0] * x1 + self.mode[1] * x2
-        amp = self.amplitude
-        if self.kind == "time_periodic":
-            amp = amp * np.cos(t)
-        return np.stack([amp * np.sin(phase), amp * np.cos(phase)])
 
 
 def maxwellian_normalizer(b):

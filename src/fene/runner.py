@@ -50,16 +50,16 @@ import numpy as np
 from .checkpoint import checkpoint_load, checkpoint_save
 from .configspace import build_quadrature, check_chi_index, eigen_basis, \
     lemma_a1_check
-from .coupling import CoupledState, FixedPointConfig, blowup_indicator, \
-    contraction_factor, coupled_trajectory, fluid_trajectory, \
-    fp_trajectory, run_fixed_point, stress_field, xs_distance
+from .coupling import CoupledState, blowup_indicator, contraction_factor, \
+    coupled_trajectory, fluid_trajectory, fp_trajectory, run_fixed_point, \
+    stress_field, xs_distance
 from .errors import BlowupCeiling, CFLViolation, ConfigError, FeneError, \
     PositivityLoss, StabilityViolation, VersionError
-from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
-    forcing_of_time, phi_r
+from .fluid import FORCING_KINDS, N_FACTORS, R, VELOCITY, FluidState, \
+    FluidStepConfig, forcing_of_time, phi_r
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
-from .model import ForcingSpec, ModelParams, density_to_r, r_to_density
+from .model import ModelParams, density_to_r, r_to_density
 from .torus import TorusGrid, grad_u_sup_norm, sobolev_norm, to_modes
 
 S_RECORD = 3  # Sobolev indices 0..S_RECORD appear as monitor columns
@@ -126,8 +126,7 @@ CONFIG_SCHEMA = {
     "model.a11": (float, 1.0),
     "model.lambda": (float, 1.0),
     "model.b": (float, 4.0),
-    "forcing.kind": (_parse_str("zero", "steady_field", "time_periodic"),
-                     "zero"),
+    "forcing.kind": (_parse_str(*FORCING_KINDS), "zero"),
     "forcing.amplitude": (float, 0.0),
     "forcing.mode": (_parse_int_pair, (1, 0)),
     "grid.n_points": (int, 32),
@@ -213,7 +212,8 @@ def _whole_steps(t, dt):
 
 
 class RunContext:
-    """Grid, basis and solver configs materialized from a config dict."""
+    """Grid, basis and solver configs materialized from a config dict,
+    every setting checked; the drivers read the others from cfg."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -253,22 +253,27 @@ class RunContext:
                 raise ConfigError("the log-log slope needs at least two "
                                   "distinct deltas, each finite and > 0",
                                   field="experiment.deltas")
-        self.fixed_point = None
+        # the steps of fluid.dt in the horizon of the fixed-point scenarios
+        self.horizon_steps = None
         if name in ("stress_difference", "contraction_study"):
-            if not 0 < cfg["experiment.horizon"] < np.inf:
+            horizon = cfg["experiment.horizon"]
+            if not 0 < horizon < np.inf:
                 raise ConfigError("the horizon must be finite and > 0",
                                   field="experiment.horizon")
-            with _refusing("fixed_point"):
-                self.fixed_point = FixedPointConfig(
-                    horizon_T=cfg["experiment.horizon"],
-                    s_prime=cfg["fixed_point.s_prime"],
-                    max_iters=cfg["fixed_point.max_iters"])
+            if not 0 <= cfg["fixed_point.s_prime"] <= 1:
+                raise ConfigError("contraction index must satisfy "
+                                  "0 <= s_prime <= 1", field="fixed_point")
+            if cfg["fixed_point.max_iters"] < 2:
+                raise ConfigError("max_iters must be at least 2: a "
+                                  "contraction ratio needs three iterates",
+                                  field="fixed_point")
             dt = self.fluid_cfg.dt
-            if self.fixed_point.n_steps(dt) < 2:
+            self.horizon_steps = int(round(horizon / dt))
+            if self.horizon_steps < 2:
                 raise ConfigError(f"{name} needs at least two steps of this "
                                   "dt within experiment.horizon",
                                   field="fluid.dt")
-            if _whole_steps(cfg["experiment.horizon"], dt) is None:
+            if _whole_steps(horizon, dt) is None:
                 raise ConfigError("the horizon must be a whole number of "
                                   f"steps of fluid.dt = {dt!r}",
                                   field="experiment.horizon")
@@ -281,13 +286,13 @@ class RunContext:
                 raise ConfigError("lemma_a1 needs deltas, each finite and > 0",
                                   field="experiment.lemma_deltas")
         with _refusing("forcing"):
-            spec = ForcingSpec(kind=cfg["forcing.kind"],
-                               amplitude=cfg["forcing.amplitude"],
-                               mode=cfg["forcing.mode"])
-        if spec.kind != "zero" and spec.amplitude != 0.0:
-            _check_retained(self.grid, spec.mode, "forcing.mode")
-        self.force = forcing_of_time(spec, self.grid)
-        self.seed = cfg["seed"]
+            self.force = forcing_of_time(
+                cfg["forcing.kind"], cfg["forcing.amplitude"],
+                cfg["forcing.mode"], self.grid)
+            if cfg["forcing.kind"] != "zero" and \
+                    cfg["forcing.amplitude"] != 0.0:
+                _check_retained(self.grid, cfg["forcing.mode"],
+                                "forcing.mode")
 
     def initial_state(self) -> CoupledState:
         cfg = self.cfg
@@ -636,11 +641,11 @@ def _loglog_slope(deltas, dists):
 
 
 def _run_stress_difference(ctx: RunContext, outdir):
-    n_steps = ctx.fixed_point.n_steps(ctx.fluid_cfg.dt)
+    n_steps = ctx.horizon_steps
     deltas = ctx.cfg["experiment.deltas"]
     state0 = ctx.initial_state()
     x1, x2 = ctx.grid.x
-    s_prime = ctx.fixed_point.s_prime
+    s_prime = ctx.cfg["fixed_point.s_prime"]
 
     base_stress = stress_field(state0.psi)
     pert = to_modes(np.stack([np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
@@ -683,17 +688,17 @@ def _run_stress_difference(ctx: RunContext, outdir):
 
 
 def _run_contraction(ctx: RunContext, outdir):
-    fpc = ctx.fixed_point
+    n_steps, s_prime = ctx.horizon_steps, ctx.cfg["fixed_point.s_prime"]
     state0 = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    iterates = run_fixed_point(state0, op, ctx.force, ctx.fluid_cfg, fpc)
-    dists, ratios, converged = contraction_factor(iterates, fpc.s_prime)
+    iterates = run_fixed_point(state0, op, ctx.force, ctx.fluid_cfg, n_steps,
+                               ctx.cfg["fixed_point.max_iters"])
+    dists, ratios, converged = contraction_factor(iterates, s_prime)
 
-    n_steps = fpc.n_steps(ctx.fluid_cfg.dt)
     mono_traj = [mono.psi for _, mono, _ in coupled_trajectory(
         state0, op, ctx.force, ctx.fluid_cfg, range(n_steps + 1),
         "in the monolithic reference")]
-    terminal = xs_distance(iterates[-1], mono_traj, fpc.s_prime)
+    terminal = xs_distance(iterates[-1], mono_traj, s_prime)
 
     write_csv(os.path.join(outdir, "contraction.csv"),
               ("iteration", "distance", "ratio"),
@@ -711,7 +716,7 @@ def _run_contraction(ctx: RunContext, outdir):
 def _run_lemma_a1(ctx: RunContext, outdir):
     cfg = ctx.cfg
     n_ensemble = cfg["experiment.ensemble"]
-    rng = np.random.default_rng(ctx.seed)
+    rng = np.random.default_rng(cfg["seed"])
     deltas = cfg["experiment.lemma_deltas"]
     basis = ctx.basis
     samples = [rng.standard_normal(basis.n_basis) for _ in range(n_ensemble)]

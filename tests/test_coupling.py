@@ -9,7 +9,7 @@ from conftest import constant, divergence, field_product, fluid_batch, \
     sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
 from fene.errors import CFLViolation, PositivityLoss, StabilityViolation
-from fene.coupling import CoupledState, FixedPointConfig, blowup_indicator, \
+from fene.coupling import CoupledState, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
     coupled_trajectory, fixed_point_map, fluid_trajectory, fp_trajectory, \
     grid_values, run_fixed_point, stress_field, xs_distance, xs_norm
@@ -17,7 +17,7 @@ from fene.fluid import FluidState, FluidStepConfig, fluid_rhs, phi_r, \
     rhs_batch, rhs_factors, step
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     fp_energy, polymer_mass
-from fene.model import ForcingSpec, ModelParams, density_to_r, r_to_density
+from fene.model import ModelParams, density_to_r, r_to_density
 from fene.runner import RunContext, parse_config_text, record_state
 from fene.torus import sobolev_norm, to_modes, to_values
 from oracle import d_coefficient, kramers_stress, weak_drift
@@ -74,14 +74,6 @@ def test_coupled_state_refuses_fields_on_different_grids(grid16, grid32,
     with pytest.raises(ValueError, match="^fluid and polymer fields use "
                        "different grids$"):
         CoupledState(fluid16, PolymerField.equilibrium(grid32, basis16))
-
-
-def test_fixed_point_config_validates():
-    with pytest.raises(ValueError):
-        FixedPointConfig(horizon_T=0.1, s_prime=2)
-    for horizon in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            FixedPointConfig(horizon_T=horizon)
 
 
 def test_stress_field_matches_pointwise_quadrature(grid16, basis16, quad16):
@@ -219,8 +211,8 @@ def test_contraction_factor_constructed_sequence(grid32, basis32):
 def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
                                        op32):
     st = perturbed_state(grid32, basis32, params)
-    fpc = FixedPointConfig(horizon_T=0.05, s_prime=1, max_iters=5)
-    iterates = run_fixed_point(st, op32, no_force, fluid_cfg, fpc)
+    # a horizon of 0.05, 50 steps of dt = 1e-3
+    iterates = run_fixed_point(st, op32, no_force, fluid_cfg, 50, 5)
     _, ratios, _ = contraction_factor(iterates, 1)
     assert len(ratios) >= 3
     assert all(r < 1.0 for r in ratios)
@@ -232,8 +224,8 @@ def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     firsts = []
     for horizon in (0.1, 0.05, 0.025):
-        fpc = FixedPointConfig(horizon_T=horizon, s_prime=1, max_iters=2)
-        iterates = run_fixed_point(st, op, no_force, fluid_cfg, fpc)
+        iterates = run_fixed_point(st, op, no_force, fluid_cfg,
+                                   round(horizon / fluid_cfg.dt), 2)
         _, ratios, _ = contraction_factor(iterates, 1)
         firsts.append(ratios[0])
     assert firsts[0] > firsts[1] > firsts[2]
@@ -316,8 +308,7 @@ def test_blowup_indicator(grid32, basis32, params):
 
 def test_steady_forcing_is_built_once_per_run(grid32, basis32, params, op32,
                                               fluid_cfg, monkeypatch):
-    forces = {kind: fluid.forcing_of_time(ForcingSpec(kind, 0.1, (1, 0)),
-                                          grid32)
+    forces = {kind: fluid.forcing_of_time(kind, 0.1, (1, 0), grid32)
               for kind in ("steady_field", "time_periodic")}
     forces["zero"] = no_force
     slices = []
@@ -391,8 +382,7 @@ def test_shared_stage_equals_split_halves(n, case, request, params,
     cutoff, force = {"ramp": (y - 0.4, no_force),
                      "dead": (y - 1.5, no_force),
                      "steady_field": (None, fluid.forcing_of_time(
-                         ForcingSpec("steady_field", 0.1, (1, 0)),
-                         grid))}[case]
+                         "steady_field", 0.1, (1, 0), grid))}[case]
     if case == "ramp":
         assert 0.0 < phi_r(y, cutoff) < 1.0
     if case == "dead":
@@ -582,8 +572,7 @@ def test_carried_values_change_no_bit(n, request, params):
     grid, basis = (request.getfixturevalue(f"{name}{n}")
                    for name in ("grid", "basis"))
     state = random_coupled_state(grid, basis, params, seed=n)
-    force = fluid.forcing_of_time(ForcingSpec("steady_field", 0.1, (1, 0)),
-                                  grid)
+    force = fluid.forcing_of_time("steady_field", 0.1, (1, 0), grid)
     op = FokkerPlanckSolver(basis, params, grid, n)
     stepped, carried = coupled_step(state, grid_values(state, params), op,
                                     force, FluidStepConfig(dt=1e-4))

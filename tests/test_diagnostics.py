@@ -193,6 +193,27 @@ def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
             checkpoint_load(str(odd))
 
 
+@pytest.mark.parametrize("offset, fmt, value", [
+    (24, "<d", 1.5),   # b <= 2
+    (12, "<I", 2),     # n_radial below the quadrature's least
+    (16, "<I", 7),     # an odd n_angular
+], ids=["b=1.5", "n_radial=2", "n_angular=7"])
+def test_checkpoint_refuses_ball_fields_no_version_wrote(tmp_path, offset,
+                                                        fmt, value):
+    # loading without a basis rebuilds it from the header: a field that no
+    # quadrature or basis accepts is a VersionError, like a bad n_points
+    ctx = RunContext(parse_config_text(
+        "scenario = shear_perturbation\ngrid.n_points = 16\n"
+        "ball.n_radial = 16\nball.n_angular = 16\nball.n_basis = 12\n"))
+    path = tmp_path / "state.fkp"
+    checkpoint_save(ctx.initial_state(), str(path))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionError):
+        checkpoint_load(str(path))
+
+
 def test_resume_matches_uninterrupted_bitwise(tmp_path):
     cfg_path, outdir = write_cfg(tmp_path, scenario="shear_perturbation",
                                  steps=40, extra="snapshots.every = 20")
@@ -971,6 +992,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "fluid.dt = inf", "fluid"),
     ("contraction_study", "fluid.dt = nan", "fluid"),
     ("contraction_study", "experiment.horizon = inf", "experiment.horizon"),
+    ("contraction_study", "experiment.horizon = nan", "experiment.horizon"),
     # a NaN setting is refused, not met later as a physics error
     ("shear_perturbation", "forcing.kind = steady_field\n"
      "forcing.amplitude = nan", "forcing"),
@@ -1012,7 +1034,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "contraction_partial_step", "stress_difference_partial_step",
         "no_lemma_delta",
         "negative_lemma_delta", "dt=nan", "dt=inf", "contraction_dt=nan",
-        "horizon=inf", "forcing_amplitude=nan", "nan_delta",
+        "horizon=inf", "horizon=nan", "forcing_amplitude=nan", "nan_delta",
         "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
         "mean_velocity=inf", "lemma_seed=-1", "seed=-1"])

@@ -9,8 +9,8 @@ from fene import torus
 from fene.coupling import fluid_trajectory
 from fene.errors import CFLViolation, PositivityLoss
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
-    fluid_energy, fluid_rhs, phi_r, ssprk3, step, stress_divergence, \
-    viscous_divergence
+    fluid_energy, fluid_rhs, forcing_of_time, phi_r, ssprk3, step, \
+    stress_divergence, viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, TorusGrid, sobolev_norm, to_modes, to_values
 
@@ -452,3 +452,22 @@ def test_viscous_energy_decay(grid32, params):
         energies.append(sobolev_norm(grid32, y[0], 0) ** 2)
     assert np.all(np.diff(energies) <= 1e-13)
     assert energies[-1] < energies[0]
+
+
+def test_forcing_of_time(grid16):
+    x1, x2 = grid16.x
+    assert forcing_of_time("zero", 0.0, (1, 0), grid16)(0.3) is None
+    steady = forcing_of_time("steady_field", 0.5, (2, 1), grid16)
+    phase = 2 * x1 + x2
+    np.testing.assert_allclose(
+        to_values(steady(0.0), grid16.n_points),
+        0.5 * np.stack([np.sin(phase), np.cos(phase)]), rtol=0, atol=1e-14)
+    # a steady field is transformed once
+    assert steady(0.7) is steady(0.0)
+    periodic = forcing_of_time("time_periodic", 0.5, (2, 1), grid16)
+    assert np.array_equal(periodic(0.0), steady(0.0))
+    assert np.max(np.abs(periodic(np.pi / 2))) < 1e-12
+    with pytest.raises(ValueError, match="unknown forcing kind"):
+        forcing_of_time("gusty", 0.5, (2, 1), grid16)
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        forcing_of_time("steady_field", np.nan, (2, 1), grid16)

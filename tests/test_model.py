@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fene.model import ForcingSpec, ModelParams, density_to_r, \
+from fene.model import ModelParams, density_to_r, \
     maxwellian_normalizer, r_to_density
 from oracle import d_coefficient, maxwellian, potential_u, pressure, \
     spring_force, viscous_stress
@@ -169,19 +169,3 @@ def test_viscous_stress_symmetry_and_trace(params):
         trace = s[0, 0] + s[1, 1]
         assert trace == pytest.approx(
             2 * params.mu_b * (g[0, 0] + g[1, 1]), abs=1e-13)
-
-
-def test_forcing_spec(grid16):
-    x1, x2 = grid16.x
-    zero = ForcingSpec()
-    assert np.all(zero.values(x1, x2, 0.3) == 0.0)
-    steady = ForcingSpec(kind="steady_field", amplitude=0.5, mode=(2, 1))
-    vals = steady.values(x1, x2, 0.0)
-    assert vals.shape == (2, 16, 16)
-    assert np.all(np.isfinite(vals))
-    periodic = ForcingSpec(kind="time_periodic", amplitude=0.5, mode=(2, 1))
-    np.testing.assert_allclose(periodic.values(x1, x2, 0.0),
-                               steady.values(x1, x2, 0.0), rtol=1e-15)
-    assert np.max(np.abs(periodic.values(x1, x2, np.pi / 2))) < 1e-12
-    with pytest.raises(ValueError):
-        ForcingSpec(kind="gusty")
