@@ -4,8 +4,8 @@ the largest |value| of every CSV column and checkpoint array.
     python3 runset/runset.py --write runset/runset.json
     python3 runset/runset.py --against runset/runset.json [--expect-change]
 
-The runs go through fene.runner.run and fene.runner.resume, imported from
-the src/ beside this directory:
+The runs go through fene.runner.run, imported from the src/ beside this
+directory:
 
     shear           shear_perturbation, 30 steps, a snapshot every 10
     shear_resumed   the same, resumed from shear's step-10 snapshot
@@ -87,8 +87,8 @@ def run_all():
         if code:
             raise SystemExit(f"run {name} exited {code}")
     for name, (base, snapshot) in RESUMED.items():
-        code = runner.resume(os.path.join(OUT, base, snapshot), configs[base],
-                             output=os.path.join(OUT, name))
+        code = runner.run(configs[base], output=os.path.join(OUT, name),
+                          resume_from=os.path.join(OUT, base, snapshot))
         if code:
             raise SystemExit(f"run {name} exited {code}")
     return sorted(

@@ -7,14 +7,8 @@ from . import runner
 
 
 def _add_run_flags(sub):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the configured RNG seed")
     sub.add_argument("--output", default=None,
                      help="override the configured output directory")
-    sub.add_argument("--max-steps", type=int, default=None,
-                     help="override the configured step count")
-    sub.add_argument("--ceiling", type=float, default=None,
-                     help="override the blow-up indicator ceiling")
 
 
 def build_parser():
@@ -42,12 +36,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        return runner.run(args.config, output=args.output, seed=args.seed,
-                          max_steps=args.max_steps, ceiling=args.ceiling)
+        return runner.run(args.config, output=args.output)
     if args.command == "resume":
-        return runner.resume(args.checkpoint, args.config,
-                             output=args.output, seed=args.seed,
-                             max_steps=args.max_steps, ceiling=args.ceiling)
+        return runner.run(args.config, output=args.output,
+                          resume_from=args.checkpoint)
     return runner.report(args.run_dir)
 
 

@@ -118,14 +118,14 @@ CONFIG_SCHEMA = {
     "output": (_parse_str(), "fene_run"),
     "blowup_ceiling": (float, 1e3),
     "snapshots.every": (int, 0),
-    "model.a": (float, 1.0),
-    "model.gamma": (float, 1.4),
-    "model.mu_s": (float, 1.0),
-    "model.mu_b": (float, 0.5),
-    "model.epsilon": (float, 0.0),
-    "model.a11": (float, 1.0),
-    "model.lambda": (float, 1.0),
-    "model.b": (float, 4.0),
+    "model.a": (float, ModelParams.a),
+    "model.gamma": (float, ModelParams.gamma),
+    "model.mu_s": (float, ModelParams.mu_s),
+    "model.mu_b": (float, ModelParams.mu_b),
+    "model.epsilon": (float, ModelParams.epsilon),
+    "model.a11": (float, ModelParams.a11),
+    "model.lambda": (float, ModelParams.lam),
+    "model.b": (float, ModelParams.b),
     "forcing.kind": (_parse_str(*FORCING_KINDS), "zero"),
     "forcing.amplitude": (float, 0.0),
     "forcing.mode": (_parse_int_pair, (1, 0)),
@@ -135,8 +135,8 @@ CONFIG_SCHEMA = {
     "ball.n_basis": (int, 40),
     "ball.chi_index": (_parse_chi, "auto"),
     "fluid.dt": (float, 1e-3),
-    "fluid.cutoff_r": (_parse_opt_float, None),
-    "fluid.cfl_safety": (float, 0.8),
+    "fluid.cutoff_r": (_parse_opt_float, FluidStepConfig.cutoff_R),
+    "fluid.cfl_safety": (float, FluidStepConfig.cfl_safety),
     "scenario.amplitude": (float, 1e-3),
     "scenario.mode": (int, 1),
     "scenario.mean_velocity": (float, 0.1),
@@ -811,9 +811,13 @@ def _named_output(config_path):
     return named[0] if len(named) == 1 else None
 
 
-def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
-        resume_from=None, stderr=None):
-    """Execute a configured run; returns the process exit code."""
+def run(config_path, output=None, resume_from=None, stderr=None):
+    """Execute the run that the config file describes; returns the process
+    exit code.  The file is the only source of the run's settings, so the
+    manifest's config_hash, the sha256 of its text, names every one.
+    output moves the artifacts to another directory and changes none of
+    them; resume_from is a checkpoint that continues a stepping scenario;
+    stderr (default sys.stderr) receives each error as one JSON line."""
     _retain_heap()
     stderr = sys.stderr if stderr is None else stderr
     outdir = None
@@ -822,12 +826,6 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
         with open(config_path, "r", encoding="utf-8") as fh:
             text = fh.read()
         cfg = parse_config_text(text)
-        if seed is not None:
-            cfg["seed"] = int(seed)
-        if max_steps is not None:
-            cfg["max_steps"] = int(max_steps)
-        if ceiling is not None:
-            cfg["blowup_ceiling"] = float(ceiling)
         described = {"scenario": cfg["scenario"], "config": cfg,
                      "config_hash": hashlib.sha256(text.encode()).hexdigest()}
         outdir = output or cfg["output"]
@@ -862,12 +860,6 @@ def run(config_path, output=None, seed=None, max_steps=None, ceiling=None,
     except OSError as exc:
         _print_error("IOError", exc, stderr)
         return 1
-
-
-def resume(checkpoint_path, config_path, output=None, seed=None,
-           max_steps=None, ceiling=None, stderr=None):
-    return run(config_path, output=output, seed=seed, max_steps=max_steps,
-               ceiling=ceiling, resume_from=checkpoint_path, stderr=stderr)
 
 
 def load_series(run_dir):

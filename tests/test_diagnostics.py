@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -17,8 +18,7 @@ from fene.errors import ConfigError, VersionError
 from fene.fokker_planck import FokkerPlanckSolver
 from fene.model import ModelParams
 from fene.runner import CONFIG_SCHEMA, RunContext, TimeSeriesRecord, \
-    envelope_margin, load_series, parse_config, parse_config_text, resume, \
-    run
+    envelope_margin, load_series, parse_config, parse_config_text, run
 
 BASE = """
 scenario = {scenario}
@@ -272,37 +272,39 @@ def test_lemma_a1_requires_ensemble(tmp_path):
 def test_blowup_ceiling_aborts(tmp_path):
     cfg_path, outdir = write_cfg(
         tmp_path, scenario="shear_perturbation", steps=50,
-        extra="scenario.amplitude = 0.05")
+        extra="scenario.amplitude = 0.05\nblowup_ceiling = 1e-6")
     stderr_path = tmp_path / "blow.json"
     with open(stderr_path, "w") as fh:
-        code = run(cfg_path, ceiling=1e-6, stderr=fh)
+        code = run(cfg_path, stderr=fh)
     assert code == 5
     assert json.loads(stderr_path.read_text())["reason"] == "BlowupCeiling"
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
     assert manifest["status"] == "error"
-    # the override is what ran, so it is what the manifest records
     assert manifest["config"]["blowup_ceiling"] == 1e-6
 
 
-def test_bad_ceiling_override_is_a_config_error(tmp_path, capsys):
-    # the override replaces the config value before RunContext checks it
-    cfg_path, outdir = write_cfg(tmp_path, scenario="shear_perturbation")
-    assert cli_main(["run", cfg_path, "--ceiling", "-1"]) == 2
-    assert json.loads(capsys.readouterr().err)["reason"] == "ConfigError"
-    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
-    assert manifest["reason"] == "ConfigError"
-    assert "[blowup_ceiling]" in manifest["message"]
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "1"), ("--max-steps", "3"), ("--ceiling", "10")])
+def test_run_settings_have_no_cli_override(tmp_path, capsys, flag, value):
+    # a setting given on the command line would escape config_hash, so fene
+    # run takes none: argparse refuses the flag (exit 2) and nothing runs
+    cfg_path, outdir = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", cfg_path, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not os.path.exists(outdir)
 
 
-@pytest.mark.parametrize("scenario", ["lemma_a1", "equilibrium"])
-def test_negative_seed_override_is_a_config_error(tmp_path, capsys,
-                                                  scenario):
-    cfg_path, outdir = write_cfg(tmp_path, scenario=scenario)
-    assert cli_main(["run", cfg_path, "--seed", "-1"]) == 2
-    assert json.loads(capsys.readouterr().err)["reason"] == "ConfigError"
+def test_manifest_hashes_the_config_text(tmp_path):
+    cfg_path, outdir = write_cfg(tmp_path, extra="max_steps = 2")
+    assert cli_main(["run", cfg_path]) == 0
+    text = open(cfg_path, encoding="utf-8").read()
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
-    assert manifest["reason"] == "ConfigError"
-    assert manifest["message"] == "[seed] must be at least 0"
+    assert manifest["config_hash"] == \
+        hashlib.sha256(text.encode()).hexdigest()
+    assert manifest["config"] == json.loads(json.dumps(
+        parse_config_text(text)))
 
 
 def test_empty_output_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -404,7 +406,7 @@ def test_nan_in_resumed_state_trips_ceiling_at_start(tmp_path):
     checkpoint_save(state, snap)
     stderr_path = tmp_path / "nan.json"
     with open(stderr_path, "w") as fh:
-        code = resume(snap, cfg_path, stderr=fh)
+        code = run(cfg_path, resume_from=snap, stderr=fh)
     assert code == 5
     payload = json.loads(stderr_path.read_text())
     assert payload["reason"] == "BlowupCeiling"
@@ -434,7 +436,7 @@ def test_a_resumed_state_is_checked_before_its_first_record(
     checkpoint_save(state, snap)
     stderr_path = tmp_path / "poisoned.json"
     with open(stderr_path, "w") as fh:
-        assert resume(snap, cfg_path, stderr=fh) == code
+        assert run(cfg_path, resume_from=snap, stderr=fh) == code
     payload = json.loads(stderr_path.read_text())
     assert payload["reason"] == reason
     if field == "negative r":
@@ -465,8 +467,8 @@ def test_resume_refuses_a_header_time_that_is_not_finite(tmp_path):
         resumed = str(tmp_path / "resumed")
         stderr_path = tmp_path / "patched.json"
         with open(stderr_path, "w") as fh:
-            assert resume(str(snap), cfg_path, output=resumed,
-                          stderr=fh) == 6
+            assert run(cfg_path, output=resumed, resume_from=str(snap),
+                       stderr=fh) == 6
         assert json.loads(stderr_path.read_text())["reason"] == "VersionError"
         manifest = json.load(open(os.path.join(resumed, "manifest.json")))
         assert manifest["reason"] == "VersionError"
@@ -562,7 +564,7 @@ def test_resume_refuses_scenarios_that_do_not_step(tmp_path, scenario):
     other, outdir = write_cfg(tmp_path, name="other.cfg", scenario=scenario)
     stderr_path = tmp_path / "resume.json"
     with open(stderr_path, "w") as fh:
-        assert resume(snap, other, stderr=fh) == 2
+        assert run(other, resume_from=snap, stderr=fh) == 2
     payload = json.loads(stderr_path.read_text())
     assert payload["reason"] == "ConfigError"
     assert payload["message"].startswith("[scenario] ")
@@ -577,11 +579,14 @@ def test_resume_refuses_a_checkpoint_at_or_past_max_steps(tmp_path):
     assert run(cfg_path) == 0
     snap = os.path.join(outdir, "snapshots", "step000004.fkp")
     for steps in (2, 4):
+        shorter = tmp_path / f"steps{steps}.cfg"
+        shorter.write_text(open(cfg_path).read().replace(
+            "max_steps = 4\n", f"max_steps = {steps}\n"))
         resumed = str(tmp_path / f"resumed{steps}")
         stderr_path = tmp_path / "resume.json"
         with open(stderr_path, "w") as fh:
-            assert resume(snap, cfg_path, output=resumed, max_steps=steps,
-                          stderr=fh) == 2
+            assert run(str(shorter), output=resumed, resume_from=snap,
+                       stderr=fh) == 2
         payload = json.loads(stderr_path.read_text())
         assert payload["reason"] == "ConfigError"
         assert payload["message"].startswith("[max_steps] ")
@@ -601,7 +606,8 @@ def test_resume_refuses_a_checkpoint_written_under_another_dt(tmp_path):
     resumed = str(tmp_path / "resumed")
     stderr_path = tmp_path / "resume.json"
     with open(stderr_path, "w") as fh:
-        assert resume(snap, str(other), output=resumed, stderr=fh) == 6
+        assert run(str(other), output=resumed, resume_from=snap,
+                   stderr=fh) == 6
     payload = json.loads(stderr_path.read_text())
     assert payload["reason"] == "VersionError"
     assert "fluid.dt" in payload["message"]
@@ -631,7 +637,7 @@ def test_a_stopped_run_leaves_only_its_own_series(tmp_path):
     other = tmp_path / "dt3.cfg"
     other.write_text(open(cfg_path).read() + "\nfluid.dt = 3e-3\n")
     with open(os.devnull, "w") as devnull:
-        assert resume(snap, str(other), stderr=devnull) == 6
+        assert run(str(other), resume_from=snap, stderr=devnull) == 6
     assert not os.path.exists(os.path.join(outdir, "series.csv"))
     # so does a rerun whose config is refused before its first step
     assert run(cfg_path) == 0
@@ -677,7 +683,10 @@ def test_a_rerun_clears_the_snapshots_of_an_earlier_run(tmp_path):
     # named by any path, and writes the later ones afresh
     assert run(cfg_path) == 0
     snap = os.path.join(outdir, "snapshots", ".", "step000002.fkp")
-    assert resume(snap, cfg_path, max_steps=6) == 0
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(open(cfg_path).read().replace("max_steps = 4\n",
+                                                    "max_steps = 6\n"))
+    assert run(str(longer), resume_from=snap) == 0
     assert snapshot_names(outdir) == ["step000002.fkp", "step000004.fkp",
                                       "step000006.fkp"]
     assert [rec.time for rec in load_series(outdir)][0] == 0.002
@@ -1017,6 +1026,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     # ValueError (exit 1, no manifest) in lemma_a1
     ("lemma_a1", "seed = -1", "seed"),
     ("shear_perturbation", "seed = -1", "seed"),
+    ("equilibrium", "seed = -1", "seed"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
@@ -1037,7 +1047,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "horizon=inf", "horizon=nan", "forcing_amplitude=nan", "nan_delta",
         "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
-        "mean_velocity=inf", "lemma_seed=-1", "seed=-1"])
+        "mean_velocity=inf", "lemma_seed=-1", "seed=-1",
+        "equilibrium_seed=-1"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"

@@ -18,7 +18,7 @@ from fene.fluid import FluidState
 from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
     polymer_mass
 from fene.model import ModelParams
-from fene.runner import resume
+from fene.runner import run
 from fene.torus import SIDE, TorusGrid, dealiased_product, sobolev_norm, \
     to_modes, to_values
 
@@ -138,7 +138,8 @@ def test_version_one_checkpoint_refused(tmp_path):
             checkpoint_load(str(path))
         assert f"version {version}" in str(err.value)
         with open(os.devnull, "w") as devnull:
-            assert resume(str(path), str(cfg_path), stderr=devnull) == 6
+            assert run(str(cfg_path), resume_from=str(path),
+                       stderr=devnull) == 6
 
 
 def _whole_pairs_basis(quad, n_basis):
