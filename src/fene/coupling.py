@@ -239,13 +239,15 @@ def contraction_factor(iterates, s_prime):
     d_{k+1}/d_k.
 
     Returns (distances, ratios, converged): a distance at the round-off
-    floor 1e3 eps d_0 ends the ratio list and reports convergence, since a
-    ratio of round-off says nothing about the map."""
+    floor 1e3 eps |psi^0|_{X^{s'}} ends the ratio list and reports
+    convergence, since a ratio of round-off says nothing about the map.
+    The floor scales with the iterates, not with d_0: a difference of two
+    iterates is rounded relative to their size."""
     if len(iterates) < 3:
         raise ValueError("need at least three iterates")
     dists = [xs_distance(iterates[k + 1], iterates[k], s_prime)
              for k in range(len(iterates) - 1)]
-    floor = 1e3 * np.finfo(float).eps * dists[0]
+    floor = 1e3 * np.finfo(float).eps * xs_norm(iterates[0], s_prime)
     ratios = []
     for prev, cur in zip(dists, dists[1:]):
         if cur <= floor:

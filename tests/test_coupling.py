@@ -206,6 +206,16 @@ def test_contraction_factor_constructed_sequence(grid32, basis32):
     dists2, ratios2, converged2 = contraction_factor(same, 1)
     assert dists2 == [0.0, 0.0]
     assert converged2 and ratios2 == []
+    # a distance of 6.5e-15 between iterates of X^1 norm 2 pi is round-off
+    # (floor 1e3 eps 2 pi = 1.4e-12), though it lies above 1e3 eps d_0
+    steps = [0.0, 1e-3, 1e-3 + 1e-6, 1e-3 + 1e-6 + 1e-15]
+    fading = [constant_trajectory(PolymerField(grid32, basis32,
+                                               psi.coeffs + a * delta), 4, 0.01)
+              for a in steps]
+    dists3, ratios3, converged3 = contraction_factor(fading, 1)
+    assert 1e-15 < dists3[2] < 1e3 * np.finfo(float).eps * 2 * np.pi
+    assert converged3
+    np.testing.assert_allclose(ratios3, [1e-3], rtol=1e-8)
 
 
 def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
@@ -213,8 +223,9 @@ def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
     st = perturbed_state(grid32, basis32, params)
     # a horizon of 0.05, 50 steps of dt = 1e-3
     iterates = run_fixed_point(st, op32, no_force, fluid_cfg, 50, 5)
-    _, ratios, _ = contraction_factor(iterates, 1)
-    assert len(ratios) >= 3
+    _, ratios, converged = contraction_factor(iterates, 1)
+    # the fourth distance, about 4e-15, is round-off and ends the list
+    assert len(ratios) == 2 and converged
     assert all(r < 1.0 for r in ratios)
 
 
