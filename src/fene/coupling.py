@@ -241,8 +241,8 @@ def contraction_factor(iterates, s_prime):
     Returns (distances, ratios, converged): a distance at the round-off
     floor 1e3 eps |psi^0|_{X^{s'}} ends the ratio list and reports
     convergence, since a ratio of round-off says nothing about the map.
-    The floor scales with the iterates, not with d_0: a difference of two
-    iterates is rounded relative to their size."""
+    The floor scales with the iterates, since their difference is rounded
+    relative to their size, however small d_0 is."""
     if len(iterates) < 3:
         raise ValueError("need at least three iterates")
     dists = [xs_distance(iterates[k + 1], iterates[k], s_prime)
