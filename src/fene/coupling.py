@@ -46,8 +46,8 @@ only what must hold before it runs (op.check_step, the CFL bound, D(r)
 in each stage).  The loop checks every state it hands out, the first one
 included, in one order: non-finite coefficients raise BlowupCeiling, then
 an r that is not positive on the grid PositivityLoss.  Those messages,
-and those of the CFLViolation, StabilityViolation or PositivityLoss a
-step raises, end in the loop's where and "at step k".
+and those of the StabilityViolation (CFL bound or op.check_step) or
+PositivityLoss a step raises, end in the loop's where and "at step k".
 
 The X^s trajectory norm is sup-in-time of the W^{s,2}_x L^2_M norm plus
 the time integral (trapezoid rule on the stored samples) of the
@@ -57,8 +57,7 @@ W^{s,2}_x H^1_M norm, square-rooted.
 import numpy as np
 
 from . import fluid as fluid_mod
-from .errors import BlowupCeiling, CFLViolation, PositivityLoss, \
-    StabilityViolation
+from .errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
     check_positive, fluid_rhs, rhs_batch, rhs_factors, ssprk3, \
     stress_divergence
@@ -170,7 +169,7 @@ def _trajectory(state, values, advance, fields, where, steps):
         if i:
             try:
                 state, values = advance(state, values)
-            except (CFLViolation, StabilityViolation, PositivityLoss) as exc:
+            except (StabilityViolation, PositivityLoss) as exc:
                 exc.args = (f"{exc} {at}",)
                 raise
         for name, c in fields(state):

@@ -23,13 +23,10 @@ class PositivityLoss(FeneError):
     """Transformed density dropped to or below zero."""
 
 
-class CFLViolation(FeneError):
-    """Requested time step exceeds the configured CFL bound."""
-
-
 class StabilityViolation(FeneError):
-    """Time step puts the Fokker-Planck relaxation and diffusion rates
-    outside the SSP-RK3 stability interval."""
+    """Time step exceeds one of its two bounds: the fluid CFL bound, or the
+    SSP-RK3 stability interval of the Fokker-Planck relaxation and
+    diffusion rates."""
 
 
 class BlowupCeiling(FeneError):

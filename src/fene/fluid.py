@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torus
-from .errors import CFLViolation, PositivityLoss
+from .errors import PositivityLoss, StabilityViolation
 from .model import ModelParams, r_to_density
 from .torus import SIDE, W2_INDICES, TorusGrid, dealiased_product, \
     derivative_stack, sobolev_norm, sup_norm_w2inf_values
@@ -197,11 +197,12 @@ def cfl_bound(values, p: ModelParams):
 
 
 def check_cfl(values, p: ModelParams, cfg: FluidStepConfig):
-    """Raise CFLViolation when cfg.dt exceeds cfg.cfl_safety * cfl_bound
-    (values, p)."""
+    """Raise StabilityViolation when cfg.dt exceeds cfg.cfl_safety *
+    cfl_bound(values, p)."""
     bound = cfg.cfl_safety * cfl_bound(values, p)
     if cfg.dt > bound:
-        raise CFLViolation(f"dt = {cfg.dt:.3e} exceeds CFL bound {bound:.3e}")
+        raise StabilityViolation(f"dt = {cfg.dt:.3e} exceeds CFL bound "
+                                 f"{bound:.3e}")
 
 
 def ssprk3(y, rhs, t, dt):
@@ -257,9 +258,10 @@ def step(state: FluidState, values, stress, force, p: ModelParams,
     and force, callables of time giving the stress coefficients and the
     forcing coefficients (or None); returns the new state and its batch.
 
-    Raises CFLViolation, before any stage, when dt exceeds the configured
-    bound, and PositivityLoss when a stage meets an r that is not positive
-    on the grid.  coupling.fluid_trajectory checks the state it returns.
+    Raises StabilityViolation, before any stage, when dt exceeds the
+    configured CFL bound, and PositivityLoss when a stage meets an r that
+    is not positive on the grid.  coupling.fluid_trajectory checks the
+    state it returns.
     """
     grid = state.grid
     check_cfl(values, p, cfg)

@@ -23,7 +23,8 @@ fluid_trajectory and fp_trajectory, which check every state they hand
 out, the first one included (non-finite: BlowupCeiling, then r <= 0:
 PositivityLoss).  _run_stepping records the first state and those the
 record interval names, and checks each record against the blow-up
-ceiling.  _EXITS maps every error class to its exit code and reason.
+ceiling.  EXITS maps each error class to its exit code, and a failed
+run's reason is that class's name.
 
 record_state measures each quantity once and transforms none of r, u,
 grad u, psi or a steady forcing: it reads the grid batch that
@@ -53,8 +54,8 @@ from .configspace import build_quadrature, check_chi_index, eigen_basis, \
 from .coupling import CoupledState, blowup_indicator, contraction_factor, \
     coupled_trajectory, fluid_trajectory, fp_trajectory, run_fixed_point, \
     stress_field, xs_distance
-from .errors import BlowupCeiling, CFLViolation, ConfigError, FeneError, \
-    PositivityLoss, StabilityViolation, VersionError
+from .errors import BlowupCeiling, ConfigError, FeneError, PositivityLoss, \
+    StabilityViolation, VersionError
 from .fluid import FORCING_KINDS, N_FACTORS, R, VELOCITY, FluidState, \
     FluidStepConfig, forcing_of_time, phi_r
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
@@ -63,13 +64,6 @@ from .model import ModelParams, density_to_r, r_to_density
 from .torus import TorusGrid, grad_u_sup_norm, sobolev_norm, to_modes
 
 S_RECORD = 3  # Sobolev indices 0..S_RECORD appear as monitor columns
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_POSITIVITY = 3
-EXIT_STABILITY = 4
-EXIT_BLOWUP = 5
-EXIT_CHECKPOINT = 6
 
 
 def _parse_opt_float(text):
@@ -151,18 +145,24 @@ CONFIG_SCHEMA = {
 }
 
 
+def _entries(text):
+    """Yield (line number, key, value) for each line of a config text that
+    is not blank once its comment is stripped; value is None on a line
+    without '='."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, eq, val = line.partition("=")
+            yield lineno, key.strip(), val.strip() if eq else None
+
+
 def parse_config_text(text):
     """The resolved config: schema defaults overlaid by the text."""
     values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+    for lineno, key, val in _entries(text):
+        if val is None:
             raise ConfigError("expected 'key = value'", line=lineno)
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError("unknown configuration key", line=lineno,
                               field=key)
@@ -758,16 +758,10 @@ def _print_error(reason, exc, stderr):
     return payload
 
 
-# error class -> (exit code, manifest reason); the first match wins
-_EXITS = (
-    (ConfigError, EXIT_CONFIG, "ConfigError"),
-    (PositivityLoss, EXIT_POSITIVITY, "PositivityLoss"),
-    ((CFLViolation, StabilityViolation), EXIT_STABILITY,
-     "StabilityViolation"),
-    (BlowupCeiling, EXIT_BLOWUP, "BlowupCeiling"),
-    (VersionError, EXIT_CHECKPOINT, "VersionError"),
-    (FeneError, 1, "InternalError"),
-)
+# error class -> exit code, the manifest reason being the class name; any
+# other FeneError exits 1 with the reason InternalError
+EXITS = {ConfigError: 2, PositivityLoss: 3, StabilityViolation: 4,
+         BlowupCeiling: 5, VersionError: 6}
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
@@ -792,22 +786,13 @@ def _retain_heap():
             mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
-def _named_output(config_path):
-    """The output line of a config that failed to parse, or None.
+def _named_output(text):
+    """The one output a config text names, or None.
 
     Read line by line, so that a config with an unknown key or a bad value
     elsewhere still says where its error manifest goes.
     """
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return None
-    named = []
-    for raw in lines:
-        key, _, val = raw.split("#", 1)[0].partition("=")
-        if key.strip() == "output" and val.strip():
-            named.append(val.strip())
+    named = [val for _, key, val in _entries(text) if key == "output" and val]
     return named[0] if len(named) == 1 else None
 
 
@@ -825,6 +810,7 @@ def run(config_path, output=None, resume_from=None, stderr=None):
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             text = fh.read()
+        outdir = output or _named_output(text)
         cfg = parse_config_text(text)
         described = {"scenario": cfg["scenario"], "config": cfg,
                      "config_hash": hashlib.sha256(text.encode()).hexdigest()}
@@ -841,16 +827,15 @@ def run(config_path, output=None, resume_from=None, stderr=None):
         ctx = RunContext(cfg)
         write_manifest(outdir, {"status": "ok", **described,
                                 "outcome": driver(ctx, outdir)})
-        return EXIT_OK
+        return 0
     except FeneError as exc:
-        code, reason = next((code, reason) for cls, code, reason in _EXITS
-                            if isinstance(exc, cls))
+        code, reason = next(((code, cls.__name__) for cls, code in
+                             EXITS.items() if isinstance(exc, cls)),
+                            (1, "InternalError"))
         payload = _print_error(reason, exc, stderr)
-        if outdir is None and isinstance(exc, ConfigError):
-            outdir = output or _named_output(config_path)
-            if outdir is not None:
-                _remove_stale(outdir, resume_from)
         if outdir is not None:
+            if not described:   # refused before the try removed them
+                _remove_stale(outdir, resume_from)
             try:
                 os.makedirs(outdir, exist_ok=True)
                 write_manifest(outdir, {**payload, **described})
@@ -906,7 +891,7 @@ def report(run_dir, stream=None):
         records = load_series(run_dir) if has_series else None
     except VersionError as exc:
         _print_error("VersionError", exc, sys.stderr)
-        return EXIT_CHECKPOINT
+        return EXITS[VersionError]
     if records is not None:
         try:
             config = manifest["config"]
@@ -933,4 +918,4 @@ def report(run_dir, stream=None):
                 "distance_to_monolithic", "c_delta", "monotone"):
         if key in outcome:
             print(f"{key}: {outcome[key]}", file=stream)
-    return EXIT_OK
+    return 0

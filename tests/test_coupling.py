@@ -8,7 +8,7 @@ from conftest import constant, divergence, field_product, fluid_batch, \
     fp_batch, no_force, no_stress, random_band_limited, rhs_fields, \
     sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
-from fene.errors import CFLViolation, PositivityLoss, StabilityViolation
+from fene.errors import PositivityLoss, StabilityViolation
 from fene.coupling import CoupledState, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
     coupled_trajectory, fixed_point_map, fluid_trajectory, fp_trajectory, \
@@ -634,7 +634,7 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
 
     with monkeypatch.context() as patch:
         patch.setattr(coupling, "fluid_rhs", counted_rhs)
-        with pytest.raises(CFLViolation):
+        with pytest.raises(StabilityViolation, match="exceeds CFL bound"):
             coupled_step(stepped, values, op32, no_force,
                          FluidStepConfig(dt=0.05))
     assert stages == []

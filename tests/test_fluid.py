@@ -7,7 +7,7 @@ from conftest import constant, derivative, divergence, field_product, \
     rhs_fields, sup_norm_w2inf, zero_field
 from fene import torus
 from fene.coupling import fluid_trajectory
-from fene.errors import CFLViolation, PositivityLoss
+from fene.errors import PositivityLoss, StabilityViolation
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
     fluid_energy, fluid_rhs, forcing_of_time, phi_r, ssprk3, step, \
     stress_divergence, viscous_divergence
@@ -346,12 +346,12 @@ def test_step_raises_cfl(grid32, params):
                     to_modes(np.stack([5.0 + np.sin(x2), np.zeros_like(x1)])))
     cfg = FluidStepConfig(dt=0.05)
     assert cfg.dt > cfl_bound(fluid_batch(st, None, params), params)
-    with pytest.raises(CFLViolation):
+    with pytest.raises(StabilityViolation, match="exceeds CFL bound"):
         step(st, fluid_batch(st, None, params), no_stress(grid32), no_force,
              params, cfg)
     # raised inside a step, it names the step
-    with pytest.raises(CFLViolation, match=r"^dt = 5\.000e-02 exceeds CFL "
-                       r"bound .* in the fluid half at step 1$"):
+    with pytest.raises(StabilityViolation, match=r"^dt = 5\.000e-02 exceeds "
+                       r"CFL bound .* in the fluid half at step 1$"):
         fluid_trajectory(st, no_stress(grid32), no_force, params,
                          cfg, 3)
 
