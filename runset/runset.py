@@ -1,5 +1,6 @@
 """The run set: nine fixed runs, the sha256 of the 23 files they write, and
-the largest |value| of every CSV column and checkpoint array.
+the largest |value| of every CSV column and checkpoint array (a CSV
+column's NaN cells are skipped and counted).
 
     python3 runset/runset.py --write runset/runset.json
     python3 runset/runset.py --against runset/runset.json [--expect-change]
@@ -106,7 +107,11 @@ def _csv_maxima(raw):
             vals = [float(row[i]) for row in rows]
         except ValueError:   # a text column, such as the kind of a row
             continue
-        out[col] = float(np.max(np.abs(vals)))
+        vals = np.abs(vals)
+        nan = np.isnan(vals)
+        out[col] = float(vals[~nan].max()) if not nan.all() else np.nan
+        if nan.any():   # so that a value entering or leaving them shows
+            out[f"{col} (NaN cells)"] = int(nan.sum())
     return out
 
 
