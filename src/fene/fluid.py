@@ -258,10 +258,9 @@ def step(state: FluidState, values, stress, force, p: ModelParams,
     and force, callables of time giving the stress coefficients and the
     forcing coefficients (or None); returns the new state and its batch.
 
-    Raises StabilityViolation, before any stage, when dt exceeds the
-    configured CFL bound, and PositivityLoss when a stage meets an r that
-    is not positive on the grid.  coupling.fluid_trajectory checks the
-    state it returns.
+    Raises StabilityViolation before any stage when dt exceeds the CFL
+    bound, and PositivityLoss when a stage meets an r that is not positive
+    on the grid.  coupling.fluid_trajectory checks the state it returns.
     """
     grid = state.grid
     check_cfl(values, p, cfg)

@@ -834,7 +834,7 @@ def run(config_path, output=None, resume_from=None, stderr=None):
                             (1, "InternalError"))
         payload = _print_error(reason, exc, stderr)
         if outdir is not None:
-            if not described:   # refused before the try removed them
+            if not described:   # refused before the try's _remove_stale
                 _remove_stale(outdir, resume_from)
             try:
                 os.makedirs(outdir, exist_ok=True)

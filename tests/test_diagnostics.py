@@ -54,6 +54,12 @@ def test_schema_defaults_parse():
     assert cfg["model.b"] == 4.0
     for key in CONFIG_SCHEMA:
         cfg[key]
+    # chi_n at an index, at n_radial (auto), or no cut-off
+    for text, chi in (("off", None), ("none", None), ("auto", "auto"),
+                      ("7", 7)):
+        parsed = parse_config_text(f"ball.chi_index = {text}\n")
+        assert parsed["ball.chi_index"] == chi
+        assert type(parsed["ball.chi_index"]) is type(chi)
 
 
 def test_parse_rejects_unknown_key():
@@ -69,6 +75,8 @@ def test_parse_rejects_duplicates_and_bad_values():
     with pytest.raises(ConfigError) as err:
         parse_config_text("grid.n_points = many\n")
     assert err.value.line == 1
+    with pytest.raises(ConfigError, match=r"^line 3: expected 'key = value'$"):
+        parse_config_text("seed = 1\n# a comment = none\nfluid.dt 0.002\n")
 
 
 def test_invalid_b_names_constraint(tmp_path):
@@ -227,6 +235,12 @@ def test_resume_matches_uninterrupted_bitwise(tmp_path):
     assert part[1:] == full[21:]         # rows from the snapshot onward
 
 
+def report_lines(run_dir):
+    stream = io.StringIO()
+    assert runner.report(run_dir, stream=stream) == 0
+    return stream.getvalue().splitlines()
+
+
 def test_stress_difference_artifacts(tmp_path):
     cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
                                  extra="experiment.horizon = 0.03")
@@ -237,6 +251,11 @@ def test_stress_difference_artifacts(tmp_path):
     lines = open(os.path.join(outdir, "difference.csv")).read().splitlines()
     assert lines[0] == "kind,delta,distance"
     assert len(lines) == 7
+    outcome = manifest["outcome"]
+    assert report_lines(outdir) == [
+        f"run: {outdir}", "status: ok", "scenario: stress_difference",
+        f"fluid_slope: {outcome['fluid_slope']}",
+        f"fp_slope: {outcome['fp_slope']}"]
 
 
 def test_contraction_artifacts(tmp_path):
@@ -246,6 +265,11 @@ def test_contraction_artifacts(tmp_path):
     outcome = json.load(open(os.path.join(outdir, "manifest.json")))["outcome"]
     assert outcome["all_ratios_below_one"]
     assert outcome["distance_to_monolithic"] < 1e-4
+    assert report_lines(outdir) == [
+        f"run: {outdir}", "status: ok", "scenario: contraction_study",
+        f"ratios: {outcome['ratios']}",
+        f"converged: {outcome['converged']}",
+        f"distance_to_monolithic: {outcome['distance_to_monolithic']}"]
 
 
 def test_lemma_a1_artifacts(tmp_path):
@@ -256,6 +280,9 @@ def test_lemma_a1_artifacts(tmp_path):
     cs = outcome["c_delta"]
     assert outcome["monotone"]
     assert cs["0.01"] >= cs["0.1"] >= cs["1.0"]
+    assert report_lines(outdir) == [
+        f"run: {outdir}", "status: ok", "scenario: lemma_a1",
+        f"c_delta: {cs}", "monotone: True"]
     # bitwise reproducibility of the experiment
     second = str(tmp_path / "lemma_again")
     assert run(cfg_path, output=second) == 0
@@ -613,6 +640,37 @@ def test_resume_refuses_a_checkpoint_written_under_another_dt(tmp_path):
     assert "fluid.dt" in payload["message"]
     manifest = json.load(open(os.path.join(resumed, "manifest.json")))
     assert manifest["reason"] == "VersionError"
+    assert not os.path.exists(os.path.join(resumed, "series.csv"))
+
+
+@pytest.mark.parametrize("line, other, message", [
+    ("grid.n_points = 16", "grid.n_points = 32",
+     "grid size 16 does not match the configured 32"),
+    ("ball.n_basis = 10", "ball.n_basis = 12",
+     "configuration-space dimensions do not match the configured basis"),
+], ids=["grid", "ball"])
+def test_resume_refuses_a_checkpoint_of_another_grid_or_ball(
+        tmp_path, line, other, message):
+    cfg_path, outdir = small_shear_cfg(tmp_path, steps=4,
+                                       extra="snapshots.every = 2")
+    assert run(cfg_path) == 0
+    snap = os.path.join(outdir, "snapshots", "step000002.fkp")
+    text = open(cfg_path).read()
+    assert line in text
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(text.replace(line, other))
+    resumed = str(tmp_path / "resumed")
+    stderr_path = tmp_path / "resume.json"
+    with open(stderr_path, "w") as fh:
+        assert run(str(changed), output=resumed, resume_from=snap,
+                   stderr=fh) == 6
+    payload = json.loads(stderr_path.read_text())
+    assert payload["reason"] == "VersionError"
+    assert payload["message"] == f"{snap}: {message}"
+    manifest = json.load(open(os.path.join(resumed, "manifest.json")))
+    assert manifest["reason"] == "VersionError"
+    assert manifest["message"] == payload["message"]
+    assert "resumed_from" not in json.dumps(manifest)
     assert not os.path.exists(os.path.join(resumed, "series.csv"))
 
 
@@ -1023,6 +1081,11 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "scenario.rho0 = inf", "scenario.rho0"),
     ("shear_perturbation", "scenario.mean_velocity = inf",
      "scenario.mean_velocity"),
+    # psi_mode names a basis function above the ground mode: 1 .. n_basis - 1
+    ("shear_perturbation", "scenario.psi_mode = 0", "scenario.psi_mode"),
+    ("shear_perturbation", "scenario.psi_mode = 12", "scenario.psi_mode"),
+    # a line that sets nothing; its error manifest still goes to output
+    ("equilibrium", "fluid.dt 0.002", None),
     # a negative seed is refused, where numpy's generator raised a
     # ValueError (exit 1, no manifest) in lemma_a1
     ("lemma_a1", "seed = -1", "seed"),
@@ -1048,7 +1111,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "horizon=inf", "horizon=nan", "forcing_amplitude=nan", "nan_delta",
         "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
-        "mean_velocity=inf", "lemma_seed=-1", "seed=-1",
+        "mean_velocity=inf", "psi_mode=0", "psi_mode=12", "no_equals",
+        "lemma_seed=-1", "seed=-1",
         "equilibrium_seed=-1"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
