@@ -1,8 +1,9 @@
 """Run orchestration: configs, scenarios, monitors and on-disk artifacts.
 
-A run is described by a flat, typed key-value text file with dotted section
-names (full schema in CONFIG_SCHEMA; unknown keys are rejected with their
-line number).  Every run writes into its output directory:
+A run is described by a flat key-value text file with dotted section names.
+CONFIG_SCHEMA fixes each key's type and range: an unknown key, or a value
+of the wrong type or outside its key's range, is refused with the key and
+its line number.  Every run writes into its output directory:
 
     series.csv      one row per recorded step, 17-significant-digit floats
     manifest.json   resolved config, content hash, outcome and monitors
@@ -57,7 +58,7 @@ from .coupling import CoupledState, blowup_indicator, contraction_factor, \
 from .errors import BlowupCeiling, ConfigError, FeneError, PositivityLoss, \
     StabilityViolation, VersionError
 from .fluid import FORCING_KINDS, N_FACTORS, R, VELOCITY, FluidState, \
-    FluidStepConfig, forcing_of_time, phi_r
+    FluidStepConfig, fluid_energy, forcing_of_time, phi_r
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ModelParams, density_to_r, r_to_density
@@ -77,10 +78,6 @@ def _parse_chi(text):
     if low in ("off", "none"):
         return None
     return int(text)
-
-
-def _parse_float_list(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_int_pair(text):
@@ -104,14 +101,46 @@ def _parse_scenario(text):
     return _parse_str(*SCENARIOS)(text)
 
 
+def _checked(parse, holds, message):
+    """parse, refusing with message a value for which holds is false."""
+    def parse_checked(text):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(message)
+        return value
+    return parse_checked
+
+
+def _parse_at_least(least):
+    return _checked(int, lambda n: n >= least, f"must be at least {least}")
+
+
+def _parse_deltas(distinct, message):
+    """Comma-separated deltas, >= distinct different ones, each in (0, inf)."""
+    def parse(text):
+        deltas = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        if len(set(deltas)) < distinct or not all(0 < d < np.inf
+                                                  for d in deltas):
+            raise ValueError(message)
+        return deltas
+    return parse
+
+
+_parse_finite = _checked(float, np.isfinite, "must be finite")
+
+
+# key -> (parser, default); the parser fixes the key's type and range, and
+# parse_config_text reports a value it refuses with the key and its line
 CONFIG_SCHEMA = {
     "scenario": (_parse_scenario, "equilibrium"),
-    "seed": (int, 1234),
-    "max_steps": (int, 100),
-    "record_every": (int, 1),
+    "seed": (_parse_at_least(0), 1234),
+    "max_steps": (_parse_at_least(0), 100),
+    "record_every": (_parse_at_least(1), 1),
     "output": (_parse_str(), "fene_run"),
-    "blowup_ceiling": (float, 1e3),
-    "snapshots.every": (int, 0),
+    # not (x <= 0), so that NaN is refused; inf is no ceiling
+    "blowup_ceiling": (_checked(float, lambda c: c > 0,
+                                "the blow-up ceiling must be positive"), 1e3),
+    "snapshots.every": (_parse_at_least(0), 0),
     "model.a": (float, ModelParams.a),
     "model.gamma": (float, ModelParams.gamma),
     "model.mu_s": (float, ModelParams.mu_s),
@@ -131,17 +160,24 @@ CONFIG_SCHEMA = {
     "fluid.dt": (float, 1e-3),
     "fluid.cutoff_r": (_parse_opt_float, FluidStepConfig.cutoff_R),
     "fluid.cfl_safety": (float, FluidStepConfig.cfl_safety),
-    "scenario.amplitude": (float, 1e-3),
+    "scenario.amplitude": (_parse_finite, 1e-3),
     "scenario.mode": (int, 1),
-    "scenario.mean_velocity": (float, 0.1),
+    "scenario.mean_velocity": (_parse_finite, 0.1),
     "scenario.psi_mode": (int, 1),
-    "scenario.rho0": (float, 1.0),
-    "experiment.horizon": (float, 0.05),
-    "experiment.deltas": (_parse_float_list, (1e-4, 1e-3, 1e-2)),
-    "experiment.lemma_deltas": (_parse_float_list, (1.0, 0.1, 0.01)),
-    "experiment.ensemble": (int, 200),
-    "fixed_point.s_prime": (int, 1),
-    "fixed_point.max_iters": (int, 5),
+    "scenario.rho0": (_parse_finite, 1.0),
+    "experiment.horizon": (_checked(float, lambda t: 0 < t < np.inf,
+                                    "must be finite and > 0"), 0.05),
+    "experiment.deltas": (_parse_deltas(
+        2, "the log-log slope needs at least two distinct deltas, each "
+        "finite and > 0"), (1e-4, 1e-3, 1e-2)),
+    "experiment.lemma_deltas": (_parse_deltas(
+        1, "lemma_a1 needs deltas, each finite and > 0"), (1.0, 0.1, 0.01)),
+    "experiment.ensemble": (_parse_at_least(100), 200),
+    # X^{s'} with 0 <= s' <= s - 1
+    "fixed_point.s_prime": (_checked(int, lambda s: 0 <= s <= 1,
+                                     "must satisfy 0 <= s_prime <= 1"), 1),
+    # a contraction ratio needs three iterates
+    "fixed_point.max_iters": (_parse_at_least(2), 5),
 }
 
 
@@ -212,8 +248,8 @@ def _whole_steps(t, dt):
 
 
 class RunContext:
-    """Grid, basis and solver configs materialized from a config dict,
-    every setting checked; the drivers read the others from cfg."""
+    """Grid, basis and solver configs materialized from a config dict, and
+    the checks that read two settings; the drivers read the rest of cfg."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -237,37 +273,11 @@ class RunContext:
             self.fluid_cfg = FluidStepConfig(
                 dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
                 cfl_safety=cfg["fluid.cfl_safety"])
-        for key, least in (("seed", 0), ("max_steps", 0), ("record_every", 1),
-                           ("snapshots.every", 0)):
-            if cfg[key] < least:
-                raise ConfigError(f"must be at least {least}", field=key)
-        # written not (x <= 0) so that a NaN ceiling is refused too
-        if not cfg["blowup_ceiling"] > 0:
-            raise ConfigError("the blow-up ceiling must be positive",
-                              field="blowup_ceiling")
-        name = cfg["scenario"]
-        if name == "stress_difference":
-            deltas = cfg["experiment.deltas"]
-            if len(set(deltas)) < 2 or not all(0 < d < np.inf
-                                               for d in deltas):
-                raise ConfigError("the log-log slope needs at least two "
-                                  "distinct deltas, each finite and > 0",
-                                  field="experiment.deltas")
         # the steps of fluid.dt in the horizon of the fixed-point scenarios
         self.horizon_steps = None
+        name = cfg["scenario"]
         if name in ("stress_difference", "contraction_study"):
-            horizon = cfg["experiment.horizon"]
-            if not 0 < horizon < np.inf:
-                raise ConfigError("the horizon must be finite and > 0",
-                                  field="experiment.horizon")
-            if not 0 <= cfg["fixed_point.s_prime"] <= 1:
-                raise ConfigError("contraction index must satisfy "
-                                  "0 <= s_prime <= 1", field="fixed_point")
-            if cfg["fixed_point.max_iters"] < 2:
-                raise ConfigError("max_iters must be at least 2: a "
-                                  "contraction ratio needs three iterates",
-                                  field="fixed_point")
-            dt = self.fluid_cfg.dt
+            horizon, dt = cfg["experiment.horizon"], self.fluid_cfg.dt
             self.horizon_steps = int(round(horizon / dt))
             if self.horizon_steps < 2:
                 raise ConfigError(f"{name} needs at least two steps of this "
@@ -277,14 +287,6 @@ class RunContext:
                 raise ConfigError("the horizon must be a whole number of "
                                   f"steps of fluid.dt = {dt!r}",
                                   field="experiment.horizon")
-        if name == "lemma_a1":
-            if cfg["experiment.ensemble"] < 100:
-                raise ConfigError("lemma_a1 needs an ensemble of at least 100",
-                                  field="experiment.ensemble")
-            deltas = cfg["experiment.lemma_deltas"]
-            if not deltas or not all(0 < d < np.inf for d in deltas):
-                raise ConfigError("lemma_a1 needs deltas, each finite and > 0",
-                                  field="experiment.lemma_deltas")
         with _refusing("forcing"):
             self.force = forcing_of_time(
                 cfg["forcing.kind"], cfg["forcing.amplitude"],
@@ -296,10 +298,6 @@ class RunContext:
 
     def initial_state(self) -> CoupledState:
         cfg = self.cfg
-        for key in ("scenario.rho0", "scenario.mean_velocity",
-                    "scenario.amplitude"):
-            if not np.isfinite(cfg[key]):
-                raise ConfigError("must be finite", field=key)
         name = cfg["scenario"]
         x1, x2 = self.grid.x
         amp = cfg["scenario.amplitude"]
@@ -655,10 +653,9 @@ def _run_stress_difference(ctx: RunContext, outdir):
                                 ctx.params, ctx.fluid_cfg, n_steps)
 
     def fluid_distance(a, b):
-        return max(np.sqrt(
-            sobolev_norm(ctx.grid, x.r - y.r, s_prime) ** 2 +
-            sobolev_norm(ctx.grid, x.u - y.u, s_prime) ** 2)
-            for x, y in zip(a, b))
+        return max(np.sqrt(fluid_energy(FluidState(ctx.grid, x.r - y.r,
+                                                   x.u - y.u), s_prime))
+                   for x, y in zip(a, b))
 
     base_traj = fluid_solve(base_stress)
     fluid_d = [fluid_distance(fluid_solve(base_stress + float(delta) * pert),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -79,6 +80,39 @@ def test_parse_rejects_duplicates_and_bad_values():
         parse_config_text("seed = 1\n# a comment = none\nfluid.dt 0.002\n")
 
 
+# the first refused and the first accepted value of each key whose
+# CONFIG_SCHEMA parser checks a range
+@pytest.mark.parametrize("key, refused, accepted", [
+    ("seed", "-1", "0"),
+    ("max_steps", "-1", "0"),
+    ("snapshots.every", "-1", "0"),
+    ("record_every", "0", "1"),
+    ("blowup_ceiling", "0", "5e-324"),
+    # NaN is refused, and inf is no ceiling
+    ("blowup_ceiling", "nan", "inf"),
+    ("scenario.rho0", "inf", "1.7976931348623157e308"),
+    ("scenario.mean_velocity", "-inf", "-1.7976931348623157e308"),
+    ("scenario.amplitude", "nan", "0"),
+    ("experiment.horizon", "0", "5e-324"),
+    ("experiment.horizon", "inf", "1.7976931348623157e308"),
+    ("experiment.deltas", "0.01, 0.01", "0.01, 0.02"),
+    ("experiment.deltas", "0, 0.01", "5e-324, 0.01"),
+    ("experiment.deltas", "0.01, inf", "0.01, 1.7976931348623157e308"),
+    ("experiment.lemma_deltas", "", "0.01"),
+    ("experiment.lemma_deltas", "0", "5e-324"),
+    ("experiment.lemma_deltas", "nan", "1.7976931348623157e308"),
+    ("experiment.ensemble", "99", "100"),
+    ("fixed_point.s_prime", "-1", "0"),
+    ("fixed_point.s_prime", "2", "1"),
+    ("fixed_point.max_iters", "1", "2"),
+])
+def test_a_range_is_checked_by_its_schema_parser(key, refused, accepted):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"# edge of {key}\n{key} = {refused}\n")
+    assert (err.value.line, err.value.field) == (2, key)
+    parse_config_text(f"{key} = {accepted}\n")
+
+
 def test_invalid_b_names_constraint(tmp_path):
     cfg_path, _ = write_cfg(tmp_path, extra="model.b = 1.5")
     stderr_path = tmp_path / "err.json"
@@ -158,6 +192,20 @@ def test_envelope_margin():
     assert envelope_margin(below[:1], p3) == 0.0
 
 
+def test_fitted_psi_constant_without_velocity_is_infinite():
+    # c bounds the growth of log |psi|^2 by c int |u|^2_{s+1}: growth over
+    # an interval where that integral is 0 needs an infinite c
+    def records(u_sq):
+        return [dataclasses.replace(r, fp_l2m_s=(energy,) * 4,
+                                    u_norm_sq_s=(u_sq,) * 5)
+                for r, energy in zip(envelope_records((1, 1), (1, 1), 0.0),
+                                     (1.0, 2.0))]
+
+    assert runner.fitted_psi_constant(records(0.0)) == np.inf
+    assert runner.fitted_psi_constant(records(0.5)) == \
+        pytest.approx(2 * np.log(2.0), rel=1e-14)
+
+
 def test_checkpoint_roundtrip_and_errors(tmp_path, grid16, basis16, params):
     cfg = parse_config_text("grid.n_points = 16\nball.n_radial = 16\n"
                             "ball.n_angular = 16\nball.n_basis = 12\n")
@@ -233,6 +281,10 @@ def test_resume_matches_uninterrupted_bitwise(tmp_path):
     part = open(os.path.join(resumed_dir, "series.csv")).read().splitlines()
     assert part[0] == full[0]            # header
     assert part[1:] == full[21:]         # rows from the snapshot onward
+    via_cli = str(tmp_path / "resumed_cli")
+    assert cli_main(["resume", snap, cfg_path, "--output", via_cli]) == 0
+    assert open(os.path.join(via_cli, "series.csv")).read().splitlines() == \
+        part
 
 
 def report_lines(run_dir):
@@ -294,6 +346,11 @@ def test_lemma_a1_requires_ensemble(tmp_path):
     cfg_path, _ = write_cfg(tmp_path, scenario="lemma_a1",
                             extra="experiment.ensemble = 10")
     assert run(cfg_path, stderr=open(os.devnull, "w")) == 2
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_path)
+    lineno = open(cfg_path).read().splitlines().index(
+        "experiment.ensemble = 10") + 1
+    assert (err.value.line, err.value.field) == (lineno, "experiment.ensemble")
 
 
 def test_blowup_ceiling_aborts(tmp_path):
@@ -349,6 +406,16 @@ def test_empty_output_is_a_config_error(tmp_path, capsys, monkeypatch):
     with pytest.raises(ConfigError) as err:
         parse_config_text("output =   \n")
     assert (err.value.line, err.value.field) == (1, "output")
+
+
+def test_a_missing_config_is_an_io_error(tmp_path):
+    # nothing names an output before the file is read, so none is made
+    stderr = io.StringIO()
+    outdir = tmp_path / "out"
+    assert run(str(tmp_path / "missing.cfg"), output=str(outdir),
+               stderr=stderr) == 1
+    assert json.loads(stderr.getvalue())["reason"] == "IOError"
+    assert not outdir.exists()
 
 
 def test_cfl_guard_holds_sound_speed(tmp_path):
@@ -990,8 +1057,9 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "fluid.dt = 0", "fluid"),
     # the Galerkin space is the stored block, so its size is no setting
     ("stress_difference", "fluid.n_modes = 0", "fluid.n_modes"),
-    ("contraction_study", "fixed_point.max_iters = 1", "fixed_point"),
-    ("contraction_study", "fixed_point.s_prime = 2", "fixed_point"),
+    ("contraction_study", "fixed_point.max_iters = 1",
+     "fixed_point.max_iters"),
+    ("contraction_study", "fixed_point.s_prime = 2", "fixed_point.s_prime"),
     ("contraction_study", "experiment.horizon = -1", "experiment.horizon"),
     ("stress_difference", "experiment.horizon = -1", "experiment.horizon"),
     ("stress_difference", "experiment.deltas = 0.01", "experiment.deltas"),
@@ -1043,8 +1111,10 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("density_bump", "scenario.amplitude = 1.5", "scenario.amplitude"),
     ("shear_perturbation", "scenario.amplitude = 2.5", "scenario.amplitude"),
     # X^{s'} with 0 <= s' <= s - 1 in both experiments
-    ("stress_difference", "fixed_point.s_prime = -1", "fixed_point"),
-    ("contraction_study", "fixed_point.s_prime = -1", "fixed_point"),
+    ("stress_difference", "fixed_point.s_prime = -1",
+     "fixed_point.s_prime"),
+    ("contraction_study", "fixed_point.s_prime = -1",
+     "fixed_point.s_prime"),
     # round(0.0004 / 1e-3) = 0 steps: every distance would be 0
     ("contraction_study", "experiment.horizon = 0.0004", "fluid.dt"),
     # round(12.5) = 12 steps would stop short of the horizon
@@ -1091,6 +1161,10 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("lemma_a1", "seed = -1", "seed"),
     ("shear_perturbation", "seed = -1", "seed"),
     ("equilibrium", "seed = -1", "seed"),
+    # a range is checked in every scenario, also where the key is not read
+    ("equilibrium", "experiment.ensemble = 10", "experiment.ensemble"),
+    ("shear_perturbation", "forcing.mode = 1", "forcing.mode"),
+    ("shear_perturbation", "forcing.kind = sideways", "forcing.kind"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
         "stress_difference_horizon=-1", "one_delta", "repeated_delta",
         "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
@@ -1113,7 +1187,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
         "mean_velocity=inf", "psi_mode=0", "psi_mode=12", "no_equals",
         "lemma_seed=-1", "seed=-1",
-        "equilibrium_seed=-1"])
+        "equilibrium_seed=-1", "equilibrium_ensemble=10", "forcing_mode=1",
+        "forcing_kind=sideways"])
 def test_bad_settings_are_config_errors(tmp_path, scenario, line, field):
     cfg_path, outdir = write_cfg(tmp_path, scenario=scenario, extra=line)
     stderr_path = tmp_path / "bad.json"
@@ -1134,11 +1209,10 @@ def test_infinite_amplitude_is_refused_before_any_arithmetic(tmp_path,
     # refused it, but only after numpy's "invalid value" RuntimeWarning
     cfg_path, _ = write_cfg(tmp_path, scenario=scenario,
                             extra="scenario.amplitude = inf")
-    ctx = RunContext(parse_config(cfg_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="must be finite") as err:
-            ctx.initial_state()
+            RunContext(parse_config(cfg_path)).initial_state()
     assert err.value.field == "scenario.amplitude"
 
 
