@@ -80,9 +80,9 @@ class ConfigQuadrature:
             self.one_minus_t ** (self.b / 2.0) / maxwellian_normalizer(self.b))
         self.maxwellian = self.maxwellian_radial[:, None] * np.ones(
             (1, self.n_angular))
-        cos_t, sin_t = np.cos(self.angles), np.sin(self.angles)
-        self.q1 = self.radii[:, None] * cos_t[None, :]
-        self.q2 = self.radii[:, None] * sin_t[None, :]
+        # q[a] at the nodes, shape (2, n_radial, n_angular)
+        self.q = self.radii[:, None] * np.stack(
+            [np.cos(self.angles), np.sin(self.angles)])[:, None, :]
 
     def integrate_weighted(self, values):
         """Maxwellian-weighted integral int_B M values dq."""
@@ -234,9 +234,8 @@ class ConfigBasis:
         core = quad.weights \
             * (quad.maxwellian_radial / quad.one_minus_t)[:, None]
         self.stress_vectors = np.stack([
-            np.einsum("kl,ikl->i", core * qa * qb, values)
-            for qa, qb in ((quad.q1, quad.q1), (quad.q1, quad.q2),
-                           (quad.q2, quad.q2))])
+            np.einsum("kl,ikl->i", core * quad.q[a] * quad.q[b], values)
+            for a, b in ((0, 0), (0, 1), (1, 1))])
 
     def node_values(self, coeffs):
         """phi = sum_i coeffs[i] phi_i at the nodes."""
@@ -396,7 +395,7 @@ def drift_matrices(basis: ConfigBasis, chi_index=None):
         if chi_index is not None else np.ones(quad.n_radial)
     w = quad.weights * quad.maxwellian * chi[:, None]
     n = basis.n_basis
-    wq = np.stack([w * quad.q1, w * quad.q2]).reshape(2, 1, -1)  # [b, 0, k]
+    wq = (w * quad.q).reshape(2, 1, -1)  # [b, 0, k]
     grads = basis.grads.reshape(n, 2, 1, -1).transpose(1, 2, 0, 3)  # [a,0,i,k]
     return (grads * wq) @ basis.values.reshape(n, -1).T
 

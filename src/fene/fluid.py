@@ -100,23 +100,21 @@ def phi_r(y, R):
 def viscous_divergence(grid, u, p: ModelParams):
     """div S(grad u) = mu_s Lap(u) + mu_b grad(div u) in two dimensions, of
     the coefficients u."""
-    div = grid.ik1 * u[0] + grid.ik2 * u[1]
-    return (-grid.ksq * u) * p.mu_s \
-        + (np.stack([grid.ik1, grid.ik2]) * div) * p.mu_b
+    div = grid.ik[0] * u[0] + grid.ik[1] * u[1]
+    return (-grid.ksq * u) * p.mu_s + (grid.ik * div) * p.mu_b
 
 
 def stress_divergence(grid, stress):
-    """Divergence of a symmetric tensor field, the coefficients
-    (T11, T12, T22)."""
-    t11, t12, t22 = stress
-    return np.stack([grid.ik1 * t11 + grid.ik2 * t12,
-                     grid.ik1 * t12 + grid.ik2 * t22])
+    """Divergence sum_b d_b T[a, b] of a symmetric tensor field, the
+    coefficients (T11, T12, T22)."""
+    t = stress[[[0, 1], [1, 2]]]   # t[a, b] = T_ab = t[b, a]
+    return grid.ik[0] * t[0] + grid.ik[1] * t[1]
 
 
 def velocity_factors(grid, u):
     """u, d1 u, d2 u of the coefficients u as one (6, 2K + 1, K + 1) stack,
     the order (3, 2, ...) of d_b u_a with b = 0 for u itself."""
-    return np.concatenate([u, grid.ik1 * u, grid.ik2 * u])
+    return np.concatenate([u, *(grid.ik[:, None] * u)])
 
 
 # The factors of fluid_rhs in the order of rhs_factors, and D(r) after them
@@ -139,8 +137,7 @@ def rhs_factors(grid, r, u, stress, p: ModelParams):
     total = viscous_divergence(grid, u, p) + stress_divergence(grid, stress)
     vel = velocity_factors(grid, u)
     div_u = vel[2] + vel[5]   # d1 u1 + d2 u2
-    return np.concatenate([r, grid.ik1 * r, grid.ik2 * r, div_u[None],
-                           total, vel])
+    return np.concatenate([r, grid.ik * r, div_u[None], total, vel])
 
 
 def fluid_rhs(grid, u, forcing, p: ModelParams, cfg: FluidStepConfig,

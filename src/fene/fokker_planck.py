@@ -141,13 +141,13 @@ class FokkerPlanckSolver:
         uv = uv.reshape(3, 2, n, n)   # uv[b + 1, a] = d_b u_a
         dc = (self.drift.reshape(4 * nb, nb) @ cg).reshape(2, 2, nb, n, n)
 
-        # the 3 n_basis grid products, written where to_modes reads them
+        # the 3 n_basis grid products, the fluxes u_a w then the drift,
+        # written where to_modes reads them
         prod = np.empty((3, nb, n, n))
-        np.multiply(uv[0, 0], w, out=prod[0])
-        np.multiply(uv[0, 1], w, out=prod[1])
+        np.multiply(uv[0, :, None], w, out=prod[:2])
         np.einsum("baxy,abixy->ixy", uv[1:], dc, out=prod[2])
-        w1_hat, w2_hat, drift_hat = to_modes(prod)
-        return drift_hat - grid.ik1 * w1_hat - grid.ik2 * w2_hat
+        flux = to_modes(prod)
+        return flux[2] - grid.ik[0] * flux[0] - grid.ik[1] * flux[1]
 
     def tendency(self, coeffs, uv, cg):
         """The Fokker-Planck tendency of coeffs: explicit_tendency(uv, cg)

@@ -58,27 +58,21 @@ class TorusGrid:
         return np.fft.fftfreq(rows, 1.0 / rows).astype(int)
 
     @cached_property
-    def k1(self):
-        return self.wavenumbers[:, None] * np.ones_like(self.k2)
-
-    @cached_property
-    def k2(self):
-        return np.tile(np.arange(self.dealias_cutoff + 1),
-                       (self.spectral_shape[0], 1))
+    def k(self):
+        """Integer wave vectors of the stored coefficients, k[a] the
+        component along axis a: shape (2, 2K + 1, K + 1)."""
+        return np.stack(np.meshgrid(self.wavenumbers,
+                                    np.arange(self.dealias_cutoff + 1),
+                                    indexing="ij"))
 
     @cached_property
     def ksq(self):
-        return (self.k1 ** 2 + self.k2 ** 2).astype(float)
+        return np.sum(self.k ** 2, axis=0).astype(float)
 
     @cached_property
-    def ik1(self):
-        """Multiplier of d/dx1."""
-        return 1j * self.k1
-
-    @cached_property
-    def ik2(self):
-        """Multiplier of d/dx2."""
-        return 1j * self.k2
+    def ik(self):
+        """ik[a], the multiplier of d/dx_a."""
+        return 1j * self.k
 
     @cached_property
     def multiplicity(self):
@@ -166,7 +160,7 @@ W2_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 def derivative_stack(grid: TorusGrid, coeffs, multi_indices):
     """d^alpha of the coefficients (components, 2K + 1, K + 1) for each
     alpha, stacked: shape (len(multi_indices), components, 2K + 1, K + 1)."""
-    mult = np.stack([grid.ik1 ** a1 * grid.ik2 ** a2
+    mult = np.stack([grid.ik[0] ** a1 * grid.ik[1] ** a2
                      for a1, a2 in multi_indices])
     return mult[:, None] * coeffs
 

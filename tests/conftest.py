@@ -50,7 +50,7 @@ def random_band_limited(grid, rng, components=1, kmax=None, scale=1.0):
     n = grid.n_points
     raw = rng.standard_normal((components, n, n))
     kmax = grid.dealias_cutoff if kmax is None else kmax
-    keep = np.maximum(np.abs(grid.k1), np.abs(grid.k2)) <= kmax
+    keep = np.maximum(np.abs(grid.k[0]), np.abs(grid.k[1])) <= kmax
     return torus.to_modes(raw * scale) * keep
 
 
@@ -71,17 +71,17 @@ def derivative(grid, coeffs, alpha):
     a1, a2 = alpha
     if a1 < 0 or a2 < 0 or a1 + a2 > 2 * S_MAX:
         raise ValueError(f"multi-index order must lie in [0, {2 * S_MAX}]")
-    return coeffs * (grid.ik1 ** a1 * grid.ik2 ** a2)
+    return coeffs * (grid.ik[0] ** a1 * grid.ik[1] ** a2)
 
 
 def gradient(grid, coeffs):
     """Gradient of a scalar field as 2-component coefficients."""
-    return np.stack([grid.ik1, grid.ik2]) * coeffs[0]
+    return grid.ik * coeffs[0]
 
 
 def divergence(grid, coeffs):
     """Divergence of a 2-component field, as scalar coefficients."""
-    return (grid.ik1 * coeffs[0] + grid.ik2 * coeffs[1])[None]
+    return (grid.ik[0] * coeffs[0] + grid.ik[1] * coeffs[1])[None]
 
 
 def sup_norm_w2inf(grid, coeffs):

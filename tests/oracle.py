@@ -104,9 +104,9 @@ def kramers_stress(values, quad: ConfigQuadrature):
     """
     core = quad.weights * values \
         * (quad.maxwellian_radial / quad.one_minus_t)[:, None]
-    t11 = float(np.sum(core * quad.q1 * quad.q1))
-    t12 = float(np.sum(core * quad.q1 * quad.q2))
-    t22 = float(np.sum(core * quad.q2 * quad.q2))
+    t11 = float(np.sum(core * quad.q[0] * quad.q[0]))
+    t12 = float(np.sum(core * quad.q[0] * quad.q[1]))
+    t22 = float(np.sum(core * quad.q[1] * quad.q[1]))
     return np.array([[t11, t12], [t12, t22]])
 
 
@@ -117,8 +117,8 @@ def weak_drift(basis: ConfigBasis, grad_u, coeffs):
     G[a, b] = du_a/dx_b."""
     quad = basis.quad
     g = np.asarray(grad_u, dtype=float)
-    flow = (g[0, 0] * quad.q1 + g[0, 1] * quad.q2,
-            g[1, 0] * quad.q1 + g[1, 1] * quad.q2)   # G q at the nodes
+    flow = (g[0, 0] * quad.q[0] + g[0, 1] * quad.q[1],
+            g[1, 0] * quad.q[0] + g[1, 1] * quad.q[1])   # G q at the nodes
     phi = np.tensordot(np.asarray(coeffs, dtype=float), basis.values, axes=1)
     density = quad.weights * quad.maxwellian * phi
     return np.array([np.sum(density * (flow[0] * grad[0] + flow[1] * grad[1]))

@@ -24,13 +24,13 @@ def test_quadrature_geometry(quad32):
     ones = np.ones((32, 32))
     assert abs(integrate(quad32, ones) - np.pi * 4.0) < 1e-10
     assert abs(quad32.integrate_weighted(ones) - 1.0) < 1e-10
-    assert abs(quad32.integrate_weighted(quad32.q1)) < 1e-12
+    assert abs(quad32.integrate_weighted(quad32.q[0])) < 1e-12
     assert np.all(quad32.weights > 0)
     assert np.all(quad32.radii < 2.0)
 
 
 def test_quadrature_nodes_match_maxwellian(quad32, params):
-    q = np.stack([quad32.q1, quad32.q2])
+    q = quad32.q
     np.testing.assert_allclose(quad32.maxwellian, maxwellian(q, params),
                                rtol=1e-11)
 
@@ -44,10 +44,10 @@ def test_l2m_h1m_basic(quad32, basis32):
 
 def test_l2m_of_q1_closed_form(quad32):
     # int_B M q1^2 dq = b/(b+4) from the radial Beta integral
-    val = l2m_norm(quad32.q1, quad32)
+    val = l2m_norm(quad32.q[0], quad32)
     assert val == pytest.approx(np.sqrt(4.0 / 8.0), rel=1e-12)
     fine = build_quadrature(4.0, 64, 64)
-    assert val == pytest.approx(l2m_norm(fine.q1, fine), rel=1e-12)
+    assert val == pytest.approx(l2m_norm(fine.q[0], fine), rel=1e-12)
 
 
 def test_l2m_homogeneity_triangle(quad32, basis32):
@@ -154,11 +154,11 @@ def test_kramers_stress_linear_offdiagonal(quad32):
     fine = build_quadrature(4.0, 64, 64)
     vals = []
     for c in (0.5, 1.0, 2.0):
-        phi = 1.0 + c * quad32.q1 * quad32.q2
+        phi = 1.0 + c * quad32.q[0] * quad32.q[1]
         t = kramers_stress(phi, quad32)
         assert abs(t[0, 1] - t[1, 0]) < 1e-14
         vals.append(t[0, 1])
-        phi_f = 1.0 + c * fine.q1 * fine.q2
+        phi_f = 1.0 + c * fine.q[0] * fine.q[1]
         tf = kramers_stress(phi_f, fine)
         assert t[0, 1] == pytest.approx(tf[0, 1], rel=1e-10)
     assert vals[1] == pytest.approx(2 * vals[0], rel=1e-12)

@@ -226,8 +226,8 @@ def test_viscous_divergence_formula(grid32):
     u = random_band_limited(grid32, rng, components=2, kmax=5)
     div_s = viscous_divergence(grid32, u, p)
     lap = -grid32.ksq * u
-    divc = 1j * grid32.k1 * u[0] + 1j * grid32.k2 * u[1]
-    grad_div = np.stack([1j * grid32.k1 * divc, 1j * grid32.k2 * divc])
+    divc = 1j * grid32.k[0] * u[0] + 1j * grid32.k[1] * u[1]
+    grad_div = np.stack([1j * grid32.k[0] * divc, 1j * grid32.k[1] * divc])
     expect = p.mu_s * lap + p.mu_b * grad_div
     assert np.max(np.abs(div_s - expect)) < 1e-14
 
