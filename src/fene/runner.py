@@ -278,6 +278,11 @@ class RunContext:
         name = cfg["scenario"]
         if name in ("stress_difference", "contraction_study"):
             horizon, dt = cfg["experiment.horizon"], self.fluid_cfg.dt
+            if horizon / dt >= cfg["max_steps"] + 0.5:
+                raise ConfigError(f"the horizon spans {horizon / dt:.3g} "
+                                  f"steps of fluid.dt = {dt!r}, more than "
+                                  f"max_steps = {cfg['max_steps']}",
+                                  field="experiment.horizon")
             self.horizon_steps = int(round(horizon / dt))
             if self.horizon_steps < 2:
                 raise ConfigError(f"{name} needs at least two steps of this "
@@ -333,7 +338,13 @@ class RunContext:
                               "grid", field="scenario.amplitude" if rho0 > 0
                               else "scenario.rho0")
         r = to_modes(density_to_r(rho, self.params)[None])
-        return CoupledState(FluidState(self.grid, r, to_modes(uvals)), psi)
+        u = to_modes(uvals)
+        # finite settings can still overflow in the transform
+        for name, c in (("r", r), ("u", u), ("psi", psi.coeffs)):
+            if not np.isfinite(c).all():
+                raise ConfigError(f"the initial {name} coefficients are not "
+                                  "finite", field="scenario")
+        return CoupledState(FluidState(self.grid, r, u), psi)
 
 
 def _sobolev_block(top):

@@ -295,7 +295,7 @@ def report_lines(run_dir):
 
 def test_stress_difference_artifacts(tmp_path):
     cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
-                                 extra="experiment.horizon = 0.03")
+                                 steps=30, extra="experiment.horizon = 0.03")
     assert run(cfg_path) == 0
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
     assert abs(manifest["outcome"]["fluid_slope"] - 1.0) < 0.1
@@ -312,7 +312,7 @@ def test_stress_difference_artifacts(tmp_path):
 
 def test_contraction_artifacts(tmp_path):
     cfg_path, outdir = write_cfg(tmp_path, scenario="contraction_study",
-                                 extra="experiment.horizon = 0.04")
+                                 steps=40, extra="experiment.horizon = 0.04")
     assert run(cfg_path) == 0
     outcome = json.load(open(os.path.join(outdir, "manifest.json")))["outcome"]
     assert outcome["all_ratios_below_one"]
@@ -1122,6 +1122,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
      "experiment.horizon"),
     ("stress_difference", "experiment.horizon = 0.0125",
      "experiment.horizon"),
+    # 1e303 steps against max_steps = 20: it ran until it was killed
+    ("contraction_study", "experiment.horizon = 1e300", "experiment.horizon"),
     ("lemma_a1", "experiment.lemma_deltas =", "experiment.lemma_deltas"),
     ("lemma_a1", "experiment.lemma_deltas = 1.0, -1.0",
      "experiment.lemma_deltas"),
@@ -1180,6 +1182,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "shear_amplitude=2.5", "stress_difference_s_prime=-1",
         "contraction_s_prime=-1", "contraction_zero_steps",
         "contraction_partial_step", "stress_difference_partial_step",
+        "horizon_beyond_max_steps",
         "no_lemma_delta",
         "negative_lemma_delta", "dt=nan", "dt=inf", "contraction_dt=nan",
         "horizon=inf", "horizon=nan", "forcing_amplitude=nan", "nan_delta",
@@ -1214,6 +1217,20 @@ def test_infinite_amplitude_is_refused_before_any_arithmetic(tmp_path,
         with pytest.raises(ConfigError, match="must be finite") as err:
             RunContext(parse_config(cfg_path)).initial_state()
     assert err.value.field == "scenario.amplitude"
+
+
+def test_initial_data_that_overflow_are_refused_before_any_step(tmp_path):
+    # 1e308 is finite, but the transform of u overflows: it was met as a
+    # blow-up at step 0 (exit 5), after three "invalid value" RuntimeWarnings
+    cfg_path, outdir = write_cfg(tmp_path, scenario="shear_perturbation",
+                                 extra="scenario.mean_velocity = 1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with open(os.devnull, "w") as fh:
+            assert run(cfg_path, stderr=fh) == 2
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["reason"] == "ConfigError"
+    assert manifest["message"].startswith("[scenario] ")
 
 
 @pytest.mark.parametrize("line", ["fluid.dt = nan", "model.gamma = inf"])
