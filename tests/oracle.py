@@ -8,7 +8,9 @@ Maxwellian at the quadrature nodes, ConfigBasis.stress_vectors and
 node set at a time, and stay independent of the production paths they
 check: kramers_stress forms its own integrand from the quadrature, never
 from stress_vectors, and weak_drift forms the Fokker-Planck drift from
-the basis node values, never from drift_matrices.
+the basis node values, never from drift_matrices.  linearized_system
+builds the coupled equations linearized about a uniform state from these
+forms alone, and linear_ssprk3 steps it.
 """
 
 import numpy as np
@@ -123,3 +125,59 @@ def weak_drift(basis: ConfigBasis, grad_u, coeffs):
     density = quad.weights * quad.maxwellian * phi
     return np.array([np.sum(density * (flow[0] * grad[0] + flow[1] * grad[1]))
                      for grad in basis.grads])
+
+
+def linearized_system(basis: ConfigBasis, p: ModelParams, r0, k):
+    """The coupled system linearized at the wave vector k about the uniform
+    state r = r0, u = 0, psi = M sum_j base_j phi_j, with chi = 1.
+
+    Returns (decay, rates): the base decays as base' = -decay base, and the
+    coefficient y = (r, u1, u2, c_1 .. c_n) of a perturbation y e^{ik.x}
+    obeys y' = rates(base) @ y, to first order in its size:
+      r'   = -(gamma - 1)/2 r0 ik.u,
+      u'   = -r0 ik r + D(r0) (div S(grad u) + div T),
+      c_i' = -ik.u base_i + int_B M phi_base (grad u q) . grad_q phi_i dq
+             - (A11 / 4 lambda) lambda_i c_i - eps |k|^2 c_i,
+    with grad u = i u k^T, S of viscous_stress, T = sum_j c_j T_j with T_j
+    the kramers_stress of phi_j, and the drift of weak_drift."""
+    quad, n = basis.quad, basis.n_basis
+    k = np.asarray(k, dtype=float)
+    ik = 1j * k
+    decay = p.a11 / (4.0 * p.lam) * basis.eigenvalues
+    d0 = d_coefficient(r0, p)
+    unit = np.eye(2)
+    # div S(i u k^T) = -S(u k^T) k, for u = e_1, e_2
+    visc = np.stack([-viscous_stress(np.outer(e, k), p) @ k for e in unit],
+                    axis=1)
+    stress = np.stack([kramers_stress(v, quad) @ ik for v in basis.values],
+                      axis=1)
+    # drift[a][:, j]: the drift of psi = M phi_j under grad u = e_a k^T
+    drift = np.stack([np.stack([weak_drift(basis, np.outer(e, k), f)
+                                for f in np.eye(n)], axis=1) for e in unit])
+
+    def rates(base):
+        out = np.zeros((3 + n, 3 + n), dtype=complex)
+        out[0, 1:3] = -0.5 * (p.gamma - 1.0) * r0 * ik
+        out[1:3, 0] = -r0 * ik
+        out[1:3, 1:3] = d0 * visc
+        out[1:3, 3:] = d0 * stress
+        out[3:, 1:3] = 1j * (drift @ base).T - np.outer(base, ik)
+        out[3:, 3:] = -np.diag(decay + p.epsilon * (k @ k))
+        return out
+    return decay, rates
+
+
+def linear_ssprk3(base, y, decay, rates, dt, steps):
+    """(base, y) after steps Shu-Osher SSP-RK3 steps of dt of the system
+    of linearized_system, base and y advanced together in every stage."""
+    n = len(base)
+    z = np.concatenate([base, y]).astype(complex)
+
+    def f(z):
+        return np.concatenate([-decay * z[:n], rates(z[:n]) @ z[n:]])
+
+    for _ in range(steps):
+        z1 = z + dt * f(z)
+        z2 = 0.75 * z + 0.25 * (z1 + dt * f(z1))
+        z = z / 3.0 + 2.0 / 3.0 * (z2 + dt * f(z2))
+    return z[:n], z[n:]

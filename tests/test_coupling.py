@@ -9,6 +9,7 @@ from conftest import constant, divergence, field_product, fluid_batch, \
     sup_norm_w2inf, zero_field
 from fene import coupling, fluid, fokker_planck, runner, torus
 from fene.errors import PositivityLoss, StabilityViolation
+from fene.configspace import eigen_basis
 from fene.coupling import CoupledState, blowup_indicator, \
     constant_trajectory, contraction_factor, coupled_step, \
     coupled_trajectory, fixed_point_map, fluid_trajectory, fp_trajectory, \
@@ -20,7 +21,8 @@ from fene.fokker_planck import FokkerPlanckSolver, PolymerField, \
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.runner import RunContext, parse_config_text, record_state
 from fene.torus import sobolev_norm, to_modes, to_values
-from oracle import d_coefficient, kramers_stress, weak_drift
+from oracle import d_coefficient, kramers_stress, linear_ssprk3, \
+    linearized_system, weak_drift
 
 
 def equilibrium_state(grid, basis, params):
@@ -154,6 +156,44 @@ def test_drift_reads_grad_u_as_the_convected_derivative(grid16, basis16,
     got = to_values(op.explicit_tendency(*fp_batch(grid16, u, coeffs)), n)
     expected = drift[:, None, None] * (a * np.cos(x2))
     assert np.max(np.abs(got - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [(1, 2), (-2, 1)])
+def test_coupled_step_follows_the_linearized_system(grid16, quad16, params,
+                                                    k):
+    # about a uniform state a perturbation of size amp at one wave vector
+    # follows oracle.linearized_system to first order: its products with
+    # itself reach 0 and 2k, so what is left at k is cubic in amp, and the
+    # relative residual falls 100-fold when amp does 10-fold; the base is
+    # out of equilibrium, since at psi = M grad u and its transpose drift
+    # alike
+    basis = eigen_basis(quad16, 21)
+    op = FokkerPlanckSolver(basis, params, grid16)   # chi off, as weak_drift
+    cfg = FluidStepConfig(dt=1e-3)
+    steps = 100
+    rng = np.random.default_rng(20)
+    r0 = density_to_r(1.0, params)
+    base = np.r_[1.0, 0.2 * rng.standard_normal(basis.n_basis - 1)]
+    y0 = rng.standard_normal(3 + basis.n_basis) \
+        + 1j * rng.standard_normal(3 + basis.n_basis)
+    decay, rates = linearized_system(basis, params, r0, k)
+    _, expected = linear_ssprk3(base, y0, decay, rates, cfg.dt, steps)
+    (i, j), = np.argwhere((grid16.k[0] == k[0]) & (grid16.k[1] == k[1]))
+    residuals = []
+    for amp in (1e-4, 1e-5):
+        r, u = zero_field(grid16), zero_field(grid16, 2)
+        c = zero_field(grid16, basis.n_basis)
+        r[0, 0, 0], c[:, 0, 0] = r0, base
+        r[:, i, j], u[:, i, j], c[:, i, j] = np.split(amp * y0, [1, 3])
+        state = CoupledState(FluidState(grid16, r, u),
+                             PolymerField(grid16, basis, c))
+        *_, (_, last, _) = coupled_trajectory(state, op, no_force, cfg,
+                                              range(steps + 1))
+        got = np.concatenate([last.fluid.r[:, i, j], last.fluid.u[:, i, j],
+                              last.psi.coeffs[:, i, j]]) / amp
+        residuals.append(np.linalg.norm(got - expected)
+                         / np.linalg.norm(expected))
+    assert 50 <= residuals[0] / residuals[1] <= 200
 
 
 def test_xs_norm_equilibrium(grid32, basis32):
