@@ -278,6 +278,8 @@ class RunContext:
         name = cfg["scenario"]
         if name in ("stress_difference", "contraction_study"):
             horizon, dt = cfg["experiment.horizon"], self.fluid_cfg.dt
+            # round(horizon / dt) > max_steps, tested before the rounding,
+            # which an infinite ratio would not survive
             if horizon / dt >= cfg["max_steps"] + 0.5:
                 raise ConfigError(f"the horizon spans {horizon / dt:.3g} "
                                   f"steps of fluid.dt = {dt!r}, more than "

@@ -16,9 +16,11 @@ twice (TorusGrid.multiplicity).
 
 The transforms go through scipy.fft (pocketfft), which transforms an n-d
 batch in one C++ call where numpy.fft makes a Python-level pass per axis:
-about half the transform time of a coupled step at n = 32.  On numpy 2.4 /
-scipy 1.17 the results are bitwise equal to numpy.fft's.  They run on one
-thread: workers = 2 measured slower at every batch shape of a step.
+at n = 32 numpy.fft takes 0.67 ms to scipy.fft's 0.49 ms for a coupled
+stage's forward batch of 120 slices, and 0.27 ms to 0.23 ms for its
+inverse batch of 52.  On numpy 2.4 / scipy 1.17 the results are bitwise
+equal to numpy.fft's.  They run on one thread: workers = 2 measured as
+fast or slower at every batch shape of a step.
 """
 from dataclasses import dataclass
 from functools import cached_property
