@@ -24,9 +24,9 @@ a(.,.) identically, which pins the lowest eigenvalue to zero and encodes
 the zero-flux boundary condition naturally (M vanishes on the boundary,
 so no essential condition is imposed).
 
-mode_blocks assembles both forms one mode at a time on one Gauss-Jacobi
-rule in t (radial_rule), exact for every b > 2; operator_blocks lists all
-of them.  Every eigenvalue of block m is at least m^2 / b, since a(.,.)
+mode_blocks assembles both forms on one Gauss-Jacobi rule in t
+(radial_rule), exact for every b > 2, and yields them one mode at a
+time.  Every eigenvalue of block m is at least m^2 / b, since a(.,.)
 contains m^2 int M phi^2 / (b t) dq and t < 1 at every node, so
 eigen_basis solves the blocks in increasing m and stops at the first m
 whose bound lies above the n_basis-th eigenvalue found so far.  The
@@ -195,16 +195,6 @@ def mode_blocks(b, n_modal, m_max):
         yield 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
-def operator_blocks(b, n_modal, m_max):
-    """Weak forms of the relaxation operator, one block per angular mode.
-
-    Returns (stiffness, mass): entry m of each is the mode_blocks block of
-    a(.,.), resp. m(.,.), for m = 0 .. m_max.
-    """
-    blocks = list(mode_blocks(b, n_modal, m_max))
-    return [A for A, _ in blocks], [B for _, B in blocks]
-
-
 class ConfigBasis:
     """First n_basis eigenpairs of the relaxation operator, M-orthonormal.
 
@@ -271,9 +261,10 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     with t < 1 at every node, so v^T A v >= (m^2 / b) v^T B v, and no
     eigenvalue of block m or of a later block can be kept; the margin
     covers the solver's rounding.  The (eigenvalue, m, kind, k) keys are
-    sorted; only the n_basis kept eigenpairs are sign-normalized, get a
-    residual and are evaluated on quad's nodes (exact only at even b), from
-    one _jacobi_values pass over their modes, one mode at a time.  An
+    sorted; the kept ones are grouped by angular mode and radial index,
+    and each kept (m, k) is sign-normalized, gets a residual and one radial
+    profile on quad's nodes (exact only at even b), written to its cos and
+    sin entries, from one _jacobi_values pass over the kept modes.  An
     n_basis that would keep a cos branch without its sin partner is
     refused: such a span is not invariant under rotations of q."""
     if n_basis < 1:
@@ -294,7 +285,7 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
         except LinAlgError as exc:
             raise EigenSolverError("generalized eigensolver failed for "
                                    f"angular mode {m}") from exc
-        solved.append((A, B, vec))
+        solved.append((A, B, lam, vec))
         kinds = ("cos",) if m == 0 else ("cos", "sin")
         keys.extend((lam_k, m, kind, k)
                     for k, lam_k in enumerate(lam.tolist()) for kind in kinds)
@@ -304,7 +295,10 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     if m > 0 and kind == "cos":
         raise ValueError(f"n_basis={n_basis} keeps ({m}, cos, {k}) without "
                          f"its sin partner; take one mode fewer or more")
-    modes = sorted({m for _, m, _, _ in keys})
+    kept = {}            # m -> k -> [(i, kind)], the keys' order kept
+    for i, (_, m, kind, k) in enumerate(keys):
+        kept.setdefault(m, {}).setdefault(k, []).append((i, kind))
+    modes = sorted(kept)
     P, dP = _jacobi_values(n_modal, quad.b / 2.0,
                            np.array(modes, float)[:, None], quad.t)
 
@@ -318,41 +312,30 @@ def eigen_basis(quad: ConfigQuadrature, n_basis) -> ConfigBasis:
     e_r = np.stack([np.cos(theta), np.sin(theta)])       # (2, na)
     e_t = np.stack([-np.sin(theta), np.cos(theta)])
     for col, m in enumerate(modes):
-        A, B, vec = solved[m]
+        A, B, lam, vec = solved[m]
         scale = np.linalg.norm(A, "fro") + np.linalg.norm(B, "fro")
         rho_m, rho_up = rho ** m, 2.0 * rho ** (m + 1)
-        rho_down = m * rho ** (m - 1) if m > 0 else None
-        if m == 0:
-            angular = {"cos": (np.full(na, 1.0 / np.sqrt(2.0 * np.pi)),
-                               np.zeros(na))}
-        else:
-            cos_m, sin_m = np.cos(m * theta), np.sin(m * theta)
-            angular = {"cos": (cos_m / np.sqrt(np.pi),
-                               -m * sin_m / np.sqrt(np.pi)),
-                       "sin": (sin_m / np.sqrt(np.pi),
-                               m * cos_m / np.sqrt(np.pi))}
-        profiles = {}
-        for i, (lam_i, m_i, kind, k) in enumerate(keys):
-            if m_i != m:
-                continue
-            if k not in profiles:
-                v = vec[:, k]
-                if v[int(np.argmax(np.abs(v)))] < 0:
-                    v = -v
-                res = np.linalg.norm(A @ v - lam_i * (B @ v)) / scale
-                base, dbase = v @ P[:, col], v @ dP[:, col]
-                f = rho_m * base
-                if m > 0:
-                    df = (rho_down * base + rho_up * dbase) / sqrt_b
-                else:
-                    df = rho_up * dbase / sqrt_b
-                profiles[k] = res, f, df, f / quad.radii
-            res, f, df, f_over_r = profiles[k]
-            ang, dang = angular[kind]
-            values[i] = f[:, None] * ang[None, :]
-            grads[i] = (df[:, None] * ang[None, :]) * e_r[:, None, :] \
-                + (f_over_r[:, None] * dang[None, :]) * e_t[:, None, :]
-            residuals[i] = res
+        rho_down = m * rho ** (m - 1)        # 0 at m = 0
+        # m = 0 has only the cos branch, 1/sqrt(2 pi) and -0 * sin(0) = +0
+        cos_m, sin_m = np.cos(m * theta), np.sin(m * theta)
+        norm = np.sqrt(2.0 * np.pi if m == 0 else np.pi)
+        angular = {"cos": (cos_m / norm, -m * sin_m / norm),
+                   "sin": (sin_m / norm, m * cos_m / norm)}
+        for k, entries in kept[m].items():
+            v = vec[:, k]
+            if v[int(np.argmax(np.abs(v)))] < 0:
+                v = -v
+            res = np.linalg.norm(A @ v - lam[k] * (B @ v)) / scale
+            base, dbase = v @ P[:, col], v @ dP[:, col]
+            f = rho_m * base
+            df = (rho_down * base + rho_up * dbase) / sqrt_b
+            f_over_r = f / quad.radii
+            for i, kind in entries:
+                ang, dang = angular[kind]
+                values[i] = f[:, None] * ang[None, :]
+                grads[i] = (df[:, None] * ang[None, :]) * e_r[:, None, :] \
+                    + (f_over_r[:, None] * dang[None, :]) * e_t[:, None, :]
+                residuals[i] = res
     return ConfigBasis(quad, n_basis, eigenvalues, values, grads, labels,
                        residuals)
 
