@@ -46,8 +46,9 @@ only what must hold before it runs (op.check_step, the CFL bound, D(r)
 in each stage).  The loop checks every state it hands out, the first one
 included, in one order: non-finite coefficients raise BlowupCeiling, then
 an r that is not positive on the grid PositivityLoss.  Those messages,
-and those of the StabilityViolation (CFL bound or op.check_step) or
-PositivityLoss a step raises, end in the loop's where and "at step k".
+and those of the StabilityViolation (CFL bound or op.check_step),
+PositivityLoss or BlowupCeiling (a stage's r not finite) a step raises,
+end in the loop's where and "at step k".
 
 The X^s trajectory norm is sup-in-time of the W^{s,2}_x L^2_M norm plus
 the time integral (trapezoid rule on the stored samples) of the
@@ -169,7 +170,8 @@ def _trajectory(state, values, advance, fields, where, steps):
         if i:
             try:
                 state, values = advance(state, values)
-            except (StabilityViolation, PositivityLoss) as exc:
+            except (StabilityViolation, PositivityLoss,
+                    BlowupCeiling) as exc:
                 exc.args = (f"{exc} {at}",)
                 raise
         for name, c in fields(state):

@@ -25,7 +25,8 @@ and the coefficient arrays r (1 component) and u (2), refusing any other
 shape: no class wraps a field (torus).  A step checks only the CFL bound
 (on the speeds |u| + c_s) and, in each stage, that D(r) is defined; the
 trajectories of coupling check the states it makes (check_positive alone
-raises PositivityLoss; a loss is never repaired).
+raises PositivityLoss, and BlowupCeiling for an r that is not finite; a
+loss is never repaired).
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torus
-from .errors import PositivityLoss, StabilityViolation
+from .errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from .model import ModelParams, r_to_density
 from .torus import SIDE, W2_INDICES, TorusGrid, dealiased_product, \
     derivative_stack, sobolev_norm, sup_norm_w2inf_values
@@ -58,10 +59,13 @@ class FluidState:
 
 
 def check_positive(rvals, where):
-    """Raise PositivityLoss, its message ending in where, unless the grid
-    values rvals of r are all > 0."""
+    """Raise BlowupCeiling if the grid values rvals of r are not all
+    finite, else PositivityLoss unless they are all > 0; the message ends
+    in where."""
     rmin = float(rvals.min())
-    if not rmin > 0.0:   # catches NaN as well
+    if not np.isfinite(rmin):   # min propagates NaN
+        raise BlowupCeiling(f"non-finite r on the grid {where}")
+    if not rmin > 0.0:
         raise PositivityLoss(f"min r = {rmin:.3e} on the grid {where}")
 
 
@@ -256,8 +260,9 @@ def step(state: FluidState, values, stress, force, p: ModelParams,
     forcing coefficients (or None); returns the new state and its batch.
 
     Raises StabilityViolation before any stage when dt exceeds the CFL
-    bound, and PositivityLoss when a stage meets an r that is not positive
-    on the grid.  coupling.fluid_trajectory checks the state it returns.
+    bound, and PositivityLoss (BlowupCeiling) when a stage meets an r that
+    is not positive (not finite) on the grid.  coupling.fluid_trajectory
+    checks the state it returns.
     """
     grid = state.grid
     check_cfl(values, p, cfg)

@@ -339,6 +339,11 @@ class RunContext:
             raise ConfigError("the initial density must be positive on the "
                               "grid", field="scenario.amplitude" if rho0 > 0
                               else "scenario.rho0")
+        with np.errstate(over="ignore"):
+            mass = np.sum(rho)
+        if not np.isfinite(mass):
+            raise ConfigError("the initial mass is not finite",
+                              field="scenario.rho0")
         r = to_modes(density_to_r(rho, self.params)[None])
         u = to_modes(uvals)
         # finite settings can still overflow in the transform

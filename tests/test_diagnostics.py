@@ -1221,16 +1221,35 @@ def test_infinite_amplitude_is_refused_before_any_arithmetic(tmp_path,
 
 def test_initial_data_that_overflow_are_refused_before_any_step(tmp_path):
     # 1e308 is finite, but the transform of u overflows: it was met as a
-    # blow-up at step 0 (exit 5), after three "invalid value" RuntimeWarnings
-    cfg_path, outdir = write_cfg(tmp_path, scenario="shear_perturbation",
-                                 extra="scenario.mean_velocity = 1e308")
+    # blow-up at step 0 (exit 5), after three "invalid value" RuntimeWarnings;
+    # the sum of a density of 1e308 overflows: it was met as a CFL bound of
+    # 6.7e-63 at step 1 (exit 4), after an "overflow" RuntimeWarning
+    for (cfg_path, outdir), prefix in (
+            (write_cfg(tmp_path, scenario="shear_perturbation",
+                       extra="scenario.mean_velocity = 1e308"), "[scenario] "),
+            (small_shear_cfg(tmp_path, 4, "scenario.rho0 = 1e308"),
+             "[scenario.rho0] ")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(os.devnull, "w") as fh:
+                assert run(cfg_path, stderr=fh) == 2
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["reason"] == "ConfigError"
+        assert manifest["message"].startswith(prefix)
+
+
+def test_a_stage_that_meets_a_non_finite_r_reports_a_blowup(tmp_path):
+    # a finite amplitude of 1e308 makes r NaN in the first stage: it was
+    # reported as a positivity loss ("min r = nan", exit 3)
+    cfg_path, outdir = small_shear_cfg(
+        tmp_path, 4, "forcing.kind = steady_field\nforcing.amplitude = 1e308")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", RuntimeWarning)
         with open(os.devnull, "w") as fh:
-            assert run(cfg_path, stderr=fh) == 2
+            assert run(cfg_path, stderr=fh) == 5
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
-    assert manifest["reason"] == "ConfigError"
-    assert manifest["message"].startswith("[scenario] ")
+    assert manifest["reason"] == "BlowupCeiling"
+    assert manifest["message"].endswith("at step 1")
 
 
 @pytest.mark.parametrize("line", ["fluid.dt = nan", "model.gamma = inf"])

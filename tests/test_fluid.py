@@ -7,9 +7,9 @@ from conftest import constant, derivative, divergence, field_product, \
     rhs_fields, sup_norm_w2inf, zero_field
 from fene import torus
 from fene.coupling import fluid_trajectory
-from fene.errors import PositivityLoss, StabilityViolation
+from fene.errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
-    fluid_energy, fluid_rhs, forcing_of_time, phi_r, ssprk3, step, \
+    check_positive, fluid_energy, fluid_rhs, forcing_of_time, phi_r, ssprk3, step, \
     stress_divergence, viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, TorusGrid, sobolev_norm, to_modes, to_values
@@ -50,6 +50,18 @@ def test_positivity_checked_by_the_trajectory(grid32, params):
                        r"grid in the fluid half at step 0$"):
         fluid_trajectory(st, no_stress(grid32), no_force, params,
                          FluidStepConfig(dt=1e-3), 2)
+
+
+@pytest.mark.parametrize("low, error", [
+    (np.nan, BlowupCeiling), (-np.inf, BlowupCeiling), (0.0, PositivityLoss),
+    (-1.0, PositivityLoss)])
+def test_check_positive_ranks_non_finite_before_non_positive(low, error):
+    # the order of the trajectory loop: an r that is not finite is a
+    # blow-up, a finite r <= 0 a positivity loss
+    rvals = np.ones((4, 4))
+    rvals[1, 2] = low
+    with pytest.raises(error, match=" here$"):
+        check_positive(rvals, "here")
 
 
 @pytest.mark.parametrize("r_shape, u_shape", [
