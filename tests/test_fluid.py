@@ -9,8 +9,8 @@ from fene import torus
 from fene.coupling import fluid_trajectory
 from fene.errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
-    check_positive, fluid_energy, fluid_rhs, forcing_of_time, phi_r, ssprk3, step, \
-    stress_divergence, viscous_divergence
+    check_positive, fluid_energy, fluid_rhs, forcing_of_time, phi_r, \
+    ssprk3, step, stress_divergence, viscous_divergence
 from fene.model import ModelParams, density_to_r, r_to_density
 from fene.torus import SIDE, TorusGrid, sobolev_norm, to_modes, to_values
 
