@@ -19,8 +19,8 @@ tuples of coefficient arrays, is the package's one SSP-RK3 step.  step
 takes a state, its batch and its stress and forcing as callables of time,
 and returns the new FluidState and its batch.  forcing_of_time is the one
 definition of the force f: it refuses a kind not in FORCING_KINDS (the
-list the forcing.kind setting is parsed against) or an amplitude that is
-not finite, and builds f once per run.  A FluidState holds the grid
+list the forcing.kind setting is parsed against), an amplitude that is
+not finite or coefficients that overflow, and builds f once per run.  A FluidState holds the grid
 and the coefficient arrays r (1 component) and u (2), refusing any other
 shape: no class wraps a field (torus).  A step checks only the CFL bound
 (on the speeds |u| + c_s) and, in each stage, that D(r) is defined; the
@@ -226,8 +226,9 @@ def forcing_of_time(kind, amplitude, mode, grid):
     of integers, times cos t when kind is time_periodic, as a callable of
     time giving its coefficients, or None for kind zero or amplitude 0.
     RunContext builds it once per run, so a steady field is transformed
-    once.  A kind not in FORCING_KINDS or an amplitude that is not finite
-    is a ValueError."""
+    once.  A kind not in FORCING_KINDS, an amplitude that is not finite or
+    a force whose coefficients at t = 0 (which bound those of every t) are
+    not finite is a ValueError."""
     if kind not in FORCING_KINDS:
         raise ValueError(f"unknown forcing kind {kind!r}")
     if not np.isfinite(amplitude):
@@ -241,9 +242,11 @@ def forcing_of_time(kind, amplitude, mode, grid):
         amp = amplitude * np.cos(t) if kind == "time_periodic" else amplitude
         return torus.to_modes(np.stack([amp * np.sin(phase),
                                         amp * np.cos(phase)]))
+    f0 = field(0.0)
+    if not np.isfinite(f0).all():
+        raise ValueError("forcing coefficients are not finite")
     if kind == "steady_field":
-        steady = field(0.0)
-        return lambda t: steady
+        return lambda t: f0
     return field
 
 

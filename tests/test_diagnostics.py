@@ -1136,6 +1136,12 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     # a NaN setting is refused, not met later as a physics error
     ("shear_perturbation", "forcing.kind = steady_field\n"
      "forcing.amplitude = nan", "forcing"),
+    # a finite amplitude whose coefficients overflow in the transform: a
+    # steady 1e308 exited 5 at step 1, after a RuntimeWarning
+    ("shear_perturbation", "forcing.kind = steady_field\n"
+     "forcing.amplitude = 1e308", "forcing"),
+    ("shear_perturbation", "forcing.kind = time_periodic\n"
+     "forcing.amplitude = 1e308", "forcing"),
     ("stress_difference", "experiment.deltas = 1e-3, nan",
      "experiment.deltas"),
     ("lemma_a1", "experiment.lemma_deltas = 1.0, nan",
@@ -1185,7 +1191,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "horizon_beyond_max_steps",
         "no_lemma_delta",
         "negative_lemma_delta", "dt=nan", "dt=inf", "contraction_dt=nan",
-        "horizon=inf", "horizon=nan", "forcing_amplitude=nan", "nan_delta",
+        "horizon=inf", "horizon=nan", "forcing_amplitude=nan",
+        "steady_forcing=1e308", "periodic_forcing=1e308", "nan_delta",
         "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
         "mean_velocity=inf", "psi_mode=0", "psi_mode=12", "no_equals",
@@ -1238,15 +1245,27 @@ def test_initial_data_that_overflow_are_refused_before_any_step(tmp_path):
         assert manifest["message"].startswith(prefix)
 
 
-def test_a_stage_that_meets_a_non_finite_r_reports_a_blowup(tmp_path):
-    # a finite amplitude of 1e308 makes r NaN in the first stage: it was
-    # reported as a positivity loss ("min r = nan", exit 3)
-    cfg_path, outdir = small_shear_cfg(
-        tmp_path, 4, "forcing.kind = steady_field\nforcing.amplitude = 1e308")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with open(os.devnull, "w") as fh:
-            assert run(cfg_path, stderr=fh) == 5
+def test_a_stage_that_meets_a_non_finite_r_reports_a_blowup(tmp_path,
+                                                            monkeypatch):
+    # NaN in the r slice of the batch that stage 2 of step 1 reads (the
+    # run's second batch): it was reported as a positivity loss
+    # ("min r = nan", exit 3); no setting is known to reach it since the
+    # forcing is checked when it is built
+    real = coupling._grid_values
+    calls = []
+
+    def poisoned(*args):
+        out = real(*args)
+        calls.append(out)
+        if len(calls) == 2:
+            out[fluid.R, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(coupling, "_grid_values", poisoned)
+    cfg_path, outdir = small_shear_cfg(tmp_path, 4)
+    with open(os.devnull, "w") as fh:
+        assert run(cfg_path, stderr=fh) == 5
+    assert len(calls) == 2
     manifest = json.load(open(os.path.join(outdir, "manifest.json")))
     assert manifest["reason"] == "BlowupCeiling"
     assert manifest["message"].endswith("at step 1")
