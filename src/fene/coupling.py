@@ -18,7 +18,7 @@ other by the verification suite:
 * coupled_step: the monolithic route.  One fluid.ssprk3 step advances
   the coefficient arrays of (r, u, psi) together, re-evaluating the
   stress at every stage.  Each stage makes one inverse transform
-  (_grid_values), of fluid.rhs_factors followed by the coefficients of
+  (fluid.rhs_batch), of fluid.rhs_factors followed by the coefficients of
   psi: fluid_rhs reads the fluid factors of that batch and op.tendency
   its velocity block (fluid.VELOCITY) and the coefficients.  The split
   solvers of fixed_point_map, fluid.step and fp_step, hand the same
@@ -60,8 +60,7 @@ import numpy as np
 from . import fluid as fluid_mod
 from .errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
-    check_positive, fluid_rhs, rhs_batch, rhs_factors, ssprk3, \
-    stress_divergence
+    check_positive, fluid_rhs, rhs_batch, ssprk3, stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     fp_step
 from .torus import W2_INDICES, derivative_stack, sup_norm_w2inf_values, \
@@ -99,20 +98,13 @@ def _stress_of(basis, coeffs):
     return np.tensordot(basis.stress_vectors, coeffs, axes=([1], [0]))
 
 
-def _grid_values(grid, r, u, basis, c, params):
-    """One transform of the fluid factors of r, u under the stress of c,
-    then of c: the batch that fluid_rhs and op.tendency read."""
-    return to_values(np.concatenate([
-        rhs_factors(grid, r, u, _stress_of(basis, c), params), c]),
-        grid.n_points)
-
-
 def grid_values(state: CoupledState, params):
     """The stage-1 batch of coupled_step at state under params: the grid
     values of fluid.rhs_factors (the N_FACTORS fluid factors), then those
     of the n_basis coefficient fields of psi."""
-    return _grid_values(state.psi.grid, state.fluid.r, state.fluid.u,
-                        state.psi.basis, state.psi.coeffs, params)
+    psi = state.psi
+    return rhs_batch(psi.grid, state.fluid.r, state.fluid.u,
+                     _stress_of(psi.basis, psi.coeffs), params, psi.coeffs)
 
 
 def xs_norm(traj, s):
@@ -133,13 +125,10 @@ def xs_distance(traj_a, traj_b, s):
 
 
 def constant_trajectory(psi0: PolymerField, n_steps, dt):
-    """Constant-in-time extension of the initial datum (the canonical seed)."""
-    out = []
-    for k in range(n_steps + 1):
-        p = psi0.copy()
-        p.time = psi0.time + k * dt
-        out.append(p)
-    return out
+    """Constant-in-time extension of the initial datum (the canonical seed):
+    its fields share the coefficient array of psi0."""
+    return [PolymerField(psi0.grid, psi0.basis, psi0.coeffs,
+                         psi0.time + k * dt) for k in range(n_steps + 1)]
 
 
 def _linear_interpolant(samples, t0, dt):
@@ -270,7 +259,8 @@ def coupled_step(state: CoupledState, values, op: FokkerPlanckSolver,
 
     def rhs(y, t):
         r, u, c = y
-        batch = values if y is y0 else _grid_values(grid, r, u, basis, c, p)
+        batch = values if y is y0 else rhs_batch(
+            grid, r, u, _stress_of(basis, c), p, c)
         dr, du = fluid_rhs(grid, u, force(t), p, fluid_cfg, batch)
         return dr, du, op.tendency(c, batch[VELOCITY], batch[N_FACTORS:])
 
@@ -278,7 +268,7 @@ def coupled_step(state: CoupledState, values, op: FokkerPlanckSolver,
     r, u, c = ssprk3(y0, rhs, state.time, fluid_cfg.dt)
     return (CoupledState(FluidState(grid, r, u, t1),
                          PolymerField(grid, basis, c, t1)),
-            _grid_values(grid, r, u, basis, c, p))
+            rhs_batch(grid, r, u, _stress_of(basis, c), p, c))
 
 
 def coupled_trajectory(state: CoupledState, op: FokkerPlanckSolver, force,

@@ -11,8 +11,9 @@ velocity cut-off phi_R(|u|_{2,inf}) that switches the nonlinear terms off
 for large velocities.  Every kernel of a stage takes and returns arrays:
 rhs_factors stacks the twelve distinct spectral factors of the
 coefficients r, u and stress, and fluid_rhs and check_cfl read their grid
-values, rhs_batch (coupling.coupled_step shares its batch with the
-Fokker-Planck half, which reads the VELOCITY block).  fluid_rhs forms the
+values, rhs_batch, the batch of every fluid and coupled stage
+(coupling.coupled_step appends the coefficients of psi, and the
+Fokker-Planck half reads them and the VELOCITY block).  fluid_rhs forms the
 eleven quadratic terms in one 2/3-rule product, and only D(r) takes a
 round trip through P_K, so every tendency lies in P_K.  ssprk3, over
 tuples of coefficient arrays, is the package's one SSP-RK3 step.  step
@@ -72,12 +73,10 @@ def check_positive(rvals, where):
 @dataclass(frozen=True)
 class FluidStepConfig:
     """Time-step parameters for the fluid solver: dt (finite, > 0),
-    cutoff_R (finite, > 0) is the phi_R threshold, None disables phi_R,
-    cfl_safety (finite, > 0) scales the CFL bound."""
+    cutoff_R (finite, > 0) is the phi_R threshold, None disables phi_R."""
 
     dt: float
     cutoff_R: float = None
-    cfl_safety: float = 0.8
 
     def __post_init__(self):
         # each written not (x <= 0), so that NaN is refused too
@@ -85,8 +84,6 @@ class FluidStepConfig:
             raise ValueError("dt must be finite and > 0")
         if self.cutoff_R is not None and not 0 < self.cutoff_R < np.inf:
             raise ValueError("cut-off threshold must be finite and > 0")
-        if not 0 < self.cfl_safety < np.inf:
-            raise ValueError("the CFL safety factor must be finite and > 0")
 
 
 def phi_r(y, R):
@@ -197,10 +194,14 @@ def cfl_bound(values, p: ModelParams):
     return min(advective, viscous)
 
 
+# the share of cfl_bound that a step may take
+CFL_SAFETY = 0.8
+
+
 def check_cfl(values, p: ModelParams, cfg: FluidStepConfig):
-    """Raise StabilityViolation when cfg.dt exceeds cfg.cfl_safety *
+    """Raise StabilityViolation when cfg.dt exceeds CFL_SAFETY *
     cfl_bound(values, p)."""
-    bound = cfg.cfl_safety * cfl_bound(values, p)
+    bound = CFL_SAFETY * cfl_bound(values, p)
     if cfg.dt > bound:
         raise StabilityViolation(f"dt = {cfg.dt:.3e} exceeds CFL bound "
                                  f"{bound:.3e}")
@@ -250,10 +251,13 @@ def forcing_of_time(kind, amplitude, mode, grid):
     return field
 
 
-def rhs_batch(grid, r, u, stress, p: ModelParams):
-    """The grid values of rhs_factors(grid, r, u, stress, p), one transform:
-    the batch that fluid_rhs and check_cfl read."""
-    return torus.to_values(rhs_factors(grid, r, u, stress, p), grid.n_points)
+def rhs_batch(grid, r, u, stress, p: ModelParams, *fields):
+    """The grid values of rhs_factors(grid, r, u, stress, p), then those of
+    the coefficient arrays fields, one transform: the batch that fluid_rhs
+    and check_cfl read (coupling.coupled_step appends those of psi)."""
+    return torus.to_values(
+        np.concatenate([rhs_factors(grid, r, u, stress, p), *fields]),
+        grid.n_points)
 
 
 def step(state: FluidState, values, stress, force, p: ModelParams,

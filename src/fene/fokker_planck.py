@@ -77,10 +77,6 @@ class PolymerField:
             coeffs[i] = to_modes(np.asarray(vals, dtype=float))
         return cls(grid, basis, coeffs, time)
 
-    def copy(self):
-        return PolymerField(self.grid, self.basis, self.coeffs.copy(),
-                            self.time)
-
     def __sub__(self, other):
         if self.basis is not other.basis:
             raise ValueError("polymer fields use different bases")

@@ -159,7 +159,6 @@ CONFIG_SCHEMA = {
     "ball.chi_index": (_parse_chi, "auto"),
     "fluid.dt": (float, 1e-3),
     "fluid.cutoff_r": (_parse_opt_float, FluidStepConfig.cutoff_R),
-    "fluid.cfl_safety": (float, FluidStepConfig.cfl_safety),
     "scenario.amplitude": (_parse_finite, 1e-3),
     "scenario.mode": (int, 1),
     "scenario.mean_velocity": (_parse_finite, 0.1),
@@ -240,6 +239,13 @@ def _refusing(field):
 _STEP_RTOL = 1e-9
 
 
+def _norm_overflows(grid, coeffs, s):
+    """Whether the W^{s,2} norm of coeffs, which bounds those of every
+    smaller index, is not finite (without a numpy warning)."""
+    with np.errstate(over="ignore"):
+        return not np.isfinite(sobolev_norm(grid, coeffs, s))
+
+
 def _whole_steps(t, dt):
     """The number of steps of dt that the time t >= 0 spans, or None when
     t is not a whole number of them."""
@@ -271,8 +277,7 @@ class RunContext:
                 check_chi_index(self.chi_index, self.params.b)
         with _refusing("fluid"):
             self.fluid_cfg = FluidStepConfig(
-                dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"],
-                cfl_safety=cfg["fluid.cfl_safety"])
+                dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"])
         # the steps of fluid.dt in the horizon of the fixed-point scenarios
         self.horizon_steps = None
         name = cfg["scenario"]
@@ -302,6 +307,11 @@ class RunContext:
                     cfg["forcing.amplitude"] != 0.0:
                 _check_retained(self.grid, cfg["forcing.mode"],
                                 "forcing.mode")
+        # the force at t = 0 bounds every t, since |cos t| <= 1
+        f0 = self.force(0.0)
+        if f0 is not None and _norm_overflows(self.grid, f0, S_RECORD):
+            raise ConfigError("the recorded norms of the forcing overflow",
+                              field="forcing.amplitude")
 
     def initial_state(self) -> CoupledState:
         cfg = self.cfg
@@ -351,6 +361,11 @@ class RunContext:
             if not np.isfinite(c).all():
                 raise ConfigError(f"the initial {name} coefficients are not "
                                   "finite", field="scenario")
+        # or in the norms of the first record, up to the top index of each
+        for name, c, top in (("r", r, S_RECORD), ("u", u, S_RECORD + 1)):
+            if _norm_overflows(self.grid, c, top):
+                raise ConfigError(f"the recorded norms of the initial {name} "
+                                  "overflow", field="scenario")
         return CoupledState(FluidState(self.grid, r, u), psi)
 
 

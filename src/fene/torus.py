@@ -101,12 +101,8 @@ class TorusGrid:
         pts = SIDE * np.arange(self.n_points) / self.n_points
         return np.meshgrid(pts, pts, indexing="ij")
 
-    @property
-    def spacing(self):
-        return SIDE / self.n_points
-
     def cell_area(self):
-        return self.spacing ** 2
+        return (SIDE / self.n_points) ** 2
 
 
 def to_modes(values):

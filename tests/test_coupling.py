@@ -282,6 +282,21 @@ def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     assert firsts[0] > firsts[1] > firsts[2]
 
 
+def test_fixed_point_seed_shares_the_initial_coefficients(grid16, basis16,
+                                                          params):
+    # the constant seed holds psi0's one coefficient array at every time,
+    # so no step may write into a field's coefficients in place
+    op = FokkerPlanckSolver(basis16, params, grid16, 16)
+    st = perturbed_state(grid16, basis16, params, amp=5e-3)
+    before = st.psi.coeffs.copy()
+    iterates = run_fixed_point(st, op, no_force, FluidStepConfig(dt=1e-3),
+                               10, 2)
+    assert np.array_equal(st.psi.coeffs, before)
+    assert all(psi.coeffs is st.psi.coeffs for psi in iterates[0])
+    assert [psi.time for psi in iterates[0]] == \
+        [st.time + k * 1e-3 for k in range(11)]
+
+
 def test_coupled_step_equilibrium(grid32, basis32, params, fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
     cur, values = st, grid_values(st, params)
@@ -606,7 +621,9 @@ def fresh_copy(state):
     """A CoupledState around copies of the coefficients of state."""
     fl = FluidState(state.fluid.grid, state.fluid.r.copy(),
                     state.fluid.u.copy(), state.time)
-    return CoupledState(fl, state.psi.copy())
+    psi = state.psi
+    return CoupledState(fl, PolymerField(psi.grid, psi.basis,
+                                         psi.coeffs.copy(), psi.time))
 
 
 def assert_same_state(a, b):
@@ -696,10 +713,12 @@ def test_step_guards_keep_their_errors(grid32, basis32, params, op32,
                 pass
 
 
-def test_errors_raised_in_a_step_name_the_step(grid16, basis16):
+def test_errors_raised_in_a_step_name_the_step(grid16, basis16,
+                                               monkeypatch):
     # strong compression of a thin density past the CFL bound (a safety
     # factor of 1e6): the state at step 2 is positive, a stage of step 3
     # is not
+    monkeypatch.setattr(fluid, "CFL_SAFETY", 1e6)
     p = ModelParams(gamma=3.0)
     x1, _ = grid16.x
     fl = FluidState(grid16, to_modes(np.full((1, 16, 16), 0.01)),
@@ -709,7 +728,7 @@ def test_errors_raised_in_a_step_name_the_step(grid16, basis16):
     with pytest.raises(PositivityLoss, match=r"^min r = -.* on the grid in "
                        r"a stage, where D\(r\) is undefined at step 3$"):
         for _ in coupled_trajectory(state, op, no_force,
-                                    FluidStepConfig(dt=0.05, cfl_safety=1e6),
+                                    FluidStepConfig(dt=0.05),
                                     range(2, 5)):
             pass
     with pytest.raises(StabilityViolation, match=r"stability interval in "

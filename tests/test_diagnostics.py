@@ -445,15 +445,15 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "drift mass" in out
 
 
-def test_positivity_loss_exit_code(tmp_path):
+def test_positivity_loss_exit_code(tmp_path, monkeypatch):
     # strong compression on a thin density past the CFL bound (a safety
     # factor of 1e6)
+    monkeypatch.setattr(fluid, "CFL_SAFETY", 1e6)
     cfg_path, _ = write_cfg(
         tmp_path, scenario="density_bump", steps=5, extra="\n".join([
             "scenario.amplitude = 0.98",
             "scenario.rho0 = 0.0001",
             "fluid.dt = 0.05",
-            "fluid.cfl_safety = 1e6",
             "model.gamma = 3.0",
         ]))
     with open(os.devnull, "w") as devnull:
@@ -1099,12 +1099,7 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "fluid.cutoff_r = 0", "fluid"),
     ("shear_perturbation", "fluid.cutoff_r = -1", "fluid"),
     ("shear_perturbation", "fluid.cutoff_r = inf", "fluid"),
-    # a CFL safety factor that is not a finite number > 0
-    ("density_bump", "fluid.cfl_safety = nan", "fluid"),
-    ("density_bump", "fluid.cfl_safety = inf", "fluid"),
-    ("density_bump", "fluid.cfl_safety = 0", "fluid"),
-    ("density_bump", "fluid.cfl_safety = -1", "fluid"),
-    # the CFL check has no off switch
+    # the CFL check has no off switch: the key is unknown
     ("density_bump", "fluid.cfl_safety = none", "fluid.cfl_safety"),
     # the density transform needs rho > 0 on the grid
     ("equilibrium", "scenario.rho0 = 0", "scenario.rho0"),
@@ -1181,9 +1176,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
         "max_steps=-1", "record_every=0", "snapshots_every=-1",
         "ceiling=-1", "ceiling=0", "ceiling=nan", "lemma_ceiling=-1",
-        "cutoff_r=0", "cutoff_r=-1", "cutoff_r=inf", "cfl_safety=nan",
-        "cfl_safety=inf",
-        "cfl_safety=0", "cfl_safety=-1", "cfl_safety=none", "rho0=0",
+        "cutoff_r=0", "cutoff_r=-1", "cutoff_r=inf", "cfl_safety=none",
+        "rho0=0",
         "bump_amplitude=1.5",
         "shear_amplitude=2.5", "stress_difference_s_prime=-1",
         "contraction_s_prime=-1", "contraction_zero_steps",
@@ -1230,12 +1224,23 @@ def test_initial_data_that_overflow_are_refused_before_any_step(tmp_path):
     # 1e308 is finite, but the transform of u overflows: it was met as a
     # blow-up at step 0 (exit 5), after three "invalid value" RuntimeWarnings;
     # the sum of a density of 1e308 overflows: it was met as a CFL bound of
-    # 6.7e-63 at step 1 (exit 4), after an "overflow" RuntimeWarning
-    for (cfg_path, outdir), prefix in (
-            (write_cfg(tmp_path, scenario="shear_perturbation",
-                       extra="scenario.mean_velocity = 1e308"), "[scenario] "),
-            (small_shear_cfg(tmp_path, 4, "scenario.rho0 = 1e308"),
-             "[scenario.rho0] ")):
+    # 6.7e-63 at step 1 (exit 4), after an "overflow" RuntimeWarning.
+    # A force of 7.6e152 (7.5e152 reaches exit 3) and a mean velocity of
+    # 1e154 or 1e200 (1e152 reaches exit 5) overflow the Sobolev norms of
+    # the step-0 record: after an "overflow" warning the force exited 3 at
+    # step 1 and the velocity 5 at step 0
+    for small, line, prefix in (
+            (False, "scenario.mean_velocity = 1e308", "[scenario] "),
+            (True, "scenario.rho0 = 1e308", "[scenario.rho0] "),
+            (True, "forcing.kind = steady_field\nforcing.amplitude = 7.6e152",
+             "[forcing.amplitude] "),
+            (True, "forcing.kind = time_periodic\n"
+             "forcing.amplitude = 7.6e152", "[forcing.amplitude] "),
+            (True, "scenario.mean_velocity = 1e154", "[scenario] "),
+            (True, "scenario.mean_velocity = 1e200", "[scenario] ")):
+        cfg_path, outdir = small_shear_cfg(tmp_path, 4, line) if small \
+            else write_cfg(tmp_path, scenario="shear_perturbation",
+                           extra=line)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with open(os.devnull, "w") as fh:
@@ -1251,7 +1256,7 @@ def test_a_stage_that_meets_a_non_finite_r_reports_a_blowup(tmp_path,
     # run's second batch): it was reported as a positivity loss
     # ("min r = nan", exit 3); no setting is known to reach it since the
     # forcing is checked when it is built
-    real = coupling._grid_values
+    real = coupling.rhs_batch
     calls = []
 
     def poisoned(*args):
@@ -1261,7 +1266,7 @@ def test_a_stage_that_meets_a_non_finite_r_reports_a_blowup(tmp_path,
             out[fluid.R, 1, 1] = np.nan
         return out
 
-    monkeypatch.setattr(coupling, "_grid_values", poisoned)
+    monkeypatch.setattr(coupling, "rhs_batch", poisoned)
     cfg_path, outdir = small_shear_cfg(tmp_path, 4)
     with open(os.devnull, "w") as fh:
         assert run(cfg_path, stderr=fh) == 5

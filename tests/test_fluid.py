@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies
 from conftest import constant, derivative, divergence, field_product, \
     fluid_batch, gradient, no_force, no_stress, random_band_limited, \
     rhs_fields, sup_norm_w2inf, zero_field
-from fene import torus
+from fene import fluid, torus
 from fene.coupling import fluid_trajectory
 from fene.errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from fene.fluid import FluidState, FluidStepConfig, cfl_bound, \
@@ -375,7 +375,7 @@ def test_cfl_bound_holds_sound_speed(grid32):
     st = constant_state(grid32, 1.0, p)
     c_s = np.sqrt(0.5 * (p.gamma - 1.0)) * density_to_r(1.0, p)
     bound = cfl_bound(fluid_batch(st, None, p), p)
-    assert bound == pytest.approx(grid32.spacing / c_s, rel=1e-12)
+    assert bound == pytest.approx(SIDE / 32 / c_s, rel=1e-12)
 
 
 # a real and a complex array of different shapes, advanced together
@@ -426,12 +426,14 @@ def test_ssprk3_third_order():
     assert order > 2.7
 
 
-def test_step_raises_positivity_loss(grid32):
+def test_step_raises_positivity_loss(grid32, monkeypatch):
+    # past the CFL bound on purpose
+    monkeypatch.setattr(fluid, "CFL_SAFETY", 1e6)
     p = ModelParams(gamma=3.0)
     x1, _ = grid32.x
     st = FluidState(grid32, to_modes(np.full((1, 32, 32), 0.01)),
                     to_modes(np.stack([60.0 * np.sin(x1), np.zeros_like(x1)])))
-    cfg = FluidStepConfig(dt=0.05, cfl_safety=1e6)
+    cfg = FluidStepConfig(dt=0.05)
     with pytest.raises(PositivityLoss, match="in a stage, where D\\(r\\) is "
                        "undefined$"):
         step(st, fluid_batch(st, None, p), no_stress(grid32), no_force, p,

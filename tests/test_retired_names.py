@@ -63,6 +63,21 @@ GUARDS = [
           "input mode"),
     guard("cfl_switch", r"cfl_safety is not None", ["src/fene"],
           "the CFL check has no off switch"),
+    guard("cfl_safety", r"cfl_safety", ["src/fene"],
+          "the CFL safety factor is the constant fluid.CFL_SAFETY, not a "
+          "setting"),
+    guard("grid_values_private", r"\b_grid_values\b", ["src", "tests"],
+          "fluid.rhs_batch makes every stage batch, psi's coefficients "
+          "appended"),
+    guard("field_copy", r"def copy\(", ["src/fene"],
+          "nothing writes into a field's coefficients: the fixed-point seed "
+          "shares psi0's array"),
+    guard("spacing", r"\.spacing\b", ["src/fene", "tests"],
+          "the grid step is SIDE / n_points where it is read"),
+    guard("package_exports", r"import|__all__|__version__",
+          ["src/fene/__init__.py"],
+          "callers import a module (from fene import runner): the package "
+          "root re-exports nothing"),
     guard("sup_norm_w2inf", r"sup_norm_w2inf\(", ["src/fene/fluid.py"],
           "phi_R reads u, d1 u, d2 u from the stage batch"),
     guard("kernel_state", r"def (rhs_factors|fluid_rhs|cfl_bound|check_cfl)"
