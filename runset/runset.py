@@ -1,4 +1,4 @@
-"""The run set: nine fixed runs, the sha256 of the 23 files they write, and
+"""The run set: eight fixed runs, the sha256 of the 21 files they write, and
 the largest |value| of every CSV column and checkpoint array (a CSV
 column's NaN cells are skipped and counted).
 
@@ -16,7 +16,6 @@ directory:
     cutoff          shear, 20 steps, fluid.cutoff_r 0.01, mean velocity 0.5
     lemma           lemma_a1 on a 16 x 16 ball with 12 basis functions
     contraction     contraction_study at n = 16
-    stressdiff      stress_difference at n = 16
 
 A manifest records the output path as its config writes it, and the path
 of the checkpoint a run resumes from.  So the tool always works from the
@@ -62,7 +61,6 @@ RUNS = {
     "lemma": "scenario = lemma_a1\nball.n_radial = 16\nball.n_angular = 16\n"
              "ball.n_basis = 12\n",
     "contraction": "scenario = contraction_study\ngrid.n_points = 16\n",
-    "stressdiff": "scenario = stress_difference\ngrid.n_points = 16\n",
 }
 # run name -> (the run it resumes, the snapshot of that run)
 RESUMED = {"shear_resumed": ("shear", "snapshots/step000010.fkp")}

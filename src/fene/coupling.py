@@ -7,11 +7,14 @@ other by the verification suite:
   constructive route.  Given a candidate polymer trajectory, build its
   elastic stress, solve the fluid system with that stress over the
   horizon, then solve the Fokker-Planck equation with the resulting
-  velocity; both halves take the one step fluid_cfg.dt.  Iterating this
-  map from a seed trajectory (run_fixed_point(state0, op, force,
-  fluid_cfg, n_steps, max_iters)) converges on short horizons; the
-  contraction is measured in the weaker X^{s'} norm with s' <= 1
-  (s' <= s - 1 for the s = 2 of the energy estimates).  The horizon, its
+  velocity; both halves take the one step fluid_cfg.dt, and the map
+  returns both trajectories, the fluid one first.  Iterating this map
+  from a seed trajectory (run_fixed_point(state0, op, force, fluid_cfg,
+  n_steps, max_iters)) gives the iterates and the fluid trajectory formed
+  from each; it converges on short horizons.  The contraction is measured
+  in the weaker X^{s'} norm with s' <= 1 (s' <= s - 1 for the s = 2 of
+  the energy estimates), and half_ratios splits each ratio into the
+  factors of the stress, fluid and Fokker-Planck halves.  The horizon, its
   step count, s' and max_iters are run settings, checked and read in
   runner.RunContext.
 
@@ -60,11 +63,12 @@ import numpy as np
 from . import fluid as fluid_mod
 from .errors import BlowupCeiling, PositivityLoss, StabilityViolation
 from .fluid import N_FACTORS, R, VELOCITY, FluidState, FluidStepConfig, \
-    check_positive, fluid_rhs, rhs_batch, ssprk3, stress_divergence
+    check_positive, fluid_energy, fluid_rhs, rhs_batch, ssprk3, \
+    stress_divergence
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     fp_step
-from .torus import W2_INDICES, derivative_stack, sup_norm_w2inf_values, \
-    to_values
+from .torus import W2_INDICES, derivative_stack, sobolev_norm, \
+    sup_norm_w2inf_values, to_values
 
 
 class CoupledState:
@@ -198,7 +202,9 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
     """One application of the stress -> fluid -> Fokker-Planck map.
 
     psi_traj must span the horizon with the uniform step fluid_cfg.dt,
-    which both halves take.  Returns the new polymer trajectory.
+    which both halves take.  Returns the pair of the fluid trajectory under
+    the stress of psi_traj and the new polymer trajectory under its
+    velocity.
     """
     dt = fluid_cfg.dt
     n_steps = len(psi_traj) - 1
@@ -209,19 +215,23 @@ def fixed_point_map(psi_traj, state0: CoupledState, op: FokkerPlanckSolver,
         state0.fluid, _linear_interpolant(stresses, t0, dt), force,
         op.params, fluid_cfg, n_steps)
     u_at = _linear_interpolant([fl.u for fl in fluid_traj], t0, dt)
-    return fp_trajectory(state0.psi, u_at, op, dt, n_steps)
+    return fluid_traj, fp_trajectory(state0.psi, u_at, op, dt, n_steps)
 
 
 def run_fixed_point(state0: CoupledState, op: FokkerPlanckSolver, force,
                     fluid_cfg: FluidStepConfig, n_steps, max_iters):
     """Iterate the map max_iters times from the constant-in-time seed over
-    n_steps steps of fluid_cfg.dt; returns the iterates (seed first) so
-    distances and ratios can be inspected."""
+    n_steps steps of fluid_cfg.dt; returns (iterates, fluids): the iterates
+    (seed first), so distances and ratios can be inspected, and the fluid
+    trajectories, fluids[k] formed from iterates[k]."""
     iterates = [constant_trajectory(state0.psi, n_steps, fluid_cfg.dt)]
+    fluids = []
     for _ in range(max_iters):
-        iterates.append(fixed_point_map(iterates[-1], state0, op, force,
-                                        fluid_cfg))
-    return iterates
+        fluid_traj, psi_traj = fixed_point_map(iterates[-1], state0, op,
+                                               force, fluid_cfg)
+        fluids.append(fluid_traj)
+        iterates.append(psi_traj)
+    return iterates, fluids
 
 
 def contraction_factor(iterates, s_prime):
@@ -244,6 +254,27 @@ def contraction_factor(iterates, s_prime):
             return dists, ratios, True
         ratios.append(cur / prev)
     return dists, ratios, False
+
+
+def half_ratios(iterates, fluids, dists, n_ratios, s_prime):
+    """(L_stress, L_fluid, L_fp) = (|dT| / d_{k-1}, |d(r, u)| / |dT|,
+    d_k / |d(r, u)|) for each of the first n_ratios ratios r_k = d_k /
+    d_{k-1} of contraction_factor: the chain psi -> T -> (r, u) -> psi'
+    from iterates k - 1 and k, whose product is r_k.  |dT| and |d(r, u)|
+    are sups in time of the W^{s',2} norms of the differences of the
+    iterates' stresses and of the fluid trajectories formed from them
+    (fluids, of run_fixed_point)."""
+    grid = iterates[0][0].grid
+    factors = []
+    for k in range(1, n_ratios + 1):
+        d_stress = max(sobolev_norm(grid, stress_field(a - b), s_prime)
+                       for a, b in zip(iterates[k], iterates[k - 1]))
+        d_fluid = max(float(np.sqrt(fluid_energy(
+            FluidState(grid, x.r - y.r, x.u - y.u), s_prime)))
+            for x, y in zip(fluids[k], fluids[k - 1]))
+        factors.append([d_stress / dists[k - 1], d_fluid / d_stress,
+                        dists[k] / d_fluid])
+    return factors
 
 
 def coupled_step(state: CoupledState, values, op: FokkerPlanckSolver,

@@ -7,7 +7,7 @@ its line number.  Every run writes into its output directory:
 
     series.csv      one row per recorded step, 17-significant-digit floats
     manifest.json   resolved config, content hash, outcome and monitors
-    difference.csv / contraction.csv / lemma_a1.csv   per experiment
+    contraction.csv / lemma_a1.csv   per experiment
     snapshots/*.fkp optional binary checkpoints
 
 All randomness is drawn from one seeded generator, and all schemes are
@@ -19,10 +19,10 @@ manifest.json is strict JSON: a non-finite number in it is the string
 SCENARIOS maps each scenario name to its driver.  A driver is called as
 driver(ctx, outdir), writes its artifacts into outdir and returns the
 manifest's outcome; _run_stepping alone also takes a checkpoint to resume
-from.  Drivers step over a horizon through coupling.coupled_trajectory,
-fluid_trajectory and fp_trajectory, which check every state they hand
-out, the first one included (non-finite: BlowupCeiling, then r <= 0:
-PositivityLoss).  _run_stepping records the first state and those the
+from.  Drivers step over a horizon through coupling.coupled_trajectory and
+coupling.run_fixed_point (fluid_trajectory and fp_trajectory), which check
+every state they hand out, the first one included (non-finite:
+BlowupCeiling, then r <= 0: PositivityLoss).  _run_stepping records the first state and those the
 record interval names, and checks each record against the blow-up
 ceiling.  EXITS maps each error class to its exit code, and a failed
 run's reason is that class's name.
@@ -53,12 +53,12 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .configspace import build_quadrature, check_chi_index, eigen_basis, \
     lemma_a1_check
 from .coupling import CoupledState, blowup_indicator, contraction_factor, \
-    coupled_trajectory, fluid_trajectory, fp_trajectory, run_fixed_point, \
-    stress_field, xs_distance
+    coupled_trajectory, half_ratios, run_fixed_point, stress_field, \
+    xs_distance
 from .errors import BlowupCeiling, ConfigError, FeneError, PositivityLoss, \
     StabilityViolation, VersionError
 from .fluid import FORCING_KINDS, N_FACTORS, R, VELOCITY, FluidState, \
-    FluidStepConfig, fluid_energy, forcing_of_time, phi_r
+    FluidStepConfig, forcing_of_time, phi_r
 from .fokker_planck import FokkerPlanckSolver, PolymerField, fp_energy, \
     nonnegativity_report, polymer_mass
 from .model import ModelParams, density_to_r, r_to_density
@@ -115,15 +115,12 @@ def _parse_at_least(least):
     return _checked(int, lambda n: n >= least, f"must be at least {least}")
 
 
-def _parse_deltas(distinct, message):
-    """Comma-separated deltas, >= distinct different ones, each in (0, inf)."""
-    def parse(text):
-        deltas = tuple(float(tok) for tok in text.split(",") if tok.strip())
-        if len(set(deltas)) < distinct or not all(0 < d < np.inf
-                                                  for d in deltas):
-            raise ValueError(message)
-        return deltas
-    return parse
+def _parse_deltas(text):
+    """Comma-separated deltas, at least one, each in (0, inf)."""
+    deltas = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not deltas or not all(0 < d < np.inf for d in deltas):
+        raise ValueError("lemma_a1 needs deltas, each finite and > 0")
+    return deltas
 
 
 _parse_finite = _checked(float, np.isfinite, "must be finite")
@@ -166,11 +163,7 @@ CONFIG_SCHEMA = {
     "scenario.rho0": (_parse_finite, 1.0),
     "experiment.horizon": (_checked(float, lambda t: 0 < t < np.inf,
                                     "must be finite and > 0"), 0.05),
-    "experiment.deltas": (_parse_deltas(
-        2, "the log-log slope needs at least two distinct deltas, each "
-        "finite and > 0"), (1e-4, 1e-3, 1e-2)),
-    "experiment.lemma_deltas": (_parse_deltas(
-        1, "lemma_a1 needs deltas, each finite and > 0"), (1.0, 0.1, 0.01)),
+    "experiment.lemma_deltas": (_parse_deltas, (1.0, 0.1, 0.01)),
     "experiment.ensemble": (_parse_at_least(100), 200),
     # X^{s'} with 0 <= s' <= s - 1
     "fixed_point.s_prime": (_checked(int, lambda s: 0 <= s <= 1,
@@ -278,10 +271,9 @@ class RunContext:
         with _refusing("fluid"):
             self.fluid_cfg = FluidStepConfig(
                 dt=cfg["fluid.dt"], cutoff_R=cfg["fluid.cutoff_r"])
-        # the steps of fluid.dt in the horizon of the fixed-point scenarios
+        # the steps of fluid.dt in the horizon of the fixed-point scenario
         self.horizon_steps = None
-        name = cfg["scenario"]
-        if name in ("stress_difference", "contraction_study"):
+        if cfg["scenario"] == "contraction_study":
             horizon, dt = cfg["experiment.horizon"], self.fluid_cfg.dt
             # round(horizon / dt) > max_steps, tested before the rounding,
             # which an infinite ratio would not survive
@@ -292,8 +284,8 @@ class RunContext:
                                   field="experiment.horizon")
             self.horizon_steps = int(round(horizon / dt))
             if self.horizon_steps < 2:
-                raise ConfigError(f"{name} needs at least two steps of this "
-                                  "dt within experiment.horizon",
+                raise ConfigError("contraction_study needs at least two "
+                                  "steps of this dt within experiment.horizon",
                                   field="fluid.dt")
             if _whole_steps(horizon, dt) is None:
                 raise ConfigError("the horizon must be a whole number of "
@@ -667,63 +659,15 @@ def _flush_series(outdir, records):
               [r.row() for r in records])
 
 
-def _loglog_slope(deltas, dists):
-    return float(np.polyfit(np.log(deltas), np.log(dists), 1)[0])
-
-
-def _run_stress_difference(ctx: RunContext, outdir):
-    n_steps = ctx.horizon_steps
-    deltas = ctx.cfg["experiment.deltas"]
-    state0 = ctx.initial_state()
-    x1, x2 = ctx.grid.x
-    s_prime = ctx.cfg["fixed_point.s_prime"]
-
-    base_stress = stress_field(state0.psi)
-    pert = to_modes(np.stack([np.sin(x1), 0.5 * np.cos(x1 + x2), np.sin(x2)]))
-
-    def fluid_solve(stress):
-        return fluid_trajectory(state0.fluid, lambda t: stress, ctx.force,
-                                ctx.params, ctx.fluid_cfg, n_steps)
-
-    def fluid_distance(a, b):
-        return max(np.sqrt(fluid_energy(FluidState(ctx.grid, x.r - y.r,
-                                                   x.u - y.u), s_prime))
-                   for x, y in zip(a, b))
-
-    base_traj = fluid_solve(base_stress)
-    fluid_d = [fluid_distance(fluid_solve(base_stress + float(delta) * pert),
-                              base_traj) for delta in deltas]
-
-    u_base = state0.fluid.u
-    u_pert = to_modes(np.stack([np.sin(x2), np.sin(x1)]))
-    op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-
-    def fp_solve(u):
-        return fp_trajectory(state0.psi, lambda t: u, op, ctx.fluid_cfg.dt,
-                             n_steps)
-
-    base_psi = fp_solve(u_base)
-    fp_d = [xs_distance(fp_solve(u_base + float(delta) * u_pert), base_psi,
-                        s_prime) for delta in deltas]
-
-    rows = [("fluid", delta, dist) for delta, dist in zip(deltas, fluid_d)]
-    rows += [("fp", delta, dist) for delta, dist in zip(deltas, fp_d)]
-    write_csv(os.path.join(outdir, "difference.csv"),
-              ("kind", "delta", "distance"), rows)
-    return {
-        "fluid_slope": _loglog_slope(deltas, fluid_d),
-        "fp_slope": _loglog_slope(deltas, fp_d),
-        "rows": [[k, d, v] for k, d, v in rows],
-    }
-
-
 def _run_contraction(ctx: RunContext, outdir):
     n_steps, s_prime = ctx.horizon_steps, ctx.cfg["fixed_point.s_prime"]
     state0 = ctx.initial_state()
     op = FokkerPlanckSolver(ctx.basis, ctx.params, ctx.grid, ctx.chi_index)
-    iterates = run_fixed_point(state0, op, ctx.force, ctx.fluid_cfg, n_steps,
-                               ctx.cfg["fixed_point.max_iters"])
+    iterates, fluids = run_fixed_point(state0, op, ctx.force, ctx.fluid_cfg,
+                                       n_steps,
+                                       ctx.cfg["fixed_point.max_iters"])
     dists, ratios, converged = contraction_factor(iterates, s_prime)
+    halves = half_ratios(iterates, fluids, dists, len(ratios), s_prime)
 
     mono_traj = [mono.psi for _, mono, _ in coupled_trajectory(
         state0, op, ctx.force, ctx.fluid_cfg, range(n_steps + 1),
@@ -731,12 +675,15 @@ def _run_contraction(ctx: RunContext, outdir):
     terminal = xs_distance(iterates[-1], mono_traj, s_prime)
 
     write_csv(os.path.join(outdir, "contraction.csv"),
-              ("iteration", "distance", "ratio"),
-              [(k, dist, ratios[k - 1] if 0 < k <= len(ratios) else np.nan)
+              ("iteration", "distance", "ratio", "l_stress", "l_fluid",
+               "l_fp"),
+              [(k, dist, ratios[k - 1], *halves[k - 1])
+               if 0 < k <= len(ratios) else (k, dist, *[np.nan] * 4)
                for k, dist in enumerate(dists)])
     return {
         "distances": dists,
         "ratios": ratios,
+        "half_ratios": halves,
         "converged": converged,
         "all_ratios_below_one": bool(ratios and all(r < 1 for r in ratios)),
         "distance_to_monolithic": terminal,
@@ -773,7 +720,6 @@ SCENARIOS = {
     "equilibrium": _run_stepping,
     "shear_perturbation": _run_stepping,
     "density_bump": _run_stepping,
-    "stress_difference": _run_stress_difference,
     "contraction_study": _run_contraction,
     "lemma_a1": _run_lemma_a1,
 }
@@ -944,7 +890,7 @@ def report(run_dir, stream=None):
             print(f"drift {name}: {val:.3e}", file=stream)
         for key, val in summary.items():
             print(f"{key}: {val:.3e}", file=stream)
-    for key in ("fluid_slope", "fp_slope", "ratios", "converged",
+    for key in ("ratios", "half_ratios", "converged",
                 "distance_to_monolithic", "c_delta", "monotone"):
         if key in outcome:
             print(f"{key}: {outcome[key]}", file=stream)

@@ -224,7 +224,7 @@ def test_fixed_point_equilibrium_invariant(grid32, basis32, params,
                                            fluid_cfg, op32):
     st = equilibrium_state(grid32, basis32, params)
     traj = constant_trajectory(st.psi, 20, fluid_cfg.dt)
-    out = fixed_point_map(traj, st, op32, no_force, fluid_cfg)
+    _, out = fixed_point_map(traj, st, op32, no_force, fluid_cfg)
     assert xs_distance(out, traj, 1) < 1e-10
 
 
@@ -262,7 +262,7 @@ def test_contraction_on_perturbed_seed(grid32, basis32, params, fluid_cfg,
                                        op32):
     st = perturbed_state(grid32, basis32, params)
     # a horizon of 0.05, 50 steps of dt = 1e-3
-    iterates = run_fixed_point(st, op32, no_force, fluid_cfg, 50, 5)
+    iterates, _ = run_fixed_point(st, op32, no_force, fluid_cfg, 50, 5)
     _, ratios, converged = contraction_factor(iterates, 1)
     # the fourth distance, about 4e-15, is round-off and ends the list
     assert len(ratios) == 2 and converged
@@ -275,8 +275,8 @@ def test_contraction_factor_shrinks_with_horizon(grid16, basis16, params):
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     firsts = []
     for horizon in (0.1, 0.05, 0.025):
-        iterates = run_fixed_point(st, op, no_force, fluid_cfg,
-                                   round(horizon / fluid_cfg.dt), 2)
+        iterates, _ = run_fixed_point(st, op, no_force, fluid_cfg,
+                                      round(horizon / fluid_cfg.dt), 2)
         _, ratios, _ = contraction_factor(iterates, 1)
         firsts.append(ratios[0])
     assert firsts[0] > firsts[1] > firsts[2]
@@ -289,8 +289,8 @@ def test_fixed_point_seed_shares_the_initial_coefficients(grid16, basis16,
     op = FokkerPlanckSolver(basis16, params, grid16, 16)
     st = perturbed_state(grid16, basis16, params, amp=5e-3)
     before = st.psi.coeffs.copy()
-    iterates = run_fixed_point(st, op, no_force, FluidStepConfig(dt=1e-3),
-                               10, 2)
+    iterates, _ = run_fixed_point(st, op, no_force,
+                                  FluidStepConfig(dt=1e-3), 10, 2)
     assert np.array_equal(st.psi.coeffs, before)
     assert all(psi.coeffs is st.psi.coeffs for psi in iterates[0])
     assert [psi.time for psi in iterates[0]] == \
@@ -343,7 +343,8 @@ def test_coupled_step_agrees_with_picard_pass(grid32, basis32, params,
             cur = coupled_step(*cur, op32, no_force, fluid_cfg)
             mono.append(cur[0])
         mono_psi = [s.psi for s in mono]
-        once = fixed_point_map(mono_psi, st, op32, no_force, fluid_cfg)
+        _, once = fixed_point_map(mono_psi, st, op32, no_force,
+                                  fluid_cfg)
         gaps.append(xs_distance(once, mono_psi, 1))
     assert gaps[1] < gaps[0] / 3.0
 

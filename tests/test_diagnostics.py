@@ -95,12 +95,10 @@ def test_parse_rejects_duplicates_and_bad_values():
     ("scenario.amplitude", "nan", "0"),
     ("experiment.horizon", "0", "5e-324"),
     ("experiment.horizon", "inf", "1.7976931348623157e308"),
-    ("experiment.deltas", "0.01, 0.01", "0.01, 0.02"),
-    ("experiment.deltas", "0, 0.01", "5e-324, 0.01"),
-    ("experiment.deltas", "0.01, inf", "0.01, 1.7976931348623157e308"),
     ("experiment.lemma_deltas", "", "0.01"),
     ("experiment.lemma_deltas", "0", "5e-324"),
     ("experiment.lemma_deltas", "nan", "1.7976931348623157e308"),
+    ("experiment.lemma_deltas", "0.01, inf", "0.01, 1.7976931348623157e308"),
     ("experiment.ensemble", "99", "100"),
     ("fixed_point.s_prime", "-1", "0"),
     ("fixed_point.s_prime", "2", "1"),
@@ -293,23 +291,6 @@ def report_lines(run_dir):
     return stream.getvalue().splitlines()
 
 
-def test_stress_difference_artifacts(tmp_path):
-    cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
-                                 steps=30, extra="experiment.horizon = 0.03")
-    assert run(cfg_path) == 0
-    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
-    assert abs(manifest["outcome"]["fluid_slope"] - 1.0) < 0.1
-    assert abs(manifest["outcome"]["fp_slope"] - 1.0) < 0.1
-    lines = open(os.path.join(outdir, "difference.csv")).read().splitlines()
-    assert lines[0] == "kind,delta,distance"
-    assert len(lines) == 7
-    outcome = manifest["outcome"]
-    assert report_lines(outdir) == [
-        f"run: {outdir}", "status: ok", "scenario: stress_difference",
-        f"fluid_slope: {outcome['fluid_slope']}",
-        f"fp_slope: {outcome['fp_slope']}"]
-
-
 def test_contraction_artifacts(tmp_path):
     cfg_path, outdir = write_cfg(tmp_path, scenario="contraction_study",
                                  steps=40, extra="experiment.horizon = 0.04")
@@ -317,9 +298,21 @@ def test_contraction_artifacts(tmp_path):
     outcome = json.load(open(os.path.join(outdir, "manifest.json")))["outcome"]
     assert outcome["all_ratios_below_one"]
     assert outcome["distance_to_monolithic"] < 1e-4
+    # each ratio is the product of the factors of its three halves
+    ratios, halves = outcome["ratios"], outcome["half_ratios"]
+    assert ratios and len(halves) == len(ratios)
+    for ratio, factors in zip(ratios, halves):
+        assert len(factors) == 3
+        assert all(np.isfinite(f) and f > 0 for f in factors)
+        assert np.prod(factors) == pytest.approx(ratio, rel=1e-13)
+    lines = open(os.path.join(outdir, "contraction.csv")).read().splitlines()
+    assert lines[0] == "iteration,distance,ratio,l_stress,l_fluid,l_fp"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert [row[3:] for row in rows[1:len(ratios) + 1]] == halves
+    assert all(np.isnan(row[2:]).all() for row in rows[len(ratios) + 1:])
     assert report_lines(outdir) == [
         f"run: {outdir}", "status: ok", "scenario: contraction_study",
-        f"ratios: {outcome['ratios']}",
+        f"ratios: {ratios}", f"half_ratios: {halves}",
         f"converged: {outcome['converged']}",
         f"distance_to_monolithic: {outcome['distance_to_monolithic']}"]
 
@@ -648,9 +641,7 @@ def test_report_refuses_a_bad_series(tmp_path, capsys, edit, message):
     assert re.search(message, payload["message"])
 
 
-@pytest.mark.parametrize("scenario",
-                         ["stress_difference", "contraction_study",
-                          "lemma_a1"])
+@pytest.mark.parametrize("scenario", ["contraction_study", "lemma_a1"])
 def test_resume_refuses_scenarios_that_do_not_step(tmp_path, scenario):
     cfg_path, _ = small_shear_cfg(tmp_path, steps=1)
     snap = str(tmp_path / "start.fkp")
@@ -877,10 +868,10 @@ def test_nan_r_after_a_step_trips_at_its_step(tmp_path, monkeypatch):
     assert len(load_series(outdir)) == 1
 
 
-def test_nan_r_in_stress_difference_trips_at_its_step(tmp_path,
-                                                      monkeypatch):
+def test_nan_r_in_the_fluid_half_trips_at_its_step(tmp_path, monkeypatch):
+    # step 3 of the first iterate's fluid half
     calls = poison_r_at_call(monkeypatch, fluid, 3)
-    cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
+    cfg_path, _ = write_cfg(tmp_path, scenario="contraction_study",
                             extra="experiment.horizon = 0.01")
     stderr_path = tmp_path / "nan.json"
     with open(stderr_path, "w") as fh:
@@ -947,7 +938,7 @@ def test_contraction_study_of_an_exact_fixed_point(tmp_path):
     assert outcome["distances"] == [0.0] * 5
 
 
-def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
+def test_contraction_study_fp_half_spans_the_horizon(tmp_path, monkeypatch):
     real_step = coupling.fp_step
     ends = []
 
@@ -957,38 +948,13 @@ def test_stress_difference_fp_half_spans_the_horizon(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(coupling, "fp_step", timed)
-    cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
+    cfg_path, _ = write_cfg(tmp_path, scenario="contraction_study",
                             extra="\n".join(["experiment.horizon = 0.02",
                                              "fluid.dt = 2e-3"]))
     assert run(cfg_path) == 0
-    # four FP trajectories (base and three deltas) of ten steps each
-    assert len(ends) == 40
+    # the FP halves of five iterates, ten steps each
+    assert len(ends) == 50
     assert max(ends) == pytest.approx(0.02, rel=1e-12)
-
-
-def test_nan_in_stress_difference_trips_at_its_step(tmp_path, monkeypatch):
-    real_step = coupling.fp_step
-    taken = []
-
-    def poisoned(psi, *args):
-        out = real_step(psi, *args)
-        taken.append(out.time)
-        if len(taken) == 3:
-            out.coeffs[3, 1, 1] = np.nan
-        return out
-
-    monkeypatch.setattr(coupling, "fp_step", poisoned)
-    cfg_path, outdir = write_cfg(tmp_path, scenario="stress_difference",
-                                 extra="experiment.horizon = 0.01")
-    stderr_path = tmp_path / "nan.json"
-    with open(stderr_path, "w") as fh:
-        code = run(cfg_path, stderr=fh)
-    assert code == 5
-    assert len(taken) == 3
-    payload = json.loads(stderr_path.read_text())
-    assert payload["reason"] == "BlowupCeiling"
-    assert "psi" in payload["message"] and "fp half" in payload["message"]
-    assert "at step 3" in payload["message"]
 
 
 def small_contraction_cfg(tmp_path):
@@ -1039,10 +1005,10 @@ def test_nan_in_contraction_study_trips_at_its_step(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("key", ["fluid.dt"])
-def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
-    # round(0.05 / 5.0) = 0 steps: the half would otherwise be stepped past
-    # the horizon
-    cfg_path, _ = write_cfg(tmp_path, scenario="stress_difference",
+def test_contraction_study_refuses_dt_beyond_half_horizon(tmp_path, key):
+    # round(0.05 / 5.0) = 0 steps: the halves would otherwise be stepped
+    # past the horizon
+    cfg_path, _ = write_cfg(tmp_path, scenario="contraction_study",
                             extra=f"{key} = 5.0")
     stderr_path = tmp_path / "dt.json"
     with open(stderr_path, "w") as fh:
@@ -1056,18 +1022,14 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
 @pytest.mark.parametrize("scenario, line, field", [
     ("shear_perturbation", "fluid.dt = 0", "fluid"),
     # the Galerkin space is the stored block, so its size is no setting
-    ("stress_difference", "fluid.n_modes = 0", "fluid.n_modes"),
+    ("contraction_study", "fluid.n_modes = 0", "fluid.n_modes"),
     ("contraction_study", "fixed_point.max_iters = 1",
      "fixed_point.max_iters"),
     ("contraction_study", "fixed_point.s_prime = 2", "fixed_point.s_prime"),
     ("contraction_study", "experiment.horizon = -1", "experiment.horizon"),
-    ("stress_difference", "experiment.horizon = -1", "experiment.horizon"),
-    ("stress_difference", "experiment.deltas = 0.01", "experiment.deltas"),
-    ("stress_difference", "experiment.deltas = 0.01, 0.01",
-     "experiment.deltas"),
-    ("stress_difference", "experiment.deltas = -0.001, 0.01",
-     "experiment.deltas"),
-    ("stress_difference", "experiment.deltas =", "experiment.deltas"),
+    # the scenario of the log-log slopes and its deltas are gone
+    ("equilibrium", "scenario = stress_difference", "scenario"),
+    ("lemma_a1", "experiment.deltas = 1e-3, 1e-2", "experiment.deltas"),
     # n = 16 retains max(|k1|, |k2|) <= 5
     ("shear_perturbation", "forcing.kind = steady_field\n"
      "forcing.amplitude = 0.5\nforcing.mode = 7, 0", "forcing.mode"),
@@ -1105,17 +1067,13 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("equilibrium", "scenario.rho0 = 0", "scenario.rho0"),
     ("density_bump", "scenario.amplitude = 1.5", "scenario.amplitude"),
     ("shear_perturbation", "scenario.amplitude = 2.5", "scenario.amplitude"),
-    # X^{s'} with 0 <= s' <= s - 1 in both experiments
-    ("stress_difference", "fixed_point.s_prime = -1",
-     "fixed_point.s_prime"),
+    # X^{s'} with 0 <= s' <= s - 1
     ("contraction_study", "fixed_point.s_prime = -1",
      "fixed_point.s_prime"),
     # round(0.0004 / 1e-3) = 0 steps: every distance would be 0
     ("contraction_study", "experiment.horizon = 0.0004", "fluid.dt"),
     # round(12.5) = 12 steps would stop short of the horizon
     ("contraction_study", "experiment.horizon = 0.0125",
-     "experiment.horizon"),
-    ("stress_difference", "experiment.horizon = 0.0125",
      "experiment.horizon"),
     # 1e303 steps against max_steps = 20: it ran until it was killed
     ("contraction_study", "experiment.horizon = 1e300", "experiment.horizon"),
@@ -1137,8 +1095,6 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
      "forcing.amplitude = 1e308", "forcing"),
     ("shear_perturbation", "forcing.kind = time_periodic\n"
      "forcing.amplitude = 1e308", "forcing"),
-    ("stress_difference", "experiment.deltas = 1e-3, nan",
-     "experiment.deltas"),
     ("lemma_a1", "experiment.lemma_deltas = 1.0, nan",
      "experiment.lemma_deltas"),
     # an infinite setting is refused, not run as physics: before, these
@@ -1169,8 +1125,8 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
     ("shear_perturbation", "forcing.mode = 1", "forcing.mode"),
     ("shear_perturbation", "forcing.kind = sideways", "forcing.kind"),
 ], ids=["dt=0", "n_modes=0", "max_iters=1", "s_prime=2", "horizon=-1",
-        "stress_difference_horizon=-1", "one_delta", "repeated_delta",
-        "negative_delta", "no_delta", "forcing_mode=7,0", "scenario_mode=6",
+        "retired_scenario", "retired_deltas", "forcing_mode=7,0",
+        "scenario_mode=6",
         "n_basis=0", "n_basis=-3", "n_basis=11", "n_basis=13",
         "equilibrium_chi=-2", "equilibrium_chi=0",
         "equilibrium_chi=1", "shear_chi=-2", "shear_chi=0", "shear_chi=1",
@@ -1179,14 +1135,14 @@ def test_stress_difference_refuses_dt_beyond_half_horizon(tmp_path, key):
         "cutoff_r=0", "cutoff_r=-1", "cutoff_r=inf", "cfl_safety=none",
         "rho0=0",
         "bump_amplitude=1.5",
-        "shear_amplitude=2.5", "stress_difference_s_prime=-1",
+        "shear_amplitude=2.5",
         "contraction_s_prime=-1", "contraction_zero_steps",
-        "contraction_partial_step", "stress_difference_partial_step",
+        "contraction_partial_step",
         "horizon_beyond_max_steps",
         "no_lemma_delta",
         "negative_lemma_delta", "dt=nan", "dt=inf", "contraction_dt=nan",
         "horizon=inf", "horizon=nan", "forcing_amplitude=nan",
-        "steady_forcing=1e308", "periodic_forcing=1e308", "nan_delta",
+        "steady_forcing=1e308", "periodic_forcing=1e308",
         "nan_lemma_delta", "gamma=inf", "a=inf", "epsilon=inf", "a11=inf",
         "mu_s=inf", "mu_b=inf", "lambda=inf", "b=inf", "rho0=inf",
         "mean_velocity=inf", "psi_mode=0", "psi_mode=12", "no_equals",

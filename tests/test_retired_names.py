@@ -116,6 +116,14 @@ GUARDS = [
     guard("axis_names", r"\.(ik1|ik2|k1|k2|q1|q2)\b", ["src/fene", "tests"],
           "per-axis arrays are grid.k, grid.ik and quad.q: a formula over "
           "the axes is written once"),
+    guard("stress_difference", r"stress_difference|_loglog_slope|"
+          r"difference\.csv|experiment\.deltas\b", ["src", "runset", "tests"],
+          "contraction_study splits each ratio into the factors of its "
+          "three halves (coupling.half_ratios): the scenario of fixed-"
+          "perturbation slopes and its deltas are gone",
+          allow=r'^    \("\w+", "(scenario = stress_difference|'
+          r'experiment\.deltas = 1e-3, 1e-2)", "(scenario|'
+          r'experiment\.deltas)"\),$'),
 ]
 
 
